@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import harness, stats
 from .problems import list_problems as registry_list
+from .problems import make_problem
 from .stages import Variant
 
 ENV_PREFIX = "MCO_"
@@ -149,14 +150,23 @@ def cmd_run(args) -> int:
     instance_seed = _resolve("instance_seed", args.instance_seed, config, 0, int)
     out = _resolve("out", args.out, config, "results", None)
 
-    try:
-        results = harness.run_batch(
-            algorithms, problems, runs=runs, base_seed=seed, dimension=dim,
-            n=n, fes_max=fes_max, fes_mult=fes_mult,
-            instance_seed=instance_seed, trace_stride=stride, jobs=jobs)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc))
+    if runs < 1:
+        raise UsageError("runs must be at least 1")
+    for prob in problems:
+        try:
+            spec = make_problem(prob, dim, instance_seed)
+            harness.RunConfig(  # checks n, fes_max and stride as a run would
+                algorithm=Variant.ECO.label, problem=prob, seed=0, dimension=dim,
+                n=n, fes_max=fes_max if fes_max is not None else fes_mult * spec.dimension,
+                trace_stride=stride, instance_seed=instance_seed)
+        except (ValueError, KeyError) as exc:
+            raise UsageError(str(exc))
 
+    # Arguments are valid from here on: a failure inside a run exits 1.
+    results = harness.run_batch(
+        algorithms, problems, runs=runs, base_seed=seed, dimension=dim,
+        n=n, fes_max=fes_max, fes_mult=fes_mult,
+        instance_seed=instance_seed, trace_stride=stride, jobs=jobs)
     harness.persist(results, out)
     print("persisted %d records to %s" % (len(results), out))
     print("%-10s %-24s %14s %14s %14s" % ("algorithm", "problem", "best",

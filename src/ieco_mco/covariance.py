@@ -45,11 +45,11 @@ class EliteArchive:
         if capacity < 1:
             raise ValueError("archive capacity must be at least 1")
         self.capacity = int(capacity)
-        self._positions: list[np.ndarray] = []
-        self._fitness: list[float] = []
+        self._positions = np.empty((0, 0))
+        self._fitness = np.empty(0)
 
     def __len__(self):
-        return len(self._positions)
+        return self._fitness.shape[0]
 
     def push(self, positions, fitnesses):
         """Append entries in order; evict oldest while above capacity."""
@@ -57,19 +57,15 @@ class EliteArchive:
         fitnesses = np.atleast_1d(np.asarray(fitnesses, dtype=float))
         if positions.shape[0] != fitnesses.shape[0]:
             raise ValueError("positions and fitnesses must have matching lengths")
-        for pos, fit in zip(positions, fitnesses):
-            self._positions.append(np.array(pos, dtype=float))
-            self._fitness.append(float(fit))
-        excess = len(self._positions) - self.capacity
-        if excess > 0:
-            del self._positions[:excess]
-            del self._fitness[:excess]
+        old = self._positions.reshape(-1, positions.shape[1])
+        self._positions = np.concatenate((old, positions))[-self.capacity:]
+        self._fitness = np.concatenate((self._fitness, fitnesses))[-self.capacity:]
 
     def positions(self) -> np.ndarray:
-        return np.array(self._positions, dtype=float)
+        return self._positions.copy()
 
     def fitnesses(self) -> np.ndarray:
-        return np.array(self._fitness, dtype=float)
+        return self._fitness.copy()
 
 
 def rank_weights(m: int) -> np.ndarray:
@@ -139,11 +135,6 @@ def estimate(archive: EliteArchive) -> CovModel:
     return CovModel(mean_better=mean, cov=cov, weights=w)
 
 
-def sample_gaussian(model: CovModel, rng: RngStream, size=None) -> np.ndarray:
-    """Draw one sample (or ``size`` rows) from the model."""
-    return model.sample(rng, size=size)
-
-
 def elite_scores(fitnesses, positions, best_position, weight=DEFAULT_ELITE_WEIGHT):
     """Combined elite score: weight * fitness_norm + (1 - weight) * distance_norm.
 
@@ -173,12 +164,6 @@ def elite_indices(fitnesses, positions, best_position, k, weight=DEFAULT_ELITE_W
         raise ValueError("k must lie in [1, population size]")
     order = np.argsort(-scores, kind="stable")
     return order[:k]
-
-
-def elite_select(positions, fitnesses, best_position, k, weight=DEFAULT_ELITE_WEIGHT):
-    """The k elite positions by combined fitness/distance score."""
-    idx = elite_indices(fitnesses, positions, best_position, k, weight)
-    return np.asarray(positions, dtype=float)[idx].copy()
 
 
 def gaussian_operator(position, model: CovModel, rng: RngStream, bounds: Optional[Bounds] = None):

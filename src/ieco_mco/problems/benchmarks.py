@@ -146,10 +146,6 @@ COMPOSITION_FAMILIES: dict[str, list[tuple[str, float, float, float]]] = {
               ("ackley", 50.0, 10.0, 400.0)],
 }
 
-BENCHMARK_FAMILIES = (list(BASE_FUNCTIONS) + list(HYBRID_FAMILIES)
-                      + list(COMPOSITION_FAMILIES))
-
-
 def _block_sizes(fractions: Sequence[float], dim: int) -> list[int]:
     """Largest-remainder split of ``dim`` coordinates, every block >= 1."""
     n = len(fractions)

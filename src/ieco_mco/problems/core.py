@@ -140,9 +140,7 @@ class ProblemSpec:
     def violations(self, x) -> np.ndarray:
         if self.constraints is None:
             return np.empty(0)
-        with np.errstate(all="ignore"):
-            g = np.asarray(self.constraints(np.asarray(x, dtype=float)), dtype=float)
-        return np.where(np.isnan(g), np.inf, g)
+        return _nan_as_inf(self.constraints, np.asarray(x, dtype=float))
 
     def violation(self, x) -> float:
         g = self.violations(x)
@@ -151,16 +149,21 @@ class ProblemSpec:
         return float(max(0.0, g.max()))
 
     def evaluate(self, x):
-        """(objective value, scalar violation)."""
+        """(objective value, scalar violation); NaN reads as +inf."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            val = float(self.objective(x))
-        if np.isnan(val):
-            val = np.inf
-        return val, self.violation(x)
+        return float(_nan_as_inf(self.objective, x)), self.violation(x)
 
     def batch(self, X) -> np.ndarray:
+        """Objective values of an (n, D) block; NaN reads as +inf."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.batch_objective is not None:
-            return np.asarray(self.batch_objective(X), dtype=float)
-        return np.array([float(self.objective(row)) for row in X])
+            return _nan_as_inf(self.batch_objective, X)
+        return _nan_as_inf(lambda B: [float(self.objective(row)) for row in B], X)
+
+
+def _nan_as_inf(fn, x) -> np.ndarray:
+    """fn(x) as float64 with floating-point warnings silenced and NaN read as
+    +inf (fmin returns the operand that is not NaN), so an undefined value
+    ranks worst and never survives greedy selection."""
+    with np.errstate(all="ignore"):
+        return np.fmin(fn(x), np.inf, dtype=float)

@@ -53,10 +53,6 @@ class RngStream:
             self._seq = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
-    @property
-    def seed_entropy(self):
-        return self._seq.entropy
-
     def spawn(self, n):
         """Derive ``n`` independent child streams (SeedSequence.spawn rule)."""
         return [RngStream(s) for s in self._seq.spawn(n)]
@@ -234,18 +230,19 @@ def mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def levy_sample(dim: int, rng: RngStream, beta: float = DEFAULT_LEVY_BETA) -> np.ndarray:
-    """Heavy-tailed step vector via the Mantegna algorithm.
+def levy_sample(dim: int, rng: RngStream, beta: float = DEFAULT_LEVY_BETA,
+                size=None) -> np.ndarray:
+    """Heavy-tailed step vector (or ``size`` rows of them) via Mantegna.
 
     s_j = u_j / |v_j|^(1/beta) with u_j ~ N(0, sigma_u^2) and v_j ~ N(0, 1),
-    drawn componentwise (u vector first, then v vector).
+    drawn componentwise (u vector first, then v vector, row after row).
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     sigma = mantegna_sigma(beta)
-    u = rng.normal(size=dim) * sigma
-    v = rng.normal(size=dim)
-    return u / np.abs(v) ** (1.0 / beta)
+    z = rng.normal(size=(2, dim) if size is None else (size, 2, dim))
+    u = z[..., 0, :] * sigma
+    return u / np.abs(z[..., 1, :]) ** (1.0 / beta)
 
 
 def clamp(x: np.ndarray, bounds: Bounds) -> np.ndarray:

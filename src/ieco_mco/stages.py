@@ -15,29 +15,39 @@ update rule for schools and one for students:
 with w = 0.1 * ln(2 - fes/fes_max), P = 4 * randn * (1 - fes/fes_max) drawn
 once per iteration, and the per-student gain E = (pi/P) * (fes/fes_max) when
 the student's talent draw exceeds the threshold Th, else 1. close(X) is the
-school position nearest to the student (ties to the lowest index). New
-positions are clamped to the box and survive per agent only when they improve
-on the parent.
+school position nearest to the student (ties to the lowest index) and
+Xmean_i the mean of the students whose nearest school is i. Each rule acts
+on the whole block of schools or students at once. New positions are
+clamped to the box and survive per agent only when they improve on the
+parent.
 
 Variants swap the school rule for a covariance operator estimated from the
 elite archive: the full variant uses the Gaussian operator in the primary
 stage, the shifted operator in the middle stage and the differencing operator
 in the high stage, while each single-operator ablation applies its one
-operator in all three stages. Students always use the plain rules. Until the
-archive holds enough entries for a usable model the school update falls back
-to the plain stage rule.
+operator in all three stages. One (variant, stage) table holds the school
+rule; students always use the plain rule of the stage. Until the archive
+holds enough entries for a usable model the school update falls back to the
+plain stage rule.
 
-Per-iteration draw order (one shared stream): the scalar for P; school
-updates in fitness order, each consuming its own draws; then student updates
-in fitness order; then any draws made by constraint handling during
-evaluation.
+Per-iteration draw order (one shared stream): the scalar for P; the school
+block, agents in fitness order; the student block, agents in fitness order;
+then any draws made by constraint handling during evaluation. A plain rule
+makes its block's draws in one call: the Levy pairs as a (k, 2, D) normal
+array (each agent's u vector, then its v vector), the high-school scalar
+pairs as (k, 2), the primary-student normals and the talent uniforms as (m,).
+A numpy generator fills an array in row-major order from the same stream
+that successive smaller calls would read, so one block call yields exactly
+the numbers of k per-agent calls in agent order. The covariance operators
+interleave a Gaussian vector, a uniform and, for differencing, an index pair
+within each agent, so they still draw one school at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,17 +87,6 @@ class Variant(enum.Enum):
     @property
     def label(self):
         return self.value
-
-
-# Which covariance operator a variant applies at a given stage.
-_OPERATOR_TABLE = {
-    Variant.GECO: {Stage.PRIMARY: "gaussian", Stage.MIDDLE: "gaussian", Stage.HIGH: "gaussian"},
-    Variant.SECO: {Stage.PRIMARY: "shift", Stage.MIDDLE: "shift", Stage.HIGH: "shift"},
-    Variant.DECO: {Stage.PRIMARY: "differential", Stage.MIDDLE: "differential",
-                   Stage.HIGH: "differential"},
-    Variant.IECO_MCO: {Stage.PRIMARY: "gaussian", Stage.MIDDLE: "shift",
-                       Stage.HIGH: "differential"},
-}
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,6 @@ class AlgorithmParams:
     def uses_archive(self) -> bool:
         return self.variant is not Variant.ECO
 
-    def with_variant(self, variant: Variant) -> "AlgorithmParams":
-        return replace(self, variant=variant)
-
 
 def stage_of(iteration: int) -> Stage:
     """Iterations cycle primary, middle, high with period 3 (1-based)."""
@@ -185,29 +181,12 @@ class StageContext:
         return self.fes / self.fes_max
 
 
-def talent_gain(ctx: StageContext, talent_draw: float) -> float:
-    """E = (pi/P) * (fes/fes_max) above the threshold, else 1; |P| floored."""
-    if talent_draw <= ctx.th:
-        return 1.0
+def talent_gain(ctx: StageContext, talent_draws) -> np.ndarray:
+    """E = (pi/P) * (fes/fes_max) per draw above the threshold, else 1; |P| floored."""
     p = ctx.p
     if abs(p) < TALENT_GAIN_P_FLOOR:
         p = math.copysign(TALENT_GAIN_P_FLOOR, p if p != 0.0 else 1.0)
-    return (math.pi / p) * ctx.progress()
-
-
-@dataclass(frozen=True)
-class Agent:
-    position: np.ndarray
-    fitness: float
-
-
-@dataclass(frozen=True)
-class PopulationStats:
-    """Best/worst copies and the population mean position."""
-
-    best: Agent
-    worst: Agent
-    mean: np.ndarray
+    return np.where(np.asarray(talent_draws) <= ctx.th, 1.0, (math.pi / p) * ctx.progress())
 
 
 class Population:
@@ -245,102 +224,134 @@ class Population:
         self.objective = self.objective[order]
         self.feasible = self.feasible[order]
 
-    def stats(self) -> PopulationStats:
-        return PopulationStats(
-            best=Agent(self.positions[0].copy(), float(self.fitness[0])),
-            worst=Agent(self.positions[-1].copy(), float(self.fitness[-1])),
-            mean=self.positions.mean(axis=0),
-        )
-
     def copy(self) -> "Population":
         return Population(self.positions, self.fitness, self.objective, self.feasible)
 
 
-def closest_school(position, school_positions) -> int:
-    """Index of the school at minimum Euclidean distance (ties: lowest)."""
-    schools = np.atleast_2d(np.asarray(school_positions, dtype=float))
-    diff = schools - np.asarray(position, dtype=float)
-    return int(np.argmin((diff * diff).sum(axis=1)))
+def closest_school(positions, school_positions) -> np.ndarray:
+    """Index of each row's nearest school by Euclidean distance (ties: lowest)."""
+    diff = positions[:, None, :] - school_positions[None, :, :]
+    return np.argmin((diff * diff).sum(axis=2), axis=1)
 
 
 # ----------------------------------------------------------------- updates
+# Each rule maps an (m, D) block of schools or students to m proposals and
+# makes its random draws in one call; the step clamps the whole proposal.
 
-def primary_school_update(position, school_mean, ctx, rng, bounds=None):
+def primary_school_update(schools, school_means, ctx, rng):
     """X + w * (Xmean_i - X) .* Levy(D)."""
-    position = np.asarray(position, dtype=float)
-    school_mean = np.asarray(school_mean, dtype=float)
-    step_vec = ctx.omega * (school_mean - position) * levy_sample(position.shape[0], rng)
-    new = position + step_vec
-    return clamp(new, bounds) if bounds is not None else new
+    k, d = schools.shape
+    return schools + ctx.omega * (school_means - schools) * levy_sample(d, rng, size=k)
 
 
-def primary_student_update(position, school_positions, ctx, rng, bounds=None):
-    """X + w * (close(X) - X) * randn with one scalar normal draw."""
-    position = np.asarray(position, dtype=float)
-    schools = np.atleast_2d(np.asarray(school_positions, dtype=float))
-    close = schools[closest_school(position, schools)]
-    new = position + ctx.omega * (close - position) * float(rng.normal())
-    return clamp(new, bounds) if bounds is not None else new
+def primary_student_update(students, close, ctx, rng):
+    """X + w * (close(X) - X) * randn with one scalar normal per student."""
+    r = rng.normal(size=students.shape[0])[:, None]
+    return students + ctx.omega * (close - students) * r
 
 
-def middle_school_update(position, stats: PopulationStats, ctx, rng, bounds=None):
+def middle_school_update(schools, best, mean, ctx, rng):
     """X + (Xbest - Xmean) * exp(fes/fes_max - 1) .* Levy(D)."""
-    position = np.asarray(position, dtype=float)
+    k, d = schools.shape
     decay = math.exp(ctx.progress() - 1.0)
-    step_vec = (stats.best.position - stats.mean) * decay * levy_sample(position.shape[0], rng)
-    new = position + step_vec
-    return clamp(new, bounds) if bounds is not None else new
+    return schools + (best - mean) * decay * levy_sample(d, rng, size=k)
 
 
-def middle_student_update(position, school_positions, ctx, rng, bounds=None):
-    """X - w*close(X) - P * (E * w * close(X) - X); talent drawn per call."""
-    position = np.asarray(position, dtype=float)
-    schools = np.atleast_2d(np.asarray(school_positions, dtype=float))
-    close = schools[closest_school(position, schools)]
-    e = talent_gain(ctx, float(rng.uniform()))
-    new = position - ctx.omega * close - ctx.p * (e * ctx.omega * close - position)
-    return clamp(new, bounds) if bounds is not None else new
+def middle_student_update(students, close, ctx, rng):
+    """X - w*close(X) - P * (E * w * close(X) - X); one talent draw per student."""
+    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
+    return students - ctx.omega * close - ctx.p * (e * ctx.omega * close - students)
 
 
-def high_school_update(position, stats: PopulationStats, ctx, rng, bounds=None):
-    """X + (Xbest - Xmean)*randn1 - (Xworst - Xmean)*randn2 (two scalars)."""
-    position = np.asarray(position, dtype=float)
-    r1 = float(rng.normal())
-    r2 = float(rng.normal())
-    new = (position + (stats.best.position - stats.mean) * r1
-           - (stats.worst.position - stats.mean) * r2)
-    return clamp(new, bounds) if bounds is not None else new
+def high_school_update(schools, best, worst, mean, ctx, rng):
+    """X + (Xbest - Xmean)*randn1 - (Xworst - Xmean)*randn2 (two scalars per school)."""
+    r = rng.normal(size=(schools.shape[0], 2))
+    return schools + (best - mean) * r[:, :1] - (worst - mean) * r[:, 1:]
 
 
-def high_student_update(position, stats: PopulationStats, ctx, rng, bounds=None):
-    """X - P * (E * Xbest - X); talent drawn per call."""
-    position = np.asarray(position, dtype=float)
-    e = talent_gain(ctx, float(rng.uniform()))
-    new = position - ctx.p * (e * stats.best.position - position)
-    return clamp(new, bounds) if bounds is not None else new
+def high_student_update(students, best, ctx, rng):
+    """X - P * (E * Xbest - X); one talent draw per student."""
+    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
+    return students - ctx.p * (e * best - students)
 
 
-# -------------------------------------------------------------------- step
+# ---------------------------------------------------------------- dispatch
+# Entries take the sorted positions X, the school count k, each student's
+# school index and the model (None for plain rules), and return the (k, D)
+# school or (n - k, D) student proposals. They call the rules and operators
+# through their module names, so rebinding one (as perfbench's tracer does)
+# reaches every dispatch.
 
-def _school_means(pop: Population, k: int) -> np.ndarray:
-    """Per-school mean of the students currently assigned to it by close().
+def _school_means(X, k, assign) -> np.ndarray:
+    """Per-school mean of the students assigned to it by close().
 
     Schools with no assigned students fall back to the population mean.
     """
-    schools = pop.positions[:k]
-    pop_mean = pop.positions.mean(axis=0)
-    means = np.tile(pop_mean, (k, 1))
-    students = pop.positions[k:]
-    if students.shape[0] == 0:
-        return means
-    diff = students[:, None, :] - schools[None, :, :]
-    assign = np.argmin((diff * diff).sum(axis=2), axis=1)
+    students = X[k:]
+    means = np.tile(X.mean(axis=0), (k, 1))
     for i in range(k):
         mask = assign == i
         if mask.any():
             means[i] = students[mask].mean(axis=0)
     return means
 
+
+def _primary_schools(X, k, assign, model, ctx, rng):
+    return primary_school_update(X[:k], _school_means(X, k, assign), ctx, rng)
+
+
+def _middle_schools(X, k, assign, model, ctx, rng):
+    return middle_school_update(X[:k], X[0], X.mean(axis=0), ctx, rng)
+
+
+def _high_schools(X, k, assign, model, ctx, rng):
+    return high_school_update(X[:k], X[0], X[-1], X.mean(axis=0), ctx, rng)
+
+
+# The covariance operators interleave a Gaussian vector, a uniform and (for
+# differencing) an index pair per agent, so they run one school at a time.
+def _gaussian_schools(X, k, assign, model, ctx, rng):
+    return [cov.gaussian_operator(x, model, rng) for x in X[:k]]
+
+
+def _shift_schools(X, k, assign, model, ctx, rng):
+    return [cov.shift_operator(x, model, X[0], rng) for x in X[:k]]
+
+
+def _differential_schools(X, k, assign, model, ctx, rng):
+    return [cov.differential_operator(X[i], model, np.delete(X, i, axis=0),
+                                      X[0], X[-1], rng) for i in range(k)]
+
+
+def _primary_students(X, k, assign, model, ctx, rng):
+    return primary_student_update(X[k:], X[assign], ctx, rng)
+
+
+def _middle_students(X, k, assign, model, ctx, rng):
+    return middle_student_update(X[k:], X[assign], ctx, rng)
+
+
+def _high_students(X, k, assign, model, ctx, rng):
+    return high_student_update(X[k:], X[0], ctx, rng)
+
+
+# School rule per (variant, stage); the ECO row holds the plain rules, which
+# every variant uses until its archive supports a model.
+_SCHOOL_RULES = {
+    (variant, stage): rule
+    for variant, rules in (
+        (Variant.ECO, (_primary_schools, _middle_schools, _high_schools)),
+        (Variant.GECO, (_gaussian_schools,) * 3),
+        (Variant.SECO, (_shift_schools,) * 3),
+        (Variant.DECO, (_differential_schools,) * 3),
+        (Variant.IECO_MCO, (_gaussian_schools, _shift_schools, _differential_schools)),
+    )
+    for stage, rule in zip(Stage, rules)
+}
+_STUDENT_RULES = dict(zip(Stage, (_primary_students, _middle_students, _high_students)))
+
+
+# -------------------------------------------------------------------- step
 
 def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
          archive: Optional[cov.EliteArchive], rng: RngStream, evaluator,
@@ -358,48 +369,19 @@ def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
             "iteration needs %d evaluations but only %d remain"
             % (n, ctx.fes_max - ctx.fes))
     pop.sort()
-    stats = pop.stats()
+    X = pop.positions
     k = school_count(params.school_fraction(ctx.stage), n)
+    assign = closest_school(X[k:], X[:k])
 
-    model = None
-    operator = None
+    model, variant = None, Variant.ECO
     if (params.uses_archive() and archive is not None
             and len(archive) >= cov.min_model_entries(pop.dim)):
-        model = cov.estimate(archive)
-        operator = _OPERATOR_TABLE[params.variant][ctx.stage]
+        model, variant = cov.estimate(archive), params.variant
 
-    new_positions = np.empty_like(pop.positions)
-    schools = pop.positions[:k]
-
-    if operator is None and ctx.stage is Stage.PRIMARY:
-        means = _school_means(pop, k)
-    for i in range(k):
-        pos = pop.positions[i]
-        if operator == "gaussian":
-            new_positions[i] = cov.gaussian_operator(pos, model, rng, bounds)
-        elif operator == "shift":
-            new_positions[i] = cov.shift_operator(pos, model, stats.best.position, rng, bounds)
-        elif operator == "differential":
-            others = np.concatenate((pop.positions[:i], pop.positions[i + 1:]))
-            new_positions[i] = cov.differential_operator(
-                pos, model, others, stats.best.position, stats.worst.position, rng, bounds)
-        elif ctx.stage is Stage.PRIMARY:
-            new_positions[i] = primary_school_update(pos, means[i], ctx, rng, bounds)
-        elif ctx.stage is Stage.MIDDLE:
-            new_positions[i] = middle_school_update(pos, stats, ctx, rng, bounds)
-        else:
-            new_positions[i] = high_school_update(pos, stats, ctx, rng, bounds)
-
-    for j in range(k, n):
-        pos = pop.positions[j]
-        if ctx.stage is Stage.PRIMARY:
-            new_positions[j] = primary_student_update(pos, schools, ctx, rng, bounds)
-        elif ctx.stage is Stage.MIDDLE:
-            new_positions[j] = middle_student_update(pos, schools, ctx, rng, bounds)
-        else:
-            new_positions[j] = high_student_update(pos, stats, ctx, rng, bounds)
-
-    child_fit, child_obj, child_feas, child_pos = evaluator.evaluate(new_positions)
+    proposals = np.empty_like(X)
+    proposals[:k] = _SCHOOL_RULES[variant, ctx.stage](X, k, assign, model, ctx, rng)
+    proposals[k:] = _STUDENT_RULES[ctx.stage](X, k, assign, model, ctx, rng)
+    child_fit, child_obj, child_feas, child_pos = evaluator.evaluate(clamp(proposals, bounds))
 
     improved = child_fit < pop.fitness
     pop.positions[improved] = child_pos[improved]

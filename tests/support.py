@@ -23,7 +23,8 @@ class ScriptedRng:
     def normal(self, size=None):
         if size is None:
             return float(self._normals.pop(0))
-        return np.array([float(self._normals.pop(0)) for _ in range(int(size))])
+        vals = [float(self._normals.pop(0)) for _ in range(int(np.prod(size)))]
+        return np.asarray(vals).reshape(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         if size is None:

@@ -75,6 +75,7 @@ def _best_and_feasible(rs, head):
 # ------------------------------------------------------------- criterion 1
 
 
+@pytest.mark.slow
 def test_criterion_1_ablation_rank_direction(desk_results, capsys):
     """Friedman mean ranks on the desk suite: the three-operator variant and
     the Gaussian/shift single-operator variants all rank before the baseline."""
@@ -95,6 +96,7 @@ def test_criterion_1_ablation_rank_direction(desk_results, capsys):
     assert wall < 15 * 60
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="the differential-operator ablation ranks after the baseline at "
@@ -127,6 +129,7 @@ def test_criterion_1_deco_rank_direction(desk_results, capsys):
 # ------------------------------------------------------------- criterion 2
 
 
+@pytest.mark.slow
 def test_criterion_2_wilcoxon_dominance(desk_results, capsys):
     """Per-problem rank-sum verdicts at alpha=0.05: IECO-MCO beats ECO on
     strictly more problems than it loses."""
@@ -142,6 +145,7 @@ def test_criterion_2_wilcoxon_dominance(desk_results, capsys):
 # ------------------------------------------------------------- criterion 3
 
 
+@pytest.mark.slow
 def test_criterion_3_engineering_targets(engineering_results, capsys):
     """Best-of-30-runs targets on the engineering problems with hard
     thresholds where the formulation is settled, plus feasibility and a gap
@@ -182,6 +186,7 @@ def test_criterion_3_engineering_targets(engineering_results, capsys):
         assert passed, label
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="best-of-30 lands about 4% above the tension-spring target at "
@@ -209,6 +214,7 @@ def test_criterion_3_tension_spring_threshold(engineering_results, capsys):
     assert ok, best
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="best-of-30 lands about 1.8% above the speed-reducer target at "
@@ -236,6 +242,7 @@ def test_criterion_3_speed_reducer_threshold(engineering_results, capsys):
     assert ok, best
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="no run reaches the step-cone pulley's needle-thin feasible set "

@@ -87,6 +87,31 @@ def test_runtime_failure_maps_to_exit_one(tmp_path, capsys, monkeypatch):
     assert "synthetic failure" in capsys.readouterr().err
 
 
+def test_failure_inside_a_run_exits_one(tmp_path, capsys, monkeypatch):
+    def boom(*a, **k):
+        raise ValueError("synthetic failure inside the run")
+    monkeypatch.setattr(cli.harness, "run_single", boom)
+    code = run_cli("run", "--algorithms", "ECO", "--problems", "f01",
+                   "--out", str(tmp_path / "r"), *TINY)
+    assert code == 1
+    assert "synthetic failure inside the run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--problems", "f99"], "unknown problem"),
+    (["--problems", "f01", "--runs", "0"], "runs"),
+    (["--problems", "f01", "--n", "3"], "population"),
+    (["--problems", "f01", "--fes-max", "5"], "fes_max"),
+    (["--problems", "f01", "--trace-stride", "0"], "trace_stride"),
+])
+def test_bad_batch_arguments_are_usage_errors(tmp_path, capsys, flags, needle):
+    code = run_cli("run", "--algorithms", "ECO", "--out", str(tmp_path / "r"),
+                   *TINY, *flags)
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_compare_without_results_is_usage_error(capsys):
     assert run_cli("compare") == 2
 

@@ -22,10 +22,49 @@ from ieco_mco.harness import (
 from ieco_mco.problems import PenaltyPolicy, make_engineering, stable_seed
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
+from ieco_mco.stages import AlgorithmParams, Population, StageContext, stage_of, step
 
 from support import sphere_spec
 
 DESK = ["f%02d" % i for i in range(1, 13)]
+
+
+# ------------------------------------------------------ non-finite objectives
+
+
+def half_nan_spec(vectorized):
+    """Sphere on x0 >= 0, NaN on the other half of the box."""
+
+    def batch(X):
+        X = np.atleast_2d(X)
+        return np.where(X[:, 0] < 0.0, np.nan, (X ** 2).sum(axis=1))
+
+    return ProblemSpec(name="half-nan", dimension=2,
+                       bounds=Bounds.cube(-10.0, 10.0, 2),
+                       objective=lambda x: float(batch(x)[0]),
+                       batch_objective=batch if vectorized else None,
+                       category="test")
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
+    spec = half_nan_spec(vectorized)
+    ev = Evaluator(spec, fes_max=10 ** 6)
+    X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
+                  [0.5, 0.5], [4.0, 4.0]])
+    fit, obj, feas, pos = ev.evaluate(X)
+    assert fit[0] == np.inf and obj[0] == np.inf
+    assert np.all(np.isfinite(fit[1:]))
+    assert spec.evaluate(X[0])[0] == np.inf
+    pop = Population(pos, fit, obj, feas)
+    params = AlgorithmParams.for_variant("ECO")
+    rng = RngStream(3)
+    for it in range(1, 7):
+        ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, params.h, rng)
+        pop = step(pop, params, ctx, None, rng, ev, spec.bounds)
+    # the agent that started in the NaN half was replaced by a finite child
+    assert np.all(np.isfinite(pop.fitness))
+    assert np.all(pop.positions[:, 0] >= 0.0)
 
 
 # ---------------------------------------------------------------- run config

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from support import CountingEvaluator, ScriptedRng, levy_script
 
+import ieco_mco.stages as st
 from ieco_mco.covariance import EliteArchive
-from ieco_mco.rng import Bounds, BudgetExhaustedError, ChaosInitConfig, RngStream, init_population
+from ieco_mco.rng import (Bounds, BudgetExhaustedError, ChaosInitConfig, RngStream,
+                          init_population, levy_sample, mantegna_sigma)
 from ieco_mco.stages import (
-    Agent,
+    _SCHOOL_RULES,
+    _STUDENT_RULES,
     AlgorithmParams,
     Population,
-    PopulationStats,
     Stage,
     StageContext,
     Variant,
@@ -108,7 +111,7 @@ def test_algorithm_params_defaults_per_variant():
     assert imp.school_fraction(Stage.PRIMARY) == 0.4
     assert imp.school_fraction(Stage.MIDDLE) == 0.5
     assert imp.school_fraction(Stage.HIGH) == 0.5
-    assert imp.with_variant(Variant.GECO).variant is Variant.GECO
+    assert replace(imp, variant=Variant.GECO).variant is Variant.GECO
 
 
 def test_algorithm_params_validation():
@@ -152,145 +155,133 @@ def test_talent_gain_branches_and_floor():
     assert val == pytest.approx(math.pi / 1e-12 * 0.5, rel=1e-9)
     neg = ctx_with(fes=500, p=-1e-20)
     assert talent_gain(neg, 0.9) < 0
+    block = talent_gain(ctx, np.array([0.3, 0.9, 0.5]))   # one gain per draw
+    assert block.tolist() == [1.0, math.pi / 2.0 * 0.5, 1.0]
 
 
 # ------------------------------------------------------------ update rules
+# Rules take (m, D) blocks; one-row blocks give the hand-computed examples.
+
+def col(*values):
+    """(m, 1) block from scalars."""
+    return np.array(values, dtype=float)[:, None]
+
 
 def test_primary_school_hand_example():
     # D=1, X=2, mean=4, w=0.05, Levy draw=1.2 -> 2 + 0.05*2*1.2 = 2.12
     ctx = ctx_with(omega_val=0.05)
     rng = ScriptedRng(normals=levy_script([1.2]))
-    out = primary_school_update(np.array([2.0]), np.array([4.0]), ctx, rng)
-    assert out[0] == pytest.approx(2.12, abs=1e-9)
+    out = primary_school_update(col(2.0), col(4.0), ctx, rng)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(2.12, abs=1e-9)
 
 
 def test_primary_school_fixed_points():
     ctx = ctx_with(omega_val=0.05)
-    out = primary_school_update(np.array([4.0]), np.array([4.0]), ctx,
+    out = primary_school_update(col(4.0), col(4.0), ctx,
                                 ScriptedRng(normals=levy_script([1.7])))
-    assert out[0] == 4.0
+    assert out[0, 0] == 4.0
     ctx0 = ctx_with(omega_val=omega(1000, 1000))
-    out = primary_school_update(np.array([2.0]), np.array([9.0]), ctx0,
+    out = primary_school_update(col(2.0), col(9.0), ctx0,
                                 ScriptedRng(normals=levy_script([1.7])))
-    assert out[0] == 2.0
+    assert out[0, 0] == 2.0
 
 
 def test_closest_school_picks_nearest_and_breaks_ties_low():
-    assert closest_school(np.array([3.0]), [[0.0], [10.0]]) == 0
-    assert closest_school(np.array([3.0]), [[0.0], [6.0]]) == 0  # tie -> lowest
-    assert closest_school(np.array([8.0]), [[0.0], [10.0]]) == 1
+    schools = col(0.0, 10.0)
+    assert closest_school(col(3.0, 8.0), schools).tolist() == [0, 1]
+    assert closest_school(col(3.0), col(0.0, 6.0)).tolist() == [0]  # tie -> lowest
+    assert closest_school(col(5.0), col(0.0, 10.0, 0.0)).tolist() == [0]
 
 
 def test_primary_student_hand_example():
     # D=1, X=3, close=0, w=0.06, randn=-1 -> 3 + 0.06*(0-3)*(-1) = 3.18
     ctx = ctx_with(omega_val=0.06)
-    out = primary_student_update(np.array([3.0]), [[0.0], [10.0]], ctx,
+    out = primary_student_update(col(3.0), col(0.0), ctx,
                                  ScriptedRng(normals=[-1.0]))
-    assert out[0] == pytest.approx(3.18, abs=1e-12)
+    assert out[0, 0] == pytest.approx(3.18, abs=1e-12)
 
 
 def test_primary_student_fixed_point_at_school():
     ctx = ctx_with(omega_val=0.06)
-    out = primary_student_update(np.array([0.0]), [[0.0], [10.0]], ctx,
+    out = primary_student_update(col(0.0), col(0.0), ctx,
                                  ScriptedRng(normals=[0.83]))
-    assert out[0] == 0.0
+    assert out[0, 0] == 0.0
 
 
 def test_middle_school_hand_example():
     # D=1, X=1, best=5, mean=3, progress=0.5, Levy=0.5 -> 1 + 2*exp(-0.5)*0.5
-    stats = PopulationStats(best=Agent(np.array([5.0]), 0.0),
-                            worst=Agent(np.array([9.0]), 9.0),
-                            mean=np.array([3.0]))
     ctx = ctx_with(stage=Stage.MIDDLE, fes=500, fes_max=1000)
-    out = middle_school_update(np.array([1.0]), stats, ctx,
+    out = middle_school_update(col(1.0), np.array([5.0]), np.array([3.0]), ctx,
                                ScriptedRng(normals=levy_script([0.5])))
-    assert out[0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
-    assert out[0] == pytest.approx(1.6065, abs=1e-4)
+    assert out[0, 0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
+    assert out[0, 0] == pytest.approx(1.6065, abs=1e-4)
 
 
 def test_middle_school_fixed_point_and_endpoint():
-    stats = PopulationStats(best=Agent(np.array([3.0]), 0.0),
-                            worst=Agent(np.array([9.0]), 9.0),
-                            mean=np.array([3.0]))
     ctx = ctx_with(stage=Stage.MIDDLE, fes=250, fes_max=1000)
-    out = middle_school_update(np.array([1.0]), stats, ctx,
+    out = middle_school_update(col(1.0), np.array([3.0]), np.array([3.0]), ctx,
                                ScriptedRng(normals=levy_script([2.2])))
-    assert out[0] == 1.0  # best == mean annihilates the step
+    assert out[0, 0] == 1.0  # best == mean annihilates the step
     # fes = fes_max -> decay factor e^0 = 1
-    stats2 = PopulationStats(best=Agent(np.array([4.0]), 0.0),
-                             worst=Agent(np.array([9.0]), 9.0),
-                             mean=np.array([3.0]))
     ctx_end = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000)
-    out = middle_school_update(np.array([1.0]), stats2, ctx_end,
+    out = middle_school_update(col(1.0), np.array([4.0]), np.array([3.0]), ctx_end,
                                ScriptedRng(normals=levy_script([1.0])))
-    assert out[0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
+    assert out[0, 0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
 
 
 def test_middle_student_hand_example():
     # D=1, X=2, close=1, w=0.05, P=1, E=1 -> 2 - 0.05 - (0.05 - 2) = 3.90
     ctx = ctx_with(stage=Stage.MIDDLE, omega_val=0.05, p=1.0, th=0.5)
-    out = middle_student_update(np.array([2.0]), [[1.0], [50.0]], ctx,
+    out = middle_student_update(col(2.0), col(1.0), ctx,
                                 ScriptedRng(uniforms=[0.3]))  # R_m <= Th -> E=1
-    assert out[0] == pytest.approx(3.90, abs=1e-12)
+    assert out[0, 0] == pytest.approx(3.90, abs=1e-12)
 
 
 def test_middle_student_terminal_budget_fixed_point():
     # P=0 and w=0 at fes=fes_max: X stays put.
     ctx = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000,
                    omega_val=omega(1000, 1000), p=0.0)
-    out = middle_student_update(np.array([2.0]), [[1.0]], ctx,
+    out = middle_student_update(col(2.0), col(1.0), ctx,
                                 ScriptedRng(uniforms=[0.4]))
-    assert out[0] == 2.0
+    assert out[0, 0] == 2.0
 
 
 def test_high_school_hand_example():
     # D=1, X=0, best=2, mean=1, worst=5, r1=1, r2=0.5 -> 0 + 1 - 2 = -1
-    stats = PopulationStats(best=Agent(np.array([2.0]), 0.0),
-                            worst=Agent(np.array([5.0]), 9.0),
-                            mean=np.array([1.0]))
     ctx = ctx_with(stage=Stage.HIGH)
-    out = high_school_update(np.array([0.0]), stats, ctx,
-                             ScriptedRng(normals=[1.0, 0.5]))
-    assert out[0] == pytest.approx(-1.0, abs=1e-12)
+    out = high_school_update(col(0.0), np.array([2.0]), np.array([5.0]),
+                             np.array([1.0]), ctx, ScriptedRng(normals=[1.0, 0.5]))
+    assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_high_school_fixed_points():
-    degenerate = PopulationStats(best=Agent(np.array([1.0]), 0.0),
-                                 worst=Agent(np.array([1.0]), 0.0),
-                                 mean=np.array([1.0]))
     ctx = ctx_with(stage=Stage.HIGH)
-    out = high_school_update(np.array([7.0]), degenerate, ctx,
+    one = np.array([1.0])
+    out = high_school_update(col(7.0), one, one, one, ctx,
                              ScriptedRng(normals=[2.3, -1.1]))
-    assert out[0] == 7.0
-    stats = PopulationStats(best=Agent(np.array([2.0]), 0.0),
-                            worst=Agent(np.array([5.0]), 9.0),
-                            mean=np.array([1.0]))
-    out = high_school_update(np.array([7.0]), stats, ctx,
-                             ScriptedRng(normals=[0.0, 0.0]))
-    assert out[0] == 7.0
+    assert out[0, 0] == 7.0
+    out = high_school_update(col(7.0), np.array([2.0]), np.array([5.0]),
+                             np.array([1.0]), ctx, ScriptedRng(normals=[0.0, 0.0]))
+    assert out[0, 0] == 7.0
 
 
 def test_high_student_hand_example():
     # D=1, X=1, best=3, P=0.5, E=1 -> 1 - 0.5*(3-1) = 0
-    stats = PopulationStats(best=Agent(np.array([3.0]), 0.0),
-                            worst=Agent(np.array([9.0]), 9.0),
-                            mean=np.array([2.0]))
     ctx = ctx_with(stage=Stage.HIGH, p=0.5)
-    out = high_student_update(np.array([1.0]), stats, ctx,
+    out = high_student_update(col(1.0), np.array([3.0]), ctx,
                               ScriptedRng(uniforms=[0.2]))  # E = 1
-    assert out[0] == pytest.approx(0.0, abs=1e-12)
+    assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_high_student_fixed_points():
-    stats = PopulationStats(best=Agent(np.array([3.0]), 0.0),
-                            worst=Agent(np.array([9.0]), 9.0),
-                            mean=np.array([2.0]))
-    out = high_student_update(np.array([1.0]), stats, ctx_with(stage=Stage.HIGH, p=0.0),
+    best = np.array([3.0])
+    out = high_student_update(col(1.0), best, ctx_with(stage=Stage.HIGH, p=0.0),
                               ScriptedRng(uniforms=[0.9]))
-    assert out[0] == 1.0
-    out = high_student_update(np.array([3.0]), stats, ctx_with(stage=Stage.HIGH, p=0.7),
+    assert out[0, 0] == 1.0
+    out = high_student_update(col(3.0), best, ctx_with(stage=Stage.HIGH, p=0.7),
                               ScriptedRng(uniforms=[0.2]))
-    assert out[0] == 3.0  # E=1 and X=best: fixed point at the best school
+    assert out[0, 0] == 3.0  # E=1 and X=best: fixed point at the best school
 
 
 def test_updates_are_translation_equivariant():
@@ -300,24 +291,120 @@ def test_updates_are_translation_equivariant():
     cases = []
     for shift in (0.0, t):
         rng = ScriptedRng(normals=levy_script([1.2]))
-        cases.append(primary_school_update(np.array([2.0 + shift]),
-                                           np.array([4.0 + shift]), ctx, rng)[0])
+        cases.append(primary_school_update(col(2.0 + shift), col(4.0 + shift),
+                                           ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
     cases = []
     for shift in (0.0, t):
-        stats = PopulationStats(best=Agent(np.array([2.0 + shift]), 0.0),
-                                worst=Agent(np.array([5.0 + shift]), 9.0),
-                                mean=np.array([1.0 + shift]))
         rng = ScriptedRng(normals=[0.7, -0.2])
-        cases.append(high_school_update(np.array([0.5 + shift]), stats, ctx, rng)[0])
+        cases.append(high_school_update(col(0.5 + shift), np.array([2.0 + shift]),
+                                        np.array([5.0 + shift]),
+                                        np.array([1.0 + shift]), ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
     cases = []
     for shift in (0.0, t):
         rng = ScriptedRng(normals=[-0.4])
-        cases.append(primary_student_update(np.array([3.0 + shift]),
-                                            [[0.0 + shift], [10.0 + shift]],
-                                            ctx, rng)[0])
+        schools = col(0.0 + shift, 10.0 + shift)
+        close = schools[closest_school(col(3.0 + shift), schools)]
+        cases.append(primary_student_update(col(3.0 + shift), close, ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
+
+
+# --------------------------------------------- block draws == per-agent draws
+# Reference loop: the per-agent rules with one scalar or vector draw per call.
+# A block rule on k rows must equal k reference applications on the same seed,
+# because the block call reads the stream in the order the loop would.
+
+def ref_levy(d, rng, beta=1.5):
+    u = rng.normal(size=d) * mantegna_sigma(beta)
+    v = rng.normal(size=d)
+    return u / np.abs(v) ** (1.0 / beta)
+
+
+def ref_gain(ctx, draw):
+    if draw <= ctx.th:
+        return 1.0
+    p = ctx.p if abs(ctx.p) >= 1e-12 else math.copysign(1e-12, ctx.p or 1.0)
+    return (math.pi / p) * ctx.progress()
+
+
+def ref_primary_school(x, mean_i, ctx, rng):
+    return x + ctx.omega * (mean_i - x) * ref_levy(x.shape[0], rng)
+
+
+def ref_primary_student(x, close, ctx, rng):
+    return x + ctx.omega * (close - x) * float(rng.normal())
+
+
+def ref_middle_school(x, best, mean, ctx, rng):
+    return x + (best - mean) * math.exp(ctx.progress() - 1.0) * ref_levy(x.shape[0], rng)
+
+
+def ref_middle_student(x, close, ctx, rng):
+    e = ref_gain(ctx, float(rng.uniform()))
+    return x - ctx.omega * close - ctx.p * (e * ctx.omega * close - x)
+
+
+def ref_high_school(x, best, worst, mean, ctx, rng):
+    r1 = float(rng.normal())
+    r2 = float(rng.normal())
+    return x + (best - mean) * r1 - (worst - mean) * r2
+
+
+def ref_high_student(x, best, ctx, rng):
+    e = ref_gain(ctx, float(rng.uniform()))
+    return x - ctx.p * (e * best - x)
+
+
+K, D = 5, 3
+
+
+@pytest.mark.parametrize("size", [1, K])
+def test_levy_block_equals_sequential_calls(size):
+    block = levy_sample(D, RngStream(7), size=size)
+    assert block.shape == (size, D)
+    rng = RngStream(7)
+    assert np.array_equal(block, np.vstack([levy_sample(D, rng) for _ in range(size)]))
+    rng = RngStream(7)
+    assert np.array_equal(block, np.vstack([ref_levy(D, rng) for _ in range(size)]))
+
+
+@pytest.mark.parametrize("p", [-0.8, 0.0])
+@pytest.mark.parametrize("rule,ref,n_rows,n_shared", [
+    (primary_school_update, ref_primary_school, 1, 0),
+    (primary_student_update, ref_primary_student, 1, 0),
+    (middle_school_update, ref_middle_school, 0, 2),
+    (middle_student_update, ref_middle_student, 1, 0),
+    (high_school_update, ref_high_school, 0, 3),
+    (high_student_update, ref_high_student, 0, 1),
+])
+def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
+    src = RngStream(101)
+    X = src.uniform(-5.0, 5.0, size=(K, D))
+    per_row = [src.uniform(-5.0, 5.0, size=(K, D)) for _ in range(n_rows)]
+    shared = [src.uniform(-5.0, 5.0, size=D) for _ in range(n_shared)]
+    ctx = ctx_with(omega_val=0.05, p=p, th=0.5, fes=400)
+    block = rule(X, *per_row, *shared, ctx, RngStream(17))
+    assert block.shape == (K, D)
+    rng = RngStream(17)
+    loop = np.vstack([ref(X[i], *[a[i] for a in per_row], *shared, ctx, rng)
+                      for i in range(K)])
+    assert np.array_equal(block, loop)
+
+
+def test_dispatch_table_covers_every_variant_and_stage():
+    assert set(_SCHOOL_RULES) == {(v, s) for v in Variant for s in Stage}
+    assert set(_STUDENT_RULES) == set(Stage)
+    rows = {
+        Variant.ECO: (st._primary_schools, st._middle_schools, st._high_schools),
+        Variant.GECO: (st._gaussian_schools,) * 3,
+        Variant.SECO: (st._shift_schools,) * 3,
+        Variant.DECO: (st._differential_schools,) * 3,
+        Variant.IECO_MCO: (st._gaussian_schools, st._shift_schools,
+                           st._differential_schools),
+    }
+    for variant, rules in rows.items():
+        assert [_SCHOOL_RULES[variant, s] for s in Stage] == list(rules)
 
 
 def test_school_partition_after_sort():
@@ -333,7 +420,9 @@ def test_school_means_fallback_to_population_mean():
     # Both students sit nearer school 0, so school 1 falls back to pop mean.
     pos = np.array([[0.0, 0.0], [100.0, 100.0], [1.0, 0.0], [0.0, 1.0]])
     pop = Population(pos, np.array([0.0, 1.0, 2.0, 3.0]))
-    means = _school_means(pop, 2)
+    assign = closest_school(pop.positions[2:], pop.positions[:2])
+    assert assign.tolist() == [0, 0]
+    means = _school_means(pop.positions, 2, assign)
     assert np.allclose(means[0], pos[2:].mean(axis=0))
     assert np.allclose(means[1], pos.mean(axis=0))
 
@@ -344,10 +433,10 @@ def test_population_sort_is_stable_and_stats_correct():
     assert np.array_equal(pop.fitness, np.array([0.5, 1.0, 1.0, 3.0, 3.0]))
     # equal-fitness entries keep their original relative order
     assert np.array_equal(pop.positions[:, 0], np.array([4.0, 2.0, 5.0, 1.0, 3.0]))
-    st = pop.stats()
-    assert st.best.fitness == 0.5 and st.best.position[0] == 4.0
-    assert st.worst.fitness == 3.0 and st.worst.position[0] == 3.0
-    assert st.mean[0] == pytest.approx(3.0)
+    # step reads best, worst and mean straight off the sorted arrays
+    assert pop.fitness[0] == 0.5 and pop.positions[0, 0] == 4.0
+    assert pop.fitness[-1] == 3.0 and pop.positions[-1, 0] == 3.0
+    assert pop.positions.mean(axis=0)[0] == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------- step
