@@ -26,7 +26,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,11 +39,11 @@ from .problems import (
     PenaltyPolicy,
     constrained_evaluate,
     make_problem,
+    penalized_fitness,
     stable_seed,
 )
 from .problems.core import ProblemSpec
 from .rng import (
-    Bounds,
     BudgetExhaustedError,
     ChaosInitConfig,
     RngStream,
@@ -52,10 +52,8 @@ from .rng import (
 from .stages import (
     AlgorithmParams,
     Population,
-    Stage,
     StageContext,
     Variant,
-    school_count,
     stage_of,
     step,
 )
@@ -112,10 +110,11 @@ class RunConfig:
 class Evaluator:
     """Budget-charging objective evaluator with constraint handling.
 
-    ``evaluate(X)`` returns (fitness, objective, feasible, positions); the
-    positions may differ from the input for constrained problems, where
-    infeasible candidates are resampled inside the box. Resampling draws come
-    from the run's single RNG stream, after the iteration's update draws.
+    ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
+    returns (fitness, objective, feasible, positions). Infeasible rows are
+    then resampled inside the box, in row order, so their positions may
+    differ from the input. Resampling draws come from the run's single RNG
+    stream, after the iteration's update draws.
     """
 
     def __init__(self, spec: ProblemSpec, fes_max: int,
@@ -138,23 +137,21 @@ class Evaluator:
             raise BudgetExhaustedError(
                 "evaluating %d candidates would exceed the budget (%d of %d used)"
                 % (n, self.used, self.fes_max))
-        if not self.spec.is_constrained:
-            objective = self.spec.batch(X)
-            self.used += n
-            return objective.copy(), objective, np.ones(n, dtype=bool), X
-
+        objective, violation = self.spec.batch(X)
+        self.used += n
+        feasible = violation <= self.policy.violation_tolerance
+        fitness = penalized_fitness(objective, violation, feasible)
+        infeasible = np.flatnonzero(~feasible)
+        if infeasible.size == 0:
+            return fitness, objective, feasible, X
         if self.rng is None:
-            raise ValueError("constrained evaluation needs an RNG stream")
-        fitness = np.empty(n)
-        objective = np.empty(n)
-        feasible = np.empty(n, dtype=bool)
-        positions = np.array(X, dtype=float)
-        for i in range(n):
-            pending = n - i - 1
-            extra = self.fes_max - self.used - 1 - pending
-            out = constrained_evaluate(self.spec, X[i], self.policy, self.rng,
-                                       extra_cap=extra)
-            self.used += out.evaluations
+            raise ValueError("resampling infeasible candidates needs an RNG stream")
+        positions = X.copy()
+        for i in infeasible:
+            out = constrained_evaluate(self.spec, X[i], objective[i], violation[i],
+                                       self.policy, self.rng,
+                                       extra_cap=self.fes_max - self.used)
+            self.used += out.evaluations - 1
             fitness[i] = out.fitness
             objective[i] = out.objective
             feasible[i] = out.feasible
@@ -324,15 +321,14 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         trace.append((ev.used, float(pop.fitness[0])))
 
     best_position = pop.positions[0].copy()
-    best_violation = (spec.violation(best_position)
-                      if spec.is_constrained else 0.0)
+    _, best_violation = spec.evaluate(best_position)
     return RunRecord(
         algorithm=cfg.algorithm, problem=spec.name, dimension=dim,
         run=run_index, seed=cfg.seed,
         best_position=best_position,
         best_fitness=float(pop.fitness[0]),
         best_objective=float(pop.objective[0]),
-        best_violation=float(best_violation),
+        best_violation=best_violation,
         feasible=bool(pop.feasible[0]),
         trace=trace, evaluations_used=ev.used,
         wall_time=time.perf_counter() - t0,
@@ -341,7 +337,12 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
 def _run_cell(args) -> Tuple[Tuple[str, str, int], RunRecord]:
     cfg, alg, prob, run = args
-    rec = run_single(cfg, run_index=run)
+    try:
+        rec = run_single(cfg, run_index=run)
+    except Exception as exc:
+        raise RuntimeError("run failed in cell algorithm=%s problem=%s run=%d "
+                           "seed=%d: %s: %s" % (alg, prob, run, cfg.seed,
+                                                type(exc).__name__, exc)) from exc
     return (alg, prob, run), rec
 
 

@@ -205,7 +205,6 @@ def _composition_evaluator(family: str, parts, transform: TransformSpec,
     norms = np.array([float(fn(np.zeros((1, d)))[0]) for fn in funcs])
 
     def batch(X):
-        X = np.atleast_2d(X)
         n = X.shape[0]
         vals = np.empty((n, len(funcs)))
         d2 = np.empty((n, len(funcs)))
@@ -254,24 +253,21 @@ def make_benchmark(family: str, dim: int, transform: TransformSpec,
         bias = transform.f_bias
 
         def batch(X):
-            return base((np.atleast_2d(X) - shift) @ rot_t) - anchor + bias
+            return base((X - shift) @ rot_t) - anchor + bias
 
-        spec = ProblemSpec(
+        return ProblemSpec(
             name=name or "%s-d%d" % (family, dim), dimension=dim, bounds=bounds,
-            objective=lambda x: float(batch(x[None, :])[0]),
-            batch_objective=batch, category=category,
+            objective=batch, category=category,
             known_target=bias,
             target_note="exact optimum value at the shift point",
             known_point=shift.copy(),
         )
-        return spec
     if family in COMPOSITION_FAMILIES:
         batch = _composition_evaluator(family, COMPOSITION_FAMILIES[family],
                                        transform, low, high)
         return ProblemSpec(
             name=name or "%s-d%d" % (family, dim), dimension=dim, bounds=bounds,
-            objective=lambda x: float(batch(x[None, :])[0]),
-            batch_objective=batch, category="composition",
+            objective=batch, category="composition",
             known_target=transform.f_bias,
             target_note="value at the primary component shift",
             known_point=transform.shift.copy(),

@@ -108,20 +108,19 @@ def load_transform(path) -> TransformSpec:
 
 @dataclass
 class ProblemSpec:
-    """A named optimization problem.
+    """A named optimization problem, read a block of points at a time.
 
-    ``objective`` maps a single (D,) point to a float. ``batch_objective``,
-    when present, evaluates an (n, D) block in one call (same values as the
-    scalar path). ``constraints`` returns the inequality values g(x), feasible
-    when every entry is <= 0 (within the handling policy's tolerance).
+    ``objective`` maps an (n, D) block to (n,) values. ``constraints``, when
+    present, maps the same block to (n, m) inequality values g(x); a point
+    is feasible when every entry is <= 0 (within the handling policy's
+    tolerance).
     """
 
     name: str
     dimension: int
     bounds: Bounds
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     category: str
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_target: Optional[float] = None
     target_note: str = ""
@@ -137,33 +136,26 @@ class ProblemSpec:
     def is_constrained(self) -> bool:
         return self.constraints is not None
 
-    def violations(self, x) -> np.ndarray:
-        if self.constraints is None:
-            return np.empty(0)
-        return _nan_as_inf(self.constraints, np.asarray(x, dtype=float))
-
-    def violation(self, x) -> float:
-        g = self.violations(x)
-        if g.size == 0:
-            return 0.0
-        return float(max(0.0, g.max()))
+    def batch(self, X):
+        """(objective, violation) of an (n, D) block, each (n,)."""
+        return self._read(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def evaluate(self, x):
-        """(objective value, scalar violation); NaN reads as +inf."""
-        x = np.asarray(x, dtype=float)
-        return float(_nan_as_inf(self.objective, x)), self.violation(x)
+        """(objective, violation) of one (D,) point."""
+        f, v = self._read(np.asarray(x, dtype=float)[None])
+        return float(f[0]), float(v[0])
 
-    def batch(self, X) -> np.ndarray:
-        """Objective values of an (n, D) block; NaN reads as +inf."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.batch_objective is not None:
-            return _nan_as_inf(self.batch_objective, X)
-        return _nan_as_inf(lambda B: [float(self.objective(row)) for row in B], X)
-
-
-def _nan_as_inf(fn, x) -> np.ndarray:
-    """fn(x) as float64 with floating-point warnings silenced and NaN read as
-    +inf (fmin returns the operand that is not NaN), so an undefined value
-    ranks worst and never survives greedy selection."""
-    with np.errstate(all="ignore"):
-        return np.fmin(fn(x), np.inf, dtype=float)
+    @np.errstate(all="ignore")
+    def _read(self, X):
+        """The single reading rule. Floating-point warnings are silenced and
+        NaN reads as +inf (fmin returns the operand that is not NaN), so an
+        undefined value ranks worst and never survives greedy selection. The
+        violation is the worst constraint value clipped at +0.0, and 0.0 for
+        an unconstrained problem."""
+        f = np.fmin(self.objective(X), np.inf, dtype=float)
+        if self.constraints is None:
+            return f, np.zeros(X.shape[0])
+        g = np.fmin(self.constraints(X), np.inf, dtype=float)
+        # maximum(worst, 0.0), not maximum(0.0, worst): a worst value of -0.0
+        # must read as +0.0
+        return f, np.maximum(np.maximum.reduce(g, axis=1), 0.0)

@@ -28,14 +28,19 @@ from .core import ProblemSpec
 EQUALITY_EPS = 1e-4
 
 
+def _rows(fn):
+    """A per-point formula applied to each row of an (n, D) block."""
+    return lambda X: list(map(fn, X))
+
+
 def _spec(name, bounds_pairs, objective, constraints, known_target, note,
-          known_point, category="engineering"):
+          known_point):
     bounds = Bounds.from_pairs(bounds_pairs)
-    point = None if known_point is None else np.asarray(known_point, dtype=float)
     return ProblemSpec(
         name=name, dimension=bounds.dimension, bounds=bounds,
-        objective=objective, constraints=constraints, category=category,
-        known_target=known_target, target_note=note, known_point=point,
+        objective=_rows(objective), constraints=_rows(constraints),
+        category="engineering", known_target=known_target, target_note=note,
+        known_point=known_point,
     )
 
 
@@ -193,22 +198,17 @@ def make_rw05():
 # rw06 -- gear train (four tooth counts, integers relaxed with rounding)
 
 def make_rw06():
-    def f(x):
-        z = np.rint(x)
-        return (1.0 / 6.931 - (z[0] * z[1]) / (z[2] * z[3])) ** 2
-
-    def batch(X):
-        Z = np.rint(np.atleast_2d(X))
+    def f(X):
+        Z = np.rint(X)
         return (1.0 / 6.931 - (Z[:, 0] * Z[:, 1]) / (Z[:, 2] * Z[:, 3])) ** 2
 
-    spec = _spec(
-        "rw06-gear-train", [(12.0, 60.0)] * 4, f, None,
+    return ProblemSpec(
+        name="rw06-gear-train", dimension=4, bounds=Bounds.cube(12.0, 60.0, 4),
+        objective=f, category="engineering",
         known_target=2.7009e-12,
-        note="integer tooth counts via rounding; best known about 2.700857e-12",
+        target_note="integer tooth counts via rounding; best known about 2.700857e-12",
         known_point=[19.0, 16.0, 43.0, 49.0],
     )
-    spec.batch_objective = batch
-    return spec
 
 
 # rw07 -- rolling element bearing (10 variables, load capacity maximized)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import Bounds, RngStream
+from ..rng import RngStream
 from .core import ProblemSpec
 
 INFEASIBLE_BASE = 1e15
@@ -40,10 +40,10 @@ class PenaltyPolicy:
             raise ValueError("violation_tolerance must be >= 0")
 
 
-def penalized_fitness(objective: float, violation: float, feasible: bool) -> float:
-    if feasible:
-        return float(objective)
-    return INFEASIBLE_BASE + float(violation)
+def penalized_fitness(objective, violation, feasible):
+    """The ranking value: the objective where feasible, otherwise
+    ``INFEASIBLE_BASE`` plus the violation. Takes scalars or (n,) arrays."""
+    return np.where(feasible, objective, INFEASIBLE_BASE + violation)
 
 
 @dataclass
@@ -58,24 +58,23 @@ class HandledPoint:
 
     @property
     def fitness(self) -> float:
-        return penalized_fitness(self.objective, self.violation, self.feasible)
+        return float(penalized_fitness(self.objective, self.violation, self.feasible))
 
 
-def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, policy: PenaltyPolicy,
-                         rng: RngStream, bounds: Bounds | None = None,
+def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, objective: float,
+                         violation: float, policy: PenaltyPolicy, rng: RngStream,
                          extra_cap: int | None = None) -> HandledPoint:
-    """Evaluate ``x``, resampling infeasible candidates inside the box.
+    """Resample ``x`` inside the box while it is infeasible.
 
-    ``extra_cap`` limits how many evaluations beyond the first may be spent
-    (None means the policy's full resample allowance). The first evaluation
-    of ``x`` itself is always performed and counted.
+    ``objective`` and ``violation`` are the reading of ``x`` itself, already
+    taken by the caller; it counts as the first evaluation. ``extra_cap``
+    limits how many evaluations beyond it may be spent (None means the
+    policy's full resample allowance).
     """
-    box = bounds if bounds is not None else spec.bounds
     tol = policy.violation_tolerance
-
-    obj, vio = spec.evaluate(x)
     spent = 1
-    best = HandledPoint(np.array(x, dtype=float), obj, vio, vio <= tol, spent)
+    best = HandledPoint(np.array(x, dtype=float), float(objective),
+                        float(violation), bool(violation <= tol), spent)
     if best.feasible:
         return best
 
@@ -83,7 +82,7 @@ def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, policy: PenaltyPolicy
     if extra_cap is not None:
         allowance = min(allowance, max(0, int(extra_cap)))
     for _ in range(allowance):
-        trial = box.sample_uniform(rng)
+        trial = spec.bounds.sample_uniform(rng)
         obj, vio = spec.evaluate(trial)
         spent += 1
         if vio < best.violation or (vio <= tol and not best.feasible):

@@ -76,7 +76,7 @@ def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):
 
     return ProblemSpec(
         name=name, dimension=dim, bounds=Bounds.cube(low, high, dim),
-        objective=lambda x: float(batch(x)[0]), batch_objective=batch,
+        objective=batch,
         category="unimodal", known_target=0.0,
         target_note="analytic optimum at the origin",
         known_point=np.zeros(dim),

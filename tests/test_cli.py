@@ -94,7 +94,10 @@ def test_failure_inside_a_run_exits_one(tmp_path, capsys, monkeypatch):
     code = run_cli("run", "--algorithms", "ECO", "--problems", "f01",
                    "--out", str(tmp_path / "r"), *TINY)
     assert code == 1
-    assert "synthetic failure inside the run" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "synthetic failure inside the run" in err
+    seed = cli.harness.derive_seed(0, "ECO", "f01-zakharov-d5", 0)
+    assert ("algorithm=ECO problem=f01-zakharov-d5 run=0 seed=%d" % seed) in err
 
 
 @pytest.mark.parametrize("flags,needle", [

@@ -1,5 +1,6 @@
 """Run execution, budgets, batch determinism, and persistence tests."""
 
+import csv
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from ieco_mco.harness import (
     Evaluator,
     ResultSet,
     RunConfig,
-    RunRecord,
     SchemaMismatchError,
     config_hash,
     derive_seed,
@@ -32,23 +32,16 @@ DESK = ["f%02d" % i for i in range(1, 13)]
 # ------------------------------------------------------ non-finite objectives
 
 
-def half_nan_spec(vectorized):
+def half_nan_spec():
     """Sphere on x0 >= 0, NaN on the other half of the box."""
-
-    def batch(X):
-        X = np.atleast_2d(X)
-        return np.where(X[:, 0] < 0.0, np.nan, (X ** 2).sum(axis=1))
-
-    return ProblemSpec(name="half-nan", dimension=2,
-                       bounds=Bounds.cube(-10.0, 10.0, 2),
-                       objective=lambda x: float(batch(x)[0]),
-                       batch_objective=batch if vectorized else None,
-                       category="test")
+    return ProblemSpec(
+        name="half-nan", dimension=2, bounds=Bounds.cube(-10.0, 10.0, 2),
+        objective=lambda X: np.where(X[:, 0] < 0.0, np.nan, (X ** 2).sum(axis=1)),
+        category="test")
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
-    spec = half_nan_spec(vectorized)
+def test_nan_objective_reads_as_inf_and_gets_replaced():
+    spec = half_nan_spec()
     ev = Evaluator(spec, fes_max=10 ** 6)
     X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
                   [0.5, 0.5], [4.0, 4.0]])
@@ -138,8 +131,8 @@ def test_evaluator_constrained_needs_rng():
 def _never_feasible_spec():
     return ProblemSpec(
         name="never", dimension=1, bounds=Bounds.cube(0.0, 1.0, 1),
-        objective=lambda x: float(x[0]), category="engineering",
-        constraints=lambda x: np.array([1.0]),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.ones((len(X), 1)),
     )
 
 
@@ -160,6 +153,25 @@ def test_evaluator_constrained_reports_penalised_fitness():
     assert not feas[0]
     assert fit[0] > 1e14
     assert obj[0] <= 1.0
+
+
+def test_worst_constraint_of_minus_zero_reads_as_plus_zero(tmp_path):
+    spec = ProblemSpec(
+        name="minus-zero", dimension=2, bounds=Bounds.cube(-1.0, 1.0, 2),
+        objective=lambda X: (X ** 2).sum(axis=1), category="test",
+        constraints=lambda X: np.column_stack([np.full(len(X), -0.0),
+                                               np.full(len(X), -1.0)]),
+    )
+    assert repr(spec.evaluate(np.zeros(2))[1]) == "0.0"
+    assert not np.signbit(spec.batch(np.zeros((3, 2)))[1]).any()
+    cfg = RunConfig(algorithm="ECO", problem="minus-zero", seed=1, dimension=2,
+                    n=5, fes_max=20)
+    rec = run_single(cfg, spec)
+    assert rec.feasible and repr(rec.best_violation) == "0.0"
+    persist(ResultSet({("ECO", spec.name, 0): rec}), tmp_path)
+    with open(tmp_path / "solutions.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["best_violation"] == "0.0"
+    assert repr(load(tmp_path).records[("ECO", spec.name, 0)].best_violation) == "0.0"
 
 
 # ---------------------------------------------------------------- run_single

@@ -147,7 +147,7 @@ def test_sphere_at_origin_is_zero():
 
 def test_sphere_benchmark_optimum_identity():
     spec = make_benchmark("sphere", 3, identity_transform(3))
-    assert spec.objective(np.zeros(3)) == 0.0
+    assert spec.evaluate(np.zeros(3))[0] == 0.0
 
 
 def test_rosenbrock_standard_formula_values():
@@ -155,8 +155,8 @@ def test_rosenbrock_standard_formula_values():
     # value 1 at the origin; an all-ones shift reproduces it exactly
     ts = TransformSpec(np.ones(2), np.eye(2), 0.0)
     spec = make_benchmark("rosenbrock", 2, ts)
-    assert spec.objective(np.array([1.0, 1.0])) == 0.0
-    assert spec.objective(np.array([0.0, 0.0])) == 1.0
+    assert spec.evaluate(np.array([1.0, 1.0]))[0] == 0.0
+    assert spec.evaluate(np.array([0.0, 0.0]))[0] == 1.0
 
 
 def test_rosenbrock_base_matches_classical_formula():
@@ -171,7 +171,7 @@ def test_rosenbrock_base_matches_classical_formula():
 def test_rastrigin_at_shift_equals_bias_exactly():
     ts = generate_transform(2, seed=55, f_bias=7.5)
     spec = make_benchmark("rastrigin", 2, ts)
-    assert spec.objective(ts.shift) == 7.5
+    assert spec.evaluate(ts.shift)[0] == 7.5
 
 
 def test_all_base_functions_vanish_at_origin():
@@ -195,7 +195,7 @@ def test_sphere_rotation_invariance():
     plain = make_benchmark("sphere", 6, ts_id)
     gen = np.random.default_rng(78)
     X = gen.uniform(-100.0, 100.0, size=(200, 6))
-    assert np.allclose(rotated.batch(X), plain.batch(X), rtol=1e-12, atol=1e-8)
+    assert np.allclose(rotated.batch(X)[0], plain.batch(X)[0], rtol=1e-12, atol=1e-8)
 
 
 # ----------------------------------------------------------- benchmark builds
@@ -219,21 +219,12 @@ def test_hybrid_rejects_dimension_below_block_count():
 
 def test_hybrid_blocks_cover_all_coordinates():
     spec = make_benchmark("hybrid2", 10, identity_transform(10))
-    assert spec.objective(np.zeros(10)) == 0.0
+    assert spec.evaluate(np.zeros(10))[0] == 0.0
     # moving any single coordinate off the optimum must change the value
     for j in range(10):
         x = np.zeros(10)
         x[j] = 3.0
-        assert spec.objective(x) > 0.0, "coordinate %d ignored" % j
-
-
-def test_scalar_and_batch_objectives_agree():
-    for label in ("f01", "f06", "f09"):
-        spec = desk_problem(label, 5)
-        gen = np.random.default_rng(3)
-        X = gen.uniform(-100.0, 100.0, size=(8, 5))
-        scalar = np.array([spec.objective(x) for x in X])
-        assert np.allclose(scalar, spec.batch(X), rtol=1e-13, atol=0.0)
+        assert spec.evaluate(x)[0] > 0.0, "coordinate %d ignored" % j
 
 
 def test_desk_suite_layout():
@@ -259,7 +250,7 @@ def test_desk_suite_instance_seed_changes_shift():
 
 def test_desk_suite_value_at_shift_is_bias_exactly():
     for (label, _, bias), spec in zip(DESK_SUITE_LAYOUT, desk_suite(10)):
-        assert spec.objective(spec.known_point) == bias, label
+        assert spec.evaluate(spec.known_point)[0] == bias, label
 
 
 @pytest.mark.slow
@@ -267,7 +258,7 @@ def test_desk_suite_bias_is_statistical_lower_bound():
     gen = np.random.default_rng(1009)
     X = gen.uniform(-100.0, 100.0, size=(100000, 10))
     for (label, _, bias), spec in zip(DESK_SUITE_LAYOUT, desk_suite(10)):
-        vals = spec.batch(X)
+        vals, _ = spec.batch(X)
         assert np.all(np.isfinite(vals)), label
         assert vals.min() >= bias, label
 
@@ -277,7 +268,7 @@ def test_composition_value_at_secondary_components_stays_above_bias():
     gen = np.random.default_rng(5)
     X = spec.known_point + gen.normal(scale=30.0, size=(2000, 10))
     X = np.clip(X, -100.0, 100.0)
-    vals = spec.batch(X)
+    vals, _ = spec.batch(X)
     assert np.all(np.isfinite(vals))
     assert vals.min() >= 2300.0
 
@@ -308,7 +299,7 @@ def test_known_points_are_feasible_and_in_bounds():
         if spec.known_point is None:
             continue
         assert spec.bounds.contains(spec.known_point), pid
-        assert spec.violation(spec.known_point) == 0.0, pid
+        assert spec.evaluate(spec.known_point)[1] == 0.0, pid
 
 
 def test_known_point_objectives_match_documented_values():
@@ -337,10 +328,10 @@ def test_gear_train_best_is_reproduced_exactly():
 
 def test_gear_train_rounds_to_integer_tooth_counts():
     spec = make_engineering("rw06")
-    rounded = spec.objective(np.array([19.2, 16.4, 42.8, 49.1]))
-    exact = spec.objective(np.array([19.0, 16.0, 43.0, 49.0]))
+    rounded, _ = spec.evaluate(np.array([19.2, 16.4, 42.8, 49.1]))
+    exact, _ = spec.evaluate(np.array([19.0, 16.0, 43.0, 49.0]))
     assert rounded == exact
-    batch = spec.batch(np.array([[19.2, 16.4, 42.8, 49.1]]))[0]
+    batch = spec.batch(np.array([[19.2, 16.4, 42.8, 49.1]]))[0][0]
     assert batch == exact
 
 
@@ -354,18 +345,18 @@ def test_engineering_finite_over_random_box_samples():
             obj, vio = spec.evaluate(x)
             assert np.isfinite(obj), pid
             assert np.isfinite(vio), pid
-        vals = spec.batch(X)
+        vals, _ = spec.batch(X)
         assert np.all(np.isfinite(vals)), pid
 
 
 def test_step_cone_pulley_has_folded_equalities():
     spec = make_engineering("rw10")
-    g = spec.violations(np.array([0.04, 0.045, 0.05, 0.06, 0.05]))
+    g = spec.constraints(np.array([[0.04, 0.045, 0.05, 0.06, 0.05]]))[0]
     assert g.shape == (11,)   # 3 folded equalities + 8 inequalities
     assert np.all(np.isfinite(g))
     # mismatched belt lengths trip the folded equalities, matched ones do not
     assert g[:3].max() > 0.0
-    matched = spec.violations(np.asarray(spec.known_point))
+    matched = spec.constraints(spec.known_point[None, :])[0]
     assert np.all(matched[:3] <= 0.0)
 
 
@@ -391,15 +382,38 @@ def _line_spec():
     """1-D toy problem on [0, 10]: objective x, feasible iff x <= 2."""
     return ProblemSpec(
         name="line", dimension=1, bounds=Bounds.cube(0.0, 10.0, 1),
-        objective=lambda x: float(x[0]), category="engineering",
-        constraints=lambda x: np.array([x[0] - 2.0]),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: X[:, :1] - 2.0,
     )
+
+
+def _handle(spec, x, *args, **kwargs):
+    """constrained_evaluate fed with the start point's own reading."""
+    return constrained_evaluate(spec, x, *spec.evaluate(x), *args, **kwargs)
+
+
+def test_constrained_evaluate_takes_the_start_reading_as_given():
+    calls = []
+    spec = ProblemSpec(
+        name="counted", dimension=1, bounds=Bounds.cube(0.0, 10.0, 1),
+        objective=lambda X: calls.append(len(X)) or X[:, 0], category="test",
+        constraints=lambda X: X[:, :1] - 2.0,
+    )
+    out = constrained_evaluate(spec, np.array([1.0]), 7.0, 0.0, PenaltyPolicy(),
+                               RngStream(3))
+    assert calls == []          # the start point is not read again
+    assert out.objective == 7.0 and out.feasible and out.evaluations == 1
+    rng = ScriptedRng(uniforms=[0.05])
+    out = constrained_evaluate(spec, np.array([9.0]), 9.0, 7.0, PenaltyPolicy(),
+                               rng)
+    assert calls == [1]         # one reading per resample
+    assert out.objective == 0.5 and out.evaluations == 2
 
 
 def test_constrained_evaluate_keeps_feasible_point_unchanged():
     spec = _line_spec()
     x = np.array([1.25])
-    out = constrained_evaluate(spec, x, PenaltyPolicy(), RngStream(3))
+    out = _handle(spec, x, PenaltyPolicy(), RngStream(3))
     assert out.feasible
     assert np.array_equal(out.position, x)
     assert out.objective == 1.25
@@ -411,7 +425,7 @@ def test_constrained_evaluate_keeps_feasible_point_unchanged():
 def test_constrained_evaluate_replaces_with_stubbed_feasible_draw():
     spec = _line_spec()
     rng = ScriptedRng(uniforms=[0.05])   # maps to x = 0.5
-    out = constrained_evaluate(spec, np.array([9.0]), PenaltyPolicy(), rng)
+    out = _handle(spec, np.array([9.0]), PenaltyPolicy(), rng)
     assert out.feasible
     assert np.allclose(out.position, [0.5])
     assert out.objective == 0.5
@@ -422,7 +436,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
     spec = _line_spec()
     # three infeasible draws at x = 8, 4, 6; the best seen is x = 4
     rng = ScriptedRng(uniforms=[0.8, 0.4, 0.6])
-    out = constrained_evaluate(spec, np.array([9.0]), PenaltyPolicy(max_resamples=3),
+    out = _handle(spec, np.array([9.0]), PenaltyPolicy(max_resamples=3),
                                rng)
     assert not out.feasible
     assert np.allclose(out.position, [4.0])
@@ -433,7 +447,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
 
 def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
     spec = _line_spec()
-    out = constrained_evaluate(spec, np.array([9.0]), PenaltyPolicy(),
+    out = _handle(spec, np.array([9.0]), PenaltyPolicy(),
                                RngStream(3), extra_cap=0)
     assert not out.feasible
     assert np.array_equal(out.position, [9.0])
@@ -443,14 +457,14 @@ def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
 def test_constrained_evaluate_counts_one_evaluation_per_resample():
     spec = ProblemSpec(
         name="never", dimension=1, bounds=Bounds.cube(0.0, 1.0, 1),
-        objective=lambda x: float(x[0]), category="engineering",
-        constraints=lambda x: np.array([1.0]),   # constant violation
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.ones((len(X), 1)),   # constant violation
     )
-    out = constrained_evaluate(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
+    out = _handle(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
                                RngStream(5))
     assert out.evaluations == 1 + 7
     assert not out.feasible
-    out = constrained_evaluate(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
+    out = _handle(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
                                RngStream(5), extra_cap=4)
     assert out.evaluations == 1 + 4
 
@@ -458,7 +472,7 @@ def test_constrained_evaluate_counts_one_evaluation_per_resample():
 def test_constrained_evaluate_stops_at_first_feasible_draw():
     spec = _line_spec()
     rng = ScriptedRng(uniforms=[0.7, 0.15, 0.01])
-    out = constrained_evaluate(spec, np.array([9.0]), PenaltyPolicy(), rng)
+    out = _handle(spec, np.array([9.0]), PenaltyPolicy(), rng)
     assert out.feasible
     assert np.allclose(out.position, [1.5])
     assert out.evaluations == 3
@@ -470,13 +484,13 @@ def test_constrained_evaluate_stays_inside_bounds():
     rng = RngStream(17)
     for _ in range(25):
         x = spec.bounds.sample_uniform(rng)
-        out = constrained_evaluate(spec, x, PenaltyPolicy(max_resamples=10), rng)
+        out = _handle(spec, x, PenaltyPolicy(max_resamples=10), rng)
         assert spec.bounds.contains(out.position)
 
 
 def test_constrained_evaluate_truss_known_point_is_feasible():
     spec = make_engineering("rw03")
-    out = constrained_evaluate(spec, spec.known_point, PenaltyPolicy(),
+    out = _handle(spec, spec.known_point, PenaltyPolicy(),
                                RngStream(23))
     assert out.feasible
     assert np.array_equal(out.position, spec.known_point)
