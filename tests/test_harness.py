@@ -32,16 +32,26 @@ DESK = ["f%02d" % i for i in range(1, 13)]
 # ------------------------------------------------------ non-finite objectives
 
 
-def half_nan_spec():
-    """Sphere on x0 >= 0, NaN on the other half of the box."""
+def half_nan_spec(vectorized):
+    """Sphere on x0 >= 0, NaN on the other half of the box.
+
+    The block objective is either one array expression or a row-by-row
+    Python loop; both must read the same way."""
+
+    def block(X):
+        return np.where(X[:, 0] < 0.0, np.nan, (X ** 2).sum(axis=1))
+
+    def rowwise(X):
+        return np.array([float("nan") if x[0] < 0.0 else float(x @ x) for x in X])
+
     return ProblemSpec(
         name="half-nan", dimension=2, bounds=Bounds.cube(-10.0, 10.0, 2),
-        objective=lambda X: np.where(X[:, 0] < 0.0, np.nan, (X ** 2).sum(axis=1)),
-        category="test")
+        objective=block if vectorized else rowwise, category="test")
 
 
-def test_nan_objective_reads_as_inf_and_gets_replaced():
-    spec = half_nan_spec()
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
+    spec = half_nan_spec(vectorized)
     ev = Evaluator(spec, fes_max=10 ** 6)
     X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
                   [0.5, 0.5], [4.0, 4.0]])
