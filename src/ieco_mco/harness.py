@@ -37,6 +37,7 @@ from . import covariance as cov
 from .problems import (
     DEFAULT_VIOLATION_TOL,
     PenaltyPolicy,
+    TrialStream,
     constrained_evaluate,
     make_problem,
     penalized_fitness,
@@ -115,6 +116,15 @@ class Evaluator:
     then resampled inside the box, in row order, so their positions may
     differ from the input. Resampling draws come from the run's single RNG
     stream, after the iteration's update draws.
+
+    The infeasible rows share one :class:`TrialStream`, which reads trials
+    ahead in blocks (one ``spec.batch`` per block) and consumes only the
+    draws the rows used. Draws and results therefore equal resampling one
+    trial at a time whenever the problem's block reading equals its point
+    reading, as it does for every registry problem with constraints. A
+    custom problem whose block reading differs in the last bit, such as one
+    that rotates with a BLAS matrix product, can give results that depend on
+    the block size.
     """
 
     def __init__(self, spec: ProblemSpec, fes_max: int,
@@ -147,15 +157,18 @@ class Evaluator:
         if self.rng is None:
             raise ValueError("resampling infeasible candidates needs an RNG stream")
         positions = X.copy()
+        stream = TrialStream(self.spec, self.rng, self.policy,
+                             rows=infeasible.size, budget=self.remaining)
         for i in infeasible:
             out = constrained_evaluate(self.spec, X[i], objective[i], violation[i],
                                        self.policy, self.rng,
-                                       extra_cap=self.fes_max - self.used)
+                                       extra_cap=self.remaining, stream=stream)
             self.used += out.evaluations - 1
             fitness[i] = out.fitness
             objective[i] = out.objective
             feasible[i] = out.feasible
             positions[i] = out.position
+        stream.close()
         return fitness, objective, feasible, positions
 
 

@@ -27,6 +27,7 @@ from .handling import (
     INFEASIBLE_BASE,
     HandledPoint,
     PenaltyPolicy,
+    TrialStream,
     constrained_evaluate,
     penalized_fitness,
 )
@@ -35,7 +36,7 @@ __all__ = [
     "BASE_FUNCTIONS", "COMPOSITION_FAMILIES", "DESK_SUITE_LAYOUT",
     "DESK_SUITE_NAMES", "HYBRID_FAMILIES", "ENGINEERING_NAMES",
     "ProblemSpec", "TransformSpec",
-    "PenaltyPolicy", "HandledPoint", "constrained_evaluate",
+    "PenaltyPolicy", "HandledPoint", "TrialStream", "constrained_evaluate",
     "penalized_fitness", "INFEASIBLE_BASE", "DEFAULT_VIOLATION_TOL",
     "desk_problem", "desk_suite", "make_benchmark", "make_engineering",
     "make_problem", "list_problems", "generate_transform",

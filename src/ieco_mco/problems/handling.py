@@ -8,6 +8,16 @@ original point) is kept. Every resample costs one objective evaluation, which
 is charged against the run budget, so callers pass ``extra_cap`` to bound how
 many replacement evaluations may still be spent.
 
+Trials are drawn and read ahead in blocks (:class:`TrialStream`): a block of
+uniforms is peeked from the RNG stream and read with one ``spec.batch``, the
+rule above is applied to its rows one at a time, and only the uniforms of
+the trials actually used are consumed. The draws and the results therefore
+equal those of drawing and reading one trial at a time whenever the
+problem's block reading equals its single-point reading, which holds for
+every registry problem that has constraints. A custom problem whose block
+reading differs in the last bit (a BLAS matrix product sums in an order that
+depends on the row count) can give results that depend on the block size.
+
 Ranking uses a scalar fitness: the raw objective when feasible, otherwise a
 large constant plus the violation, so any feasible point outranks every
 infeasible one and infeasible points sort by violation.
@@ -61,15 +71,78 @@ class HandledPoint:
         return float(penalized_fitness(self.objective, self.violation, self.feasible))
 
 
+class TrialStream:
+    """Uniform box samples for the resampling rule, read ahead in blocks.
+
+    One stream serves the infeasible rows of one block reading, in row
+    order, as the one-at-a-time loop would draw for them. ``rows`` is how
+    many rows it will serve, and ``budget`` how many trials they may spend
+    in all (None: no limit); both only bound how far it reads ahead. The
+    first block has one trial per row, and each later one is twice the size
+    of the one before. Call :meth:`close` after the last row to consume the
+    used uniforms.
+    """
+
+    def __init__(self, spec: ProblemSpec, rng: RngStream, policy: PenaltyPolicy,
+                 rows: int = 1, budget: int | None = None):
+        self.spec = spec
+        self.rng = rng
+        self._per_row = policy.max_resamples
+        self._rows = rows
+        self._budget = budget
+        self._size = max(1, rows)
+        self._X = None
+        self._objective = self._violation = []
+        self._used = 0  # trials of the current block handed out
+
+    def trials(self, allowance: int):
+        """Yield (position, objective, violation) for the next row's trials,
+        at most ``allowance`` of them."""
+        self._rows -= 1
+        for taken in range(allowance):
+            if self._used == len(self._objective):
+                self._read_block(allowance - taken + self._rows * self._per_row)
+            i = self._used
+            self._used += 1
+            yield self._X[i], self._objective[i], self._violation[i]
+
+    def _read_block(self, most: int):
+        """Consume the spent block and peek the next one, of at most ``most``
+        trials (the most the remaining rows could use)."""
+        self.close()
+        if self._budget is not None:
+            most = min(most, self._budget)
+        size = max(1, min(self._size, most))
+        self._size *= 2
+        bounds = self.spec.bounds
+        self._X = bounds.lower + bounds.span * self.rng.peek_uniform(
+            size=(size, bounds.dimension))
+        objective, violation = self.spec.batch(self._X)
+        self._objective, self._violation = objective.tolist(), violation.tolist()
+
+    def close(self):
+        """Consume exactly the uniforms of the trials handed out so far and
+        drop the rest of the block."""
+        if self._used:
+            self.rng.uniform(size=(self._used, self.spec.dimension))
+            if self._budget is not None:
+                self._budget -= self._used
+        self._objective = self._violation = []
+        self._used = 0
+
+
 def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, objective: float,
                          violation: float, policy: PenaltyPolicy, rng: RngStream,
-                         extra_cap: int | None = None) -> HandledPoint:
+                         extra_cap: int | None = None,
+                         stream: TrialStream | None = None) -> HandledPoint:
     """Resample ``x`` inside the box while it is infeasible.
 
     ``objective`` and ``violation`` are the reading of ``x`` itself, already
     taken by the caller; it counts as the first evaluation. ``extra_cap``
     limits how many evaluations beyond it may be spent (None means the
-    policy's full resample allowance).
+    policy's full resample allowance). Trials come from ``stream``, shared
+    by the rows of one block reading; without one, the call reads ahead for
+    this row alone and consumes its draws before returning.
     """
     tol = policy.violation_tolerance
     spent = 1
@@ -81,13 +154,16 @@ def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, objective: float,
     allowance = policy.max_resamples
     if extra_cap is not None:
         allowance = min(allowance, max(0, int(extra_cap)))
-    for _ in range(allowance):
-        trial = spec.bounds.sample_uniform(rng)
-        obj, vio = spec.evaluate(trial)
+    own = stream is None
+    if own:
+        stream = TrialStream(spec, rng, policy)
+    for trial, obj, vio in stream.trials(allowance):
         spent += 1
         if vio < best.violation or (vio <= tol and not best.feasible):
             best = HandledPoint(trial, obj, vio, vio <= tol, spent)
             if best.feasible:
                 break
+    if own:
+        stream.close()
     best.evaluations = spent
     return best

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,18 @@ class RngStream:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
+
+    def peek_uniform(self, size):
+        """The draws ``uniform(size=size)`` would return, leaving the stream
+        where it was. A later ``uniform`` call over a prefix of them consumes
+        exactly that prefix. The bit generator's state is saved and restored
+        rather than advanced, so a buffered 32-bit half survives the peek."""
+        bit_gen = self._gen.bit_generator
+        state = bit_gen.state
+        try:
+            return self._gen.uniform(size=size)
+        finally:
+            bit_gen.state = state
 
     def normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -112,7 +124,7 @@ class Bounds:
     def dimension(self):
         return self.lower.shape[0]
 
-    @property
+    @cached_property
     def span(self):
         return self.upper - self.lower
 

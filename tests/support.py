@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: scripted RNG playback and tiny specs."""
+"""Shared helpers for the test suite: scripted RNG playback, tiny specs and
+the one-draw-at-a-time resampling rule kept as a reference."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ieco_mco.rng import Bounds, mantegna_sigma
+from ieco_mco.problems import HandledPoint, penalized_fitness
 from ieco_mco.problems.core import ProblemSpec
 
 
@@ -31,6 +33,12 @@ class ScriptedRng:
             return low + (high - low) * float(self._uniforms.pop(0))
         vals = [float(self._uniforms.pop(0)) for _ in range(int(np.prod(size)))]
         return low + (high - low) * np.asarray(vals).reshape(size)
+
+    def peek_uniform(self, size):
+        count = int(np.prod(size))
+        if count > len(self._uniforms):
+            raise IndexError("peek past the scripted uniforms")
+        return np.asarray(self._uniforms[:count], dtype=float).reshape(size)
 
     def integers(self, low, high=None, size=None):
         raise NotImplementedError("scripted integers not needed")
@@ -81,3 +89,48 @@ def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):
         target_note="analytic optimum at the origin",
         known_point=np.zeros(dim),
     )
+
+
+def sequential_resample(spec, x, objective, violation, policy, rng, extra_cap):
+    """Reference resampling rule: draw one uniform point, read it, compare,
+    until a draw is feasible or the allowance is spent."""
+    tol = policy.violation_tolerance
+    spent = 1
+    best = HandledPoint(np.array(x, dtype=float), float(objective),
+                        float(violation), bool(violation <= tol), spent)
+    if best.feasible:
+        return best
+    for _ in range(min(policy.max_resamples, max(0, int(extra_cap)))):
+        trial = spec.bounds.sample_uniform(rng)
+        obj, vio = spec.evaluate(trial)
+        spent += 1
+        if vio < best.violation or (vio <= tol and not best.feasible):
+            best = HandledPoint(trial, obj, vio, vio <= tol, spent)
+            if best.feasible:
+                break
+    best.evaluations = spent
+    return best
+
+
+def sequential_evaluate(spec, X, policy, rng, fes_max, used=0):
+    """Reference ``Evaluator.evaluate``: read the block, then resample each
+    infeasible row in row order with :func:`sequential_resample`.
+
+    Returns (fitness, objective, feasible, positions, used, handled), where
+    ``handled`` lists the HandledPoint of each infeasible row.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    objective, violation = spec.batch(X)
+    used += X.shape[0]
+    feasible = violation <= policy.violation_tolerance
+    fitness = penalized_fitness(objective, violation, feasible)
+    positions = X.copy()
+    handled = []
+    for i in np.flatnonzero(~feasible):
+        out = sequential_resample(spec, X[i], objective[i], violation[i], policy,
+                                  rng, fes_max - used)
+        used += out.evaluations - 1
+        fitness[i], objective[i], feasible[i] = out.fitness, out.objective, out.feasible
+        positions[i] = out.position
+        handled.append(out)
+    return fitness, objective, feasible, positions, used, handled

@@ -13,13 +13,20 @@ BLAS matrix product, whose summation order depends on the number of rows;
 their block and point readings agree to a relative 1e-12 (5e-14 is the
 worst seen on random blocks), and the Evaluator's reading is checked
 against a re-read of the same block, which is exact.
+
+Resampling reads its trials ahead in blocks; on problems whose block and
+point readings agree, the Evaluator must give what the one-draw-at-a-time
+rule in ``support.sequential_evaluate`` gives, and leave the RNG stream
+where that rule leaves it.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from ieco_mco import harness
 from ieco_mco.harness import Evaluator
 from ieco_mco.problems import (
     ENGINEERING_NAMES,
@@ -27,7 +34,9 @@ from ieco_mco.problems import (
     PenaltyPolicy,
     make_problem,
 )
-from ieco_mco.rng import RngStream
+from ieco_mco.problems.core import ProblemSpec
+from ieco_mco.rng import Bounds, RngStream
+from support import sequential_evaluate
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
 PROBLEMS = ([(pid, 10) for pid in ENGINEERING_NAMES]
@@ -96,3 +105,88 @@ def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, resamples, see
         assert feasible[i] == (vio[i] <= policy.violation_tolerance)
         expected = obj[i] if feasible[i] else INFEASIBLE_BASE + vio[i]
         assert _bits(fitness[i]) == _bits(expected), (spec.name, i)
+
+
+# Elementwise formulas only, so block and point readings agree bit for bit.
+NEVER_FEASIBLE = ProblemSpec(
+    name="never-feasible", dimension=2, bounds=Bounds.cube(-1.0, 1.0, 2),
+    objective=lambda X: X[:, 0] - X[:, 1], category="test",
+    constraints=lambda X: np.stack([0.5 + X[:, 0] * X[:, 0],
+                                    0.25 + np.abs(X[:, 1])], axis=1),
+)
+# Feasible on a cube of side 0.27 inside the unit cube: about 2% of draws.
+RARELY_FEASIBLE = ProblemSpec(
+    name="rarely-feasible", dimension=3, bounds=Bounds.cube(0.0, 1.0, 3),
+    objective=lambda X: X[:, 0] + 2.0 * X[:, 1] - X[:, 2], category="test",
+    constraints=lambda X: np.abs(X - np.array([0.3, 0.6, 0.5])) - 0.135,
+)
+RESAMPLED = [problem(name, 10) for name in ENGINEERING_NAMES] + [
+    NEVER_FEASIBLE, RARELY_FEASIBLE]
+
+
+def _draw_prefix(rng, kind):
+    """Move the stream off a fresh state; ``integers`` leaves half of a
+    64-bit draw buffered in the bit generator."""
+    if kind == "integers":
+        rng.integers(29)
+    elif kind == "normal":
+        rng.normal(size=3)
+
+
+def _evaluate_recorded(ev, X):
+    """``ev.evaluate(X)`` plus the HandledPoint of each resampled row."""
+    handled = []
+    real = harness.constrained_evaluate
+
+    def record(*args, **kwargs):
+        handled.append(real(*args, **kwargs))
+        return handled[-1]
+
+    with mock.patch.object(harness, "constrained_evaluate", record):
+        return ev.evaluate(X), handled
+
+
+def _assert_block_equals_sequential(spec, X, policy, fes_max, seed, prefix):
+    block_rng, seq_rng = RngStream(seed), RngStream(seed)
+    _draw_prefix(block_rng, prefix)
+    _draw_prefix(seq_rng, prefix)
+    ev = Evaluator(spec, fes_max=fes_max, policy=policy, rng=block_rng)
+    got, handled = _evaluate_recorded(ev, X)
+    *want, used, want_handled = sequential_evaluate(spec, X, policy, seq_rng, fes_max)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w)), spec.name
+    assert ev.used == used
+    assert len(handled) == len(want_handled)
+    for g, w in zip(handled, want_handled):
+        assert _bits(g.position).tolist() == _bits(w.position).tolist()
+        assert (_bits(g.objective), _bits(g.violation), g.feasible, g.evaluations) \
+            == (_bits(w.objective), _bits(w.violation), w.feasible, w.evaluations)
+    assert np.array_equal(block_rng.normal(size=20), seq_rng.normal(size=20))
+    assert np.array_equal(block_rng.uniform(size=20), seq_rng.uniform(size=20))
+    for _ in range(20):
+        assert np.array_equal(block_rng.choice_distinct(29, 2),
+                              seq_rng.choice_distinct(29, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RESAMPLED), st.integers(1, 8), st.integers(0, 120),
+       st.one_of(st.just(0), st.just(1), st.integers(2, 400)),
+       st.sampled_from(["none", "integers", "normal"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_resampling_equals_sequential_rule(spec, n, resamples, spare,
+                                                  prefix, seed):
+    X = spec.bounds.sample_uniform(RngStream(seed + 1), size=n)
+    _assert_block_equals_sequential(spec, X, PenaltyPolicy(max_resamples=resamples),
+                                    n + spare, seed, prefix)
+
+
+def test_block_resampling_keeps_a_buffered_half():
+    """Skipping the used draws with ``PCG64.advance`` would drop the buffered
+    32-bit half that ``integers`` leaves behind and shift every later
+    ``choice_distinct`` pair."""
+    rng = RngStream(5)
+    _draw_prefix(rng, "integers")
+    assert rng._gen.bit_generator.state["has_uint32"] == 1
+    X = RARELY_FEASIBLE.bounds.sample_uniform(RngStream(6), size=6)
+    _assert_block_equals_sequential(RARELY_FEASIBLE, X, PenaltyPolicy(),
+                                    6 + 300, 5, "integers")

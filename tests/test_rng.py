@@ -21,6 +21,44 @@ from ieco_mco.rng import (
 )
 
 
+# ----------------------------------------------------------- stream peeking
+
+@pytest.mark.parametrize("prefix", [0, 29])
+def test_peek_uniform_leaves_the_stream_where_it_was(prefix):
+    rng = RngStream(41)
+    if prefix:
+        rng.integers(prefix)   # leaves half of a 64-bit draw buffered
+    before = rng._gen.bit_generator.state
+    peeked = rng.peek_uniform(size=(4, 3))
+    assert rng._gen.bit_generator.state == before
+    assert np.array_equal(rng.uniform(size=(4, 3)), peeked)
+
+
+@pytest.mark.parametrize("prefix", [0, 29])
+def test_peek_then_consumed_prefix_equals_sequential_draws(prefix):
+    block, seq = RngStream(42), RngStream(42)
+    if prefix:
+        block.integers(prefix)
+        seq.integers(prefix)
+    peeked = block.peek_uniform(size=(8, 3))
+    block.uniform(size=(5, 3))
+    rows = [seq.uniform(size=3) for _ in range(5)]
+    assert np.array_equal(peeked[:5], np.array(rows))
+    assert block.integers(1000) == seq.integers(1000)
+    assert np.array_equal(block.normal(size=6), seq.normal(size=6))
+    assert np.array_equal(block.choice_distinct(29, 2), seq.choice_distinct(29, 2))
+
+
+def test_scripted_peek_uniform_pops_nothing():
+    from support import ScriptedRng
+
+    rng = ScriptedRng(uniforms=[0.1, 0.2, 0.3])
+    assert np.array_equal(rng.peek_uniform(size=(1, 2)), [[0.1, 0.2]])
+    assert rng.uniform(size=3).tolist() == [0.1, 0.2, 0.3]
+    with pytest.raises(IndexError):
+        rng.peek_uniform(size=1)
+
+
 # ------------------------------------------------------------ logistic chain
 
 def test_chain_single_step_from_0p3():
@@ -256,6 +294,7 @@ def test_bounds_validation_and_helpers():
     b = Bounds.from_pairs([(0.0, 1.0), (-2.0, 2.0)])
     assert b.dimension == 2
     assert np.array_equal(b.span, np.array([1.0, 4.0]))
+    assert b.span is b.span   # computed once per Bounds
     assert b.contains(np.array([0.5, 0.0]))
     assert not b.contains(np.array([1.5, 0.0]))
     sample = b.sample_uniform(RngStream(23), size=40)
