@@ -2,7 +2,10 @@
 
 Each digest hashes every RunRecord field except ``wall_time`` for one short
 run (N=30, 100*D evaluations, seed 0) of every variant on a desk benchmark
-and on a constrained engineering design. A change that keeps the random-draw
+and on two constrained engineering designs. At this budget rw05 spends every
+evaluation resampling the initial population, while rw08 runs 9-11
+iterations and resamples after them, so its digests also pin the update
+rules on a constrained problem and the stream position after resampling. A change that keeps the random-draw
 contract must leave every digest unchanged; a change to the contract must
 be declared and the table regenerated with ``golden_digest`` below.
 """
@@ -26,6 +29,11 @@ GOLDEN = {
     ("SECO", "rw05"): "5e1fe9c6cf368dfc6d34",
     ("DECO", "rw05"): "f431187f49edfb30d811",
     ("IECO-MCO", "rw05"): "f07716c106bb1a776544",
+    ("ECO", "rw08"): "02677b73f82901907ca6",
+    ("GECO", "rw08"): "fb0314964a378552ee1b",
+    ("SECO", "rw08"): "c98da018524296bbfcd5",
+    ("DECO", "rw08"): "0a5946944c965106a477",
+    ("IECO-MCO", "rw08"): "81ecebcd3fda88657b9f",
 }
 
 
