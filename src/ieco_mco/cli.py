@@ -21,8 +21,6 @@ from pathlib import Path
 
 from . import harness, stats
 from .problems import list_problems as registry_list
-from .problems import make_problem
-from .stages import Variant
 
 ENV_PREFIX = "MCO_"
 
@@ -133,16 +131,12 @@ def cmd_run(args) -> int:
                                   None, None) or "")
     if not problems:
         raise UsageError("no problems given; use --problems or the config file")
-    for label in algorithms:
-        try:
-            Variant.from_label(label)
-        except ValueError as exc:
-            raise UsageError(str(exc))
 
     runs = _resolve("runs", args.runs, config, 30, int)
     seed = _resolve("seed", args.seed, config, 0, int)
     dim = _resolve("dim", args.dim, config, 10, int)
-    fes_mult = _resolve("fes_mult", args.fes_mult, config, 3000, int)
+    fes_mult = _resolve("fes_mult", args.fes_mult, config,
+                        harness.DEFAULT_FES_MULT, int)
     fes_max = _resolve("fes_max", args.fes_max, config, None, int)
     n = _resolve("n", args.n, config, harness.DEFAULT_POPULATION, int)
     jobs = _resolve("jobs", args.jobs, config, 1, int)
@@ -150,23 +144,15 @@ def cmd_run(args) -> int:
     instance_seed = _resolve("instance_seed", args.instance_seed, config, 0, int)
     out = _resolve("out", args.out, config, "results", None)
 
-    if runs < 1:
-        raise UsageError("runs must be at least 1")
-    for prob in problems:
-        try:
-            spec = make_problem(prob, dim, instance_seed)
-            harness.RunConfig(  # checks n, fes_max and stride as a run would
-                algorithm=Variant.ECO.label, problem=prob, seed=0, dimension=dim,
-                n=n, fes_max=fes_max if fes_max is not None else fes_mult * spec.dimension,
-                trace_stride=stride, instance_seed=instance_seed)
-        except (ValueError, KeyError) as exc:
-            raise UsageError(str(exc))
-
-    # Arguments are valid from here on: a failure inside a run exits 1.
-    results = harness.run_batch(
-        algorithms, problems, runs=runs, base_seed=seed, dimension=dim,
-        n=n, fes_max=fes_max, fes_mult=fes_mult,
-        instance_seed=instance_seed, trace_stride=stride, jobs=jobs)
+    # run_batch checks every argument before its first run and raises
+    # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
+    try:
+        results = harness.run_batch(
+            algorithms, problems, runs=runs, base_seed=seed, dimension=dim,
+            n=n, fes_max=fes_max, fes_mult=fes_mult,
+            instance_seed=instance_seed, trace_stride=stride, jobs=jobs)
+    except (ValueError, KeyError) as exc:
+        raise UsageError(str(exc))
     harness.persist(results, out)
     print("persisted %d records to %s" % (len(results), out))
     print("%-10s %-24s %14s %14s %14s" % ("algorithm", "problem", "best",
@@ -190,31 +176,44 @@ def _load_results(args):
         raise UsageError(str(exc))
 
 
-def cmd_compare(args) -> int:
-    results = _load_results(args)
-    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
+# The least (algorithms, problems, runs) a result set needs for each test.
+_TEST_NEEDS = {"friedman": (2, 2, 1), "wilcoxon": (2, 1, 2), "kw": (2, 1, 1)}
+
+
+def _comparable(results, tests):
+    """The result matrix, once the results are rectangular and large enough
+    for every named test."""
     try:
         results.validate_rectangular()
     except ValueError as exc:
         raise UsageError(str(exc))
-    values = results.to_matrix()
+    have = (len(results.algorithms), len(results.problems), results.run_count)
+    for test in tests:
+        for what, got, need in zip(("algorithms", "problems", "runs"), have,
+                                   _TEST_NEEDS[test]):
+            if got < need:
+                raise UsageError("%s needs at least %d %s; the results hold %d"
+                                 % (test, need, what, got))
+    return results.to_matrix()
+
+
+def cmd_compare(args) -> int:
+    results = _load_results(args)
+    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
+    values = _comparable(results, ("friedman", "wilcoxon"))
     report = stats.friedman(values, results.algorithms)
     print(stats.format_friedman(report))
-    if len(results.algorithms) >= 2:
-        print(stats.format_wtl(stats.wtl_table(values, results.algorithms,
-                                               alpha)))
+    print(stats.format_wtl(stats.wtl_table(values, results.algorithms, alpha)))
     return 0
 
 
 def cmd_stats(args) -> int:
     results = _load_results(args)
     test = args.test or _env("TEST") or "friedman"
+    if test not in _TEST_NEEDS:
+        raise UsageError("unknown test %r" % test)
     alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
-    try:
-        results.validate_rectangular()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    values = results.to_matrix()
+    values = _comparable(results, (test,))
     algs = results.algorithms
 
     lines = []
@@ -224,14 +223,12 @@ def cmd_stats(args) -> int:
     elif test == "wilcoxon":
         table = stats.wtl_table(values, algs, alpha)
         lines.append(stats.format_wtl(table))
-    elif test == "kw":
+    else:
         groups = [values[:, j, :].ravel() for j in range(values.shape[1])]
         h, p, ranks = stats.kruskal_wallis(groups)
         lines.append("Kruskal-Wallis: H = %.6g, p = %.6g" % (h, p))
         for name, rank in zip(algs, ranks):
             lines.append("  %s  mean rank %.4f" % (name, rank))
-    else:
-        raise UsageError("unknown test %r" % test)
 
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -280,9 +277,12 @@ def cmd_export_trace(args) -> int:
 
 
 def cmd_list_problems(args) -> int:
-    dim = args.dim if args.dim else 10
+    try:
+        rows = registry_list(dimension=10 if args.dim is None else args.dim)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     print("%-26s %-12s %s" % ("name", "category", "D"))
-    for name, category, d in registry_list(dimension=dim):
+    for name, category, d in rows:
         print("%-26s %-12s %d" % (name, category, d))
     return 0
 

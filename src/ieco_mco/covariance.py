@@ -24,7 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import Bounds, RngStream, clamp
+# ``clamp`` is not called here (``stages.step`` clamps the whole proposal
+# block once), but the benchmark tracer rebinds ``covariance.clamp``.
+from .rng import RngStream, clamp
 
 DEFAULT_ELITE_WEIGHT = 0.5
 
@@ -166,7 +168,7 @@ def elite_indices(fitnesses, positions, best_position, k, weight=DEFAULT_ELITE_W
     return order[:k]
 
 
-def gaussian_operator(position, model: CovModel, rng: RngStream, bounds: Optional[Bounds] = None):
+def gaussian_operator(position, model: CovModel, rng: RngStream):
     """Resample around the rank-weighted mean plus a pull toward it.
 
     X_new = N(mean_better, C) + r * (mean_better - X), r ~ U(0, 1).
@@ -175,12 +177,10 @@ def gaussian_operator(position, model: CovModel, rng: RngStream, bounds: Optiona
     position = np.asarray(position, dtype=float)
     g = model.sample(rng)
     r = float(rng.uniform())
-    new = g + r * (model.mean_better - position)
-    return clamp(new, bounds) if bounds is not None else new
+    return g + r * (model.mean_better - position)
 
 
-def shift_operator(position, model: CovModel, best_position, rng: RngStream,
-                   bounds: Optional[Bounds] = None):
+def shift_operator(position, model: CovModel, best_position, rng: RngStream):
     """Gaussian resample around the shifted mean (mean_better + best + X)/3.
 
     X_new = N((mean_better + X_best + X)/3, C) + r * (mean_better - X).
@@ -191,13 +191,11 @@ def shift_operator(position, model: CovModel, best_position, rng: RngStream,
     center = (model.mean_better + best_position + position) / 3.0
     g = model.sample(rng, mean=center)
     r = float(rng.uniform())
-    new = g + r * (model.mean_better - position)
-    return clamp(new, bounds) if bounds is not None else new
+    return g + r * (model.mean_better - position)
 
 
 def differential_operator(position, model: CovModel, others, best_position,
-                          worst_position, rng: RngStream,
-                          bounds: Optional[Bounds] = None):
+                          worst_position, rng: RngStream):
     """Gaussian resample plus two scaled difference vectors.
 
     X_new = N(mean_better, C) + r1 * (X_ran1 - X_best) + r2 * (X_ran2 - X_worst)
@@ -215,5 +213,4 @@ def differential_operator(position, model: CovModel, others, best_position,
     i1, i2 = rng.choice_distinct(others.shape[0], 2)
     r1 = float(rng.uniform())
     r2 = float(rng.uniform())
-    new = g + r1 * (others[i1] - best_position) + r2 * (others[i2] - worst_position)
-    return clamp(new, bounds) if bounds is not None else new
+    return g + r1 * (others[i1] - best_position) + r2 * (others[i2] - worst_position)

@@ -88,7 +88,6 @@ class RunConfig:
     instance_seed: int = 0
     max_resamples: int = 100
     violation_tolerance: float = DEFAULT_VIOLATION_TOL
-    chaos_seed: Optional[float] = None
 
     def __post_init__(self):
         Variant.from_label(self.algorithm)
@@ -160,9 +159,8 @@ class Evaluator:
         stream = TrialStream(self.spec, self.rng, self.policy,
                              rows=infeasible.size, budget=self.remaining)
         for i in infeasible:
-            out = constrained_evaluate(self.spec, X[i], objective[i], violation[i],
-                                       self.policy, self.rng,
-                                       extra_cap=self.remaining, stream=stream)
+            out = constrained_evaluate(X[i], objective[i], violation[i],
+                                       self.policy, stream)
             self.used += out.evaluations - 1
             fitness[i] = out.fitness
             objective[i] = out.objective
@@ -310,8 +308,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     policy = PenaltyPolicy(cfg.max_resamples, cfg.violation_tolerance)
     ev = Evaluator(spec, fes_max, policy=policy, rng=rng)
 
-    X0 = init_population(ChaosInitConfig(n=cfg.n, x0=cfg.chaos_seed),
-                         spec.bounds, rng)
+    X0 = init_population(ChaosInitConfig(n=cfg.n), spec.bounds, rng)
     fit, obj, feas, X0 = ev.evaluate(X0)
     pop = Population(X0, fit, obj, feas)
 

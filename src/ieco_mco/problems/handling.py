@@ -5,8 +5,8 @@ A candidate is feasible when its worst constraint value is at or below
 samples from the box, up to ``max_resamples`` attempts, stopping at the first
 feasible draw; if none is found the least-violating draw seen (including the
 original point) is kept. Every resample costs one objective evaluation, which
-is charged against the run budget, so callers pass ``extra_cap`` to bound how
-many replacement evaluations may still be spent.
+is charged against the run budget: a row may spend at most
+``min(max_resamples, budget left)`` resamples.
 
 Trials are drawn and read ahead in blocks (:class:`TrialStream`): a block of
 uniforms is peeked from the RNG stream and read with one ``spec.batch``, the
@@ -76,43 +76,41 @@ class TrialStream:
 
     One stream serves the infeasible rows of one block reading, in row
     order, as the one-at-a-time loop would draw for them. ``rows`` is how
-    many rows it will serve, and ``budget`` how many trials they may spend
-    in all (None: no limit); both only bound how far it reads ahead. The
+    many rows it will serve and ``budget`` how many trials they may spend
+    in all; each row gets ``min(max_resamples, budget left)`` trials. The
     first block has one trial per row, and each later one is twice the size
-    of the one before. Call :meth:`close` after the last row to consume the
-    used uniforms.
+    of the one before, never more than the remaining rows could use. Call
+    :meth:`close` after the last row to consume the used uniforms.
     """
 
     def __init__(self, spec: ProblemSpec, rng: RngStream, policy: PenaltyPolicy,
-                 rows: int = 1, budget: int | None = None):
+                 rows: int, budget: int):
         self.spec = spec
         self.rng = rng
         self._per_row = policy.max_resamples
         self._rows = rows
-        self._budget = budget
+        self._budget = budget  # trials not yet handed out
         self._size = max(1, rows)
         self._X = None
         self._objective = self._violation = []
         self._used = 0  # trials of the current block handed out
 
-    def trials(self, allowance: int):
-        """Yield (position, objective, violation) for the next row's trials,
-        at most ``allowance`` of them."""
+    def trials(self):
+        """Yield (position, objective, violation) for the next row's trials."""
         self._rows -= 1
-        for taken in range(allowance):
+        for left in range(min(self._per_row, self._budget), 0, -1):
             if self._used == len(self._objective):
-                self._read_block(allowance - taken + self._rows * self._per_row)
+                self._read_block(left + self._rows * self._per_row)
             i = self._used
             self._used += 1
+            self._budget -= 1
             yield self._X[i], self._objective[i], self._violation[i]
 
     def _read_block(self, most: int):
         """Consume the spent block and peek the next one, of at most ``most``
         trials (the most the remaining rows could use)."""
         self.close()
-        if self._budget is not None:
-            most = min(most, self._budget)
-        size = max(1, min(self._size, most))
+        size = max(1, min(self._size, most, self._budget))
         self._size *= 2
         bounds = self.spec.bounds
         self._X = bounds.lower + bounds.span * self.rng.peek_uniform(
@@ -125,24 +123,18 @@ class TrialStream:
         drop the rest of the block."""
         if self._used:
             self.rng.uniform(size=(self._used, self.spec.dimension))
-            if self._budget is not None:
-                self._budget -= self._used
         self._objective = self._violation = []
         self._used = 0
 
 
-def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, objective: float,
-                         violation: float, policy: PenaltyPolicy, rng: RngStream,
-                         extra_cap: int | None = None,
-                         stream: TrialStream | None = None) -> HandledPoint:
+def constrained_evaluate(x: np.ndarray, objective: float, violation: float,
+                         policy: PenaltyPolicy, stream: TrialStream) -> HandledPoint:
     """Resample ``x`` inside the box while it is infeasible.
 
     ``objective`` and ``violation`` are the reading of ``x`` itself, already
-    taken by the caller; it counts as the first evaluation. ``extra_cap``
-    limits how many evaluations beyond it may be spent (None means the
-    policy's full resample allowance). Trials come from ``stream``, shared
-    by the rows of one block reading; without one, the call reads ahead for
-    this row alone and consumes its draws before returning.
+    taken by the caller; it counts as the first evaluation. Trials come from
+    ``stream``, shared by the rows of one block reading, which also caps how
+    many of them this row may spend.
     """
     tol = policy.violation_tolerance
     spent = 1
@@ -150,20 +142,11 @@ def constrained_evaluate(spec: ProblemSpec, x: np.ndarray, objective: float,
                         float(violation), bool(violation <= tol), spent)
     if best.feasible:
         return best
-
-    allowance = policy.max_resamples
-    if extra_cap is not None:
-        allowance = min(allowance, max(0, int(extra_cap)))
-    own = stream is None
-    if own:
-        stream = TrialStream(spec, rng, policy)
-    for trial, obj, vio in stream.trials(allowance):
+    for trial, obj, vio in stream.trials():
         spent += 1
         if vio < best.violation or (vio <= tol and not best.feasible):
             best = HandledPoint(trial, obj, vio, vio <= tol, spent)
             if best.feasible:
                 break
-    if own:
-        stream.close()
     best.evaluations = spent
     return best

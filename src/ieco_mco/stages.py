@@ -224,9 +224,6 @@ class Population:
         self.objective = self.objective[order]
         self.feasible = self.feasible[order]
 
-    def copy(self) -> "Population":
-        return Population(self.positions, self.fitness, self.objective, self.feasible)
-
 
 def closest_school(positions, school_positions) -> np.ndarray:
     """Index of each row's nearest school by Euclidean distance (ties: lowest)."""

@@ -194,12 +194,13 @@ def test_env_can_supply_config_path(tmp_path, capsys, monkeypatch):
 # --------------------------------------------------------- stats and compare
 
 
-def _synthetic_results(tmp_path, tie=True):
+def _synthetic_results(tmp_path, tie=True, algorithms=("alpha", "beta"),
+                       problems=("p1", "p2", "p3"), runs=3):
     records = {}
     gen = np.random.default_rng(5)
-    for a_idx, alg in enumerate(("alpha", "beta")):
-        for prob in ("p1", "p2", "p3"):
-            for run in range(3):
+    for a_idx, alg in enumerate(algorithms):
+        for prob in problems:
+            for run in range(runs):
                 if tie:
                     best = 1.0 + 0.1 * run
                 else:
@@ -209,9 +210,10 @@ def _synthetic_results(tmp_path, tie=True):
                     seed=run, best_position=np.zeros(2), best_fitness=best,
                     best_objective=best, best_violation=0.0, feasible=True,
                     trace=[(6, best + 1.0), (12, best)], evaluations_used=12)
-    out = tmp_path / ("ties" if tie else "split")
-    persist(ResultSet(records, {"algorithms": ["alpha", "beta"],
-                                "problems": ["p1", "p2", "p3"]}), out)
+    out = tmp_path / ("%s-%dx%dx%d" % ("ties" if tie else "split",
+                                       len(algorithms), len(problems), runs))
+    persist(ResultSet(records, {"algorithms": list(algorithms),
+                                "problems": list(problems)}), out)
     return out
 
 
@@ -255,6 +257,25 @@ def test_stats_kruskal_wallis_reports_ranks(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Kruskal-Wallis" in text
     assert "alpha" in text
+
+
+@pytest.mark.parametrize("shape,argv,missing", [
+    ({"algorithms": ("alpha",)}, ["compare"], "2 algorithms"),
+    ({"problems": ("p1",)}, ["compare"], "2 problems"),
+    ({"runs": 1}, ["compare"], "2 runs"),
+    ({"algorithms": ("alpha",)}, ["stats", "--test", "friedman"], "2 algorithms"),
+    ({"problems": ("p1",)}, ["stats", "--test", "friedman"], "2 problems"),
+    ({"algorithms": ("alpha",)}, ["stats", "--test", "kw"], "2 algorithms"),
+    ({"runs": 1}, ["stats", "--test", "wilcoxon"], "2 runs"),
+])
+def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
+                                                        argv, missing):
+    out = _synthetic_results(tmp_path, tie=False, **shape)
+    capsys.readouterr()
+    assert run_cli(*argv, "--results", str(out)) == 2
+    captured = capsys.readouterr()
+    assert missing in captured.err
+    assert captured.out == ""
 
 
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):
@@ -309,6 +330,15 @@ def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):
 
 
 # -------------------------------------------------------------- list-problems
+
+
+@pytest.mark.parametrize("dim,needle", [("0", "dim must be positive"),
+                                        ("2", "hybrid blocks")])
+def test_list_problems_bad_dim_is_usage_error(capsys, dim, needle):
+    assert run_cli("list-problems", "--dim", dim) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
 
 
 def test_list_problems_prints_registry(capsys):

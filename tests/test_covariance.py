@@ -21,7 +21,7 @@ from ieco_mco.covariance import (
     rank_weights,
     shift_operator,
 )
-from ieco_mco.rng import Bounds, RngStream
+from ieco_mco.rng import RngStream
 
 
 def zero_cov_model(mean):
@@ -388,14 +388,6 @@ def test_differential_operator_needs_three_agents():
     with pytest.raises(ValueError):
         differential_operator(np.array([9.0]), model, np.array([[4.0]]),
                               np.array([2.0]), np.array([5.0]), RngStream(83))
-
-
-def test_operators_clamp_to_bounds():
-    bounds = Bounds.cube(-1.0, 1.0, 1)
-    model = zero_cov_model([5.0])
-    out = gaussian_operator(np.array([0.0]), model,
-                            ScriptedRng(normals=[0.0], uniforms=[0.5]), bounds)
-    assert out[0] == 1.0
 
 
 def test_operator_translation_equivariance():

@@ -11,6 +11,7 @@ from ieco_mco.problems import (
     PenaltyPolicy,
     ProblemSpec,
     TransformSpec,
+    TrialStream,
     constrained_evaluate,
     desk_problem,
     desk_suite,
@@ -387,9 +388,16 @@ def _line_spec():
     )
 
 
-def _handle(spec, x, *args, **kwargs):
-    """constrained_evaluate fed with the start point's own reading."""
-    return constrained_evaluate(spec, x, *spec.evaluate(x), *args, **kwargs)
+def _handle(spec, x, policy, rng, budget=None):
+    """constrained_evaluate fed with the start point's own reading and a
+    one-row stream that may spend ``budget`` trials (default: the policy's
+    full allowance), closed afterwards."""
+    if budget is None:
+        budget = policy.max_resamples
+    stream = TrialStream(spec, rng, policy, rows=1, budget=budget)
+    out = constrained_evaluate(x, *spec.evaluate(x), policy, stream)
+    stream.close()
+    return out
 
 
 def test_constrained_evaluate_takes_the_start_reading_as_given():
@@ -399,13 +407,14 @@ def test_constrained_evaluate_takes_the_start_reading_as_given():
         objective=lambda X: calls.append(len(X)) or X[:, 0], category="test",
         constraints=lambda X: X[:, :1] - 2.0,
     )
-    out = constrained_evaluate(spec, np.array([1.0]), 7.0, 0.0, PenaltyPolicy(),
-                               RngStream(3))
+    policy = PenaltyPolicy()
+    stream = TrialStream(spec, RngStream(3), policy, rows=1, budget=100)
+    out = constrained_evaluate(np.array([1.0]), 7.0, 0.0, policy, stream)
     assert calls == []          # the start point is not read again
     assert out.objective == 7.0 and out.feasible and out.evaluations == 1
-    rng = ScriptedRng(uniforms=[0.05])
-    out = constrained_evaluate(spec, np.array([9.0]), 9.0, 7.0, PenaltyPolicy(),
-                               rng)
+    stream = TrialStream(spec, ScriptedRng(uniforms=[0.05]), policy, rows=1,
+                         budget=100)
+    out = constrained_evaluate(np.array([9.0]), 9.0, 7.0, policy, stream)
     assert calls == [1]         # one reading per resample
     assert out.objective == 0.5 and out.evaluations == 2
 
@@ -448,7 +457,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
 def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
     spec = _line_spec()
     out = _handle(spec, np.array([9.0]), PenaltyPolicy(),
-                               RngStream(3), extra_cap=0)
+                               RngStream(3), budget=0)
     assert not out.feasible
     assert np.array_equal(out.position, [9.0])
     assert out.evaluations == 1
@@ -465,7 +474,7 @@ def test_constrained_evaluate_counts_one_evaluation_per_resample():
     assert out.evaluations == 1 + 7
     assert not out.feasible
     out = _handle(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
-                               RngStream(5), extra_cap=4)
+                               RngStream(5), budget=4)
     assert out.evaluations == 1 + 4
 
 

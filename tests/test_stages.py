@@ -557,3 +557,24 @@ def test_step_fills_archive_for_improved_variants():
         pop = step(pop, params, ctx, archive, rng, ev, bounds)
         pushed += school_count(params.school_fraction(ctx.stage), pop.size)
         assert len(archive) == min(pushed, params.archive_capacity(2))
+
+
+def test_step_clamps_every_proposal_into_the_box():
+    # The optimum at x = 7 lies outside [-1, 1]^2, so the rules and the
+    # covariance operators propose points past the upper face; step clamps
+    # the whole block before it is evaluated.
+    bounds = Bounds.cube(-1.0, 1.0, 2)
+    for variant in Variant:
+        seen = []
+        ev = CountingEvaluator(lambda X: seen.append(X.copy())
+                               or ((X - 7.0) ** 2).sum(axis=1))
+        pop, rng = make_pop(ev, bounds, 10, seed=17)
+        params = AlgorithmParams.for_variant(variant)
+        archive = (EliteArchive(params.archive_capacity(2))
+                   if params.uses_archive() else None)
+        for it in range(1, 16):
+            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, params.h, rng)
+            pop = step(pop, params, ctx, archive, rng, ev, bounds)
+        proposals = np.concatenate(seen[1:])
+        assert np.all((proposals >= -1.0) & (proposals <= 1.0)), variant
+        assert np.any(proposals == 1.0), variant
