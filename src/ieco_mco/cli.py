@@ -127,11 +127,7 @@ def cmd_run(args) -> int:
 
     algorithms = _csv_list(_resolve("algorithms", args.algorithms, config,
                                     "ieco-mco,eco", None))
-    problems = _csv_list(_resolve("problems", args.problems, config,
-                                  None, None) or "")
-    if not problems:
-        raise UsageError("no problems given; use --problems or the config file")
-
+    problems = _csv_list(_resolve("problems", args.problems, config, "", None))
     runs = _resolve("runs", args.runs, config, 30, int)
     seed = _resolve("seed", args.seed, config, 0, int)
     dim = _resolve("dim", args.dim, config, 10, int)

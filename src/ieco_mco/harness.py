@@ -375,6 +375,9 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     """
     algorithms = list(dict.fromkeys(algorithms))
     problems = list(dict.fromkeys(problems))
+    for what, names in (("algorithms", algorithms), ("problems", problems)):
+        if not names:
+            raise ValueError("no %s given" % what)
     if runs < 1:
         raise ValueError("runs must be at least 1")
     for label in algorithms:

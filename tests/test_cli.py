@@ -101,6 +101,7 @@ def test_failure_inside_a_run_exits_one(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags,needle", [
+    (["--problems", "f01", "--algorithms", ""], "no algorithms"),
     (["--problems", "f99"], "unknown problem"),
     (["--problems", "f01", "--runs", "0"], "runs"),
     (["--problems", "f01", "--n", "3"], "population"),
