@@ -101,12 +101,12 @@ def test_failure_inside_a_run_exits_one(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags,needle", [
-    (["--problems", "f01", "--algorithms", ""], "no algorithms"),
     (["--problems", "f99"], "unknown problem"),
     (["--problems", "f01", "--runs", "0"], "runs"),
     (["--problems", "f01", "--n", "3"], "population"),
     (["--problems", "f01", "--fes-max", "5"], "fes_max"),
     (["--problems", "f01", "--trace-stride", "0"], "trace_stride"),
+    (["--problems", "f01", "--algorithms", ""], "no algorithms"),
 ])
 def test_bad_batch_arguments_are_usage_errors(tmp_path, capsys, flags, needle):
     code = run_cli("run", "--algorithms", "ECO", "--out", str(tmp_path / "r"),
