@@ -4,9 +4,7 @@ Commands: ``run``, ``compare``, ``stats``, ``export-trace``,
 ``list-problems``. Option values resolve with precedence command line >
 ``MCO_*`` environment variable > config file > built-in default. The config
 file is INI-style with a single ``[run]`` section whose keys match the long
-flag names with underscores (``algorithms``, ``problems``, ``runs``,
-``seed``, ``dim``, ``fes_mult``, ``fes_max``, ``n``, ``jobs``, ``out``,
-``trace_stride``, ``instance_seed``).
+flag names with underscores; ``_RUN_SETTINGS`` lists them.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
@@ -18,14 +16,46 @@ import configparser
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import harness, stats
 from .problems import list_problems as registry_list
 
 ENV_PREFIX = "MCO_"
 
-_RUN_KEYS = ("algorithms", "problems", "runs", "seed", "dim", "fes_mult",
-             "fes_max", "n", "jobs", "out", "trace_stride", "instance_seed")
+
+def _csv_list(raw):
+    parts = [p.strip() for p in str(raw).split(",")]
+    return [p for p in parts if p]
+
+
+class _Setting(NamedTuple):
+    """An ``mco run`` setting: flag ``--key`` (dashes for underscores), variable
+    ``MCO_KEY``, config key ``key``, run_batch keyword ``keyword or key``."""
+
+    key: str
+    cast: Callable
+    default: Any
+    help: str
+    keyword: Optional[str] = None
+
+
+_RUN_SETTINGS = (
+    _Setting("algorithms", _csv_list, "ieco-mco,eco",
+             "comma-separated variant labels"),
+    _Setting("problems", _csv_list, "", "comma-separated problem names"),
+    _Setting("runs", int, 30, "runs per (algorithm, problem)"),
+    _Setting("seed", int, 0, "base seed of the batch", "base_seed"),
+    _Setting("dim", int, 10, "dimension of scalable problems", "dimension"),
+    _Setting("fes_mult", int, harness.DEFAULT_FES_MULT, "budget per unit of D"),
+    _Setting("fes_max", int, None, "budget per run (overrides --fes-mult)"),
+    _Setting("n", int, harness.DEFAULT_POPULATION, "population size"),
+    _Setting("jobs", int, 1, "worker processes"),
+    _Setting("out", str, "results", "output directory for persisted results"),
+    _Setting("trace_stride", int, None, "evaluations between trace points"),
+    _Setting("instance_seed", int, 0, "seed of the desk problem instances"),
+)
+_RUN_KEYS = tuple(s.key for s in _RUN_SETTINGS)
 
 
 class UsageError(Exception):
@@ -53,27 +83,20 @@ def _read_config(path) -> dict:
 
 
 def _resolve(name, cli_value, config, default, cast):
-    """Apply the precedence chain and cast the chosen raw value."""
+    """Apply the precedence chain and cast the chosen raw string."""
     raw = cli_value
     if raw is None:
         raw = _env(name)
     if raw is None:
         raw = config.get(name)
     if raw is None:
-        return default
-    if cast is None or not isinstance(raw, str):
+        raw = default
+    if not isinstance(raw, str):
         return raw
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise UsageError("bad value for %s: %s" % (name, exc))
-
-
-def _csv_list(raw):
-    if isinstance(raw, (list, tuple)):
-        return [str(v) for v in raw]
-    parts = [p.strip() for p in str(raw).split(",")]
-    return [p for p in parts if p]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,18 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment batch")
     run.add_argument("--config", help="INI config file with a [run] section")
-    run.add_argument("--algorithms", help="comma-separated variant labels")
-    run.add_argument("--problems", help="comma-separated problem names")
-    run.add_argument("--runs", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--dim", type=int)
-    run.add_argument("--fes-mult", type=int, dest="fes_mult")
-    run.add_argument("--fes-max", type=int, dest="fes_max")
-    run.add_argument("--n", type=int, help="population size")
-    run.add_argument("--jobs", type=int)
-    run.add_argument("--trace-stride", type=int, dest="trace_stride")
-    run.add_argument("--instance-seed", type=int, dest="instance_seed")
-    run.add_argument("--out", help="output directory for persisted results")
+    for setting in _RUN_SETTINGS:
+        run.add_argument("--" + setting.key.replace("_", "-"), dest=setting.key,
+                         type=setting.cast, help=setting.help)
 
     comp = sub.add_parser("compare", help="Friedman ranks and win/tie/loss "
                                           "over persisted results")
@@ -125,28 +139,14 @@ def cmd_run(args) -> int:
     if not args.config and _env("CONFIG"):
         config = _read_config(_env("CONFIG"))
 
-    algorithms = _csv_list(_resolve("algorithms", args.algorithms, config,
-                                    "ieco-mco,eco", None))
-    problems = _csv_list(_resolve("problems", args.problems, config, "", None))
-    runs = _resolve("runs", args.runs, config, 30, int)
-    seed = _resolve("seed", args.seed, config, 0, int)
-    dim = _resolve("dim", args.dim, config, 10, int)
-    fes_mult = _resolve("fes_mult", args.fes_mult, config,
-                        harness.DEFAULT_FES_MULT, int)
-    fes_max = _resolve("fes_max", args.fes_max, config, None, int)
-    n = _resolve("n", args.n, config, harness.DEFAULT_POPULATION, int)
-    jobs = _resolve("jobs", args.jobs, config, 1, int)
-    stride = _resolve("trace_stride", args.trace_stride, config, None, int)
-    instance_seed = _resolve("instance_seed", args.instance_seed, config, 0, int)
-    out = _resolve("out", args.out, config, "results", None)
-
+    values = {s.keyword or s.key: _resolve(s.key, getattr(args, s.key), config,
+                                           s.default, s.cast)
+              for s in _RUN_SETTINGS}
+    out = values.pop("out")
     # run_batch checks every argument before its first run and raises
     # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
     try:
-        results = harness.run_batch(
-            algorithms, problems, runs=runs, base_seed=seed, dimension=dim,
-            n=n, fes_max=fes_max, fes_mult=fes_mult,
-            instance_seed=instance_seed, trace_stride=stride, jobs=jobs)
+        results = harness.run_batch(**values)
     except (ValueError, KeyError) as exc:
         raise UsageError(str(exc))
     harness.persist(results, out)
@@ -176,9 +176,12 @@ def _load_results(args):
 _TEST_NEEDS = {"friedman": (2, 2, 1), "wilcoxon": (2, 1, 2), "kw": (2, 1, 1)}
 
 
-def _comparable(results, tests):
-    """The result matrix, once the results are rectangular and large enough
-    for every named test."""
+def _comparable(results, tests, alpha):
+    """The result matrix, once alpha lies in (0, 1) and the results are
+    rectangular and large enough for every named test. The rank-sum test
+    needs enough runs per cell that its smallest p can reach alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise UsageError("alpha must lie in (0, 1); got %g" % alpha)
     try:
         results.validate_rectangular()
     except ValueError as exc:
@@ -190,13 +193,20 @@ def _comparable(results, tests):
             if got < need:
                 raise UsageError("%s needs at least %d %s; the results hold %d"
                                  % (test, need, what, got))
+    if "wilcoxon" in tests:
+        runs = results.run_count
+        smallest = stats.wilcoxon_rank_sum(range(runs), range(runs, 2 * runs))[0]
+        if smallest > alpha:
+            raise UsageError("wilcoxon with %d runs per cell cannot reach "
+                             "alpha = %g: its smallest p is %.3g"
+                             % (runs, alpha, smallest))
     return results.to_matrix()
 
 
 def cmd_compare(args) -> int:
     results = _load_results(args)
     alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
-    values = _comparable(results, ("friedman", "wilcoxon"))
+    values = _comparable(results, ("friedman", "wilcoxon"), alpha)
     report = stats.friedman(values, results.algorithms)
     print(stats.format_friedman(report))
     print(stats.format_wtl(stats.wtl_table(values, results.algorithms, alpha)))
@@ -209,7 +219,7 @@ def cmd_stats(args) -> int:
     if test not in _TEST_NEEDS:
         raise UsageError("unknown test %r" % test)
     alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
-    values = _comparable(results, (test,))
+    values = _comparable(results, (test,), alpha)
     algs = results.algorithms
 
     lines = []

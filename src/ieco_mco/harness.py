@@ -14,7 +14,9 @@ Persisted layout under an output directory:
 - ``solutions.csv``: best objective/violation/feasibility and position per run
 - ``traces/<algorithm>__<problem>__r<run>.txt``: ``fes best_so_far`` lines
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
-- ``meta.json``: schema version, creation date, config hash, dimensions
+- ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
+  :class:`RunConfig` setting, the dimension of each problem, schema version,
+  config hash (of all the above) and creation date
 
 Record equality ignores wall_time (the only non-deterministic field).
 """
@@ -26,7 +28,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,7 +37,6 @@ import numpy as np
 
 from . import covariance as cov
 from .problems import (
-    DEFAULT_VIOLATION_TOL,
     PenaltyPolicy,
     TrialStream,
     constrained_evaluate,
@@ -76,18 +77,21 @@ def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a single run needs; no ambient entropy."""
+    """Everything a single run needs; no ambient entropy.
+
+    ``algorithm``, ``problem`` and ``seed`` name one cell; the other fields
+    are the run settings, which a batch shares across its cells.
+    """
 
     algorithm: str
     problem: str
     seed: int
     dimension: int = 10
     n: int = DEFAULT_POPULATION
-    fes_max: Optional[int] = None        # None -> 3000 * dimension
+    fes_max: Optional[int] = None        # None -> fes_mult * dimension
+    fes_mult: int = DEFAULT_FES_MULT
     trace_stride: Optional[int] = None   # None -> n
     instance_seed: int = 0
-    max_resamples: int = 100
-    violation_tolerance: float = DEFAULT_VIOLATION_TOL
 
     def __post_init__(self):
         Variant.from_label(self.algorithm)
@@ -100,11 +104,20 @@ class RunConfig:
         if self.trace_stride is not None and self.trace_stride < 1:
             raise ValueError("trace_stride must be positive")
 
+    def settings(self) -> dict:
+        """The run settings: every field except the cell's coordinates."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in _CELL_FIELDS}
+
     def resolved_fes_max(self, dimension: int) -> int:
-        fes = self.fes_max if self.fes_max is not None else DEFAULT_FES_MULT * dimension
+        """The budget rule: ``fes_max``, else ``fes_mult`` * dimension."""
+        fes = self.fes_max if self.fes_max is not None else self.fes_mult * dimension
         if fes < 2 * self.n:
             raise ValueError("fes_max must be at least 2 * n")
         return int(fes)
+
+
+_CELL_FIELDS = ("algorithm", "problem", "seed")
 
 
 class Evaluator:
@@ -291,10 +304,6 @@ class ResultSet:
         return rows
 
 
-def _resolve_params(label: str) -> AlgorithmParams:
-    return AlgorithmParams.for_variant(Variant.from_label(label))
-
-
 def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                run_index: int = 0) -> RunRecord:
     """Execute one run; deterministic in ``cfg`` alone."""
@@ -303,10 +312,9 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         cfg.problem, cfg.dimension, cfg.instance_seed)
     dim = spec.dimension
     fes_max = cfg.resolved_fes_max(dim)
-    params = _resolve_params(cfg.algorithm)
+    params = AlgorithmParams.for_variant(cfg.algorithm)
     rng = RngStream(cfg.seed)
-    policy = PenaltyPolicy(cfg.max_resamples, cfg.violation_tolerance)
-    ev = Evaluator(spec, fes_max, policy=policy, rng=rng)
+    ev = Evaluator(spec, fes_max, rng=rng)
 
     X0 = init_population(ChaosInitConfig(n=cfg.n), spec.bounds, rng)
     fit, obj, feas, X0 = ev.evaluate(X0)
@@ -362,16 +370,13 @@ def config_hash(payload: dict) -> str:
 
 
 def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
-              base_seed: int, dimension: int = 10, n: int = DEFAULT_POPULATION,
-              fes_max: Optional[int] = None, fes_mult: int = DEFAULT_FES_MULT,
-              instance_seed: int = 0, trace_stride: Optional[int] = None,
-              max_resamples: int = 100,
-              violation_tolerance: float = DEFAULT_VIOLATION_TOL,
-              jobs: int = 1) -> ResultSet:
+              base_seed: int, jobs: int = 1, **settings) -> ResultSet:
     """Independent runs over the (algorithm, problem, run) grid.
 
-    Seeds come from :func:`derive_seed`, so permuting the grid or switching
-    between serial and parallel execution cannot change any record.
+    ``settings`` are :class:`RunConfig` settings shared by every cell. Seeds
+    come from :func:`derive_seed`, so permuting the grid or switching between
+    serial and parallel execution cannot change any record. Every cell's
+    config and budget are checked before the first run.
     """
     algorithms = list(dict.fromkeys(algorithms))
     problems = list(dict.fromkeys(problems))
@@ -380,31 +385,19 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
             raise ValueError("no %s given" % what)
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    for label in algorithms:
-        Variant.from_label(label)
 
-    dims = {}
-    names = {}
-    for prob in problems:
-        spec = make_problem(prob, dimension, instance_seed)
-        names[prob] = spec.name
-        dims[spec.name] = spec.dimension
-
-    tasks = []
-    for alg in algorithms:
-        for prob in problems:
-            for run in range(runs):
-                cfg = RunConfig(
-                    algorithm=alg, problem=prob,
-                    seed=derive_seed(base_seed, alg, names[prob], run),
-                    dimension=dimension, n=n,
-                    fes_max=(fes_max if fes_max is not None
-                             else fes_mult * dims[names[prob]]),
-                    trace_stride=trace_stride, instance_seed=instance_seed,
-                    max_resamples=max_resamples,
-                    violation_tolerance=violation_tolerance,
-                )
-                tasks.append((cfg, alg, names[prob], run))
+    shared = RunConfig(algorithm=algorithms[0], problem=problems[0], seed=0,
+                       **settings)
+    specs = {prob: make_problem(prob, shared.dimension, shared.instance_seed)
+             for prob in problems}
+    for spec in specs.values():
+        shared.resolved_fes_max(spec.dimension)
+    tasks = [(replace(shared, algorithm=alg, problem=prob,
+                      seed=derive_seed(base_seed, alg, spec.name, run)),
+              alg, spec.name, run)
+             for alg in algorithms
+             for prob, spec in specs.items()
+             for run in range(runs)]
 
     records: Dict[Tuple[str, str, int], RunRecord] = {}
     if jobs <= 1:
@@ -418,13 +411,11 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
 
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "algorithms": algorithms, "problems": [names[p] for p in problems],
-        "runs": runs, "base_seed": base_seed, "dimension": dimension,
-        "n": n, "fes_max": fes_max, "fes_mult": fes_mult,
-        "instance_seed": instance_seed, "trace_stride": trace_stride,
-        "max_resamples": max_resamples,
-        "violation_tolerance": violation_tolerance,
-        "dimensions": dims,
+        "algorithms": algorithms,
+        "problems": [spec.name for spec in specs.values()],
+        "runs": runs, "base_seed": base_seed,
+        "dimensions": {spec.name: spec.dimension for spec in specs.values()},
+        **shared.settings(),
     }
     metadata = dict(payload)
     metadata["config_hash"] = config_hash(payload)

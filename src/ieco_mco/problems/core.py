@@ -132,10 +132,6 @@ class ProblemSpec:
         if self.known_point is not None:
             self.known_point = np.asarray(self.known_point, dtype=float)
 
-    @property
-    def is_constrained(self) -> bool:
-        return self.constraints is not None
-
     def batch(self, X):
         """(objective, violation) of an (n, D) block, each (n,)."""
         return self._read(np.atleast_2d(np.asarray(X, dtype=float)))

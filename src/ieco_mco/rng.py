@@ -2,10 +2,7 @@
 
 Every stochastic component in this package draws from :class:`RngStream`, a
 thin wrapper around numpy's PCG64 generator seeded through ``SeedSequence``.
-Child streams are derived with ``SeedSequence.spawn``, which is the documented
-split rule: two streams spawned from different seeds (or different spawn
-indices) are statistically independent, and the same seed always reproduces
-the same draw sequence on every platform.
+The same seed always reproduces the same draw sequence on every platform.
 """
 
 from __future__ import annotations
@@ -52,10 +49,6 @@ class RngStream:
                 raise ValueError("seed must be non-negative")
             self._seq = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    def spawn(self, n):
-        """Derive ``n`` independent child streams (SeedSequence.spawn rule)."""
-        return [RngStream(s) for s in self._seq.spawn(n)]
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
@@ -131,11 +124,6 @@ class Bounds:
     def contains(self, x, atol=0.0):
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
-
-    def sample_uniform(self, rng: RngStream, size=None):
-        if size is None:
-            return self.lower + self.span * rng.uniform(size=self.dimension)
-        return self.lower + self.span * rng.uniform(size=(size, self.dimension))
 
 
 @dataclass(frozen=True)

@@ -205,20 +205,24 @@ def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
 
 def wtl_table(values, algorithms: Optional[Sequence[str]] = None,
               alpha: float = DEFAULT_ALPHA) -> Dict[Tuple[str, str], Dict[str, int]]:
-    """Pairwise win/tie/loss counts from per-problem rank-sum verdicts."""
+    """Pairwise win/tie/loss counts from per-problem rank-sum verdicts.
+
+    Each unordered pair is tested once: swapping the samples leaves p
+    unchanged and mirrors the verdict, so (j, i) holds (i, j) with its wins
+    and losses swapped.
+    """
     m = _as_matrix(values)
     n, k = m.shape[0], m.shape[1]
     names = _labels(k, algorithms)
     table = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            counts = {"+": 0, "=": 0, "-": 0}
-            for prob in range(n):
-                _, verdict = wilcoxon_rank_sum(m[prob, i], m[prob, j], alpha)
-                counts[verdict] += 1
-            table[(names[i], names[j])] = counts
+    for i, j in combinations(range(k), 2):
+        counts = {"+": 0, "=": 0, "-": 0}
+        for prob in range(n):
+            _, verdict = wilcoxon_rank_sum(m[prob, i], m[prob, j], alpha)
+            counts[verdict] += 1
+        table[(names[i], names[j])] = counts
+        table[(names[j], names[i])] = {"+": counts["-"], "=": counts["="],
+                                       "-": counts["+"]}
     return table
 
 

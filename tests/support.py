@@ -101,7 +101,7 @@ def sequential_resample(spec, x, objective, violation, policy, rng, extra_cap):
     if best.feasible:
         return best
     for _ in range(min(policy.max_resamples, max(0, int(extra_cap)))):
-        trial = spec.bounds.sample_uniform(rng)
+        trial = spec.bounds.lower + spec.bounds.span * rng.uniform(size=spec.dimension)
         obj, vio = spec.evaluate(trial)
         spent += 1
         if vio < best.violation or (vio <= tol and not best.feasible):

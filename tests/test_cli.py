@@ -116,6 +116,18 @@ def test_bad_batch_arguments_are_usage_errors(tmp_path, capsys, flags, needle):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("problem", ["f01", "rw01"])
+def test_zero_budget_multiplier_is_usage_error(tmp_path, capsys, problem):
+    """The budget rule fes_mult * D is checked for every problem before the
+    first run; TINY cannot carry this case because its --fes-max wins."""
+    code = run_cli("run", "--algorithms", "ECO", "--problems", problem,
+                   "--runs", "1", "--dim", "5", "--n", "6", "--fes-mult", "0",
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "fes_max" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_compare_without_results_is_usage_error(capsys):
     assert run_cli("compare") == 2
 
@@ -196,7 +208,7 @@ def test_env_can_supply_config_path(tmp_path, capsys, monkeypatch):
 
 
 def _synthetic_results(tmp_path, tie=True, algorithms=("alpha", "beta"),
-                       problems=("p1", "p2", "p3"), runs=3):
+                       problems=("p1", "p2", "p3"), runs=4):
     records = {}
     gen = np.random.default_rng(5)
     for a_idx, alg in enumerate(algorithms):
@@ -268,6 +280,11 @@ def test_stats_kruskal_wallis_reports_ranks(tmp_path, capsys):
     ({"problems": ("p1",)}, ["stats", "--test", "friedman"], "2 problems"),
     ({"algorithms": ("alpha",)}, ["stats", "--test", "kw"], "2 algorithms"),
     ({"runs": 1}, ["stats", "--test", "wilcoxon"], "2 runs"),
+    ({"runs": 3}, ["compare"], "smallest p is 0.1"),
+    ({"runs": 3}, ["stats", "--test", "wilcoxon"], "smallest p is 0.1"),
+    ({}, ["compare", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+    ({}, ["stats", "--test", "friedman", "--alpha", "0"],
+     "alpha must lie in (0, 1)"),
 ])
 def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
                                                         argv, missing):
@@ -277,6 +294,15 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
     captured = capsys.readouterr()
     assert missing in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "wilcoxon"]])
+def test_three_runs_are_enough_at_alpha_one_tenth(tmp_path, capsys, argv):
+    """With 3 runs the smallest rank-sum p is exactly 0.1, which alpha = 0.1
+    reaches: every problem is a win for the better algorithm."""
+    out = _synthetic_results(tmp_path, tie=False, runs=3)
+    assert run_cli(*argv, "--results", str(out), "--alpha", "0.1") == 0
+    assert "alpha vs beta: +3 =0 -0" in capsys.readouterr().out
 
 
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ieco_mco import harness
 from ieco_mco.harness import (
     Evaluator,
     ResultSet,
@@ -319,6 +321,29 @@ def test_run_batch_base_seed_changes_results():
     b = _tiny_batch(base_seed=2)
     assert a != b
     assert a.metadata["config_hash"] != b.metadata["config_hash"]
+
+
+def test_run_batch_metadata_is_the_batch_plus_run_config_settings():
+    rs = _tiny_batch()
+    settings = {f.name for f in fields(RunConfig)} - {"algorithm", "problem",
+                                                       "seed"}
+    batch = {"schema_version", "algorithms", "problems", "runs", "base_seed",
+             "dimensions", "config_hash", "created_at"}
+    assert set(rs.metadata) == settings | batch
+    assert {k: rs.metadata[k] for k in settings} == {
+        "dimension": 5, "n": 6, "fes_max": 60, "fes_mult": 3000,
+        "trace_stride": None, "instance_seed": 0}
+
+
+def test_run_batch_checks_the_budget_of_every_problem_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_single",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="fes_max"):
+        # rw03 has D = 2, so 50 * 2 < 2 * 60 while f01 at D = 10 is fine
+        run_batch(["ECO"], ["f01", "rw03"], runs=1, base_seed=1, n=60,
+                  fes_mult=50)
+    assert calls == []
 
 
 def test_run_batch_validation():

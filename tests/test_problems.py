@@ -235,7 +235,7 @@ def test_desk_suite_layout():
     cats = {s.category for s in suite}
     assert "hybrid" in cats and "composition" in cats
     assert all(s.dimension == 10 for s in suite)
-    assert all(not s.is_constrained for s in suite)
+    assert all(s.constraints is None for s in suite)
 
 
 def test_desk_problem_unknown_label():
@@ -492,7 +492,7 @@ def test_constrained_evaluate_stays_inside_bounds():
     spec = make_engineering("rw03")
     rng = RngStream(17)
     for _ in range(25):
-        x = spec.bounds.sample_uniform(rng)
+        x = spec.bounds.lower + spec.bounds.span * rng.uniform(size=spec.dimension)
         out = _handle(spec, x, PenaltyPolicy(max_resamples=10), rng)
         assert spec.bounds.contains(out.position)
 

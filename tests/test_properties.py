@@ -175,7 +175,8 @@ def _assert_block_equals_sequential(spec, X, policy, fes_max, seed, prefix):
        st.integers(0, 2 ** 32 - 1))
 def test_block_resampling_equals_sequential_rule(spec, n, resamples, spare,
                                                   prefix, seed):
-    X = spec.bounds.sample_uniform(RngStream(seed + 1), size=n)
+    X = spec.bounds.lower + spec.bounds.span * RngStream(seed + 1).uniform(
+        size=(n, spec.dimension))
     _assert_block_equals_sequential(spec, X, PenaltyPolicy(max_resamples=resamples),
                                     n + spare, seed, prefix)
 
@@ -187,6 +188,7 @@ def test_block_resampling_keeps_a_buffered_half():
     rng = RngStream(5)
     _draw_prefix(rng, "integers")
     assert rng._gen.bit_generator.state["has_uint32"] == 1
-    X = RARELY_FEASIBLE.bounds.sample_uniform(RngStream(6), size=6)
+    bounds = RARELY_FEASIBLE.bounds
+    X = bounds.lower + bounds.span * RngStream(6).uniform(size=(6, bounds.dimension))
     _assert_block_equals_sequential(RARELY_FEASIBLE, X, PenaltyPolicy(),
                                     6 + 300, 5, "integers")

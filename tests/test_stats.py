@@ -1,6 +1,7 @@
 """Friedman, rank-sum, Kruskal-Wallis, and win/tie/loss table tests."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -274,6 +275,22 @@ def test_wtl_antisymmetry():
     assert ab["+"] == ba["-"]
     assert ab["-"] == ba["+"]
     assert ab["="] == ba["="]
+
+
+def test_wtl_mirrored_pairs_equal_both_test_orders():
+    gen = np.random.default_rng(64)
+    for runs in (2, 3, 5, 8):
+        m = gen.normal(size=(12, 3, runs))
+        m[:, 0] -= 1.0
+        m[::3, 2] = m[::3, 1]                   # exact ties
+        m[1::4] = np.round(m[1::4], 1)          # tied midranks
+        for alpha in (0.05, 0.2, 0.6):
+            table = wtl_table(m, algorithms=["a", "b", "c"], alpha=alpha)
+            for i, j in permutations(range(3), 2):
+                counts = {"+": 0, "=": 0, "-": 0}
+                for prob in range(12):
+                    counts[wilcoxon_rank_sum(m[prob, i], m[prob, j], alpha)[1]] += 1
+                assert table[("abc"[i], "abc"[j])] == counts
 
 
 def test_wtl_detects_clear_dominance():
