@@ -28,7 +28,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -386,14 +386,17 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     if runs < 1:
         raise ValueError("runs must be at least 1")
 
+    # The cell seeds hash each problem's full name, which depends on the
+    # dimension setting, so the settings are read once before any cell.
     shared = RunConfig(algorithm=algorithms[0], problem=problems[0], seed=0,
                        **settings)
     specs = {prob: make_problem(prob, shared.dimension, shared.instance_seed)
              for prob in problems}
     for spec in specs.values():
         shared.resolved_fes_max(spec.dimension)
-    tasks = [(replace(shared, algorithm=alg, problem=prob,
-                      seed=derive_seed(base_seed, alg, spec.name, run)),
+    tasks = [(RunConfig(algorithm=alg, problem=prob,
+                        seed=derive_seed(base_seed, alg, spec.name, run),
+                        **settings),
               alg, spec.name, run)
              for alg in algorithms
              for prob, spec in specs.items()
