@@ -172,13 +172,26 @@ def _load_results(args):
         raise UsageError(str(exc))
 
 
-# The least (algorithms, problems, runs) a result set needs for each test.
-_TEST_NEEDS = {"friedman": (2, 2, 1), "wilcoxon": (2, 1, 2), "kw": (2, 1, 1)}
+# Per statistical test: the least (algorithms, problems, runs) a result set
+# needs, and the report text from the result matrix, the algorithm names and
+# alpha. The reports look ``stats`` functions up when they run.
+_TESTS = {
+    "friedman": ((2, 2, 1), lambda m, algs, alpha:
+                 stats.format_friedman(stats.friedman(m, algs))),
+    "wilcoxon": ((2, 1, 2), lambda m, algs, alpha:
+                 stats.format_wtl(stats.wtl_table(m, algs, alpha))),
+    "kw": ((2, 1, 1), lambda m, algs, alpha: stats.format_kruskal(
+        stats.kruskal_wallis([m[:, j, :].ravel() for j in range(m.shape[1])]),
+        algs)),
+}
 
 
-def _comparable(results, tests, alpha):
-    """The result matrix, once alpha lies in (0, 1) and the results are
-    rectangular and large enough for every named test."""
+def _reports(args, tests):
+    """The report text of each named test on the results ``args`` point at,
+    once alpha lies in (0, 1) and the results are rectangular and large
+    enough for every one of them."""
+    results = _load_results(args)
+    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie in (0, 1); got %g" % alpha)
     try:
@@ -188,47 +201,26 @@ def _comparable(results, tests, alpha):
     have = (len(results.algorithms), len(results.problems), results.run_count)
     for test in tests:
         for what, got, need in zip(("algorithms", "problems", "runs"), have,
-                                   _TEST_NEEDS[test]):
+                                   _TESTS[test][0]):
             if got < need:
                 raise UsageError("%s needs at least %d %s; the results hold %d"
                                  % (test, need, what, got))
-    return results.to_matrix()
+    values = results.to_matrix()
+    return [_TESTS[test][1](values, results.algorithms, alpha) for test in tests]
 
 
 def cmd_compare(args) -> int:
-    results = _load_results(args)
-    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
-    values = _comparable(results, ("friedman", "wilcoxon"), alpha)
-    report = stats.friedman(values, results.algorithms)
-    print(stats.format_friedman(report))
-    print(stats.format_wtl(stats.wtl_table(values, results.algorithms, alpha)))
+    for text in _reports(args, ("friedman", "wilcoxon")):
+        print(text)
     return 0
 
 
 def cmd_stats(args) -> int:
-    results = _load_results(args)
     test = args.test or _env("TEST") or "friedman"
-    if test not in _TEST_NEEDS:
+    if test not in _TESTS:
         raise UsageError("unknown test %r" % test)
-    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
-    values = _comparable(results, (test,), alpha)
-    algs = results.algorithms
-
-    lines = []
-    if test == "friedman":
-        report = stats.friedman(values, algs)
-        lines.append(stats.format_friedman(report))
-    elif test == "wilcoxon":
-        table = stats.wtl_table(values, algs, alpha)
-        lines.append(stats.format_wtl(table))
-    else:
-        groups = [values[:, j, :].ravel() for j in range(values.shape[1])]
-        h, p, ranks = stats.kruskal_wallis(groups)
-        lines.append("Kruskal-Wallis: H = %.6g, p = %.6g" % (h, p))
-        for name, rank in zip(algs, ranks):
-            lines.append("  %s  mean rank %.4f" % (name, rank))
-
-    text = "\n".join(lines) + "\n"
+    (text,) = _reports(args, (test,))
+    text += "\n"
     sys.stdout.write(text)
     out = args.out or _env("OUT")
     if out:

@@ -15,6 +15,8 @@ decay log-linearly with rank,
 so better entries pull the mean harder. Three operators then propose new
 school positions from the model: a plain Gaussian resample, a mean-shifted
 resample, and a differencing resample that adds scaled pairwise differences.
+Each iteration pushes the k agents with the highest elite score, which
+weighs fitness and distance from the best agent equally (``ELITE_WEIGHT``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 # block once), but the benchmark tracer rebinds ``covariance.clamp``.
 from .rng import RngStream, clamp
 
-DEFAULT_ELITE_WEIGHT = 0.5
+# Weight of fitness against distance from the best in the elite score.
+ELITE_WEIGHT = 0.5
 
 
 class ArchiveTooSmallError(ValueError):
@@ -85,7 +88,6 @@ class CovModel:
 
     mean_better: np.ndarray
     cov: np.ndarray
-    weights: np.ndarray
     _factor: Optional[np.ndarray] = field(default=None, repr=False)
     _diag_fallback: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -130,22 +132,24 @@ def estimate(archive: EliteArchive) -> CovModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(f))):
         raise ValueError("archive holds non-finite entries")
     order = np.argsort(f, kind="stable")
-    w = rank_weights(m)
-    mean = w @ X[order]
+    mean = rank_weights(m) @ X[order]
     dev = X - mean
     cov = dev.T @ dev / m
-    return CovModel(mean_better=mean, cov=cov, weights=w)
+    return CovModel(mean_better=mean, cov=cov)
 
 
-def elite_scores(fitnesses, positions, best_position, weight=DEFAULT_ELITE_WEIGHT):
-    """Combined elite score: weight * fitness_norm + (1 - weight) * distance_norm.
+def elite_indices(fitnesses, positions, best_position, k):
+    """Indices of the k highest elite scores, ties to the lower index.
 
-    fitness_norm rescales so the best fitness maps to 1 and the worst to 0
-    (all 1 when the population is fitness-flat); distance_norm is the
-    distance from the current best position rescaled to [0, 1] (all 0 when
-    every agent sits on the best).
+    The score is ELITE_WEIGHT * fitness_norm + (1 - ELITE_WEIGHT) *
+    distance_norm. fitness_norm rescales so the best fitness maps to 1 and
+    the worst to 0 (all 1 when the population is fitness-flat); distance_norm
+    is the distance from the current best position rescaled to [0, 1] (all 0
+    when every agent sits on the best).
     """
     f = np.asarray(fitnesses, dtype=float)
+    if not 1 <= k <= f.shape[0]:
+        raise ValueError("k must lie in [1, population size]")
     pos = np.asarray(positions, dtype=float)
     best = np.asarray(best_position, dtype=float)
     f_min, f_max = f.min(), f.max()
@@ -156,14 +160,7 @@ def elite_scores(fitnesses, positions, best_position, weight=DEFAULT_ELITE_WEIGH
     d = np.linalg.norm(pos - best, axis=1)
     d_max = d.max()
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)
-    return weight * fitness_norm + (1.0 - weight) * distance_norm
-
-
-def elite_indices(fitnesses, positions, best_position, k, weight=DEFAULT_ELITE_WEIGHT):
-    """Indices of the k highest combined scores, ties to the lower index."""
-    scores = elite_scores(fitnesses, positions, best_position, weight)
-    if not 1 <= k <= scores.shape[0]:
-        raise ValueError("k must lie in [1, population size]")
+    scores = ELITE_WEIGHT * fitness_norm + (1.0 - ELITE_WEIGHT) * distance_norm
     order = np.argsort(-scores, kind="stable")
     return order[:k]
 
@@ -210,7 +207,7 @@ def differential_operator(position, model: CovModel, others, best_position,
     best_position = np.asarray(best_position, dtype=float)
     worst_position = np.asarray(worst_position, dtype=float)
     g = model.sample(rng)
-    i1, i2 = rng.choice_distinct(others.shape[0], 2)
+    i1, i2 = rng.distinct_pair(others.shape[0])
     r1 = float(rng.uniform())
     r2 = float(rng.uniform())
     return g + r1 * (others[i1] - best_position) + r2 * (others[i2] - worst_position)

@@ -45,12 +45,7 @@ from .problems import (
     stable_seed,
 )
 from .problems.core import ProblemSpec
-from .rng import (
-    BudgetExhaustedError,
-    ChaosInitConfig,
-    RngStream,
-    init_population,
-)
+from .rng import BudgetExhaustedError, RngStream, init_population
 from .stages import (
     AlgorithmParams,
     Population,
@@ -68,6 +63,10 @@ DEFAULT_FES_MULT = 3000
 
 class SchemaMismatchError(ValueError):
     """Persisted results were written under a different schema version."""
+
+
+class BrokenResultsError(RuntimeError):
+    """A persisted cell's solutions row or trace file is missing."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -272,13 +271,10 @@ class ResultSet:
                     if (a, p, r) not in self.records:
                         raise ValueError("missing cell (%s, %s, run %d)" % (a, p, r))
 
-    def to_matrix(self, problems: Optional[Sequence[str]] = None,
-                  algorithms: Optional[Sequence[str]] = None) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         """best_fitness array of shape (problems, algorithms, runs)."""
         self.validate_rectangular()
-        probs = list(problems) if problems else self.problems
-        algs = list(algorithms) if algorithms else self.algorithms
-        runs = self.run_count
+        probs, algs, runs = self.problems, self.algorithms, self.run_count
         out = np.empty((len(probs), len(algs), runs))
         for i, p in enumerate(probs):
             for j, a in enumerate(algs):
@@ -316,7 +312,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     rng = RngStream(cfg.seed)
     ev = Evaluator(spec, fes_max, rng=rng)
 
-    X0 = init_population(ChaosInitConfig(n=cfg.n), spec.bounds, rng)
+    X0 = init_population(cfg.n, spec.bounds, rng)
     fit, obj, feas, X0 = ev.evaluate(X0)
     pop = Population(X0, fit, obj, feas)
 
@@ -329,8 +325,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     iteration = 1
     while ev.used + cfg.n <= fes_max:
-        ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max,
-                                params.h, rng)
+        ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max, rng)
         pop = step(pop, params, ctx, archive, rng, ev, spec.bounds)
         if ev.used - trace[-1][0] >= stride:
             trace.append((ev.used, float(pop.fitness[0])))
@@ -375,11 +370,10 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
 
     ``settings`` are :class:`RunConfig` settings shared by every cell. Seeds
     come from :func:`derive_seed`, so permuting the grid or switching between
-    serial and parallel execution cannot change any record. Every cell's
+    serial and parallel execution cannot change any record. Labels that name
+    the same variant or problem as an earlier label are dropped. Every cell's
     config and budget are checked before the first run.
     """
-    algorithms = list(dict.fromkeys(algorithms))
-    problems = list(dict.fromkeys(problems))
     for what, names in (("algorithms", algorithms), ("problems", problems)):
         if not names:
             raise ValueError("no %s given" % what)
@@ -390,16 +384,22 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     # dimension setting, so the settings are read once before any cell.
     shared = RunConfig(algorithm=algorithms[0], problem=problems[0], seed=0,
                        **settings)
-    specs = {prob: make_problem(prob, shared.dimension, shared.instance_seed)
-             for prob in problems}
+    variants: Dict[Variant, str] = {}
+    for alg in algorithms:
+        variants.setdefault(Variant.from_label(alg), alg)
+    algorithms = list(variants.values())
+    specs: Dict[str, ProblemSpec] = {}
+    for prob in problems:
+        spec = make_problem(prob, shared.dimension, shared.instance_seed)
+        specs.setdefault(spec.name, spec)
     for spec in specs.values():
         shared.resolved_fes_max(spec.dimension)
     tasks = [(RunConfig(algorithm=alg, problem=prob,
-                        seed=derive_seed(base_seed, alg, spec.name, run),
+                        seed=derive_seed(base_seed, alg, prob, run),
                         **settings),
-              alg, spec.name, run)
+              alg, prob, run)
              for alg in algorithms
-             for prob, spec in specs.items()
+             for prob in specs
              for run in range(runs)]
 
     records: Dict[Tuple[str, str, int], RunRecord] = {}
@@ -415,7 +415,7 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithms": algorithms,
-        "problems": [spec.name for spec in specs.values()],
+        "problems": list(specs),
         "runs": runs, "base_seed": base_seed,
         "dimensions": {spec.name: spec.dimension for spec in specs.values()},
         **shared.settings(),
@@ -481,7 +481,11 @@ def persist(results: ResultSet, out_dir) -> Path:
 
 
 def load(out_dir) -> ResultSet:
-    """Rebuild a :class:`ResultSet` persisted by :func:`persist`."""
+    """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
+
+    Raises :class:`BrokenResultsError`, naming the file and the cell, when a
+    row of ``results.csv`` has no solutions row or no trace file.
+    """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
         metadata = json.load(fh)
@@ -501,12 +505,21 @@ def load(out_dir) -> ResultSet:
     with open(out / "results.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             key = (row["algorithm"], row["problem"], int(row["run"]))
-            sol = solutions[key]
+            cell = "cell (%s, %s, run %d)" % key
+            sol = solutions.get(key)
+            if sol is None:
+                raise BrokenResultsError("%s has no row for %s"
+                                         % (out / "solutions.csv", cell))
+            path = out / "traces" / _cell_filename(*key)
             trace = []
-            with open(out / "traces" / _cell_filename(*key)) as tfh:
-                for line in tfh:
-                    fes_s, best_s = line.split()
-                    trace.append((int(fes_s), float(best_s)))
+            try:
+                with open(path) as tfh:
+                    for line in tfh:
+                        fes_s, best_s = line.split()
+                        trace.append((int(fes_s), float(best_s)))
+            except FileNotFoundError:
+                raise BrokenResultsError("trace file %s of %s is missing"
+                                         % (path, cell)) from None
             records[key] = RunRecord(
                 algorithm=key[0], problem=key[1], dimension=int(row["D"]),
                 run=key[2], seed=int(row["seed"]),

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from .benchmarks import (
     BASE_FUNCTIONS,
-    COMPOSITION_FAMILIES,
     DESK_SUITE_LAYOUT,
     DESK_SUITE_NAMES,
-    HYBRID_FAMILIES,
     desk_problem,
     desk_suite,
     make_benchmark,
@@ -17,8 +15,6 @@ from .core import (
     TransformSpec,
     generate_transform,
     identity_transform,
-    load_transform,
-    save_transform,
     stable_seed,
 )
 from .engineering import ENGINEERING_NAMES, make_engineering
@@ -33,14 +29,14 @@ from .handling import (
 )
 
 __all__ = [
-    "BASE_FUNCTIONS", "COMPOSITION_FAMILIES", "DESK_SUITE_LAYOUT",
-    "DESK_SUITE_NAMES", "HYBRID_FAMILIES", "ENGINEERING_NAMES",
+    "BASE_FUNCTIONS", "DESK_SUITE_LAYOUT", "DESK_SUITE_NAMES",
+    "ENGINEERING_NAMES",
     "ProblemSpec", "TransformSpec",
     "PenaltyPolicy", "HandledPoint", "TrialStream", "constrained_evaluate",
     "penalized_fitness", "INFEASIBLE_BASE", "DEFAULT_VIOLATION_TOL",
     "desk_problem", "desk_suite", "make_benchmark", "make_engineering",
     "make_problem", "list_problems", "generate_transform",
-    "identity_transform", "load_transform", "save_transform", "stable_seed",
+    "identity_transform", "stable_seed",
 ]
 
 

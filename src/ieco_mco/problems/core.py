@@ -1,13 +1,9 @@
-"""Problem descriptions, search-space transforms, and transform file I/O.
+"""Problem descriptions and search-space transforms.
 
 A problem is an objective over a box, optionally with inequality constraints
 g_i(x) <= 0 (equalities are folded to |h| - eps <= 0 by the builders). The
 benchmark problems are built from a :class:`TransformSpec` holding a shift
 vector, an orthogonal rotation matrix, and an additive objective bias.
-
-Transform files are plain text: first line the dimension D, second line the
-D shift values, then D rows of the rotation matrix, and a final line with
-the bias value.
 """
 
 from __future__ import annotations
@@ -77,33 +73,6 @@ def generate_transform(dim: int, seed: int, f_bias: float = 0.0,
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
     return TransformSpec(shift=shift, rotation=q, f_bias=float(f_bias))
-
-
-def save_transform(ts: TransformSpec, path) -> None:
-    lines = [str(ts.dimension)]
-    lines.append(" ".join(repr(float(v)) for v in ts.shift))
-    for row in ts.rotation:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(repr(float(ts.f_bias)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_transform(path) -> TransformSpec:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("transform file %s is truncated" % path)
-    d = int(lines[0])
-    if len(lines) != d + 3:
-        raise ValueError("transform file %s should have %d lines, found %d"
-                         % (path, d + 3, len(lines)))
-    shift = np.array([float(v) for v in lines[1].split()], dtype=float)
-    rot = np.array([[float(v) for v in lines[2 + i].split()] for i in range(d)], dtype=float)
-    bias = float(lines[d + 2])
-    if shift.shape != (d,) or rot.shape != (d, d):
-        raise ValueError("transform file %s has inconsistent shapes" % path)
-    return TransformSpec(shift=shift, rotation=rot, f_bias=bias)
 
 
 @dataclass

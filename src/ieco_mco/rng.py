@@ -3,6 +3,9 @@
 Every stochastic component in this package draws from :class:`RngStream`, a
 thin wrapper around numpy's PCG64 generator seeded through ``SeedSequence``.
 The same seed always reproduces the same draw sequence on every platform.
+
+The initial population comes from one logistic-map chain with alpha = 4,
+x_i = 4 x_{i-1} (1 - x_{i-1}), whose seed is drawn from the run's stream.
 """
 
 from __future__ import annotations
@@ -10,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Logistic-map seeds whose orbit collapses onto a fixed point or onto 0 when
-# alpha = 4: 0 and 1 map to 0, 0.5 maps to 1, 0.25 and 0.75 reach the fixed
-# point 0.75. Seeds are rejected within a small guard band because float64
-# rounding sends near-0.5 seeds to exactly 1.0 within two steps.
+# Logistic-map seeds whose orbit collapses onto a fixed point or onto 0: 0 and
+# 1 map to 0, 0.5 maps to 1, 0.25 and 0.75 reach the fixed point 0.75. Seeds
+# are rejected within a small guard band because float64 rounding sends
+# near-0.5 seeds to exactly 1.0 within two steps.
 DEGENERATE_CHAOS_SEEDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _SEED_GUARD = 1e-9
 
@@ -71,17 +74,15 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def choice_distinct(self, n, k):
-        """k distinct indices drawn uniformly from range(n), order random."""
-        if k > n:
-            raise ValueError("cannot draw %d distinct indices from %d" % (k, n))
-        if k == 2:
-            i = int(self._gen.integers(n))
-            j = int(self._gen.integers(n - 1))
-            if j >= i:
-                j += 1
-            return np.array([i, j])
-        return self._gen.choice(n, size=k, replace=False)
+    def distinct_pair(self, n):
+        """Two distinct indices drawn uniformly from range(n), order random."""
+        if n < 2:
+            raise ValueError("cannot draw 2 distinct indices from %d" % n)
+        i = int(self._gen.integers(n))
+        j = int(self._gen.integers(n - 1))
+        if j >= i:
+            j += 1
+        return i, j
 
     def __repr__(self):
         return "RngStream(entropy=%r)" % (self._seq.entropy,)
@@ -121,30 +122,9 @@ class Bounds:
     def span(self):
         return self.upper - self.lower
 
-    def contains(self, x, atol=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
-
-
-@dataclass(frozen=True)
-class ChaosInitConfig:
-    """Configuration of the logistic-map population initializer.
-
-    ``x0 = None`` means the seed is drawn uniformly from (0, 1), rejecting the
-    degenerate set, when the population is built.
-    """
-
-    n: int
-    alpha: float = 4.0
-    x0: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n < 5:
-            raise ValueError("population size must be at least 5")
-        if not 0.0 < self.alpha <= 4.0:
-            raise ValueError("alpha must lie in (0, 4]")
-        if self.x0 is not None:
-            _check_chaos_seed(self.x0)
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 def _check_chaos_seed(x0):
@@ -157,8 +137,8 @@ def _check_chaos_seed(x0):
             )
 
 
-def logistic_chain(cfg: ChaosInitConfig, count: int) -> np.ndarray:
-    """Iterate x_{i} = alpha * x_{i-1} * (1 - x_{i-1}) for ``count`` steps.
+def logistic_chain(x0: float, count: int) -> np.ndarray:
+    """Iterate x_{i} = 4 * x_{i-1} * (1 - x_{i-1}) for ``count`` steps from ``x0``.
 
     Returns the chain x_1 .. x_count (the seed itself is not included).
     Raises :class:`ChaoticOrbitError` for degenerate seeds and for the
@@ -166,16 +146,14 @@ def logistic_chain(cfg: ChaosInitConfig, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if cfg.x0 is None:
-        raise ValueError("logistic_chain needs an explicit x0 in the config")
-    _check_chaos_seed(cfg.x0)
+    _check_chaos_seed(x0)
     out = np.empty(count, dtype=float)
-    x = float(cfg.x0)
+    x = float(x0)
     for i in range(count):
-        x = cfg.alpha * x * (1.0 - x)
+        x = 4.0 * x * (1.0 - x)
         if x <= 0.0 or x >= 1.0 or x in DEGENERATE_CHAOS_SEEDS:
             raise ChaoticOrbitError(
-                "logistic orbit collapsed to %r at step %d (seed %r)" % (x, i + 1, cfg.x0)
+                "logistic orbit collapsed to %r at step %d (seed %r)" % (x, i + 1, x0)
             )
         out[i] = x
     return out
@@ -192,32 +170,25 @@ def draw_chaos_seed(rng: RngStream) -> float:
         return u
 
 
-def init_population(cfg: ChaosInitConfig, bounds: Bounds, rng: RngStream) -> np.ndarray:
+def init_population(n: int, bounds: Bounds, rng: RngStream) -> np.ndarray:
     """Chaotic population initialization.
 
-    A single logistic chain of length ``n * dimension`` is generated and
-    mapped through ``X = lower + (upper - lower) * x``; the chain fills the
-    population row-major (agent 0 takes the first ``dimension`` values).
-    When ``cfg.x0`` is None a fresh seed is drawn from ``rng``; in the rare
-    event the orbit collapses mid-chain, a new seed is drawn.
+    A single logistic chain of length ``n * dimension`` is generated from a
+    seed drawn from ``rng`` and mapped through ``X = lower + (upper - lower)
+    * x``; the chain fills the population row-major (agent 0 takes the first
+    ``dimension`` values). In the rare event the orbit collapses mid-chain, a
+    new seed is drawn.
     """
-    count = cfg.n * bounds.dimension
-    if cfg.x0 is not None:
-        chain = logistic_chain(cfg, count)
-    else:
-        for _ in range(64):
-            seed = draw_chaos_seed(rng)
-            try:
-                chain = logistic_chain(
-                    ChaosInitConfig(n=cfg.n, alpha=cfg.alpha, x0=seed), count
-                )
-                break
-            except ChaoticOrbitError:
-                continue
-        else:  # pragma: no cover - probability ~0
-            raise ChaoticOrbitError("no usable logistic seed found after 64 draws")
-    grid = chain.reshape(cfg.n, bounds.dimension)
-    return bounds.lower + bounds.span * grid
+    count = n * bounds.dimension
+    for _ in range(64):
+        try:
+            chain = logistic_chain(draw_chaos_seed(rng), count)
+            break
+        except ChaoticOrbitError:
+            continue
+    else:  # pragma: no cover - probability ~0
+        raise ChaoticOrbitError("no usable logistic seed found after 64 draws")
+    return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ update rule for schools and one for students:
 
 with w = 0.1 * ln(2 - fes/fes_max), P = 4 * randn * (1 - fes/fes_max) drawn
 once per iteration, and the per-student gain E = (pi/P) * (fes/fes_max) when
-the student's talent draw exceeds the threshold Th, else 1. close(X) is the
-school position nearest to the student (ties to the lowest index) and
+the student's talent draw exceeds the threshold Th = 0.5, else 1. close(X) is
+the school position nearest to the student (ties to the lowest index) and
 Xmean_i the mean of the students whose nearest school is i. Each rule acts
 on the whole block of schools or students at once. New positions are
 clamped to the box and survive per agent only when they improve on the
@@ -55,6 +55,8 @@ import numpy as np
 from . import covariance as cov
 from .rng import Bounds, BudgetExhaustedError, RngStream, clamp, levy_sample
 
+# Talent threshold Th: a talent draw above it gives the student the gain E.
+TALENT_THRESHOLD = 0.5
 # |P| floor when computing E = (pi/P) * (fes/fes_max); P = 0 is treated as +0.
 TALENT_GAIN_P_FLOOR = 1e-12
 
@@ -84,39 +86,27 @@ class Variant(enum.Enum):
         raise ValueError("unknown variant %r (expected one of %s)"
                          % (label, ", ".join(v.value for v in cls)))
 
-    @property
-    def label(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Behavioral parameters.
+    """The variant and its school fractions.
 
-    h    : talent threshold Th in (0, 1)
     g1   : school fraction in the primary stage
     g2   : school fraction in the middle and high stages
-    s    : elite archive capacity; None means 20 * dimension
-    elite_weight : fitness weight in the combined elite score
+
+    Every variant shares the talent threshold (``TALENT_THRESHOLD``), the
+    elite archive capacity of 20 * dimension and the elite-score weight
+    (``covariance.ELITE_WEIGHT``).
     """
 
     variant: Variant = Variant.IECO_MCO
-    h: float = 0.5
     g1: float = 0.4
     g2: float = 0.5
-    s: Optional[int] = None
-    elite_weight: float = cov.DEFAULT_ELITE_WEIGHT
 
     def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise ValueError("h must lie in (0, 1)")
         for name, g in (("g1", self.g1), ("g2", self.g2)):
             if not 0.0 < g < 1.0:
                 raise ValueError("%s must lie in (0, 1)" % name)
-        if self.s is not None and self.s < 1:
-            raise ValueError("archive capacity must be at least 1")
-        if not 0.0 <= self.elite_weight <= 1.0:
-            raise ValueError("elite_weight must lie in [0, 1]")
 
     @classmethod
     def for_variant(cls, variant) -> "AlgorithmParams":
@@ -124,11 +114,11 @@ class AlgorithmParams:
         if not isinstance(variant, Variant):
             variant = Variant.from_label(str(variant))
         if variant is Variant.ECO:
-            return cls(variant=variant, h=0.5, g1=0.2, g2=0.1)
-        return cls(variant=variant, h=0.5, g1=0.4, g2=0.5)
+            return cls(variant=variant, g1=0.2, g2=0.1)
+        return cls(variant=variant, g1=0.4, g2=0.5)
 
     def archive_capacity(self, dim: int) -> int:
-        return self.s if self.s is not None else 20 * dim
+        return 20 * dim
 
     def school_fraction(self, stage: Stage) -> float:
         return self.g1 if stage is Stage.PRIMARY else self.g2
@@ -167,15 +157,13 @@ class StageContext:
     fes_max: int
     omega: float
     p: float
-    th: float
 
     @classmethod
-    def draw(cls, stage: Stage, fes: int, fes_max: int, th: float, rng: RngStream):
+    def draw(cls, stage: Stage, fes: int, fes_max: int, rng: RngStream):
         """Build the context, consuming the single per-iteration randn for P."""
         return cls(stage=stage, fes=fes, fes_max=fes_max,
                    omega=omega(fes, fes_max),
-                   p=4.0 * float(rng.normal()) * (1.0 - fes / fes_max),
-                   th=th)
+                   p=4.0 * float(rng.normal()) * (1.0 - fes / fes_max))
 
     def progress(self) -> float:
         return self.fes / self.fes_max
@@ -186,7 +174,8 @@ def talent_gain(ctx: StageContext, talent_draws) -> np.ndarray:
     p = ctx.p
     if abs(p) < TALENT_GAIN_P_FLOOR:
         p = math.copysign(TALENT_GAIN_P_FLOOR, p if p != 0.0 else 1.0)
-    return np.where(np.asarray(talent_draws) <= ctx.th, 1.0, (math.pi / p) * ctx.progress())
+    return np.where(np.asarray(talent_draws) <= TALENT_THRESHOLD, 1.0,
+                    (math.pi / p) * ctx.progress())
 
 
 class Population:
@@ -388,7 +377,6 @@ def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
     pop.sort()
 
     if params.uses_archive() and archive is not None:
-        idx = cov.elite_indices(pop.fitness, pop.positions,
-                                pop.positions[0], k, params.elite_weight)
+        idx = cov.elite_indices(pop.fitness, pop.positions, pop.positions[0], k)
         archive.push(pop.positions[idx], pop.fitness[idx])
     return pop

@@ -2,8 +2,8 @@
 
 The input convention throughout is a minimization matrix ``values`` of shape
 (problems, algorithms, runs) (a trailing run axis of size 1 is fine). The
-Friedman test ranks algorithms per problem on a run summary (mean by
-default), the rank-sum test compares two run vectors on one problem, and the
+Friedman test ranks algorithms per problem on the mean over runs, the
+rank-sum test compares two run vectors on one problem, and the
 Kruskal-Wallis test compares several samples with tie-corrected pooled
 ranking. Chi-square tails come from scipy; rank statistics and the exact
 rank-sum enumeration are computed here.
@@ -12,7 +12,7 @@ rank-sum enumeration are computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,15 +25,11 @@ EXACT_RANKSUM_LIMIT = 12  # exact enumeration when |a| + |b| <= this
 
 @dataclass
 class StatReport:
-    """Outcome of one test: ranks, statistic, p-value, optional verdicts."""
+    """Outcome of a Friedman test: statistic, p-value and mean rank per name."""
 
-    method: str
     statistic: float
     p_value: float
-    ranks: Optional[Dict[str, float]] = None
-    verdicts: Optional[Dict[Tuple[str, str], str]] = None
-    alpha: float = DEFAULT_ALPHA
-    detail: dict = field(default_factory=dict)
+    ranks: Dict[str, float]
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -60,9 +56,8 @@ def _labels(n: int, labels: Optional[Sequence[str]]) -> List[str]:
     return labels
 
 
-def friedman(values, algorithms: Optional[Sequence[str]] = None,
-             summarizer: str = "mean") -> StatReport:
-    """Friedman test on per-problem summaries (lower value = better rank).
+def friedman(values, algorithms: Optional[Sequence[str]] = None) -> StatReport:
+    """Friedman test on per-problem means over runs (lower value = better rank).
 
     chi2_F = 12n / (k (k+1)) * sum_j (Rbar_j - (k+1)/2)^2, p from the
     chi-square distribution with k - 1 degrees of freedom. Ties share
@@ -74,21 +69,14 @@ def friedman(values, algorithms: Optional[Sequence[str]] = None,
         raise ValueError("friedman needs at least 2 algorithms")
     if n < 2:
         raise ValueError("friedman needs at least 2 problems")
-    if summarizer == "mean":
-        summary = m.mean(axis=2)
-    elif summarizer == "median":
-        summary = np.median(m, axis=2)
-    else:
-        raise ValueError("summarizer must be 'mean' or 'median'")
-
+    summary = m.mean(axis=2)
     ranks = np.vstack([rankdata(summary[i]) for i in range(n)])
     mean_ranks = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
     p = float(chi2.sf(stat, k - 1))
     names = _labels(k, algorithms)
-    return StatReport(method="friedman", statistic=float(stat), p_value=p,
-                      ranks=dict(zip(names, mean_ranks.tolist())),
-                      detail={"summarizer": summarizer, "problems": n})
+    return StatReport(statistic=float(stat), p_value=p,
+                      ranks=dict(zip(names, mean_ranks.tolist())))
 
 
 def _ranksum_exact_p(pooled_ranks: np.ndarray, n_a: int) -> float:
@@ -229,10 +217,9 @@ def wtl_table(values, algorithms: Optional[Sequence[str]] = None,
 def format_friedman(report: StatReport) -> str:
     lines = ["Friedman test: chi2 = %.6g, p = %.6g" %
              (report.statistic, report.p_value)]
-    if report.ranks:
-        width = max(len(name) for name in report.ranks)
-        for name, rank in sorted(report.ranks.items(), key=lambda kv: kv[1]):
-            lines.append("  %-*s  mean rank %.4f" % (width, name, rank))
+    width = max(len(name) for name in report.ranks)
+    for name, rank in sorted(report.ranks.items(), key=lambda kv: kv[1]):
+        lines.append("  %-*s  mean rank %.4f" % (width, name, rank))
     return "\n".join(lines)
 
 
@@ -241,4 +228,14 @@ def format_wtl(table: Dict[Tuple[str, str], Dict[str, int]]) -> str:
     for (a, b), counts in sorted(table.items()):
         lines.append("  %s vs %s: +%d =%d -%d"
                      % (a, b, counts["+"], counts["="], counts["-"]))
+    return "\n".join(lines)
+
+
+def format_kruskal(result: Tuple[float, float, List[float]],
+                   algorithms: Sequence[str]) -> str:
+    """Report of :func:`kruskal_wallis` with one group per algorithm."""
+    h, p, ranks = result
+    lines = ["Kruskal-Wallis: H = %.6g, p = %.6g" % (h, p)]
+    for name, rank in zip(algorithms, ranks):
+        lines.append("  %s  mean rank %.4f" % (name, rank))
     return "\n".join(lines)

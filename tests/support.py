@@ -43,11 +43,8 @@ class ScriptedRng:
     def integers(self, low, high=None, size=None):
         raise NotImplementedError("scripted integers not needed")
 
-    def choice_distinct(self, n, k):
-        pair = self._pairs.pop(0)
-        if len(pair) != k:
-            raise ValueError("scripted pair has wrong length")
-        return np.asarray(pair, dtype=int)
+    def distinct_pair(self, n):
+        return tuple(self._pairs.pop(0))
 
 
 def levy_script(values, beta=1.5):

@@ -294,6 +294,23 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("lost", ["solutions row", "trace file"])
+def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, lost):
+    out = _synthetic_results(tmp_path, tie=True)
+    if lost == "solutions row":
+        broken = out / "solutions.csv"
+        rows = broken.read_text().splitlines()
+        broken.write_text("\n".join(rows[:-1]) + "\n")
+    else:
+        broken = out / "traces" / "beta__p3__r002.txt"
+        broken.unlink()
+    capsys.readouterr()
+    assert run_cli("compare", "--results", str(out)) == 1
+    err = capsys.readouterr().err
+    assert str(broken) in err
+    assert "cell (beta, p3, run 2)" in err
+
+
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):
     out = _synthetic_results(tmp_path, tie=True)
     rows = (out / "results.csv").read_text().splitlines()

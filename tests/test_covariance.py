@@ -27,8 +27,7 @@ from ieco_mco.rng import RngStream
 def zero_cov_model(mean):
     mean = np.asarray(mean, dtype=float)
     d = mean.shape[0]
-    return CovModel(mean_better=mean, cov=np.zeros((d, d)),
-                    weights=np.array([1.0]))
+    return CovModel(mean_better=mean, cov=np.zeros((d, d)))
 
 
 # ------------------------------------------------------------- elite scoring
@@ -140,15 +139,16 @@ def test_estimate_two_entry_hand_example():
     arch = EliteArchive(10)
     arch.push(np.array([[1.0], [3.0]]), np.array([0.5, 0.9]))
     model = estimate(arch)
+    weights = rank_weights(2)
     # figures as printed in the worked example (1e-4), then the full-precision
     # values from an independent evaluation of the same formulas (1e-12)
-    assert model.weights[0] == pytest.approx(0.73045, abs=1e-4)
-    assert model.weights[1] == pytest.approx(0.26955, abs=1e-4)
+    assert weights[0] == pytest.approx(0.73045, abs=1e-4)
+    assert weights[1] == pytest.approx(0.26955, abs=1e-4)
     assert model.mean_better[0] == pytest.approx(1.53910, abs=1e-4)
     assert model.cov[0, 0] == pytest.approx(1.21232, abs=1e-4)
     w1 = math.log(3.0 / 1.0) / (math.log(3.0) + math.log(1.5))
-    assert model.weights[0] == pytest.approx(0.7304227103091852, abs=1e-12)
-    assert model.weights[0] == pytest.approx(w1, abs=1e-15)
+    assert weights[0] == pytest.approx(0.7304227103091852, abs=1e-12)
+    assert weights[0] == pytest.approx(w1, abs=1e-15)
     assert model.mean_better[0] == pytest.approx(1.53915457938163, abs=1e-12)
     assert model.cov[0, 0] == pytest.approx(1.2123785017049222, abs=1e-12)
 
@@ -252,8 +252,7 @@ def test_estimate_translation_equivariance():
 
 def test_sample_zero_covariance_collapses_to_mean():
     mean = np.array([3.0, -1.0])
-    model = CovModel(mean_better=mean, cov=np.zeros((2, 2)),
-                     weights=np.array([1.0]))
+    model = CovModel(mean_better=mean, cov=np.zeros((2, 2)))
     rng = RngStream(53)
     for _ in range(100):
         s = model.sample(rng)
@@ -261,8 +260,7 @@ def test_sample_zero_covariance_collapses_to_mean():
 
 
 def test_sample_identity_covariance_monte_carlo():
-    model = CovModel(mean_better=np.zeros(2), cov=np.eye(2),
-                     weights=np.array([1.0]))
+    model = CovModel(mean_better=np.zeros(2), cov=np.eye(2))
     draws = model.sample(RngStream(59), size=100000)
     emp = np.cov(draws.T, bias=True)
     assert abs(emp[0, 0] - 1.0) < 0.05
@@ -274,8 +272,7 @@ def test_sample_identity_covariance_monte_carlo():
 
 
 def test_sample_one_dimensional_variance():
-    model = CovModel(mean_better=np.zeros(1), cov=np.array([[4.0]]),
-                     weights=np.array([1.0]))
+    model = CovModel(mean_better=np.zeros(1), cov=np.array([[4.0]]))
     draws = model.sample(RngStream(61), size=100000)
     assert abs(draws.var() - 4.0) < 0.2  # 5% of 4
     assert abs(draws.mean()) < 3.0 * 2.0 / math.sqrt(100000)
@@ -285,8 +282,7 @@ def test_sample_random_model_frobenius_error():
     rng = RngStream(67)
     A = rng.normal(size=(4, 4))
     C = A @ A.T
-    model = CovModel(mean_better=rng.normal(size=4), cov=C,
-                     weights=np.array([1.0]))
+    model = CovModel(mean_better=rng.normal(size=4), cov=C)
     draws = model.sample(RngStream(71), size=100000)
     emp = np.cov(draws.T, bias=True)
     rel = np.linalg.norm(emp - C) / np.linalg.norm(C)
@@ -311,8 +307,7 @@ def test_sample_handles_singular_covariance():
 
 def test_sample_rejects_non_finite_covariance():
     model = CovModel(mean_better=np.zeros(2),
-                     cov=np.array([[np.nan, 0.0], [0.0, 1.0]]),
-                     weights=np.array([1.0]))
+                     cov=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         model.sample(RngStream(79))
 
@@ -321,8 +316,7 @@ def test_sample_rejects_non_finite_covariance():
 
 def test_gaussian_operator_hand_example():
     # mean_better=2, X=0, Gaussian draw=2.5, rand=0.5 -> 2.5 + 0.5*2 = 3.5
-    model = CovModel(mean_better=np.array([2.0]), cov=np.array([[1.0]]),
-                     weights=np.array([1.0]))
+    model = CovModel(mean_better=np.array([2.0]), cov=np.array([[1.0]]))
     rng = ScriptedRng(normals=[0.5], uniforms=[0.5])  # z=0.5 -> draw 2.5
     out = gaussian_operator(np.array([0.0]), model, rng)
     assert out[0] == pytest.approx(3.5, abs=1e-9)

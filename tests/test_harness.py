@@ -9,6 +9,7 @@ import pytest
 
 from ieco_mco import harness
 from ieco_mco.harness import (
+    BrokenResultsError,
     Evaluator,
     ResultSet,
     RunConfig,
@@ -65,7 +66,7 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     params = AlgorithmParams.for_variant("ECO")
     rng = RngStream(3)
     for it in range(1, 7):
-        ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, params.h, rng)
+        ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, rng)
         pop = step(pop, params, ctx, None, rng, ev, spec.bounds)
     # the agent that started in the NaN half was replaced by a finite child
     assert np.all(np.isfinite(pop.fitness))
@@ -353,6 +354,17 @@ def test_run_batch_validation():
         run_batch(["NOPE"], ["f01"], runs=1, base_seed=1)
 
 
+def test_run_batch_drops_labels_that_name_an_earlier_variant_or_problem():
+    rs = run_batch(["ECO", "eco"], ["f01", "f01-zakharov-d5"], runs=2,
+                   base_seed=4, dimension=5, n=6, fes_max=60)
+    assert rs.algorithms == ["ECO"]
+    assert rs.problems == ["f01-zakharov-d5"]
+    assert rs.to_matrix().shape == (1, 1, 2)
+    single = run_batch(["ECO"], ["f01"], runs=2, base_seed=4, dimension=5, n=6,
+                       fes_max=60)
+    assert rs.records == single.records
+
+
 def test_result_set_rejects_missing_cells():
     rs = _tiny_batch()
     del rs.records[("ECO", rs.problems[0], 1)]
@@ -397,6 +409,29 @@ def test_load_rejects_schema_mismatch(tmp_path):
     (out / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(SchemaMismatchError):
         load(out)
+
+
+def _drop_last_solution(out):
+    rows = (out / "solutions.csv").read_text().splitlines()
+    (out / "solutions.csv").write_text("\n".join(rows[:-1]) + "\n")
+    return out / "solutions.csv"
+
+
+def _drop_last_trace(out):
+    trace = sorted((out / "traces").iterdir())[-1]
+    trace.unlink()
+    return trace
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_solution, _drop_last_trace])
+def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
+    rs = _tiny_batch()
+    out = persist(rs, tmp_path / "out")
+    broken = corrupt(out)
+    with pytest.raises(BrokenResultsError) as err:
+        load(out)
+    assert str(broken) in str(err.value)
+    assert "cell (IECO-MCO, f02-rosenbrock-d5, run 2)" in str(err.value)
 
 
 def test_summary_matches_recomputation(tmp_path):

@@ -1,5 +1,7 @@
 """Benchmark families, transforms, engineering problems, constraint handling."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,10 @@ from ieco_mco.problems import (
     generate_transform,
     identity_transform,
     list_problems,
-    load_transform,
     make_benchmark,
     make_engineering,
     make_problem,
     penalized_fitness,
-    save_transform,
     stable_seed,
 )
 from ieco_mco.problems.benchmarks import (
@@ -91,44 +91,6 @@ def test_generate_transform_shift_strictly_interior():
 def test_generate_transform_rejects_bad_dimension():
     with pytest.raises(ValueError):
         generate_transform(0, seed=1)
-
-
-def test_transform_file_round_trip(tmp_path):
-    ts = generate_transform(5, seed=4321, f_bias=700.0)
-    path = tmp_path / "t.txt"
-    save_transform(ts, path)
-    back = load_transform(path)
-    assert np.array_equal(back.shift, ts.shift)
-    assert np.array_equal(back.rotation, ts.rotation)
-    assert back.f_bias == ts.f_bias
-
-
-def test_transform_file_layout(tmp_path):
-    ts = identity_transform(3, f_bias=1.5)
-    path = tmp_path / "t.txt"
-    save_transform(ts, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "3"
-    assert len(lines) == 3 + 3
-    assert [float(v) for v in lines[1].split()] == [0.0, 0.0, 0.0]
-    assert float(lines[-1]) == 1.5
-
-
-def test_load_transform_rejects_truncated_file(tmp_path):
-    ts = generate_transform(5, seed=4321)
-    path = tmp_path / "t.txt"
-    save_transform(ts, path)
-    text = path.read_text().strip().split("\n")
-    path.write_text("\n".join(text[:-2]) + "\n")
-    with pytest.raises(ValueError):
-        load_transform(path)
-
-
-def test_load_transform_rejects_garbage(tmp_path):
-    path = tmp_path / "t.txt"
-    path.write_text("2\n")
-    with pytest.raises(ValueError):
-        load_transform(path)
 
 
 def test_stable_seed_is_deterministic_and_distinct():
@@ -533,3 +495,11 @@ def test_make_problem_unknown_name():
         make_problem("f13")
     with pytest.raises(KeyError):
         make_problem("wibble")
+
+
+@pytest.mark.parametrize("module", ["ieco_mco", "ieco_mco.problems"])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)

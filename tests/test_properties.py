@@ -164,8 +164,7 @@ def _assert_block_equals_sequential(spec, X, policy, fes_max, seed, prefix):
     assert np.array_equal(block_rng.normal(size=20), seq_rng.normal(size=20))
     assert np.array_equal(block_rng.uniform(size=20), seq_rng.uniform(size=20))
     for _ in range(20):
-        assert np.array_equal(block_rng.choice_distinct(29, 2),
-                              seq_rng.choice_distinct(29, 2))
+        assert block_rng.distinct_pair(29) == seq_rng.distinct_pair(29)
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,7 +183,7 @@ def test_block_resampling_equals_sequential_rule(spec, n, resamples, spare,
 def test_block_resampling_keeps_a_buffered_half():
     """Skipping the used draws with ``PCG64.advance`` would drop the buffered
     32-bit half that ``integers`` leaves behind and shift every later
-    ``choice_distinct`` pair."""
+    ``distinct_pair`` draw."""
     rng = RngStream(5)
     _draw_prefix(rng, "integers")
     assert rng._gen.bit_generator.state["has_uint32"] == 1

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from support import ScriptedRng
+
 from ieco_mco.rng import (
     Bounds,
-    ChaosInitConfig,
     ChaoticOrbitError,
     RngStream,
     clamp,
@@ -46,12 +47,10 @@ def test_peek_then_consumed_prefix_equals_sequential_draws(prefix):
     assert np.array_equal(peeked[:5], np.array(rows))
     assert block.integers(1000) == seq.integers(1000)
     assert np.array_equal(block.normal(size=6), seq.normal(size=6))
-    assert np.array_equal(block.choice_distinct(29, 2), seq.choice_distinct(29, 2))
+    assert block.distinct_pair(29) == seq.distinct_pair(29)
 
 
 def test_scripted_peek_uniform_pops_nothing():
-    from support import ScriptedRng
-
     rng = ScriptedRng(uniforms=[0.1, 0.2, 0.3])
     assert np.array_equal(rng.peek_uniform(size=(1, 2)), [[0.1, 0.2]])
     assert rng.uniform(size=3).tolist() == [0.1, 0.2, 0.3]
@@ -62,41 +61,36 @@ def test_scripted_peek_uniform_pops_nothing():
 # ------------------------------------------------------------ logistic chain
 
 def test_chain_single_step_from_0p3():
-    chain = logistic_chain(ChaosInitConfig(n=5, x0=0.3), 1)
+    chain = logistic_chain(0.3, 1)
     assert chain.shape == (1,)
     assert chain[0] == pytest.approx(0.84, abs=1e-15)
 
 
 def test_chain_single_step_from_0p84():
-    chain = logistic_chain(ChaosInitConfig(n=5, x0=0.84), 1)
+    chain = logistic_chain(0.84, 1)
     assert chain[0] == pytest.approx(0.5376, abs=1e-15)
 
 
 def test_chain_seed_half_collapses():
     # x1 = 1.0, x2 = 0: the orbit dies, so the seed is rejected outright.
     with pytest.raises(ChaoticOrbitError):
-        ChaosInitConfig(n=5, x0=0.5)
-    # Bypass config validation to exercise the chain's own guard too.
-    cfg = ChaosInitConfig(n=5, x0=0.3)
-    object.__setattr__(cfg, "x0", 0.5)
-    with pytest.raises(ChaoticOrbitError):
-        logistic_chain(cfg, 2)
+        logistic_chain(0.5, 2)
 
 
 @pytest.mark.parametrize("bad", [0.0, 0.25, 0.5, 0.75, 1.0, -0.1, 1.1])
 def test_degenerate_seeds_rejected(bad):
     with pytest.raises(ChaoticOrbitError):
-        ChaosInitConfig(n=5, x0=bad)
+        logistic_chain(bad, 1)
 
 
 def test_chain_stays_inside_unit_interval():
-    chain = logistic_chain(ChaosInitConfig(n=5, x0=0.3), 10000)
+    chain = logistic_chain(0.3, 10000)
     assert np.all(chain > 0.0) and np.all(chain < 1.0)
 
 
 def test_chain_matches_arcsine_distribution():
     # For alpha=4 the invariant density is Beta(1/2, 1/2); KS distance < 0.02.
-    chain = logistic_chain(ChaosInitConfig(n=5, x0=0.3), 100000)
+    chain = logistic_chain(0.3, 100000)
     xs = np.sort(chain)
     cdf = 2.0 / math.pi * np.arcsin(np.sqrt(xs))
     n = xs.size
@@ -107,13 +101,7 @@ def test_chain_matches_arcsine_distribution():
 
 def test_chain_config_validation():
     with pytest.raises(ValueError):
-        ChaosInitConfig(n=4, x0=0.3)
-    with pytest.raises(ValueError):
-        ChaosInitConfig(n=5, alpha=4.5, x0=0.3)
-    with pytest.raises(ValueError):
-        logistic_chain(ChaosInitConfig(n=5, x0=0.3), -1)
-    with pytest.raises(ValueError):
-        logistic_chain(ChaosInitConfig(n=5), 3)  # x0 required here
+        logistic_chain(0.3, -1)
 
 
 # -------------------------------------------------------- population mapping
@@ -121,7 +109,7 @@ def test_chain_config_validation():
 def test_first_position_maps_chain_value():
     # D=1 on [-100, 100]: seed 0.3 gives chain value 0.84 -> -100 + 200*0.84.
     bounds = Bounds.cube(-100.0, 100.0, 1)
-    pos = init_population(ChaosInitConfig(n=5, x0=0.3), bounds, RngStream(0))
+    pos = init_population(5, bounds, ScriptedRng(uniforms=[0.3]))
     assert pos[0, 0] == pytest.approx(68.0, abs=1e-12)
 
 
@@ -134,25 +122,24 @@ def test_lower_edge_identity_of_the_mapping():
 
 def test_population_shape_and_range():
     bounds = Bounds.cube(-100.0, 100.0, 10)
-    pos = init_population(ChaosInitConfig(n=30, x0=0.3), bounds, RngStream(1))
+    pos = init_population(30, bounds, RngStream(1))
     assert pos.shape == (30, 10)
     assert np.all(pos >= -100.0) and np.all(pos <= 100.0)
 
 
 def test_population_fills_row_major_from_one_chain():
     bounds = Bounds.cube(-5.0, 5.0, 4)
-    cfg = ChaosInitConfig(n=6, x0=0.3)
-    pos = init_population(cfg, bounds, RngStream(2))
-    chain = logistic_chain(cfg, 24)
+    pos = init_population(6, bounds, RngStream(2))
+    chain = logistic_chain(draw_chaos_seed(RngStream(2)), 24)
     expect = -5.0 + 10.0 * chain.reshape(6, 4)
     assert np.array_equal(pos, expect)
 
 
 def test_population_draws_seed_when_unset():
     bounds = Bounds.cube(-1.0, 1.0, 2)
-    a = init_population(ChaosInitConfig(n=5), bounds, RngStream(7))
-    b = init_population(ChaosInitConfig(n=5), bounds, RngStream(7))
-    c = init_population(ChaosInitConfig(n=5), bounds, RngStream(8))
+    a = init_population(5, bounds, RngStream(7))
+    b = init_population(5, bounds, RngStream(7))
+    c = init_population(5, bounds, RngStream(8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -178,16 +165,15 @@ def test_stream_rejects_negative_seed():
         RngStream(-1)
 
 
-def test_choice_distinct_contract():
+def test_distinct_pair_contract():
     rng = RngStream(11)
     for n in (3, 5, 30):
         for _ in range(50):
-            pair = rng.choice_distinct(n, 2)
-            assert pair.shape == (2,)
-            assert pair[0] != pair[1]
-            assert 0 <= pair.min() and pair.max() < n
+            i, j = rng.distinct_pair(n)
+            assert i != j
+            assert 0 <= min(i, j) and max(i, j) < n
     with pytest.raises(ValueError):
-        rng.choice_distinct(1, 2)
+        rng.distinct_pair(1)
 
 
 # ------------------------------------------------------------- levy sampling
@@ -218,8 +204,6 @@ def test_mantegna_sigma_beta_two_formula_limit():
     assert mantegna_sigma(2.0) == pytest.approx(9.884972298779197e-09, rel=1e-9)
     sigma = mantegna_sigma(2.0)
     u_raw, v_raw = 0.7, -1.3
-    from support import ScriptedRng
-
     s = levy_sample(1, ScriptedRng(normals=[u_raw, v_raw]), beta=2.0)
     assert s[0] == pytest.approx(u_raw * sigma / abs(v_raw) ** 0.5, rel=1e-12)
 

@@ -12,11 +12,12 @@ from support import CountingEvaluator, ScriptedRng, levy_script
 
 import ieco_mco.stages as st
 from ieco_mco.covariance import EliteArchive
-from ieco_mco.rng import (Bounds, BudgetExhaustedError, ChaosInitConfig, RngStream,
-                          init_population, levy_sample, mantegna_sigma)
+from ieco_mco.rng import (Bounds, BudgetExhaustedError, RngStream, levy_sample,
+                          logistic_chain, mantegna_sigma)
 from ieco_mco.stages import (
     _SCHOOL_RULES,
     _STUDENT_RULES,
+    TALENT_THRESHOLD,
     AlgorithmParams,
     Population,
     Stage,
@@ -40,9 +41,8 @@ from ieco_mco.stages import (
 WIDE = Bounds.cube(-1e9, 1e9, 1)
 
 
-def ctx_with(stage=Stage.PRIMARY, fes=0, fes_max=1000, omega_val=0.0, p=0.0, th=0.5):
-    return StageContext(stage=stage, fes=fes, fes_max=fes_max,
-                        omega=omega_val, p=p, th=th)
+def ctx_with(stage=Stage.PRIMARY, fes=0, fes_max=1000, omega_val=0.0, p=0.0):
+    return StageContext(stage=stage, fes=fes, fes_max=fes_max, omega=omega_val, p=p)
 
 
 # ---------------------------------------------------------------- scheduling
@@ -101,13 +101,13 @@ def test_school_count_round_half_up_and_floor_one():
 
 def test_algorithm_params_defaults_per_variant():
     eco = AlgorithmParams.for_variant(Variant.ECO)
-    assert (eco.h, eco.g1, eco.g2) == (0.5, 0.2, 0.1)
+    assert (eco.g1, eco.g2) == (0.2, 0.1)
     assert not eco.uses_archive()
     imp = AlgorithmParams.for_variant("ieco-mco")
-    assert (imp.h, imp.g1, imp.g2) == (0.5, 0.4, 0.5)
+    assert (imp.g1, imp.g2) == (0.4, 0.5)
     assert imp.uses_archive()
-    assert imp.archive_capacity(10) == 200
-    assert AlgorithmParams(s=33).archive_capacity(10) == 33
+    assert imp.archive_capacity(10) == eco.archive_capacity(10) == 200
+    assert TALENT_THRESHOLD == 0.5
     assert imp.school_fraction(Stage.PRIMARY) == 0.4
     assert imp.school_fraction(Stage.MIDDLE) == 0.5
     assert imp.school_fraction(Stage.HIGH) == 0.5
@@ -116,13 +116,9 @@ def test_algorithm_params_defaults_per_variant():
 
 def test_algorithm_params_validation():
     with pytest.raises(ValueError):
-        AlgorithmParams(h=0.0)
-    with pytest.raises(ValueError):
         AlgorithmParams(g1=1.0)
     with pytest.raises(ValueError):
         AlgorithmParams(g2=-0.2)
-    with pytest.raises(ValueError):
-        AlgorithmParams(s=0)
 
 
 def test_variant_labels_parse_case_insensitively():
@@ -137,10 +133,10 @@ def test_variant_labels_parse_case_insensitively():
 
 
 def test_context_draw_uses_one_normal_and_scales_p():
-    ctx = StageContext.draw(Stage.MIDDLE, 0, 1000, 0.5, ScriptedRng(normals=[0.25]))
+    ctx = StageContext.draw(Stage.MIDDLE, 0, 1000, ScriptedRng(normals=[0.25]))
     assert ctx.p == pytest.approx(1.0, abs=1e-15)
     assert ctx.omega == pytest.approx(0.1 * math.log(2.0), abs=1e-15)
-    ctx_end = StageContext.draw(Stage.MIDDLE, 1000, 1000, 0.5, ScriptedRng(normals=[3.7]))
+    ctx_end = StageContext.draw(Stage.MIDDLE, 1000, 1000, ScriptedRng(normals=[3.7]))
     assert ctx_end.p == 0.0
     assert ctx_end.progress() == 1.0
 
@@ -232,7 +228,7 @@ def test_middle_school_fixed_point_and_endpoint():
 
 def test_middle_student_hand_example():
     # D=1, X=2, close=1, w=0.05, P=1, E=1 -> 2 - 0.05 - (0.05 - 2) = 3.90
-    ctx = ctx_with(stage=Stage.MIDDLE, omega_val=0.05, p=1.0, th=0.5)
+    ctx = ctx_with(stage=Stage.MIDDLE, omega_val=0.05, p=1.0)
     out = middle_student_update(col(2.0), col(1.0), ctx,
                                 ScriptedRng(uniforms=[0.3]))  # R_m <= Th -> E=1
     assert out[0, 0] == pytest.approx(3.90, abs=1e-12)
@@ -287,7 +283,7 @@ def test_high_student_fixed_points():
 def test_updates_are_translation_equivariant():
     # Identical scripted draws on inputs translated by t -> outputs + t.
     t = 512.0
-    ctx = ctx_with(omega_val=0.05, p=0.8, th=0.5, fes=500)
+    ctx = ctx_with(omega_val=0.05, p=0.8, fes=500)
     cases = []
     for shift in (0.0, t):
         rng = ScriptedRng(normals=levy_script([1.2]))
@@ -322,7 +318,7 @@ def ref_levy(d, rng, beta=1.5):
 
 
 def ref_gain(ctx, draw):
-    if draw <= ctx.th:
+    if draw <= 0.5:
         return 1.0
     p = ctx.p if abs(ctx.p) >= 1e-12 else math.copysign(1e-12, ctx.p or 1.0)
     return (math.pi / p) * ctx.progress()
@@ -383,7 +379,7 @@ def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
     X = src.uniform(-5.0, 5.0, size=(K, D))
     per_row = [src.uniform(-5.0, 5.0, size=(K, D)) for _ in range(n_rows)]
     shared = [src.uniform(-5.0, 5.0, size=D) for _ in range(n_shared)]
-    ctx = ctx_with(omega_val=0.05, p=p, th=0.5, fes=400)
+    ctx = ctx_with(omega_val=0.05, p=p, fes=400)
     block = rule(X, *per_row, *shared, ctx, RngStream(17))
     assert block.shape == (K, D)
     rng = RngStream(17)
@@ -441,10 +437,15 @@ def test_population_sort_is_stable_and_stats_correct():
 
 # ---------------------------------------------------------------------- step
 
-def make_pop(evaluator, bounds, n, seed, x0=0.3):
+def chain_population(n, bounds, x0=0.3):
+    """The chaotic population of ``n`` agents from the logistic seed ``x0``."""
+    chain = logistic_chain(x0, n * bounds.dimension)
+    return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
+
+
+def make_pop(evaluator, bounds, n, seed):
     rng = RngStream(seed)
-    pos = init_population(ChaosInitConfig(n=n, x0=x0), bounds, rng)
-    fit, obj, feas, pos = evaluator.evaluate(pos)
+    fit, obj, feas, pos = evaluator.evaluate(chain_population(n, bounds))
     return Population(pos, fit, obj, feas), rng
 
 
@@ -461,7 +462,7 @@ def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
     archive = EliteArchive(params.archive_capacity(dim)) if params.uses_archive() else None
     snaps = []
     for it in range(1, iters + 1):
-        ctx = StageContext.draw(stage_of(it), ev.used, fes_max, params.h, rng)
+        ctx = StageContext.draw(stage_of(it), ev.used, fes_max, rng)
         pop = step(pop, params, ctx, archive, rng, ev, bounds)
         snaps.append(pop.positions.copy())
     return pop, ev, snaps
@@ -483,7 +484,7 @@ def test_step_best_fitness_is_monotone():
         archive = EliteArchive(params.archive_capacity(3)) if params.uses_archive() else None
         best = pop.fitness[0]
         for it in range(1, 16):
-            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, params.h, rng)
+            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
             pop = step(pop, params, ctx, archive, rng, ev, bounds)
             assert pop.fitness[0] <= best
             best = pop.fitness[0]
@@ -496,7 +497,7 @@ def test_step_consumes_n_evaluations_per_iteration():
     pop, rng = make_pop(ev, bounds, 6, seed=3)
     params = AlgorithmParams.for_variant(Variant.ECO)
     for it in range(1, 4):
-        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, params.h, rng)
+        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
         pop = step(pop, params, ctx, None, rng, ev, bounds)
     assert ev.used == 24
 
@@ -506,8 +507,7 @@ def test_step_refuses_to_start_without_budget():
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 6, seed=3)
     params = AlgorithmParams.for_variant(Variant.ECO)
-    ctx = StageContext(stage=Stage.PRIMARY, fes=24, fes_max=24,
-                       omega=0.0, p=0.0, th=0.5)
+    ctx = StageContext(stage=Stage.PRIMARY, fes=24, fes_max=24, omega=0.0, p=0.0)
     with pytest.raises(BudgetExhaustedError):
         step(pop, params, ctx, None, rng, ev, bounds)
 
@@ -534,12 +534,10 @@ def test_step_translation_equivariance_single_iteration():
             bounds = Bounds.cube(-100.0 + shift, 100.0 + shift, dim)
             ev = CountingEvaluator(lambda X, s=shift: ((X - s) ** 2).sum(axis=1))
             rng = RngStream(41)
-            pos = init_population(ChaosInitConfig(n=n, x0=0.3), bounds, rng)
-            fit, obj, feas, pos = ev.evaluate(pos)
+            fit, obj, feas, pos = ev.evaluate(chain_population(n, bounds))
             pop = Population(pos, fit, obj, feas)
             params = AlgorithmParams.for_variant(Variant.ECO)
-            ctx = StageContext.draw(stage_of(first_stage), ev.used, 10 ** 6,
-                                    params.h, rng)
+            ctx = StageContext.draw(stage_of(first_stage), ev.used, 10 ** 6, rng)
             pop = step(pop, params, ctx, None, rng, ev, bounds)
             out.append(pop.positions)
         assert np.allclose(out[1] - out[0], t, atol=1e-8)
@@ -553,7 +551,7 @@ def test_step_fills_archive_for_improved_variants():
     archive = EliteArchive(params.archive_capacity(2))
     pushed = 0
     for it in range(1, 10):
-        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, params.h, rng)
+        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
         pop = step(pop, params, ctx, archive, rng, ev, bounds)
         pushed += school_count(params.school_fraction(ctx.stage), pop.size)
         assert len(archive) == min(pushed, params.archive_capacity(2))
@@ -573,7 +571,7 @@ def test_step_clamps_every_proposal_into_the_box():
         archive = (EliteArchive(params.archive_capacity(2))
                    if params.uses_archive() else None)
         for it in range(1, 16):
-            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, params.h, rng)
+            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
             pop = step(pop, params, ctx, archive, rng, ev, bounds)
         proposals = np.concatenate(seen[1:])
         assert np.all((proposals >= -1.0) & (proposals <= 1.0)), variant
