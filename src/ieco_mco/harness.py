@@ -9,10 +9,11 @@ isolation and identical whether executed serially or in a process pool.
 
 Persisted layout under an output directory:
 
-- ``results.csv``: algorithm, problem, D, run, seed, best_fitness,
-  evaluations_used, wall_time
-- ``solutions.csv``: best objective/violation/feasibility and position per run
-- ``traces/<algorithm>__<problem>__r<run>.txt``: ``fes best_so_far`` lines
+- ``results.csv``: one row per run, one column per :class:`RunRecord` field
+  except ``trace``, named as the field and in field order (``wall_time``
+  last)
+- ``traces.csv``: one row per run: algorithm, problem, run, then the trace's
+  n evaluation counts, then its n best-so-far values
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -55,7 +56,7 @@ from .stages import (
     step,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION = 30
 DEFAULT_FES_MULT = 3000
@@ -66,7 +67,7 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A persisted cell's solutions row or trace file is missing."""
+    """A persisted cell's traces row is missing or a value does not parse."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -206,18 +207,10 @@ class RunRecord:
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
             return NotImplemented
-        return (self.algorithm == other.algorithm
-                and self.problem == other.problem
-                and self.dimension == other.dimension
-                and self.run == other.run
-                and self.seed == other.seed
-                and np.array_equal(self.best_position, other.best_position)
-                and self.best_fitness == other.best_fitness
-                and self.best_objective == other.best_objective
-                and self.best_violation == other.best_violation
-                and self.feasible == other.feasible
-                and self.trace == other.trace
-                and self.evaluations_used == other.evaluations_used)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   if f.type == "np.ndarray"
+                   else getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self) if f.name != "wall_time")
 
     __hash__ = None
 
@@ -428,63 +421,88 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
 
 # ------------------------------------------------------------- persistence
 
-def _cell_filename(algorithm: str, problem: str, run: int) -> str:
-    return "%s__%s__r%03d.txt" % (algorithm, problem, run)
+# How a value of each RunRecord field type is written to and read from one
+# CSV field: floats as repr, so they read back bit for bit.
+_CODECS = {
+    "str": (str, str),
+    "int": (int, int),
+    "float": (lambda v: repr(float(v)), float),
+    "bool": (int, lambda text: bool(int(text))),
+    "np.ndarray": (lambda v: " ".join(repr(float(x)) for x in v),
+                   lambda text: np.array([float(x) for x in text.split()])),
+}
+_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(RunRecord)
+            if f.name != "trace"]
+_RESULTS_HEADER = [name for name, _, _ in _COLUMNS]
+_TRACES_HEADER = ["algorithm", "problem", "run", "fes...", "best..."]
+
+
+def _write_rows(path: Path, header: List[str], rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path."""
     out = Path(out_dir)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-
-    keys = sorted(results.records)
-    with open(out / "results.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "problem", "D", "run", "seed",
-                    "best_fitness", "evaluations_used", "wall_time"])
-        for key in keys:
-            r = results.records[key]
-            w.writerow([r.algorithm, r.problem, r.dimension, r.run, r.seed,
-                        repr(r.best_fitness), r.evaluations_used,
-                        repr(r.wall_time)])
-
-    with open(out / "solutions.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "problem", "run", "best_objective",
-                    "best_violation", "feasible", "best_position"])
-        for key in keys:
-            r = results.records[key]
-            w.writerow([r.algorithm, r.problem, r.run, repr(r.best_objective),
-                        repr(r.best_violation), int(r.feasible),
-                        " ".join(repr(float(v)) for v in r.best_position)])
-
-    for key in keys:
-        r = results.records[key]
-        path = out / "traces" / _cell_filename(*key)
-        with open(path, "w") as fh:
-            for fes, best in r.trace:
-                fh.write("%d %s\n" % (fes, repr(best)))
-
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "problem", "best", "mean", "std"])
-        for row in results.summary():
-            w.writerow([row["algorithm"], row["problem"], repr(row["best"]),
-                        repr(row["mean"]), repr(row["std"])])
+    out.mkdir(parents=True, exist_ok=True)
+    records = [results.records[key] for key in sorted(results.records)]
+    _write_rows(out / "results.csv", _RESULTS_HEADER,
+                ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
+                 for r in records))
+    _write_rows(out / "traces.csv", _TRACES_HEADER,
+                ([r.algorithm, r.problem, r.run, *[fes for fes, _ in r.trace],
+                  *[best for _, best in r.trace]] for r in records))
+    _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
+                ([row["algorithm"], row["problem"], repr(row["best"]),
+                  repr(row["mean"]), repr(row["std"])]
+                 for row in results.summary()))
 
     meta = dict(results.metadata)
-    meta.setdefault("schema_version", SCHEMA_VERSION)
+    meta["schema_version"] = SCHEMA_VERSION
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
 
 
+def _read_rows(path: Path, header: List[str], parse):
+    """Yield ``parse(row)`` for each row of a CSV file written by persist.
+
+    A wrong header or a row that does not parse raises
+    :class:`BrokenResultsError` naming the file, the line and the cell.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise BrokenResultsError("%s line 1: expected the header %s"
+                                     % (path, ",".join(header)))
+        for row in reader:
+            try:
+                parsed = parse(row)
+            except ValueError as exc:
+                named = dict(zip(header, row))
+                cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
+                raise BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
+                                         % (path, reader.line_num, *cell, exc)) from None
+            yield parsed
+
+
+def _parse_trace(row):
+    algorithm, problem, run, *values = row
+    half = len(values) // 2
+    return ((algorithm, problem, int(run)),
+            list(zip(map(int, values[:half]), map(float, values[half:]),
+                     strict=True)))
+
+
 def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
     Raises :class:`BrokenResultsError`, naming the file and the cell, when a
-    row of ``results.csv`` has no solutions row or no trace file.
+    row of ``results.csv`` has no traces row or a value does not parse.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -495,44 +513,18 @@ def load(out_dir) -> ResultSet:
             "results were written with schema %r; this build reads %d"
             % (version, SCHEMA_VERSION))
 
-    solutions = {}
-    with open(out / "solutions.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["algorithm"], row["problem"], int(row["run"]))
-            solutions[key] = row
+    traces = dict(_read_rows(out / "traces.csv", _TRACES_HEADER, _parse_trace))
 
-    records: Dict[Tuple[str, str, int], RunRecord] = {}
-    with open(out / "results.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["algorithm"], row["problem"], int(row["run"]))
-            cell = "cell (%s, %s, run %d)" % key
-            sol = solutions.get(key)
-            if sol is None:
-                raise BrokenResultsError("%s has no row for %s"
-                                         % (out / "solutions.csv", cell))
-            path = out / "traces" / _cell_filename(*key)
-            trace = []
-            try:
-                with open(path) as tfh:
-                    for line in tfh:
-                        fes_s, best_s = line.split()
-                        trace.append((int(fes_s), float(best_s)))
-            except FileNotFoundError:
-                raise BrokenResultsError("trace file %s of %s is missing"
-                                         % (path, cell)) from None
-            records[key] = RunRecord(
-                algorithm=key[0], problem=key[1], dimension=int(row["D"]),
-                run=key[2], seed=int(row["seed"]),
-                best_position=np.array([float(v) for v in
-                                        sol["best_position"].split()]),
-                best_fitness=float(row["best_fitness"]),
-                best_objective=float(sol["best_objective"]),
-                best_violation=float(sol["best_violation"]),
-                feasible=bool(int(sol["feasible"])),
-                trace=trace,
-                evaluations_used=int(row["evaluations_used"]),
-                wall_time=float(row["wall_time"]),
-            )
+    def parse_result(row):
+        values = {name: decode(text)
+                  for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
+        key = (values["algorithm"], values["problem"], values["run"])
+        if key not in traces:
+            raise BrokenResultsError("%s has no row for cell (%s, %s, run %d)"
+                                     % (out / "traces.csv", *key))
+        return key, RunRecord(trace=traces[key], **values)
+
+    records = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
     return ResultSet(records, metadata)
 
 

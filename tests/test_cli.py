@@ -155,9 +155,8 @@ def _strip_volatile(out_dir):
     results = [r.rsplit(",", 1)[0] for r in rows]
     meta = json.loads((out_dir / "meta.json").read_text())
     meta.pop("created_at")
-    traces = {p.name: p.read_bytes() for p in sorted((out_dir / "traces").iterdir())}
-    return (results, (out_dir / "solutions.csv").read_bytes(),
-            (out_dir / "summary.csv").read_bytes(), meta, traces)
+    return (results, (out_dir / "traces.csv").read_bytes(),
+            (out_dir / "summary.csv").read_bytes(), meta)
 
 
 def test_run_twice_with_config_produces_identical_outputs(tmp_path, capsys):
@@ -294,20 +293,24 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("lost", ["solutions row", "trace file"])
-def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, lost):
+@pytest.mark.parametrize("broken", ["traces row", "trace value",
+                                    "position value"])
+def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
     out = _synthetic_results(tmp_path, tie=True)
-    if lost == "solutions row":
-        broken = out / "solutions.csv"
-        rows = broken.read_text().splitlines()
-        broken.write_text("\n".join(rows[:-1]) + "\n")
+    path = out / ("results.csv" if broken == "position value" else "traces.csv")
+    rows = path.read_text().splitlines()
+    if broken == "traces row":
+        rows.pop()
+        where = str(path)
     else:
-        broken = out / "traces" / "beta__p3__r002.txt"
-        broken.unlink()
+        rows[-1] = (rows[-1] + ",120" if broken == "trace value"
+                    else rows[-1].replace("0.0 0.0", "0.0 nan-ish"))
+        where = "%s line %d" % (path, len(rows))
+    path.write_text("\n".join(rows) + "\n")
     capsys.readouterr()
     assert run_cli("compare", "--results", str(out)) == 1
     err = capsys.readouterr().err
-    assert str(broken) in err
+    assert where in err
     assert "cell (beta, p3, run 2)" in err
 
 

@@ -7,8 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ieco_mco import harness
+from ieco_mco import cli, harness
 from ieco_mco.harness import (
+    SCHEMA_VERSION,
     BrokenResultsError,
     Evaluator,
     ResultSet,
@@ -182,7 +183,7 @@ def test_worst_constraint_of_minus_zero_reads_as_plus_zero(tmp_path):
     rec = run_single(cfg, spec)
     assert rec.feasible and repr(rec.best_violation) == "0.0"
     persist(ResultSet({("ECO", spec.name, 0): rec}), tmp_path)
-    with open(tmp_path / "solutions.csv", newline="") as fh:
+    with open(tmp_path / "results.csv", newline="") as fh:
         assert next(csv.DictReader(fh))["best_violation"] == "0.0"
     assert repr(load(tmp_path).records[("ECO", spec.name, 0)].best_violation) == "0.0"
 
@@ -394,43 +395,93 @@ def test_persist_load_round_trip_constrained(tmp_path):
 
 
 def test_empty_result_set_round_trips(tmp_path):
-    rs = ResultSet({}, {"schema_version": 1})
+    rs = ResultSet({}, {"schema_version": SCHEMA_VERSION})
     persist(rs, tmp_path / "out")
     back = load(tmp_path / "out")
     assert back == rs
     assert len(back) == 0
 
 
-def test_load_rejects_schema_mismatch(tmp_path):
+def test_persist_labels_what_it_writes_with_the_current_schema(tmp_path):
     rs = _tiny_batch()
-    out = persist(rs, tmp_path / "out")
+    rs.metadata["schema_version"] = 1
+    back = load(persist(rs, tmp_path / "out"))
+    assert back.records == rs.records
+    assert back.metadata["schema_version"] == SCHEMA_VERSION
+
+
+def _schema_999_directory(out):
+    persist(_tiny_batch(), out)
     meta = json.loads((out / "meta.json").read_text())
     meta["schema_version"] = 999
     (out / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(SchemaMismatchError):
+    return out
+
+
+def _schema_1_directory(out):
+    """One run as schema 1 laid it out: solutions.csv and traces/."""
+    (out / "traces").mkdir(parents=True)
+    (out / "meta.json").write_text(json.dumps(
+        {"schema_version": 1, "algorithms": ["ECO"], "problems": ["f01"],
+         "runs": 1}))
+    (out / "results.csv").write_text(
+        "algorithm,problem,D,run,seed,best_fitness,evaluations_used,wall_time\n"
+        "ECO,f01,2,0,7,0.5,12,0.01\n")
+    (out / "solutions.csv").write_text(
+        "algorithm,problem,run,best_objective,best_violation,feasible,"
+        "best_position\nECO,f01,0,0.5,0.0,1,0.5 0.5\n")
+    (out / "summary.csv").write_text(
+        "algorithm,problem,best,mean,std\nECO,f01,0.5,0.5,0.0\n")
+    (out / "traces" / "ECO__f01__r000.txt").write_text("6 1.5\n12 0.5\n")
+    return out
+
+
+@pytest.mark.parametrize("make", [_schema_999_directory, _schema_1_directory])
+def test_load_rejects_schema_mismatch(tmp_path, capsys, make):
+    out = make(tmp_path / "out")
+    version = json.loads((out / "meta.json").read_text())["schema_version"]
+    message = "schema %d; this build reads %d" % (version, SCHEMA_VERSION)
+    with pytest.raises(SchemaMismatchError, match=message):
         load(out)
+    assert cli.main(["compare", "--results", str(out)]) == 2
+    assert message in capsys.readouterr().err
 
 
-def _drop_last_solution(out):
-    rows = (out / "solutions.csv").read_text().splitlines()
-    (out / "solutions.csv").write_text("\n".join(rows[:-1]) + "\n")
-    return out / "solutions.csv"
+def _rewrite_last_row(path, change):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    change(rows[0], rows[-1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return "%s line %d" % (path, len(rows))
 
 
 def _drop_last_trace(out):
-    trace = sorted((out / "traces").iterdir())[-1]
-    trace.unlink()
-    return trace
+    rows = (out / "traces.csv").read_text().splitlines()
+    (out / "traces.csv").write_text("\n".join(rows[:-1]) + "\n")
+    return str(out / "traces.csv")
 
 
-@pytest.mark.parametrize("corrupt", [_drop_last_solution, _drop_last_trace])
+def _add_a_trace_value(out):
+    return _rewrite_last_row(out / "traces.csv",
+                             lambda header, row: row.append("120"))
+
+
+def _bad_position(out):
+    def change(header, row):
+        row[header.index("best_position")] = "nan-ish 1.0"
+    return _rewrite_last_row(out / "results.csv", change)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_trace, _add_a_trace_value,
+                                     _bad_position])
 def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
     broken = corrupt(out)
     with pytest.raises(BrokenResultsError) as err:
         load(out)
-    assert str(broken) in str(err.value)
+    assert broken in str(err.value)
     assert "cell (IECO-MCO, f02-rosenbrock-d5, run 2)" in str(err.value)
 
 
@@ -454,10 +505,10 @@ def test_persisted_bytes_are_reproducible(tmp_path):
     assert [r.rsplit(",", 1)[0] for r in rows_a] == \
            [r.rsplit(",", 1)[0] for r in rows_b]
 
-    assert (a / "solutions.csv").read_bytes() == (b / "solutions.csv").read_bytes()
+    assert (a / "traces.csv").read_bytes() == (b / "traces.csv").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-    for trace in sorted((a / "traces").iterdir()):
-        assert trace.read_bytes() == (b / "traces" / trace.name).read_bytes()
+    assert sorted(p.name for p in a.iterdir()) == [
+        "meta.json", "results.csv", "summary.csv", "traces.csv"]
 
     # metadata differs only in the timestamp
     meta_a = json.loads((a / "meta.json").read_text())

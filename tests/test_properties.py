@@ -18,16 +18,24 @@ Resampling reads its trials ahead in blocks; on problems whose block and
 point readings agree, the Evaluator must give what the one-draw-at-a-time
 rule in ``support.sequential_evaluate`` gives, and leave the RNG stream
 where that rule leaves it.
+
+Persisting a result set and loading it back gives equal records, whatever
+the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
+best), however long the traces (up to 20,000 points, past the csv module's
+131,072-character field limit had a trace been one field) and whatever
+commas and quotes the labels hold.
 """
 
 import functools
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ieco_mco import harness
-from ieco_mco.harness import Evaluator
+from ieco_mco.harness import Evaluator, ResultSet, RunRecord, load, persist
 from ieco_mco.problems import (
     ENGINEERING_NAMES,
     INFEASIBLE_BASE,
@@ -191,3 +199,62 @@ def test_block_resampling_keeps_a_buffered_half():
     X = bounds.lower + bounds.span * RngStream(6).uniform(size=(6, bounds.dimension))
     _assert_block_equals_sequential(RARELY_FEASIBLE, X, PenaltyPolicy(),
                                     6 + 300, 5, "integers")
+
+
+# ---------------------------------------------------------- persist and load
+
+_edge_floats = st.sampled_from([float("inf"), float("-inf"), -0.0, 5e-324,
+                                2.2250738585072014e-308, INFEASIBLE_BASE + 0.375])
+_floats = st.one_of(_edge_floats, st.floats(allow_nan=False))
+_labels = st.one_of(st.sampled_from(["f01", 'rw,03 "bar"', '"', ","]),
+                    st.text(alphabet='ab,"\' ;', min_size=1, max_size=6))
+
+
+@st.composite
+def run_records(draw, algorithm, problem, run):
+    points = draw(st.one_of(st.integers(1, 40), st.integers(10_000, 20_000)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fes = np.cumsum(gen.integers(1, 10 ** 6, points)).tolist()
+    edges = draw(st.lists(_floats, max_size=min(points, 4)))
+    best = edges + gen.uniform(-1e6, 1e6, points - len(edges)).tolist()
+    return RunRecord(
+        algorithm=algorithm, problem=problem,
+        dimension=draw(st.integers(0, 6)), run=run,
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        best_position=np.array(draw(st.lists(_floats, max_size=6))),
+        best_fitness=draw(_floats), best_objective=draw(_floats),
+        best_violation=draw(_floats), feasible=draw(st.booleans()),
+        trace=list(zip(fes, best)),
+        evaluations_used=draw(st.integers(0, 2 ** 63 - 1)),
+        wall_time=draw(st.floats(0.0, 1e4)))
+
+
+@st.composite
+def result_sets(draw):
+    cells = draw(st.lists(st.tuples(_labels, _labels, st.integers(0, 3)),
+                          min_size=1, max_size=4, unique=True))
+    return ResultSet({cell: draw(run_records(*cell)) for cell in cells},
+                     {"schema_version": harness.SCHEMA_VERSION,
+                      "algorithms": sorted({a for a, _, _ in cells})})
+
+
+def _without_wall_time(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(result_sets())
+def test_persist_then_load_gives_equal_records(rs):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = persist(rs, Path(tmp) / "first")
+        back = load(first)
+        assert back == rs
+        for key, rec in rs.records.items():
+            assert repr(back.records[key].best_fitness) == repr(rec.best_fitness)
+            assert back.records[key].best_position.tobytes() == rec.best_position.tobytes()
+        for rec in back.records.values():
+            rec.wall_time += 1.0
+        again = persist(back, Path(tmp) / "again")
+        assert (again / "traces.csv").read_bytes() == (first / "traces.csv").read_bytes()
+        assert _without_wall_time(again / "results.csv") == \
+            _without_wall_time(first / "results.csv")
