@@ -19,12 +19,12 @@ from .harness import (
     run_batch,
     run_single,
 )
-from .stages import AlgorithmParams, Population, Variant
+from .stages import Population, Variant
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmParams", "Evaluator", "Population", "ResultSet", "RunConfig",
+    "Evaluator", "Population", "ResultSet", "RunConfig",
     "RunRecord", "Variant", "covariance", "derive_seed", "export_trace",
     "harness", "load", "persist", "problems", "rng", "run_batch",
     "run_single", "stages", "stats",

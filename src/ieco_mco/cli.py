@@ -235,12 +235,14 @@ def cmd_export_trace(args) -> int:
     problem = args.problem or _env("PROBLEM")
     if not problem:
         raise UsageError("no problem given; use --problem")
-    matches = [p for p in results.problems
-               if p == problem or p.split("-")[0] == problem]
-    if not matches:
-        raise UsageError("unknown problem %r; persisted problems: %s"
-                         % (problem, ", ".join(results.problems)))
-    problem = matches[0]
+    if problem not in results.problems:
+        # Resolve as make_problem does: by the leading token, whatever its case.
+        head = problem.strip().lower().split("-")[0]
+        matches = [p for p in results.problems if p.split("-")[0] == head]
+        if not matches:
+            raise UsageError("unknown problem %r; persisted problems: %s"
+                             % (problem, ", ".join(results.problems)))
+        problem = matches[0]
     algorithms = (_csv_list(args.algorithms) if args.algorithms
                   else results.algorithms)
     for a in algorithms:

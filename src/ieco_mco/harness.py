@@ -38,7 +38,7 @@ import numpy as np
 
 from . import covariance as cov
 from .problems import (
-    PenaltyPolicy,
+    VIOLATION_TOL,
     TrialStream,
     constrained_evaluate,
     make_problem,
@@ -48,7 +48,7 @@ from .problems import (
 from .problems.core import ProblemSpec
 from .rng import BudgetExhaustedError, RngStream, init_population
 from .stages import (
-    AlgorithmParams,
+    ARCHIVE_ROWS_PER_DIM,
     Population,
     StageContext,
     Variant,
@@ -126,8 +126,8 @@ class Evaluator:
     ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
     returns (fitness, objective, feasible, positions). Infeasible rows are
     then resampled inside the box, in row order, so their positions may
-    differ from the input. Resampling draws come from the run's single RNG
-    stream, after the iteration's update draws.
+    differ from the input. Resampling draws come from ``rng``, the run's
+    single stream, after the iteration's update draws.
 
     The infeasible rows share one :class:`TrialStream`, which reads trials
     ahead in blocks (one ``spec.batch`` per block) and consumes only the
@@ -139,12 +139,9 @@ class Evaluator:
     the block size.
     """
 
-    def __init__(self, spec: ProblemSpec, fes_max: int,
-                 policy: Optional[PenaltyPolicy] = None,
-                 rng: Optional[RngStream] = None):
+    def __init__(self, spec: ProblemSpec, fes_max: int, rng: RngStream):
         self.spec = spec
         self.fes_max = int(fes_max)
-        self.policy = policy if policy is not None else PenaltyPolicy()
         self.rng = rng
         self.used = 0
 
@@ -161,19 +158,16 @@ class Evaluator:
                 % (n, self.used, self.fes_max))
         objective, violation = self.spec.batch(X)
         self.used += n
-        feasible = violation <= self.policy.violation_tolerance
+        feasible = violation <= VIOLATION_TOL
         fitness = penalized_fitness(objective, violation, feasible)
         infeasible = np.flatnonzero(~feasible)
         if infeasible.size == 0:
             return fitness, objective, feasible, X
-        if self.rng is None:
-            raise ValueError("resampling infeasible candidates needs an RNG stream")
         positions = X.copy()
-        stream = TrialStream(self.spec, self.rng, self.policy,
-                             rows=infeasible.size, budget=self.remaining)
+        stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
+                             budget=self.remaining)
         for i in infeasible:
-            out = constrained_evaluate(X[i], objective[i], violation[i],
-                                       self.policy, stream)
+            out = constrained_evaluate(X[i], objective[i], violation[i], stream)
             self.used += out.evaluations - 1
             fitness[i] = out.fitness
             objective[i] = out.objective
@@ -301,17 +295,16 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         cfg.problem, cfg.dimension, cfg.instance_seed)
     dim = spec.dimension
     fes_max = cfg.resolved_fes_max(dim)
-    params = AlgorithmParams.for_variant(cfg.algorithm)
+    variant = Variant.from_label(cfg.algorithm)
     rng = RngStream(cfg.seed)
-    ev = Evaluator(spec, fes_max, rng=rng)
+    ev = Evaluator(spec, fes_max, rng)
 
     X0 = init_population(cfg.n, spec.bounds, rng)
     fit, obj, feas, X0 = ev.evaluate(X0)
     pop = Population(X0, fit, obj, feas)
 
-    archive = None
-    if params.uses_archive():
-        archive = cov.EliteArchive(params.archive_capacity(dim))
+    archive = (None if variant is Variant.ECO
+               else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dim))
 
     stride = cfg.trace_stride if cfg.trace_stride is not None else cfg.n
     trace: List[Tuple[int, float]] = [(ev.used, float(pop.fitness[0]))]
@@ -319,7 +312,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     iteration = 1
     while ev.used + cfg.n <= fes_max:
         ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max, rng)
-        pop = step(pop, params, ctx, archive, rng, ev, spec.bounds)
+        pop = step(pop, variant, ctx, archive, rng, ev, spec.bounds)
         if ev.used - trace[-1][0] >= stride:
             trace.append((ev.used, float(pop.fitness[0])))
         iteration += 1

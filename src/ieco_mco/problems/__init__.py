@@ -19,10 +19,10 @@ from .core import (
 )
 from .engineering import ENGINEERING_NAMES, make_engineering
 from .handling import (
-    DEFAULT_VIOLATION_TOL,
     INFEASIBLE_BASE,
+    MAX_RESAMPLES,
+    VIOLATION_TOL,
     HandledPoint,
-    PenaltyPolicy,
     TrialStream,
     constrained_evaluate,
     penalized_fitness,
@@ -32,19 +32,19 @@ __all__ = [
     "BASE_FUNCTIONS", "DESK_SUITE_LAYOUT", "DESK_SUITE_NAMES",
     "ENGINEERING_NAMES",
     "ProblemSpec", "TransformSpec",
-    "PenaltyPolicy", "HandledPoint", "TrialStream", "constrained_evaluate",
-    "penalized_fitness", "INFEASIBLE_BASE", "DEFAULT_VIOLATION_TOL",
+    "HandledPoint", "TrialStream", "constrained_evaluate",
+    "penalized_fitness", "INFEASIBLE_BASE", "MAX_RESAMPLES", "VIOLATION_TOL",
     "desk_problem", "desk_suite", "make_benchmark", "make_engineering",
     "make_problem", "list_problems", "generate_transform",
     "identity_transform", "stable_seed",
 ]
 
 
-def list_problems(dimension: int = 10, instance_seed: int = 0):
+def list_problems(dimension: int = 10):
     """Names and categories of everything the registry can build."""
     rows = []
     for label in DESK_SUITE_NAMES:
-        spec = desk_problem(label, dimension, instance_seed)
+        spec = desk_problem(label, dimension)
         rows.append((spec.name, spec.category, spec.dimension))
     for pid in ENGINEERING_NAMES:
         spec = make_engineering(pid)

@@ -178,29 +178,27 @@ def _hybrid_evaluator(parts: list[tuple[str, float]], dim: int):
     return batch
 
 
-def _component_shifts(family: str, transform: TransformSpec, count: int,
-                      low: float, high: float) -> np.ndarray:
+def _component_shifts(family: str, transform: TransformSpec, count: int) -> np.ndarray:
     """First component at the transform shift, the rest seeded off it."""
     d = transform.dimension
     shifts = np.empty((count, d))
     shifts[0] = transform.shift
-    span = high - low
+    span = BENCHMARK_HIGH - BENCHMARK_LOW
     for k in range(1, count):
         seed = stable_seed("composition-shift", family, k,
                            transform.shift.tobytes().hex())
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        shifts[k] = low + span * (0.1 + 0.8 * gen.uniform(size=d))
+        shifts[k] = BENCHMARK_LOW + span * (0.1 + 0.8 * gen.uniform(size=d))
     return shifts
 
 
-def _composition_evaluator(family: str, parts, transform: TransformSpec,
-                           low: float, high: float):
+def _composition_evaluator(family: str, parts, transform: TransformSpec):
     d = transform.dimension
     funcs = [BASE_FUNCTIONS[p[0]] for p in parts]
     sigmas = np.array([p[1] for p in parts])
     lams = np.array([p[2] for p in parts])
     biases = np.array([p[3] for p in parts])
-    shifts = _component_shifts(family, transform, len(parts), low, high)
+    shifts = _component_shifts(family, transform, len(parts))
     rot_t = transform.rotation.T
     norms = np.array([float(fn(np.zeros((1, d)))[0]) for fn in funcs])
 
@@ -232,13 +230,13 @@ def _composition_evaluator(family: str, parts, transform: TransformSpec,
 
 
 def make_benchmark(family: str, dim: int, transform: TransformSpec,
-                   low: float = BENCHMARK_LOW, high: float = BENCHMARK_HIGH,
                    name: str = None) -> ProblemSpec:
-    """Instantiate a benchmark family at a given dimension and transform."""
+    """Instantiate a benchmark family at a given dimension and transform, on
+    the benchmark box [BENCHMARK_LOW, BENCHMARK_HIGH]^dim."""
     if transform.dimension != dim:
         raise ValueError("transform dimension %d does not match %d"
                          % (transform.dimension, dim))
-    bounds = Bounds.cube(low, high, dim)
+    bounds = Bounds.cube(BENCHMARK_LOW, BENCHMARK_HIGH, dim)
     if family in BASE_FUNCTIONS or family in HYBRID_FAMILIES:
         if family in BASE_FUNCTIONS:
             base = BASE_FUNCTIONS[family]
@@ -264,7 +262,7 @@ def make_benchmark(family: str, dim: int, transform: TransformSpec,
         )
     if family in COMPOSITION_FAMILIES:
         batch = _composition_evaluator(family, COMPOSITION_FAMILIES[family],
-                                       transform, low, high)
+                                       transform)
         return ProblemSpec(
             name=name or "%s-d%d" % (family, dim), dimension=dim, bounds=bounds,
             objective=batch, category="composition",

@@ -18,6 +18,8 @@ from ..rng import Bounds
 
 BENCHMARK_LOW = -100.0
 BENCHMARK_HIGH = 100.0
+# A transform's shift lies in this middle fraction of the benchmark box.
+SHIFT_INTERIOR = 0.8
 ORTHOGONALITY_TOL = 1e-10
 
 
@@ -57,18 +59,16 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest, "little")
 
 
-def generate_transform(dim: int, seed: int, f_bias: float = 0.0,
-                       low: float = BENCHMARK_LOW, high: float = BENCHMARK_HIGH,
-                       interior: float = 0.8) -> TransformSpec:
-    """Seeded transform: shift in the middle ``interior`` fraction of the box,
-    rotation from the QR factorization of a standard normal matrix (sign-fixed
-    so the factorization is unique)."""
+def generate_transform(dim: int, seed: int, f_bias: float = 0.0) -> TransformSpec:
+    """Seeded transform: shift in the middle ``SHIFT_INTERIOR`` fraction of the
+    benchmark box, rotation from the QR factorization of a standard normal
+    matrix (sign-fixed so the factorization is unique)."""
     if dim < 1:
         raise ValueError("dim must be positive")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    span = high - low
-    margin = (1.0 - interior) / 2.0
-    shift = low + span * (margin + interior * gen.uniform(size=dim))
+    span = BENCHMARK_HIGH - BENCHMARK_LOW
+    margin = (1.0 - SHIFT_INTERIOR) / 2.0
+    shift = BENCHMARK_LOW + span * (margin + SHIFT_INTERIOR * gen.uniform(size=dim))
     g = gen.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
@@ -81,8 +81,8 @@ class ProblemSpec:
 
     ``objective`` maps an (n, D) block to (n,) values. ``constraints``, when
     present, maps the same block to (n, m) inequality values g(x); a point
-    is feasible when every entry is <= 0 (within the handling policy's
-    tolerance).
+    is feasible when every entry is <= 0 (within the constraint handler's
+    ``VIOLATION_TOL``).
     """
 
     name: str

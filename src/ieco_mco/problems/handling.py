@@ -1,12 +1,13 @@
 """Constraint handling by penalized fitness and bounded reinitialization.
 
 A candidate is feasible when its worst constraint value is at or below
-``violation_tolerance``. Infeasible candidates are replaced by fresh uniform
-samples from the box, up to ``max_resamples`` attempts, stopping at the first
+``VIOLATION_TOL``. Infeasible candidates are replaced by fresh uniform
+samples from the box, up to ``MAX_RESAMPLES`` attempts, stopping at the first
 feasible draw; if none is found the least-violating draw seen (including the
 original point) is kept. Every resample costs one objective evaluation, which
 is charged against the run budget: a row may spend at most
-``min(max_resamples, budget left)`` resamples.
+``min(MAX_RESAMPLES, budget left)`` resamples. Both are fixed constants of
+the method, not settings.
 
 Trials are drawn and read ahead in blocks (:class:`TrialStream`): a block of
 uniforms is peeked from the RNG stream and read with one ``spec.batch``, the
@@ -33,21 +34,8 @@ from ..rng import RngStream
 from .core import ProblemSpec
 
 INFEASIBLE_BASE = 1e15
-DEFAULT_VIOLATION_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PenaltyPolicy:
-    """Knobs for the resampling constraint handler."""
-
-    max_resamples: int = 100
-    violation_tolerance: float = DEFAULT_VIOLATION_TOL
-
-    def __post_init__(self):
-        if self.max_resamples < 0:
-            raise ValueError("max_resamples must be >= 0")
-        if self.violation_tolerance < 0:
-            raise ValueError("violation_tolerance must be >= 0")
+MAX_RESAMPLES = 100
+VIOLATION_TOL = 1e-8
 
 
 def penalized_fitness(objective, violation, feasible):
@@ -58,7 +46,7 @@ def penalized_fitness(objective, violation, feasible):
 
 @dataclass
 class HandledPoint:
-    """Outcome of evaluating one candidate under the penalty policy."""
+    """Outcome of evaluating one candidate under the resampling rule."""
 
     position: np.ndarray
     objective: float
@@ -77,17 +65,15 @@ class TrialStream:
     One stream serves the infeasible rows of one block reading, in row
     order, as the one-at-a-time loop would draw for them. ``rows`` is how
     many rows it will serve and ``budget`` how many trials they may spend
-    in all; each row gets ``min(max_resamples, budget left)`` trials. The
+    in all; each row gets ``min(MAX_RESAMPLES, budget left)`` trials. The
     first block has one trial per row, and each later one is twice the size
     of the one before, never more than the remaining rows could use. Call
     :meth:`close` after the last row to consume the used uniforms.
     """
 
-    def __init__(self, spec: ProblemSpec, rng: RngStream, policy: PenaltyPolicy,
-                 rows: int, budget: int):
+    def __init__(self, spec: ProblemSpec, rng: RngStream, rows: int, budget: int):
         self.spec = spec
         self.rng = rng
-        self._per_row = policy.max_resamples
         self._rows = rows
         self._budget = budget  # trials not yet handed out
         self._size = max(1, rows)
@@ -98,9 +84,9 @@ class TrialStream:
     def trials(self):
         """Yield (position, objective, violation) for the next row's trials."""
         self._rows -= 1
-        for left in range(min(self._per_row, self._budget), 0, -1):
+        for left in range(min(MAX_RESAMPLES, self._budget), 0, -1):
             if self._used == len(self._objective):
-                self._read_block(left + self._rows * self._per_row)
+                self._read_block(left + self._rows * MAX_RESAMPLES)
             i = self._used
             self._used += 1
             self._budget -= 1
@@ -128,24 +114,24 @@ class TrialStream:
 
 
 def constrained_evaluate(x: np.ndarray, objective: float, violation: float,
-                         policy: PenaltyPolicy, stream: TrialStream) -> HandledPoint:
+                         stream: TrialStream) -> HandledPoint:
     """Resample ``x`` inside the box while it is infeasible.
 
     ``objective`` and ``violation`` are the reading of ``x`` itself, already
     taken by the caller; it counts as the first evaluation. Trials come from
     ``stream``, shared by the rows of one block reading, which also caps how
-    many of them this row may spend.
+    many of them this row may spend. Inside the loop ``best`` is infeasible,
+    so a feasible trial always violates less than it.
     """
-    tol = policy.violation_tolerance
     spent = 1
     best = HandledPoint(np.array(x, dtype=float), float(objective),
-                        float(violation), bool(violation <= tol), spent)
+                        float(violation), bool(violation <= VIOLATION_TOL), spent)
     if best.feasible:
         return best
     for trial, obj, vio in stream.trials():
         spent += 1
-        if vio < best.violation or (vio <= tol and not best.feasible):
-            best = HandledPoint(trial, obj, vio, vio <= tol, spent)
+        if vio < best.violation:
+            best = HandledPoint(trial, obj, vio, vio <= VIOLATION_TOL, spent)
             if best.feasible:
                 break
     best.evaluations = spent

@@ -40,17 +40,14 @@ class RngStream:
 
     Parameters
     ----------
-    seed : int or numpy.random.SeedSequence
+    seed : int
         Root entropy. Identical seeds give bit-identical draw sequences.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            if isinstance(seed, (int, np.integer)) and seed < 0:
-                raise ValueError("seed must be non-negative")
-            self._seq = np.random.SeedSequence(seed)
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        self._seq = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniform(self, low=0.0, high=1.0, size=None):

@@ -26,9 +26,11 @@ elite archive: the full variant uses the Gaussian operator in the primary
 stage, the shifted operator in the middle stage and the differencing operator
 in the high stage, while each single-operator ablation applies its one
 operator in all three stages. One (variant, stage) table holds the school
-rule; students always use the plain rule of the stage. Until the archive
-holds enough entries for a usable model the school update falls back to the
-plain stage rule.
+fraction G and the school rule: ECO's fractions are 0.2, 0.1, 0.1 by stage
+and every other variant's 0.4, 0.5, 0.5. Students always use the plain rule
+of the stage. Every variant but ECO keeps an elite archive of 20 * D rows;
+until it holds enough entries for a usable model the school update falls
+back to the plain stage rule.
 
 Per-iteration draw order (one shared stream): the scalar for P; the school
 block, agents in fitness order; the student block, agents in fitness order;
@@ -57,6 +59,8 @@ from .rng import Bounds, BudgetExhaustedError, RngStream, clamp, levy_sample
 
 # Talent threshold Th: a talent draw above it gives the student the gain E.
 TALENT_THRESHOLD = 0.5
+# A variant that keeps an elite archive holds this many rows per dimension.
+ARCHIVE_ROWS_PER_DIM = 20
 # |P| floor when computing E = (pi/P) * (fes/fes_max); P = 0 is treated as +0.
 TALENT_GAIN_P_FLOOR = 1e-12
 
@@ -85,46 +89,6 @@ class Variant(enum.Enum):
                 return v
         raise ValueError("unknown variant %r (expected one of %s)"
                          % (label, ", ".join(v.value for v in cls)))
-
-
-@dataclass(frozen=True)
-class AlgorithmParams:
-    """The variant and its school fractions.
-
-    g1   : school fraction in the primary stage
-    g2   : school fraction in the middle and high stages
-
-    Every variant shares the talent threshold (``TALENT_THRESHOLD``), the
-    elite archive capacity of 20 * dimension and the elite-score weight
-    (``covariance.ELITE_WEIGHT``).
-    """
-
-    variant: Variant = Variant.IECO_MCO
-    g1: float = 0.4
-    g2: float = 0.5
-
-    def __post_init__(self):
-        for name, g in (("g1", self.g1), ("g2", self.g2)):
-            if not 0.0 < g < 1.0:
-                raise ValueError("%s must lie in (0, 1)" % name)
-
-    @classmethod
-    def for_variant(cls, variant) -> "AlgorithmParams":
-        """Published defaults: base algorithm uses smaller school fractions."""
-        if not isinstance(variant, Variant):
-            variant = Variant.from_label(str(variant))
-        if variant is Variant.ECO:
-            return cls(variant=variant, g1=0.2, g2=0.1)
-        return cls(variant=variant, g1=0.4, g2=0.5)
-
-    def archive_capacity(self, dim: int) -> int:
-        return 20 * dim
-
-    def school_fraction(self, stage: Stage) -> float:
-        return self.g1 if stage is Stage.PRIMARY else self.g2
-
-    def uses_archive(self) -> bool:
-        return self.variant is not Variant.ECO
 
 
 def stage_of(iteration: int) -> Stage:
@@ -321,25 +285,28 @@ def _high_students(X, k, assign, model, ctx, rng):
     return high_student_update(X[k:], X[0], ctx, rng)
 
 
-# School rule per (variant, stage); the ECO row holds the plain rules, which
-# every variant uses until its archive supports a model.
-_SCHOOL_RULES = {
-    (variant, stage): rule
-    for variant, rules in (
-        (Variant.ECO, (_primary_schools, _middle_schools, _high_schools)),
-        (Variant.GECO, (_gaussian_schools,) * 3),
-        (Variant.SECO, (_shift_schools,) * 3),
-        (Variant.DECO, (_differential_schools,) * 3),
-        (Variant.IECO_MCO, (_gaussian_schools, _shift_schools, _differential_schools)),
+# (school fraction, school rule) per (variant, stage). ECO takes a smaller
+# share of schools; its rules are the plain ones, which every variant uses
+# until its archive supports a model.
+_SCHOOLS = {
+    (variant, stage): (fraction, rule)
+    for variant, fractions, rules in (
+        (Variant.ECO, (0.2, 0.1, 0.1),
+         (_primary_schools, _middle_schools, _high_schools)),
+        (Variant.GECO, (0.4, 0.5, 0.5), (_gaussian_schools,) * 3),
+        (Variant.SECO, (0.4, 0.5, 0.5), (_shift_schools,) * 3),
+        (Variant.DECO, (0.4, 0.5, 0.5), (_differential_schools,) * 3),
+        (Variant.IECO_MCO, (0.4, 0.5, 0.5),
+         (_gaussian_schools, _shift_schools, _differential_schools)),
     )
-    for stage, rule in zip(Stage, rules)
+    for stage, fraction, rule in zip(Stage, fractions, rules)
 }
 _STUDENT_RULES = dict(zip(Stage, (_primary_students, _middle_students, _high_students)))
 
 
 # -------------------------------------------------------------------- step
 
-def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
+def step(pop: Population, variant: Variant, ctx: StageContext,
          archive: Optional[cov.EliteArchive], rng: RngStream, evaluator,
          bounds: Bounds) -> Population:
     """One full iteration: propose, evaluate, select greedily, archive elites.
@@ -347,7 +314,10 @@ def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
     ``evaluator`` must expose ``evaluate(X) -> (fitness, objective, feasible,
     positions)`` and own the evaluation budget; the iteration needs exactly
     ``pop.size`` base evaluations (constraint handling may spend more).
-    Raises :class:`BudgetExhaustedError` when the base cost does not fit.
+    ``archive`` is None for a variant that keeps none. Otherwise the
+    variant's school rule runs once the archive supports a model, and the
+    iteration's elites are pushed to it. Raises
+    :class:`BudgetExhaustedError` when the base cost does not fit.
     """
     n = pop.size
     if ctx.fes + n > ctx.fes_max:
@@ -356,16 +326,18 @@ def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
             % (n, ctx.fes_max - ctx.fes))
     pop.sort()
     X = pop.positions
-    k = school_count(params.school_fraction(ctx.stage), n)
+    fraction, school_rule = _SCHOOLS[variant, ctx.stage]
+    k = school_count(fraction, n)
     assign = closest_school(X[k:], X[:k])
 
-    model, variant = None, Variant.ECO
-    if (params.uses_archive() and archive is not None
-            and len(archive) >= cov.min_model_entries(pop.dim)):
-        model, variant = cov.estimate(archive), params.variant
+    model = None
+    if archive is not None and len(archive) >= cov.min_model_entries(pop.dim):
+        model = cov.estimate(archive)
+    else:
+        school_rule = _SCHOOLS[Variant.ECO, ctx.stage][1]
 
     proposals = np.empty_like(X)
-    proposals[:k] = _SCHOOL_RULES[variant, ctx.stage](X, k, assign, model, ctx, rng)
+    proposals[:k] = school_rule(X, k, assign, model, ctx, rng)
     proposals[k:] = _STUDENT_RULES[ctx.stage](X, k, assign, model, ctx, rng)
     child_fit, child_obj, child_feas, child_pos = evaluator.evaluate(clamp(proposals, bounds))
 
@@ -376,7 +348,7 @@ def step(pop: Population, params: AlgorithmParams, ctx: StageContext,
     pop.feasible[improved] = child_feas[improved]
     pop.sort()
 
-    if params.uses_archive() and archive is not None:
+    if archive is not None:
         idx = cov.elite_indices(pop.fitness, pop.positions, pop.positions[0], k)
         archive.push(pop.positions[idx], pop.fitness[idx])
     return pop

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from ieco_mco.rng import Bounds, mantegna_sigma
-from ieco_mco.problems import HandledPoint, penalized_fitness
+from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, HandledPoint,
+                               penalized_fitness)
 from ieco_mco.problems.core import ProblemSpec
 
 
@@ -88,16 +89,16 @@ def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):
     )
 
 
-def sequential_resample(spec, x, objective, violation, policy, rng, extra_cap):
+def sequential_resample(spec, x, objective, violation, rng, extra_cap):
     """Reference resampling rule: draw one uniform point, read it, compare,
     until a draw is feasible or the allowance is spent."""
-    tol = policy.violation_tolerance
+    tol = VIOLATION_TOL
     spent = 1
     best = HandledPoint(np.array(x, dtype=float), float(objective),
                         float(violation), bool(violation <= tol), spent)
     if best.feasible:
         return best
-    for _ in range(min(policy.max_resamples, max(0, int(extra_cap)))):
+    for _ in range(min(MAX_RESAMPLES, max(0, int(extra_cap)))):
         trial = spec.bounds.lower + spec.bounds.span * rng.uniform(size=spec.dimension)
         obj, vio = spec.evaluate(trial)
         spent += 1
@@ -109,7 +110,7 @@ def sequential_resample(spec, x, objective, violation, policy, rng, extra_cap):
     return best
 
 
-def sequential_evaluate(spec, X, policy, rng, fes_max, used=0):
+def sequential_evaluate(spec, X, rng, fes_max, used=0):
     """Reference ``Evaluator.evaluate``: read the block, then resample each
     infeasible row in row order with :func:`sequential_resample`.
 
@@ -119,13 +120,13 @@ def sequential_evaluate(spec, X, policy, rng, fes_max, used=0):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     objective, violation = spec.batch(X)
     used += X.shape[0]
-    feasible = violation <= policy.violation_tolerance
+    feasible = violation <= VIOLATION_TOL
     fitness = penalized_fitness(objective, violation, feasible)
     positions = X.copy()
     handled = []
     for i in np.flatnonzero(~feasible):
-        out = sequential_resample(spec, X[i], objective[i], violation[i], policy,
-                                  rng, fes_max - used)
+        out = sequential_resample(spec, X[i], objective[i], violation[i], rng,
+                                  fes_max - used)
         used += out.evaluations - 1
         fitness[i], objective[i], feasible[i] = out.fitness, out.objective, out.feasible
         positions[i] = out.position

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ieco_mco import cli
-from ieco_mco.harness import ResultSet, RunRecord, persist
+from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 
 TINY = ["--runs", "1", "--dim", "5", "--n", "6", "--fes-max", "60"]
 
@@ -355,6 +355,29 @@ def test_export_trace_to_stdout(tmp_path, capsys):
                    "--problem", "f02", "--algorithms", "ECO") == 0
     text = capsys.readouterr().out
     assert text.startswith("fes,ECO")
+
+
+@pytest.mark.parametrize("label", ["F01", "RW03", "f01-zakharov"])
+def test_export_trace_resolves_problem_names_as_run_does(tmp_path, capsys, label):
+    out = tmp_path / "r"
+    assert run_cli("run", "--algorithms", "ECO", "--problems", "F01,rw03",
+                   "--out", str(out), *TINY) == 0
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out),
+                   "--problem", label) == 0
+    assert capsys.readouterr().out.startswith("fes,ECO")
+
+
+def test_export_trace_prefers_the_exact_problem_name(tmp_path, capsys):
+    out = _synthetic_results(tmp_path, tie=False, problems=("disk-a", "disk-b"))
+    results = load(out)
+    for problem in ("disk-a", "disk-b"):
+        assert run_cli("export-trace", "--results", str(out),
+                       "--problem", problem) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        _, series = export_trace(results, problem)
+        assert [float(v) for v in last[1:]] == [series[a][-1]
+                                                for a in results.algorithms]
 
 
 def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):

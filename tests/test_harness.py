@@ -23,10 +23,10 @@ from ieco_mco.harness import (
     run_batch,
     run_single,
 )
-from ieco_mco.problems import PenaltyPolicy, make_engineering, stable_seed
+from ieco_mco.problems import MAX_RESAMPLES, stable_seed
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
-from ieco_mco.stages import AlgorithmParams, Population, StageContext, stage_of, step
+from ieco_mco.stages import Population, StageContext, Variant, stage_of, step
 
 from support import sphere_spec
 
@@ -56,7 +56,8 @@ def half_nan_spec(vectorized):
 @pytest.mark.parametrize("vectorized", [True, False])
 def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     spec = half_nan_spec(vectorized)
-    ev = Evaluator(spec, fes_max=10 ** 6)
+    rng = RngStream(3)
+    ev = Evaluator(spec, fes_max=10 ** 6, rng=rng)
     X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
                   [0.5, 0.5], [4.0, 4.0]])
     fit, obj, feas, pos = ev.evaluate(X)
@@ -64,11 +65,9 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     assert np.all(np.isfinite(fit[1:]))
     assert spec.evaluate(X[0])[0] == np.inf
     pop = Population(pos, fit, obj, feas)
-    params = AlgorithmParams.for_variant("ECO")
-    rng = RngStream(3)
     for it in range(1, 7):
         ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, rng)
-        pop = step(pop, params, ctx, None, rng, ev, spec.bounds)
+        pop = step(pop, Variant.ECO, ctx, None, rng, ev, spec.bounds)
     # the agent that started in the NaN half was replaced by a finite child
     assert np.all(np.isfinite(pop.fitness))
     assert np.all(pop.positions[:, 0] >= 0.0)
@@ -114,7 +113,7 @@ def test_derive_seed_is_stable_and_cell_specific():
 
 
 def test_evaluator_charges_one_per_candidate():
-    ev = Evaluator(sphere_spec(3), fes_max=10)
+    ev = Evaluator(sphere_spec(3), fes_max=10, rng=RngStream(3))
     X = np.ones((4, 3))
     fit, obj, feas, pos = ev.evaluate(X)
     assert ev.used == 4
@@ -125,7 +124,7 @@ def test_evaluator_charges_one_per_candidate():
 
 
 def test_evaluator_refuses_to_exceed_budget():
-    ev = Evaluator(sphere_spec(2), fes_max=5)
+    ev = Evaluator(sphere_spec(2), fes_max=5, rng=RngStream(3))
     ev.evaluate(np.zeros((3, 2)))
     with pytest.raises(BudgetExhaustedError):
         ev.evaluate(np.zeros((3, 2)))
@@ -133,13 +132,6 @@ def test_evaluator_refuses_to_exceed_budget():
     ev.evaluate(np.zeros((2, 2)))
     assert ev.used == 5
     assert ev.remaining == 0
-
-
-def test_evaluator_constrained_needs_rng():
-    spec = make_engineering("rw03")
-    ev = Evaluator(spec, fes_max=100)
-    with pytest.raises(ValueError):
-        ev.evaluate(np.array([[0.5, 0.5]]))
 
 
 def _never_feasible_spec():
@@ -152,17 +144,19 @@ def _never_feasible_spec():
 
 def test_evaluator_resampling_respects_hard_budget():
     spec = _never_feasible_spec()
-    ev = Evaluator(spec, fes_max=5, policy=PenaltyPolicy(max_resamples=100),
-                   rng=RngStream(3))
+    ev = Evaluator(spec, fes_max=5, rng=RngStream(3))
     ev.evaluate(np.full((2, 1), 0.5))
     # resamples fill whatever budget the remaining candidates do not need
     assert ev.used == 5
+    ev = Evaluator(spec, fes_max=2 + 2 * MAX_RESAMPLES + 7, rng=RngStream(3))
+    ev.evaluate(np.full((2, 1), 0.5))
+    # each row stops at the cap while budget remains
+    assert ev.used == 2 + 2 * MAX_RESAMPLES
 
 
 def test_evaluator_constrained_reports_penalised_fitness():
     spec = _never_feasible_spec()
-    ev = Evaluator(spec, fes_max=50, policy=PenaltyPolicy(max_resamples=2),
-                   rng=RngStream(3))
+    ev = Evaluator(spec, fes_max=3, rng=RngStream(3))
     fit, obj, feas, pos = ev.evaluate(np.full((1, 1), 0.5))
     assert not feas[0]
     assert fit[0] > 1e14

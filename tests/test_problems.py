@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ieco_mco.problems import (
-    DEFAULT_VIOLATION_TOL,
     DESK_SUITE_LAYOUT,
     ENGINEERING_NAMES,
     INFEASIBLE_BASE,
-    PenaltyPolicy,
+    MAX_RESAMPLES,
+    VIOLATION_TOL,
     ProblemSpec,
     TransformSpec,
     TrialStream,
@@ -333,14 +333,6 @@ def test_penalized_fitness_orders_feasible_before_infeasible():
     assert penalized_fitness(1e12, 0.0, True) < penalized_fitness(0.0, 0.0, False)
 
 
-def test_penalty_policy_validation():
-    with pytest.raises(ValueError):
-        PenaltyPolicy(max_resamples=-1)
-    with pytest.raises(ValueError):
-        PenaltyPolicy(violation_tolerance=-1e-9)
-    assert PenaltyPolicy().violation_tolerance == DEFAULT_VIOLATION_TOL
-
-
 def _line_spec():
     """1-D toy problem on [0, 10]: objective x, feasible iff x <= 2."""
     return ProblemSpec(
@@ -350,14 +342,12 @@ def _line_spec():
     )
 
 
-def _handle(spec, x, policy, rng, budget=None):
+def _handle(spec, x, rng, budget=MAX_RESAMPLES):
     """constrained_evaluate fed with the start point's own reading and a
-    one-row stream that may spend ``budget`` trials (default: the policy's
-    full allowance), closed afterwards."""
-    if budget is None:
-        budget = policy.max_resamples
-    stream = TrialStream(spec, rng, policy, rows=1, budget=budget)
-    out = constrained_evaluate(x, *spec.evaluate(x), policy, stream)
+    one-row stream that may spend ``budget`` trials (at most MAX_RESAMPLES
+    are used), closed afterwards."""
+    stream = TrialStream(spec, rng, rows=1, budget=budget)
+    out = constrained_evaluate(x, *spec.evaluate(x), stream)
     stream.close()
     return out
 
@@ -369,14 +359,12 @@ def test_constrained_evaluate_takes_the_start_reading_as_given():
         objective=lambda X: calls.append(len(X)) or X[:, 0], category="test",
         constraints=lambda X: X[:, :1] - 2.0,
     )
-    policy = PenaltyPolicy()
-    stream = TrialStream(spec, RngStream(3), policy, rows=1, budget=100)
-    out = constrained_evaluate(np.array([1.0]), 7.0, 0.0, policy, stream)
+    stream = TrialStream(spec, RngStream(3), rows=1, budget=100)
+    out = constrained_evaluate(np.array([1.0]), 7.0, 0.0, stream)
     assert calls == []          # the start point is not read again
     assert out.objective == 7.0 and out.feasible and out.evaluations == 1
-    stream = TrialStream(spec, ScriptedRng(uniforms=[0.05]), policy, rows=1,
-                         budget=100)
-    out = constrained_evaluate(np.array([9.0]), 9.0, 7.0, policy, stream)
+    stream = TrialStream(spec, ScriptedRng(uniforms=[0.05]), rows=1, budget=100)
+    out = constrained_evaluate(np.array([9.0]), 9.0, 7.0, stream)
     assert calls == [1]         # one reading per resample
     assert out.objective == 0.5 and out.evaluations == 2
 
@@ -384,11 +372,11 @@ def test_constrained_evaluate_takes_the_start_reading_as_given():
 def test_constrained_evaluate_keeps_feasible_point_unchanged():
     spec = _line_spec()
     x = np.array([1.25])
-    out = _handle(spec, x, PenaltyPolicy(), RngStream(3))
+    out = _handle(spec, x, RngStream(3))
     assert out.feasible
     assert np.array_equal(out.position, x)
     assert out.objective == 1.25
-    assert out.violation <= DEFAULT_VIOLATION_TOL
+    assert out.violation <= VIOLATION_TOL
     assert out.evaluations == 1
     assert out.fitness == 1.25
 
@@ -396,7 +384,7 @@ def test_constrained_evaluate_keeps_feasible_point_unchanged():
 def test_constrained_evaluate_replaces_with_stubbed_feasible_draw():
     spec = _line_spec()
     rng = ScriptedRng(uniforms=[0.05])   # maps to x = 0.5
-    out = _handle(spec, np.array([9.0]), PenaltyPolicy(), rng)
+    out = _handle(spec, np.array([9.0]), rng)
     assert out.feasible
     assert np.allclose(out.position, [0.5])
     assert out.objective == 0.5
@@ -407,8 +395,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
     spec = _line_spec()
     # three infeasible draws at x = 8, 4, 6; the best seen is x = 4
     rng = ScriptedRng(uniforms=[0.8, 0.4, 0.6])
-    out = _handle(spec, np.array([9.0]), PenaltyPolicy(max_resamples=3),
-                               rng)
+    out = _handle(spec, np.array([9.0]), rng, budget=3)
     assert not out.feasible
     assert np.allclose(out.position, [4.0])
     assert out.violation == 2.0
@@ -418,8 +405,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
 
 def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
     spec = _line_spec()
-    out = _handle(spec, np.array([9.0]), PenaltyPolicy(),
-                               RngStream(3), budget=0)
+    out = _handle(spec, np.array([9.0]), RngStream(3), budget=0)
     assert not out.feasible
     assert np.array_equal(out.position, [9.0])
     assert out.evaluations == 1
@@ -431,19 +417,19 @@ def test_constrained_evaluate_counts_one_evaluation_per_resample():
         objective=lambda X: X[:, 0], category="engineering",
         constraints=lambda X: np.ones((len(X), 1)),   # constant violation
     )
-    out = _handle(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
-                               RngStream(5))
+    out = _handle(spec, np.array([0.5]), RngStream(5), budget=7)
     assert out.evaluations == 1 + 7
     assert not out.feasible
-    out = _handle(spec, np.array([0.5]), PenaltyPolicy(max_resamples=7),
-                               RngStream(5), budget=4)
+    out = _handle(spec, np.array([0.5]), RngStream(5), budget=4)
     assert out.evaluations == 1 + 4
+    out = _handle(spec, np.array([0.5]), RngStream(5), budget=MAX_RESAMPLES + 50)
+    assert out.evaluations == 1 + MAX_RESAMPLES
 
 
 def test_constrained_evaluate_stops_at_first_feasible_draw():
     spec = _line_spec()
     rng = ScriptedRng(uniforms=[0.7, 0.15, 0.01])
-    out = _handle(spec, np.array([9.0]), PenaltyPolicy(), rng)
+    out = _handle(spec, np.array([9.0]), rng)
     assert out.feasible
     assert np.allclose(out.position, [1.5])
     assert out.evaluations == 3
@@ -455,14 +441,13 @@ def test_constrained_evaluate_stays_inside_bounds():
     rng = RngStream(17)
     for _ in range(25):
         x = spec.bounds.lower + spec.bounds.span * rng.uniform(size=spec.dimension)
-        out = _handle(spec, x, PenaltyPolicy(max_resamples=10), rng)
+        out = _handle(spec, x, rng, budget=10)
         assert spec.bounds.contains(out.position)
 
 
 def test_constrained_evaluate_truss_known_point_is_feasible():
     spec = make_engineering("rw03")
-    out = _handle(spec, spec.known_point, PenaltyPolicy(),
-                               RngStream(23))
+    out = _handle(spec, spec.known_point, RngStream(23))
     assert out.feasible
     assert np.array_equal(out.position, spec.known_point)
     assert abs(out.objective - 263.8959) < 1e-3
@@ -503,3 +488,6 @@ def test_every_public_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+    namespace = {}
+    exec("from %s import *" % module, namespace)
+    assert set(mod.__all__) <= set(namespace)

@@ -24,6 +24,11 @@ the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
 best), however long the traces (up to 20,000 points, past the csv module's
 131,072-character field limit had a trace been one field) and whatever
 commas and quotes the labels hold.
+
+A whole run, drawn over variant, population size, dimension, budget,
+registry problem and seed, keeps its budget, keeps every position in the
+box, keeps the population sorted with no order statistic of its fitness
+rising, records a trace that never rises, and persists and loads back.
 """
 
 import functools
@@ -35,15 +40,19 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ieco_mco import harness
-from ieco_mco.harness import Evaluator, ResultSet, RunRecord, load, persist
+from ieco_mco.harness import (Evaluator, ResultSet, RunConfig, RunRecord, load,
+                              persist, run_single)
 from ieco_mco.problems import (
+    DESK_SUITE_NAMES,
     ENGINEERING_NAMES,
     INFEASIBLE_BASE,
-    PenaltyPolicy,
+    MAX_RESAMPLES,
+    VIOLATION_TOL,
     make_problem,
 )
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
+from ieco_mco.stages import Variant
 from support import sequential_evaluate
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
@@ -97,20 +106,18 @@ def test_block_reading_matches_point_reading(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(problem_and_block(), st.integers(0, 40), st.integers(0, 12),
-       st.integers(0, 2 ** 32 - 1))
-def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, resamples, seed):
+@given(problem_and_block(), st.integers(0, 250), st.integers(0, 2 ** 32 - 1))
+def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, seed):
     spec, X = case
     n = X.shape[0]
-    policy = PenaltyPolicy(max_resamples=resamples)
-    ev = Evaluator(spec, fes_max=n + spare, policy=policy, rng=RngStream(seed))
+    ev = Evaluator(spec, fes_max=n + spare, rng=RngStream(seed))
     fitness, objective, feasible, positions = ev.evaluate(X)
     assert n <= ev.used <= ev.fes_max
     obj, vio = spec.batch(positions)
     for i in range(n):
         assert spec.bounds.contains(positions[i]), (spec.name, positions[i])
         assert _bits(objective[i]) == _bits(obj[i])
-        assert feasible[i] == (vio[i] <= policy.violation_tolerance)
+        assert feasible[i] == (vio[i] <= VIOLATION_TOL)
         expected = obj[i] if feasible[i] else INFEASIBLE_BASE + vio[i]
         assert _bits(fitness[i]) == _bits(expected), (spec.name, i)
 
@@ -154,13 +161,15 @@ def _evaluate_recorded(ev, X):
         return ev.evaluate(X), handled
 
 
-def _assert_block_equals_sequential(spec, X, policy, fes_max, seed, prefix):
+def _assert_block_equals_sequential(spec, X, fes_max, seed, prefix):
+    """Evaluate ``X`` block-wise and one trial at a time; return the
+    HandledPoint of each resampled row."""
     block_rng, seq_rng = RngStream(seed), RngStream(seed)
     _draw_prefix(block_rng, prefix)
     _draw_prefix(seq_rng, prefix)
-    ev = Evaluator(spec, fes_max=fes_max, policy=policy, rng=block_rng)
+    ev = Evaluator(spec, fes_max=fes_max, rng=block_rng)
     got, handled = _evaluate_recorded(ev, X)
-    *want, used, want_handled = sequential_evaluate(spec, X, policy, seq_rng, fes_max)
+    *want, used, want_handled = sequential_evaluate(spec, X, seq_rng, fes_max)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w)), spec.name
     assert ev.used == used
@@ -173,19 +182,28 @@ def _assert_block_equals_sequential(spec, X, policy, fes_max, seed, prefix):
     assert np.array_equal(block_rng.uniform(size=20), seq_rng.uniform(size=20))
     for _ in range(20):
         assert block_rng.distinct_pair(29) == seq_rng.distinct_pair(29)
+    return handled
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(RESAMPLED), st.integers(1, 8), st.integers(0, 120),
+@given(st.sampled_from(RESAMPLED), st.integers(1, 8),
        st.one_of(st.just(0), st.just(1), st.integers(2, 400)),
        st.sampled_from(["none", "integers", "normal"]),
        st.integers(0, 2 ** 32 - 1))
-def test_block_resampling_equals_sequential_rule(spec, n, resamples, spare,
-                                                  prefix, seed):
+def test_block_resampling_equals_sequential_rule(spec, n, spare, prefix, seed):
     X = spec.bounds.lower + spec.bounds.span * RngStream(seed + 1).uniform(
         size=(n, spec.dimension))
-    _assert_block_equals_sequential(spec, X, PenaltyPolicy(max_resamples=resamples),
-                                    n + spare, seed, prefix)
+    _assert_block_equals_sequential(spec, X, n + spare, seed, prefix)
+
+
+def test_block_resampling_stops_each_row_at_the_cap():
+    """Three never-feasible rows with 350 trials to spare: each row stops at
+    MAX_RESAMPLES while budget remains, and the next row carries on in the
+    read-ahead block the previous one left part-used."""
+    bounds = NEVER_FEASIBLE.bounds
+    X = bounds.lower + bounds.span * RngStream(8).uniform(size=(3, bounds.dimension))
+    handled = _assert_block_equals_sequential(NEVER_FEASIBLE, X, 3 + 350, 7, "none")
+    assert [h.evaluations for h in handled] == [1 + MAX_RESAMPLES] * 3
 
 
 def test_block_resampling_keeps_a_buffered_half():
@@ -197,8 +215,7 @@ def test_block_resampling_keeps_a_buffered_half():
     assert rng._gen.bit_generator.state["has_uint32"] == 1
     bounds = RARELY_FEASIBLE.bounds
     X = bounds.lower + bounds.span * RngStream(6).uniform(size=(6, bounds.dimension))
-    _assert_block_equals_sequential(RARELY_FEASIBLE, X, PenaltyPolicy(),
-                                    6 + 300, 5, "integers")
+    _assert_block_equals_sequential(RARELY_FEASIBLE, X, 6 + 300, 5, "integers")
 
 
 # ---------------------------------------------------------- persist and load
@@ -258,3 +275,52 @@ def test_persist_then_load_gives_equal_records(rs):
         assert (again / "traces.csv").read_bytes() == (first / "traces.csv").read_bytes()
         assert _without_wall_time(again / "results.csv") == \
             _without_wall_time(first / "results.csv")
+
+
+# ------------------------------------------------------------------ whole runs
+
+# The hybrid desk functions split the coordinates into 3, 4 and 5 blocks.
+_LEAST_DIMENSION = {"f06": 3, "f07": 4, "f08": 5}
+
+
+@st.composite
+def run_configs(draw):
+    name = draw(st.sampled_from(DESK_SUITE_NAMES + ENGINEERING_NAMES))
+    n = draw(st.integers(5, 60))
+    return RunConfig(algorithm=draw(st.sampled_from(Variant)).value, problem=name,
+                     seed=draw(st.integers(0, 2 ** 32 - 1)), n=n,
+                     dimension=draw(st.integers(_LEAST_DIMENSION.get(name, 1), 30)),
+                     fes_max=draw(st.integers(2 * n, 20 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_whole_run_keeps_budget_box_order_and_records(cfg):
+    """After every step the population lies in the box, is sorted and has no
+    order statistic of its fitness above the one before; the run stays in
+    budget, its trace never rises, and its record survives persist/load."""
+    spec = make_problem(cfg.problem, cfg.dimension)
+    lower, upper = spec.bounds.lower, spec.bounds.upper
+    real_step, steps = harness.step, []
+
+    def checked_step(pop, *args):
+        before = pop.fitness.copy()
+        pop = real_step(pop, *args)
+        assert np.all((pop.positions >= lower) & (pop.positions <= upper))
+        assert np.all(pop.fitness[:-1] <= pop.fitness[1:])
+        assert np.all(pop.fitness <= before)
+        steps.append(pop.fitness[0])
+        return pop
+
+    with mock.patch.object(harness, "step", checked_step):
+        rec = run_single(cfg, spec)
+    # resampling can spend a constrained run's budget before its first step
+    assert steps or spec.constraints is not None
+    assert not steps or rec.best_fitness == steps[-1]
+    assert rec.evaluations_used <= cfg.fes_max
+    best = [b for _, b in rec.trace]
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    rs = ResultSet({(rec.algorithm, rec.problem, 0): rec},
+                   {"schema_version": harness.SCHEMA_VERSION})
+    with tempfile.TemporaryDirectory() as tmp:
+        assert load(persist(rs, tmp)).records == rs.records

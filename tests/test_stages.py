@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +14,10 @@ from ieco_mco.covariance import EliteArchive
 from ieco_mco.rng import (Bounds, BudgetExhaustedError, RngStream, levy_sample,
                           logistic_chain, mantegna_sigma)
 from ieco_mco.stages import (
-    _SCHOOL_RULES,
+    _SCHOOLS,
     _STUDENT_RULES,
+    ARCHIVE_ROWS_PER_DIM,
     TALENT_THRESHOLD,
-    AlgorithmParams,
     Population,
     Stage,
     StageContext,
@@ -97,28 +96,6 @@ def test_school_count_round_half_up_and_floor_one():
     assert school_count(0.25, 6) == 2   # 1.5 rounds up
     assert school_count(0.01, 5) == 1   # never an empty school set
     assert school_count(0.1, 5) == 1
-
-
-def test_algorithm_params_defaults_per_variant():
-    eco = AlgorithmParams.for_variant(Variant.ECO)
-    assert (eco.g1, eco.g2) == (0.2, 0.1)
-    assert not eco.uses_archive()
-    imp = AlgorithmParams.for_variant("ieco-mco")
-    assert (imp.g1, imp.g2) == (0.4, 0.5)
-    assert imp.uses_archive()
-    assert imp.archive_capacity(10) == eco.archive_capacity(10) == 200
-    assert TALENT_THRESHOLD == 0.5
-    assert imp.school_fraction(Stage.PRIMARY) == 0.4
-    assert imp.school_fraction(Stage.MIDDLE) == 0.5
-    assert imp.school_fraction(Stage.HIGH) == 0.5
-    assert replace(imp, variant=Variant.GECO).variant is Variant.GECO
-
-
-def test_algorithm_params_validation():
-    with pytest.raises(ValueError):
-        AlgorithmParams(g1=1.0)
-    with pytest.raises(ValueError):
-        AlgorithmParams(g2=-0.2)
 
 
 def test_variant_labels_parse_case_insensitively():
@@ -388,8 +365,22 @@ def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
     assert np.array_equal(block, loop)
 
 
+def test_algorithm_params_defaults_per_variant():
+    fractions = {
+        Variant.ECO: (0.2, 0.1, 0.1),
+        Variant.GECO: (0.4, 0.5, 0.5),
+        Variant.SECO: (0.4, 0.5, 0.5),
+        Variant.DECO: (0.4, 0.5, 0.5),
+        Variant.IECO_MCO: (0.4, 0.5, 0.5),
+    }
+    for variant, expected in fractions.items():
+        assert tuple(_SCHOOLS[variant, s][0] for s in Stage) == expected
+    assert TALENT_THRESHOLD == 0.5
+    assert ARCHIVE_ROWS_PER_DIM == 20
+
+
 def test_dispatch_table_covers_every_variant_and_stage():
-    assert set(_SCHOOL_RULES) == {(v, s) for v in Variant for s in Stage}
+    assert set(_SCHOOLS) == {(v, s) for v in Variant for s in Stage}
     assert set(_STUDENT_RULES) == set(Stage)
     rows = {
         Variant.ECO: (st._primary_schools, st._middle_schools, st._high_schools),
@@ -400,7 +391,7 @@ def test_dispatch_table_covers_every_variant_and_stage():
                            st._differential_schools),
     }
     for variant, rules in rows.items():
-        assert [_SCHOOL_RULES[variant, s] for s in Stage] == list(rules)
+        assert [_SCHOOLS[variant, s][1] for s in Stage] == list(rules)
 
 
 def test_school_partition_after_sort():
@@ -449,6 +440,11 @@ def make_pop(evaluator, bounds, n, seed):
     return Population(pos, fit, obj, feas), rng
 
 
+def archive_for(variant, dim):
+    """The archive run_single gives a variant: none for ECO."""
+    return None if variant is Variant.ECO else EliteArchive(ARCHIVE_ROWS_PER_DIM * dim)
+
+
 def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
                    transform=None):
     bounds = Bounds.cube(-100.0, 100.0, dim)
@@ -458,12 +454,11 @@ def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
         fn = lambda X: transform(base(X))
     ev = CountingEvaluator(fn)
     pop, rng = make_pop(ev, bounds, n, seed)
-    params = AlgorithmParams.for_variant(variant)
-    archive = EliteArchive(params.archive_capacity(dim)) if params.uses_archive() else None
+    archive = archive_for(variant, dim)
     snaps = []
     for it in range(1, iters + 1):
         ctx = StageContext.draw(stage_of(it), ev.used, fes_max, rng)
-        pop = step(pop, params, ctx, archive, rng, ev, bounds)
+        pop = step(pop, variant, ctx, archive, rng, ev, bounds)
         snaps.append(pop.positions.copy())
     return pop, ev, snaps
 
@@ -480,12 +475,11 @@ def test_step_best_fitness_is_monotone():
         bounds = Bounds.cube(-100.0, 100.0, 3)
         ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
         pop, rng = make_pop(ev, bounds, 10, seed=9)
-        params = AlgorithmParams.for_variant(variant)
-        archive = EliteArchive(params.archive_capacity(3)) if params.uses_archive() else None
+        archive = archive_for(variant, 3)
         best = pop.fitness[0]
         for it in range(1, 16):
             ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, params, ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
             assert pop.fitness[0] <= best
             best = pop.fitness[0]
 
@@ -495,10 +489,9 @@ def test_step_consumes_n_evaluations_per_iteration():
     bounds = Bounds.cube(-100.0, 100.0, 2)
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 6, seed=3)
-    params = AlgorithmParams.for_variant(Variant.ECO)
     for it in range(1, 4):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, params, ctx, None, rng, ev, bounds)
+        pop = step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
     assert ev.used == 24
 
 
@@ -506,10 +499,9 @@ def test_step_refuses_to_start_without_budget():
     bounds = Bounds.cube(-100.0, 100.0, 2)
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 6, seed=3)
-    params = AlgorithmParams.for_variant(Variant.ECO)
     ctx = StageContext(stage=Stage.PRIMARY, fes=24, fes_max=24, omega=0.0, p=0.0)
     with pytest.raises(BudgetExhaustedError):
-        step(pop, params, ctx, None, rng, ev, bounds)
+        step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
 
 
 def test_step_trajectory_invariant_under_monotone_rescaling():
@@ -536,9 +528,8 @@ def test_step_translation_equivariance_single_iteration():
             rng = RngStream(41)
             fit, obj, feas, pos = ev.evaluate(chain_population(n, bounds))
             pop = Population(pos, fit, obj, feas)
-            params = AlgorithmParams.for_variant(Variant.ECO)
             ctx = StageContext.draw(stage_of(first_stage), ev.used, 10 ** 6, rng)
-            pop = step(pop, params, ctx, None, rng, ev, bounds)
+            pop = step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
             out.append(pop.positions)
         assert np.allclose(out[1] - out[0], t, atol=1e-8)
 
@@ -547,14 +538,13 @@ def test_step_fills_archive_for_improved_variants():
     bounds = Bounds.cube(-100.0, 100.0, 2)
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 10, seed=13)
-    params = AlgorithmParams.for_variant(Variant.IECO_MCO)
-    archive = EliteArchive(params.archive_capacity(2))
+    archive = archive_for(Variant.IECO_MCO, 2)
     pushed = 0
     for it in range(1, 10):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, params, ctx, archive, rng, ev, bounds)
-        pushed += school_count(params.school_fraction(ctx.stage), pop.size)
-        assert len(archive) == min(pushed, params.archive_capacity(2))
+        pop = step(pop, Variant.IECO_MCO, ctx, archive, rng, ev, bounds)
+        pushed += school_count(_SCHOOLS[Variant.IECO_MCO, ctx.stage][0], pop.size)
+        assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
 def test_step_clamps_every_proposal_into_the_box():
@@ -567,12 +557,10 @@ def test_step_clamps_every_proposal_into_the_box():
         ev = CountingEvaluator(lambda X: seen.append(X.copy())
                                or ((X - 7.0) ** 2).sum(axis=1))
         pop, rng = make_pop(ev, bounds, 10, seed=17)
-        params = AlgorithmParams.for_variant(variant)
-        archive = (EliteArchive(params.archive_capacity(2))
-                   if params.uses_archive() else None)
+        archive = archive_for(variant, 2)
         for it in range(1, 16):
             ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, params, ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
         proposals = np.concatenate(seen[1:])
         assert np.all((proposals >= -1.0) & (proposals <= 1.0)), variant
         assert np.any(proposals == 1.0), variant
