@@ -237,12 +237,17 @@ def cmd_export_trace(args) -> int:
         raise UsageError("no problem given; use --problem")
     if problem not in results.problems:
         # Resolve as make_problem does: by the leading token, whatever its case.
+        # Two persisted problems can share it only if custom problems were
+        # persisted through the library; then the name is ambiguous.
         head = problem.strip().lower().split("-")[0]
         matches = [p for p in results.problems if p.split("-")[0] == head]
         if not matches:
             raise UsageError("unknown problem %r; persisted problems: %s"
                              % (problem, ", ".join(results.problems)))
-        problem = matches[0]
+        if len(matches) > 1:
+            raise UsageError("ambiguous problem %r; candidates: %s"
+                             % (problem, ", ".join(matches)))
+        (problem,) = matches
     algorithms = (_csv_list(args.algorithms) if args.algorithms
                   else results.algorithms)
     for a in algorithms:

@@ -13,7 +13,9 @@ Persisted layout under an output directory:
   except ``trace``, named as the field and in field order (``wall_time``
   last)
 - ``traces.csv``: one row per run: algorithm, problem, run, then the trace's
-  n evaluation counts, then its n best-so-far values
+  n evaluation counts, then its n best-so-far values. :func:`load` reads
+  only ``meta.json`` and ``results.csv``; a loaded record's trace is read
+  from this file on first use, one problem's rows at a time
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -24,9 +26,12 @@ Record equality ignores wall_time (the only non-deterministic field).
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import hashlib
+import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -67,7 +72,8 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A persisted cell's traces row is missing or a value does not parse."""
+    """A persisted cell's traces row is missing, a value does not parse, or
+    traces.csv changed between loading a set and reading a trace from it."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -182,6 +188,8 @@ class RunRecord:
     """Outcome of one independent run.
 
     Equality ignores ``wall_time``; every other field must match exactly.
+    A run's ``trace`` is a list; :func:`load` gives each record a sequence
+    that reads the trace from ``traces.csv`` on first use.
     """
 
     algorithm: str
@@ -194,7 +202,7 @@ class RunRecord:
     best_objective: float
     best_violation: float
     feasible: bool
-    trace: List[Tuple[int, float]]
+    trace: Sequence[Tuple[int, float]]
     evaluations_used: int
     wall_time: float = 0.0
 
@@ -442,12 +450,20 @@ def persist(results: ResultSet, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = [results.records[key] for key in sorted(results.records)]
+    # A loaded set reads its traces from its traces.csv on first use, which
+    # may be the file about to be rewritten, so read them all first.
+    traces = [list(r.trace) for r in records]
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
-    _write_rows(out / "traces.csv", _TRACES_HEADER,
-                ([r.algorithm, r.problem, r.run, *[fes for fes, _ in r.trace],
-                  *[best for _, best in r.trace]] for r in records))
+    with open(out / "traces.csv", "w", newline="") as fh:
+        csv.writer(fh).writerow(_TRACES_HEADER)
+        labels = csv.writer(fh, lineterminator="")
+        for r, trace in zip(records, traces):
+            # What csv.writer would write: numbers never need quoting.
+            labels.writerow((r.algorithm, r.problem, r.run))
+            fh.write(",".join(["", *[str(fes) for fes, _ in trace],
+                               *[str(best) for _, best in trace]]) + "\r\n")
     _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
                 ([row["algorithm"], row["problem"], repr(row["best"]),
                   repr(row["mean"]), repr(row["std"])]
@@ -455,10 +471,20 @@ def persist(results: ResultSet, out_dir) -> Path:
 
     meta = dict(results.metadata)
     meta["schema_version"] = SCHEMA_VERSION
+    if "config_hash" in meta:
+        meta["config_hash"] = config_hash(
+            {k: v for k, v in meta.items() if k not in ("config_hash", "created_at")})
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
+
+
+def _broken_row(path: Path, line: int, header: List[str], row, exc):
+    named = dict(zip(header, row))
+    cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
+    return BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
+                              % (path, line, *cell, exc))
 
 
 def _read_rows(path: Path, header: List[str], parse):
@@ -476,10 +502,7 @@ def _read_rows(path: Path, header: List[str], parse):
             try:
                 parsed = parse(row)
             except ValueError as exc:
-                named = dict(zip(header, row))
-                cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
-                raise BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
-                                         % (path, reader.line_num, *cell, exc)) from None
+                raise _broken_row(path, reader.line_num, header, row, exc) from None
             yield parsed
 
 
@@ -491,11 +514,104 @@ def _parse_trace(row):
                      strict=True)))
 
 
+class _TraceReader:
+    """The traces.csv of one loaded set, read one problem at a time.
+
+    The file's size and modification time are taken at load; a read that
+    finds them changed raises :class:`BrokenResultsError`.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.stamp = self._stamp()
+        self.problems: Dict[str, dict] = {}
+
+    def _stamp(self):
+        stat = os.stat(self.path)
+        return stat.st_size, stat.st_mtime_ns
+
+    def trace(self, key: Tuple[str, str, int]) -> List[Tuple[int, float]]:
+        problem = key[1]
+        if problem not in self.problems:
+            self.problems[problem] = self._read(problem)
+        if key not in self.problems[problem]:
+            raise BrokenResultsError("%s has no row for cell (%s, %s, run %d)"
+                                     % (self.path, *key))
+        return self.problems[problem][key]
+
+    def _read(self, problem: str) -> dict:
+        """The traces of ``problem`` by cell. Only a line that holds a quote
+        can hide its problem field, so only such lines go through csv whole;
+        the others are decoded only when their second field is ``problem``."""
+        if self._stamp() != self.stamp:
+            raise BrokenResultsError("%s changed after the results were loaded"
+                                     % self.path)
+        found = {}
+        with open(self.path, newline="") as fh:
+            lines = iter(fh)
+            if next(lines, "").rstrip("\r\n") != ",".join(_TRACES_HEADER):
+                raise BrokenResultsError("%s line 1: expected the header %s"
+                                         % (self.path, ",".join(_TRACES_HEADER)))
+            number = 1
+            for line in lines:
+                number += 1
+                if '"' in line:
+                    reader = csv.reader(itertools.chain([line], lines))
+                    row = next(reader)
+                    number += reader.line_num - 1
+                    if row[1:2] != [problem]:
+                        continue
+                elif line.split(",", 2)[1:2] == [problem]:
+                    row = line.rstrip("\r\n").split(",")
+                else:
+                    continue
+                try:
+                    key, points = _parse_trace(row)
+                except ValueError as exc:
+                    raise _broken_row(self.path, number, _TRACES_HEADER, row,
+                                      exc) from None
+                found[key] = points
+        return found
+
+
+class _LoadedTrace(collections.abc.Sequence):
+    """A loaded record's trace, read through its set's :class:`_TraceReader`
+    on first use."""
+
+    def __init__(self, reader: _TraceReader, key: Tuple[str, str, int]):
+        self._reader = reader
+        self._key = key
+
+    def _points(self) -> List[Tuple[int, float]]:
+        return self._reader.trace(self._key)
+
+    def __len__(self):
+        return len(self._points())
+
+    def __getitem__(self, index):
+        return self._points()[index]
+
+    def __iter__(self):
+        return iter(self._points())
+
+    def __eq__(self, other):
+        if isinstance(other, _LoadedTrace):
+            other = other._points()
+        return self._points() == other
+
+    def __repr__(self):
+        return repr(self._points())
+
+
 def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
-    Raises :class:`BrokenResultsError`, naming the file and the cell, when a
-    row of ``results.csv`` has no traces row or a value does not parse.
+    Reads ``meta.json`` and ``results.csv``; each record's trace is read from
+    ``traces.csv`` on first use, together with the other traces of its
+    problem. Raises :class:`BrokenResultsError`, naming the file and the cell,
+    when a value of ``results.csv`` does not parse; the first read of a trace
+    raises it when the run has no traces row, a value of its problem's rows
+    does not parse, or ``traces.csv`` changed since the load.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -506,16 +622,13 @@ def load(out_dir) -> ResultSet:
             "results were written with schema %r; this build reads %d"
             % (version, SCHEMA_VERSION))
 
-    traces = dict(_read_rows(out / "traces.csv", _TRACES_HEADER, _parse_trace))
+    traces = _TraceReader(out / "traces.csv")
 
     def parse_result(row):
         values = {name: decode(text)
                   for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
         key = (values["algorithm"], values["problem"], values["run"])
-        if key not in traces:
-            raise BrokenResultsError("%s has no row for cell (%s, %s, run %d)"
-                                     % (out / "traces.csv", *key))
-        return key, RunRecord(trace=traces[key], **values)
+        return key, RunRecord(trace=_LoadedTrace(traces, key), **values)
 
     records = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
     return ResultSet(records, metadata)

@@ -1,11 +1,12 @@
 """Command-line interface tests: exit codes, precedence, reports, exports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ieco_mco import cli
+from ieco_mco import cli, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 
 TINY = ["--runs", "1", "--dim", "5", "--n", "6", "--fes-max", "60"]
@@ -308,10 +309,45 @@ def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
         where = "%s line %d" % (path, len(rows))
     path.write_text("\n".join(rows) + "\n")
     capsys.readouterr()
-    assert run_cli("compare", "--results", str(out)) == 1
+    # compare reads only results.csv; export-trace reads p3's traces rows.
+    argv = (("compare",) if broken == "position value"
+            else ("export-trace", "--problem", "p3"))
+    assert run_cli(*argv, "--results", str(out)) == 1
     err = capsys.readouterr().err
     assert where in err
     assert "cell (beta, p3, run 2)" in err
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
+                                  ["stats", "--test", "wilcoxon"],
+                                  ["stats", "--test", "kw"]])
+def test_compare_and_stats_open_only_meta_and_results(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    out = _synthetic_results(tmp_path, tie=False)
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", spy, raising=False)
+    assert run_cli(*argv, "--results", str(out)) == 0
+    assert sorted(opened) == ["meta.json", "results.csv"]
+
+
+def test_export_trace_decodes_only_its_problems_rows(tmp_path, capsys,
+                                                     monkeypatch):
+    out = _synthetic_results(tmp_path, tie=False)
+    decoded = []
+    parse = harness._parse_trace
+
+    def spy(row):
+        decoded.append(row[1])
+        return parse(row)
+
+    monkeypatch.setattr(harness, "_parse_trace", spy)
+    assert run_cli("export-trace", "--results", str(out), "--problem", "p3") == 0
+    assert decoded == ["p3"] * 6
 
 
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):
@@ -378,6 +414,15 @@ def test_export_trace_prefers_the_exact_problem_name(tmp_path, capsys):
         _, series = export_trace(results, problem)
         assert [float(v) for v in last[1:]] == [series[a][-1]
                                                 for a in results.algorithms]
+
+
+def test_export_trace_refuses_an_ambiguous_leading_token(tmp_path, capsys):
+    out = _synthetic_results(tmp_path, tie=False, problems=("disk-a", "disk-b"))
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out), "--problem", "disk") == 2
+    captured = capsys.readouterr()
+    assert "disk-a" in captured.err and "disk-b" in captured.err
+    assert captured.out == ""
 
 
 def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):

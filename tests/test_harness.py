@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -474,9 +475,47 @@ def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
     out = persist(rs, tmp_path / "out")
     broken = corrupt(out)
     with pytest.raises(BrokenResultsError) as err:
-        load(out)
+        # traces.csv is read on a trace's first use, results.csv at load.
+        list(load(out).records[("IECO-MCO", "f02-rosenbrock-d5", 2)].trace)
     assert broken in str(err.value)
     assert "cell (IECO-MCO, f02-rosenbrock-d5, run 2)" in str(err.value)
+
+
+@pytest.mark.parametrize("change", ["append a row", "touch"])
+def test_trace_read_after_the_traces_file_changed_names_it(tmp_path, change):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    rs = load(out)
+    path = out / "traces.csv"
+    if change == "touch":
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
+    else:
+        with open(path, "a", newline="") as fh:
+            fh.write("ECO,f01-zakharov-d5,9,6,1.5\r\n")
+    with pytest.raises(BrokenResultsError, match="changed") as err:
+        list(rs.records[("ECO", "f01-zakharov-d5", 0)].trace)
+    assert str(path) in str(err.value)
+
+
+def test_persist_over_the_set_it_loaded_gives_it_back(tmp_path):
+    rs = _tiny_batch()
+    out = persist(rs, tmp_path / "out")
+    written = (out / "traces.csv").read_bytes()
+    persist(load(out), out)
+    assert load(out) == rs
+    assert (out / "traces.csv").read_bytes() == written
+
+
+def test_persist_writes_the_hash_of_the_written_payload(tmp_path):
+    rs = _tiny_batch()
+    # A set written under schema 1 carries the hash of its schema-1 payload.
+    rs.metadata["schema_version"] = 1
+    rs.metadata["config_hash"] = config_hash(
+        {k: v for k, v in rs.metadata.items() if k not in ("config_hash", "created_at")})
+    meta = json.loads((persist(rs, tmp_path / "out") / "meta.json").read_text())
+    assert meta["schema_version"] == SCHEMA_VERSION
+    assert meta["config_hash"] == config_hash(
+        {k: v for k, v in meta.items() if k not in ("config_hash", "created_at")})
 
 
 def test_summary_matches_recomputation(tmp_path):

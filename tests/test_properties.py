@@ -23,7 +23,8 @@ Persisting a result set and loading it back gives equal records, whatever
 the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
 best), however long the traces (up to 20,000 points, past the csv module's
 131,072-character field limit had a trace been one field) and whatever
-commas and quotes the labels hold.
+commas and quotes the labels hold. The traces.csv that persist writes
+with one join per row equals what ``csv.writer`` writes for the same rows.
 
 A whole run, drawn over variant, population size, dimension, budget,
 registry problem and seed, keeps its budget, keeps every position in the
@@ -31,7 +32,9 @@ box, keeps the population sorted with no order statistic of its fitness
 rising, records a trace that never rises, and persists and loads back.
 """
 
+import csv
 import functools
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -275,6 +278,22 @@ def test_persist_then_load_gives_equal_records(rs):
         assert (again / "traces.csv").read_bytes() == (first / "traces.csv").read_bytes()
         assert _without_wall_time(again / "results.csv") == \
             _without_wall_time(first / "results.csv")
+
+
+@settings(max_examples=40, deadline=None)
+@given(result_sets())
+def test_traces_file_equals_what_csv_writer_writes(rs):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["algorithm", "problem", "run", "fes...", "best..."])
+    for key in sorted(rs.records):
+        rec = rs.records[key]
+        writer.writerow([rec.algorithm, rec.problem, rec.run,
+                         *[fes for fes, _ in rec.trace],
+                         *[best for _, best in rec.trace]])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = persist(rs, Path(tmp))
+        assert (out / "traces.csv").read_bytes() == expected.getvalue().encode()
 
 
 # ------------------------------------------------------------------ whole runs
