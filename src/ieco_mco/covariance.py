@@ -142,21 +142,24 @@ def elite_indices(fitnesses, positions, best_position, k):
     """Indices of the k highest elite scores, ties to the lower index.
 
     The score is ELITE_WEIGHT * fitness_norm + (1 - ELITE_WEIGHT) *
-    distance_norm. fitness_norm rescales so the best fitness maps to 1 and
-    the worst to 0 (all 1 when the population is fitness-flat); distance_norm
-    is the distance from the current best position rescaled to [0, 1] (all 0
-    when every agent sits on the best).
+    distance_norm. fitness_norm rescales the finite fitnesses so the best
+    maps to 1 and the worst to 0 (all 1 when they are flat); a non-finite
+    fitness gets 0. distance_norm is the distance from the current best
+    position rescaled to [0, 1] (all 0 when every agent sits on the best).
     """
     f = np.asarray(fitnesses, dtype=float)
     if not 1 <= k <= f.shape[0]:
         raise ValueError("k must lie in [1, population size]")
     pos = np.asarray(positions, dtype=float)
     best = np.asarray(best_position, dtype=float)
-    f_min, f_max = f.min(), f.max()
+    finite = np.isfinite(f)
+    ranked = f if finite.all() else f[finite]
+    f_min, f_max = (ranked.min(), ranked.max()) if ranked.size else (0.0, 0.0)
     if f_max > f_min:
         fitness_norm = (f_max - f) / (f_max - f_min)
     else:
         fitness_norm = np.ones_like(f)
+    fitness_norm[~finite] = 0.0
     d = np.linalg.norm(pos - best, axis=1)
     d_max = d.max()
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)

@@ -517,14 +517,18 @@ def _parse_trace(row):
 class _TraceReader:
     """The traces.csv of one loaded set, read one problem at a time.
 
-    The file's size and modification time are taken at load; a read that
-    finds them changed raises :class:`BrokenResultsError`.
+    The first read walks the file once and notes where each problem's rows
+    start; every read then decodes only its problem's rows, from there. The
+    file's size and modification time are taken at load; a read that finds
+    them changed raises :class:`BrokenResultsError`.
     """
 
     def __init__(self, path: Path):
         self.path = path
         self.stamp = self._stamp()
         self.problems: Dict[str, dict] = {}
+        # problem -> (offset, line number) of each of its rows
+        self.starts: Optional[Dict[str, List[Tuple[int, int]]]] = None
 
     def _stamp(self):
         stat = os.stat(self.path)
@@ -540,31 +544,24 @@ class _TraceReader:
         return self.problems[problem][key]
 
     def _read(self, problem: str) -> dict:
-        """The traces of ``problem`` by cell. Only a line that holds a quote
-        can hide its problem field, so only such lines go through csv whole;
-        the others are decoded only when their second field is ``problem``."""
+        """The traces of ``problem`` by cell."""
         if self._stamp() != self.stamp:
             raise BrokenResultsError("%s changed after the results were loaded"
                                      % self.path)
         found = {}
-        with open(self.path, newline="") as fh:
-            lines = iter(fh)
-            if next(lines, "").rstrip("\r\n") != ",".join(_TRACES_HEADER):
-                raise BrokenResultsError("%s line 1: expected the header %s"
-                                         % (self.path, ",".join(_TRACES_HEADER)))
-            number = 1
-            for line in lines:
-                number += 1
-                if '"' in line:
-                    reader = csv.reader(itertools.chain([line], lines))
-                    row = next(reader)
-                    number += reader.line_num - 1
-                    if row[1:2] != [problem]:
-                        continue
-                elif line.split(",", 2)[1:2] == [problem]:
-                    row = line.rstrip("\r\n").split(",")
+        # Rows are found and read as bytes, in the encoding text mode would
+        # decode them with; only the rows of ``problem`` are decoded.
+        with open(self.path, newline="") as text:
+            fh, encoding = text.buffer, text.encoding
+            if self.starts is None:
+                self.starts = self._walk(fh, encoding)
+            for offset, number in self.starts.get(problem, ()):
+                fh.seek(offset)
+                line = fh.readline()
+                if b'"' in line:
+                    row = next(_quoted_rows(line, fh, encoding))
                 else:
-                    continue
+                    row = line.decode(encoding).rstrip("\r\n").split(",")
                 try:
                     key, points = _parse_trace(row)
                 except ValueError as exc:
@@ -572,6 +569,39 @@ class _TraceReader:
                                       exc) from None
                 found[key] = points
         return found
+
+    def _walk(self, fh, encoding) -> Dict[str, List[Tuple[int, int]]]:
+        """Where each problem's rows start in traces.csv, open as ``fh``. Only
+        a line that holds a quote can hide its problem field, so only such a
+        row goes through csv; another is split only up to its problem."""
+        if fh.readline().decode(encoding).rstrip("\r\n") != ",".join(_TRACES_HEADER):
+            raise BrokenResultsError("%s line 1: expected the header %s"
+                                     % (self.path, ",".join(_TRACES_HEADER)))
+        starts: Dict[str, List[Tuple[int, int]]] = {}
+        number = 2
+        while True:
+            offset = fh.tell()
+            line = fh.readline()
+            if not line:
+                return starts
+            if b'"' in line:
+                reader = _quoted_rows(line, fh, encoding)
+                problem = next(reader)[1:2]
+                lines = reader.line_num
+            else:
+                problem = [p.decode(encoding) for p in line.split(b",", 2)[1:2]]
+                lines = 1
+            if problem:
+                starts.setdefault(problem[0], []).append((offset, number))
+            number += lines
+
+
+def _quoted_rows(line: bytes, fh, encoding: str):
+    """csv rows from ``line`` on, reading further lines from the binary file
+    ``fh`` only as a row needs them, so ``fh`` stays at the end of the last
+    row read."""
+    lines = itertools.chain([line], iter(fh.readline, b""))
+    return csv.reader(raw.decode(encoding) for raw in lines)
 
 
 class _LoadedTrace(collections.abc.Sequence):

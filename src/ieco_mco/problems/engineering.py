@@ -14,6 +14,13 @@ Integer variables are relaxed to continuous with rounding at evaluation
 where the classic problem is discrete (gear train). Dimensions:
 rw01: 3, rw02: 4, rw03: 2, rw04: 4, rw05: 7, rw06: 4, rw07: 10, rw08: 5,
 rw09: 5, rw10: 5.
+
+Every problem but rw06 is a per-point formula, read row by row on Python
+floats, which give the bits numpy float64 scalars give. A row on which
+float arithmetic raises (division by zero, as rw03 does at a = 0, or
+``**`` overflow) or turns complex (a negative base under one of rw07's
+fractional powers, outside the box) is read again as numpy scalars, so it
+reads as inf or NaN exactly as a numpy row does.
 """
 
 from __future__ import annotations
@@ -26,11 +33,34 @@ from ..rng import Bounds
 from .core import ProblemSpec
 
 EQUALITY_EPS = 1e-4
+# Rows read on Python floats at a time: a resampling block can hold
+# thousands of rows, and their floats take far more memory than an array.
+_FLOAT_ROWS = 256
 
 
 def _rows(fn):
-    """A per-point formula applied to each row of an (n, D) block."""
-    return lambda X: list(map(fn, X))
+    """A per-point formula applied to each row of an (n, D) block, on Python
+    floats; a row on which they raise or turn complex is read again as
+    numpy scalars, which give inf or NaN there."""
+    def read_floats(X):
+        values = []
+        for i, x in enumerate(X.tolist()):
+            try:
+                values.append(fn(x))
+            except ArithmeticError:
+                values.append(fn(X[i]))
+        out = np.array(values)
+        if out.dtype.kind == "c":
+            out = np.array([fn(x) if np.iscomplexobj(v) else v
+                            for x, v in zip(X, values)])
+        return out
+
+    def read(X):
+        if X.shape[0] <= _FLOAT_ROWS:
+            return read_floats(X)
+        return np.concatenate([read_floats(X[i:i + _FLOAT_ROWS])
+                               for i in range(0, X.shape[0], _FLOAT_ROWS)])
+    return read
 
 
 def _spec(name, bounds_pairs, objective, constraints, known_target, note,
@@ -52,13 +82,13 @@ def make_rw01():
 
     def g(x):
         d, dm, n = x
-        return np.array([
+        return [
             1.0 - dm ** 3 * n / (71785.0 * d ** 4),
             (4.0 * dm ** 2 - d * dm) / (12566.0 * (dm * d ** 3 - d ** 4))
             + 1.0 / (5108.0 * d ** 2) - 1.0,
             1.0 - 140.45 * d / (dm ** 2 * n),
             (d + dm) / 1.5 - 1.0,
-        ])
+        ]
 
     return _spec(
         "rw01-spring", [(0.05, 2.0), (0.25, 1.3), (2.0, 15.0)], f, g,
@@ -76,12 +106,12 @@ def make_rw02():
                 + 3.1661 * x[0] ** 2 * x[3] + 19.84 * x[0] ** 2 * x[2])
 
     def g(x):
-        return np.array([
+        return [
             -x[0] + 0.0193 * x[2],
             -x[1] + 0.00954 * x[2],
             -math.pi * x[2] ** 2 * x[3] - (4.0 / 3.0) * math.pi * x[2] ** 3 + 1296000.0,
             x[3] - 240.0,
-        ])
+        ]
 
     return _spec(
         "rw02-pressure-vessel", [(0.0, 99.0), (0.0, 99.0), (10.0, 200.0), (10.0, 200.0)],
@@ -104,11 +134,11 @@ def make_rw03():
     def g(x):
         a, b = x
         den = math.sqrt(2.0) * a ** 2 + 2.0 * a * b
-        return np.array([
+        return [
             (math.sqrt(2.0) * a + b) / den * P - SIGMA,
             b / den * P - SIGMA,
             1.0 / (math.sqrt(2.0) * b + a) * P - SIGMA,
-        ])
+        ]
 
     return _spec(
         "rw03-three-bar-truss", [(0.0, 1.0), (0.0, 1.0)], f, g,
@@ -139,7 +169,7 @@ def make_rw04():
         delta = 4.0 * P * L ** 3 / (E * t ** 3 * b)
         p_c = (4.013 * E * math.sqrt(t ** 2 * b ** 6 / 36.0) / L ** 2
                * (1.0 - t / (2.0 * L) * math.sqrt(E / (4.0 * G))))
-        return np.array([
+        return [
             tau - TAU_MAX,
             sigma - SIGMA_MAX,
             h - b,
@@ -147,7 +177,7 @@ def make_rw04():
             0.125 - h,
             delta - DELTA_MAX,
             P - p_c,
-        ])
+        ]
 
     return _spec(
         "rw04-welded-beam", [(0.1, 2.0), (0.1, 10.0), (0.1, 10.0), (0.1, 2.0)], f, g,
@@ -170,7 +200,7 @@ def make_rw05():
 
     def g(x):
         x1, x2, x3, x4, x5, x6, x7 = x
-        return np.array([
+        return [
             27.0 / (x1 * x2 ** 2 * x3) - 1.0,
             397.5 / (x1 * x2 ** 2 * x3 ** 2) - 1.0,
             1.93 * x4 ** 3 / (x2 * x3 * x6 ** 4) - 1.0,
@@ -182,7 +212,7 @@ def make_rw05():
             x1 / (12.0 * x2) - 1.0,
             (1.5 * x6 + 1.9) / x4 - 1.0,
             (1.1 * x7 + 1.9) / x5 - 1.0,
-        ])
+        ]
 
     return _spec(
         "rw05-speed-reducer",
@@ -241,7 +271,7 @@ def make_rw07():
         num = arm ** 2 + leg ** 2 - hyp ** 2
         den = 2.0 * arm * leg
         phi0 = 2.0 * math.pi - 2.0 * math.acos(min(1.0, max(-1.0, num / den)))
-        return np.array([
+        return [
             z - 1.0 - phi0 / (2.0 * math.asin(db / dm)),
             kdmin * (D - d) - 2.0 * db,
             2.0 * db - kdmax * (D - d),
@@ -249,7 +279,7 @@ def make_rw07():
             0.5 * (D + d) - dm,
             dm - (0.5 + e) * (D + d),
             eps * db - 0.5 * (D - dm - db),
-        ])
+        ]
 
     return _spec(
         "rw07-rolling-bearing",
@@ -269,13 +299,15 @@ def make_rw07():
 
 def make_rw08():
     def f(x):
-        return 0.0624 * x.sum()
+        # left to right, as numpy sums five entries; the builtin sum
+        # compensates from CPython 3.12 on
+        return 0.0624 * (x[0] + x[1] + x[2] + x[3] + x[4])
 
     def g(x):
-        return np.array([
+        return [
             61.0 / x[0] ** 3 + 37.0 / x[1] ** 3 + 19.0 / x[2] ** 3
             + 7.0 / x[3] ** 3 + 1.0 / x[4] ** 3 - 1.0,
-        ])
+        ]
 
     return _spec(
         "rw08-cantilever-beam", [(0.01, 100.0)] * 5, f, g,
@@ -305,7 +337,7 @@ def make_rw09():
         prz = fcl / area
         vsr = math.pi * N_RPM / 30.0 * (2.0 / 3.0) * ratio * 1e-3  # m/s
         tt = IZ * math.pi * N_RPM / 30.0 / (mh + MF)
-        return np.array([
+        return [
             -(ro - ri) + DELTA_R,
             (z + 1.0) * (t + DELTA) - LMAX,
             prz - PMAX,
@@ -314,7 +346,7 @@ def make_rw09():
             tt - TMAX,
             S * MS - mh,
             -tt,
-        ])
+        ]
 
     return _spec(
         "rw09-disk-clutch-brake",
@@ -336,34 +368,32 @@ def make_rw10():
     N0 = 350.0
     SPEEDS = (750.0, 450.0, 250.0, 150.0)
     PMIN = 0.75 * 745.6998
-
-    def _wrap(di, ni):
-        return math.pi - 2.0 * math.asin(min(1.0, max(-1.0, (ni / N0 - 1.0) * di / (2.0 * A))))
+    # Per-speed terms of the formulas below, with r = ni / N0: 1 + r^2
+    # weighs a step's mass, 1 + r and (r - 1)^2 its belt length, and r - 1
+    # its wrap angle.
+    MASS = [1.0 + (ni / N0) ** 2 for ni in SPEEDS]
+    ARC = [1.0 + ni / N0 for ni in SPEEDS]
+    TILT = [ni / N0 - 1.0 for ni in SPEEDS]
+    SLACK = [t ** 2 for t in TILT]
 
     def f(x):
-        w = x[4]
         total = 0.0
-        for di, ni in zip(x[:4], SPEEDS):
-            total += di ** 2 * (1.0 + (ni / N0) ** 2)
-        return RHO * w * math.pi / 4.0 * total
-
-    def _belt_length(di, ni):
-        r = ni / N0
-        return math.pi * di / 2.0 * (1.0 + r) + (r - 1.0) ** 2 * di ** 2 / (4.0 * A) + 2.0 * A
+        for di, mass in zip(x, MASS):
+            total += di ** 2 * mass
+        return RHO * x[4] * math.pi / 4.0 * total
 
     def g(x):
-        w = x[4]
-        out = []
-        lengths = [_belt_length(di, ni) for di, ni in zip(x[:4], SPEEDS)]
-        for li in lengths[1:]:  # equal belt length on every step
-            out.append(abs(li - lengths[0]) - EQUALITY_EPS)
-        for di, ni in zip(x[:4], SPEEDS):
-            theta = _wrap(di, ni)
+        stress = S_STRESS * T_BELT * x[4]
+        lengths = [math.pi * di / 2.0 * arc + slack * di ** 2 / (4.0 * A) + 2.0 * A
+                   for di, arc, slack in zip(x, ARC, SLACK)]
+        # equal belt length on every step
+        out = [abs(li - lengths[0]) - EQUALITY_EPS for li in lengths[1:]]
+        for di, ni, tilt in zip(x, SPEEDS, TILT):
+            theta = math.pi - 2.0 * math.asin(min(1.0, max(-1.0, tilt * di / (2.0 * A))))
             out.append(2.0 - math.exp(MU * theta))  # tension ratio >= 2
-            power = (S_STRESS * T_BELT * w * (1.0 - math.exp(-MU * theta))
-                     * math.pi * di * ni / 60.0)
-            out.append(PMIN - power)                # transmitted power floor
-        return np.array(out)
+            out.append(PMIN - stress * (1.0 - math.exp(-MU * theta))
+                       * math.pi * di * ni / 60.0)  # transmitted power floor
+        return out
 
     return _spec(
         "rw10-step-cone-pulley",

@@ -316,7 +316,9 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     ``pop.size`` base evaluations (constraint handling may spend more).
     ``archive`` is None for a variant that keeps none. Otherwise the
     variant's school rule runs once the archive supports a model, and the
-    iteration's elites are pushed to it. Raises
+    iteration's elites of finite fitness are pushed to it: a non-finite one
+    cannot rank an entry, and the model waits for enough finite entries as
+    it waits for a young archive. Raises
     :class:`BudgetExhaustedError` when the base cost does not fit.
     """
     n = pop.size
@@ -350,5 +352,6 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
 
     if archive is not None:
         idx = cov.elite_indices(pop.fitness, pop.positions, pop.positions[0], k)
+        idx = idx[np.isfinite(pop.fitness[idx])]
         archive.push(pop.positions[idx], pop.fitness[idx])
     return pop

@@ -57,6 +57,16 @@ def test_elite_dominant_agent_wins():
     assert idx.tolist() == [1]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_elite_non_finite_fitness_scores_zero_and_keeps_the_rest(bad):
+    # finite fitnesses 0 and 2 normalize to 1 and 0; the distance half stays
+    positions = np.array([[0.0], [1.0], [2.0], [3.0]])
+    fitness = np.array([0.0, bad, 2.0, bad])
+    idx = elite_indices(fitness, positions, positions[0], k=4)
+    assert idx.tolist() == [0, 3, 2, 1]
+
+
 def test_elite_k_validation():
     positions = np.array([[0.0], [1.0]])
     fitness = np.array([0.0, 1.0])

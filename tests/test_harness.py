@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -495,6 +495,26 @@ def test_trace_read_after_the_traces_file_changed_names_it(tmp_path, change):
     with pytest.raises(BrokenResultsError, match="changed") as err:
         list(rs.records[("ECO", "f01-zakharov-d5", 0)].trace)
     assert str(path) in str(err.value)
+
+
+def test_one_walk_finds_every_problems_traces(tmp_path, monkeypatch):
+    """The first trace read walks traces.csv once; every problem is then read
+    from where its rows start, also rows whose labels hold a quote, a comma
+    or a line break and so span lines."""
+    labels = {"f01-zakharov-d5": 'f01 "a,\r\nb"', "f02-rosenbrock-d5": "f02"}
+    rs = _tiny_batch()
+    rs = ResultSet({(a, labels[p], r): replace(rec, problem=labels[p])
+                    for (a, p, r), rec in rs.records.items()}, rs.metadata)
+    walks = []
+    walk = harness._TraceReader._walk
+
+    def spy(self, *args):
+        walks.append(self.path)
+        return walk(self, *args)
+
+    monkeypatch.setattr(harness._TraceReader, "_walk", spy)
+    assert load(persist(rs, tmp_path / "out")) == rs
+    assert walks == [tmp_path / "out" / "traces.csv"]
 
 
 def test_persist_over_the_set_it_loaded_gives_it_back(tmp_path):

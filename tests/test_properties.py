@@ -8,11 +8,14 @@ the interior. The hybrid desk functions f06-f08 need at least 3, 4 and 5
 coordinates, so they are drawn at D=10 only.
 
 The engineering formulas are applied row by row, so a block reading equals
-the point readings bit for bit. The desk functions rotate the block with a
-BLAS matrix product, whose summation order depends on the number of rows;
-their block and point readings agree to a relative 1e-12 (5e-14 is the
-worst seen on random blocks), and the Evaluator's reading is checked
-against a re-read of the same block, which is exact.
+the point readings bit for bit. They are read on Python floats, and the
+reading equals the one on numpy float64 scalars bit for bit, in the box,
+on its faces and corners, and outside it, where a row on which floats
+raise or turn complex is read again as numpy scalars. The desk functions
+rotate the block with a BLAS matrix product, whose summation order depends
+on the number of rows; their block and point readings agree to a relative
+1e-12 (5e-14 is the worst seen on random blocks), and the Evaluator's
+reading is checked against a re-read of the same block, which is exact.
 
 Resampling reads its trials ahead in blocks; on problems whose block and
 point readings agree, the Evaluator must give what the one-draw-at-a-time
@@ -27,12 +30,14 @@ commas and quotes the labels hold. The traces.csv that persist writes
 with one join per row equals what ``csv.writer`` writes for the same rows.
 
 A whole run, drawn over variant, population size, dimension, budget,
-registry problem and seed, keeps its budget, keeps every position in the
-box, keeps the population sorted with no order statistic of its fitness
-rising, records a trace that never rises, and persists and loads back.
+registry problem, seed and a share of the box that reads as inf or NaN,
+keeps its budget, keeps every position in the box, keeps the population
+sorted with no order statistic of its fitness rising, records a trace
+that never rises, and persists and loads back.
 """
 
 import csv
+import dataclasses
 import functools
 import io
 import tempfile
@@ -40,7 +45,8 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ieco_mco import harness
 from ieco_mco.harness import (Evaluator, ResultSet, RunConfig, RunRecord, load,
@@ -53,6 +59,7 @@ from ieco_mco.problems import (
     VIOLATION_TOL,
     make_problem,
 )
+from ieco_mco.problems import engineering
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
 from ieco_mco.stages import Variant
@@ -106,6 +113,58 @@ def test_block_reading_matches_point_reading(case):
             assert abs(obj - objective[i]) <= 1e-12 * abs(obj), (spec.name, x)
         assert _bits(vio) == _bits(violation[i]), (spec.name, x)
         assert vio >= 0.0 and not np.signbit(vio)
+
+
+@functools.lru_cache(maxsize=None)
+def numpy_scalar_problem(pid):
+    """``pid`` built with its formulas read on numpy rows, one numpy float64
+    scalar per entry: the reading the Python-float one must equal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engineering, "_rows", lambda fn: lambda X: list(map(fn, X)))
+        return engineering.make_engineering(pid)
+
+
+# Python floats raise or turn complex where numpy scalars give inf or NaN:
+# rw03 divides by zero at a = 0, a box face; outside the box, rw07 takes
+# fractional powers of negative bases, and ``**`` overflows.
+_ENTRIES = {
+    "box": st.floats(0.0, 1.0),
+    "faces": _fractions,
+    "outside": st.one_of(st.floats(-3.0, 4.0), st.sampled_from([-1e200, 1e200])),
+}
+
+
+@st.composite
+def engineering_blocks(draw):
+    pid = draw(st.sampled_from(ENGINEERING_NAMES))
+    spec = problem(pid, 10)
+    n = draw(st.integers(1, 8))
+    u = np.array(draw(st.lists(_ENTRIES[draw(st.sampled_from(list(_ENTRIES)))],
+                               min_size=n * spec.dimension,
+                               max_size=n * spec.dimension)))
+    u = u.reshape(n, spec.dimension)
+    lo, hi = spec.bounds.lower, spec.bounds.upper
+    return pid, np.where(u == 1.0, hi, lo + (hi - lo) * u)
+
+
+def _reading(spec, X):
+    """The bits of ``spec.batch(X)``, or the type of what it raised; a
+    ``math`` call out of its domain raises on either reading."""
+    try:
+        return tuple(_bits(a).tolist() for a in spec.batch(X))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(engineering_blocks())
+@example(("rw03", np.array([[0.0, 0.5], [0.0, 0.0], [0.7, 0.4]])))
+@example(("rw07", np.array([[125.0, 21.0, 11.0, 0.515, 0.4, 0.4, 0.6, 0.3, 0.02, 0.6],
+                            [-125.0, 21.0, -11.0, 0.2, 0.515, 0.4, 0.6, 0.3, 0.02, 0.6]])))
+@example(("rw08", np.array([[1e200, 5.0, 4.0, 3.0, 2.0], [6.0, 5.0, 4.0, 3.0, 2.0]])))
+def test_float_reading_equals_numpy_scalar_reading(case):
+    pid, X = case
+    assert _reading(problem(pid, 10), X) == _reading(numpy_scalar_problem(pid), X)
 
 
 @settings(max_examples=150, deadline=None)
@@ -312,13 +371,27 @@ def run_configs(draw):
                      fes_max=draw(st.integers(2 * n, 20 * n)))
 
 
+def with_nonfinite_region(spec, share, value):
+    """``spec`` with its objective read as ``value`` (inf or NaN) on the
+    lowest ``share`` of its first coordinate's range."""
+    edge = spec.bounds.lower[0] + share * spec.bounds.span[0]
+
+    def objective(X):
+        return np.where(X[:, 0] < edge, value, spec.objective(X))
+
+    return dataclasses.replace(spec, objective=objective)
+
+
 @settings(max_examples=200, deadline=None)
-@given(run_configs())
-def test_whole_run_keeps_budget_box_order_and_records(cfg):
+@given(run_configs(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.sampled_from([np.inf, np.nan]))
+def test_whole_run_keeps_budget_box_order_and_records(cfg, share, value):
     """After every step the population lies in the box, is sorted and has no
     order statistic of its fitness above the one before; the run stays in
-    budget, its trace never rises, and its record survives persist/load."""
-    spec = make_problem(cfg.problem, cfg.dimension)
+    budget, its trace never rises, and its record survives persist/load.
+    A drawn share of the box reads as a non-finite objective."""
+    spec = with_nonfinite_region(make_problem(cfg.problem, cfg.dimension),
+                                 share, value)
     lower, upper = spec.bounds.lower, spec.bounds.upper
     real_step, steps = harness.step, []
 
