@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
+import numpy as np
+
 from . import harness, stats
 from .problems import list_problems as registry_list
 
@@ -206,6 +208,13 @@ def _reports(args, tests):
                 raise UsageError("%s needs at least %d %s; the results hold %d"
                                  % (test, need, what, got))
     values = results.to_matrix()
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j, r = bad[0]
+        raise UsageError("run %d of %s on %s has a non-finite best (%r); the "
+                         "statistical tests need finite values"
+                         % (r, results.algorithms[j], results.problems[i],
+                            float(values[i, j, r])))
     return [_TESTS[test][1](values, results.algorithms, alpha) for test in tests]
 
 

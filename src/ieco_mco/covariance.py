@@ -17,6 +17,13 @@ school positions from the model: a plain Gaussian resample, a mean-shifted
 resample, and a differencing resample that adds scaled pairwise differences.
 Each iteration pushes the k agents with the highest elite score, which
 weighs fitness and distance from the best agent equally (``ELITE_WEIGHT``).
+
+Each operator takes the whole (k, D) school block of an iteration. It draws
+school by school, in the order one school at a time would draw: the
+school's Gaussian vector, then (differencing only) its index pair, then its
+uniform or uniforms. All arithmetic then runs once on the block, with every
+addition in the per-school order, and ``CovModel.sample`` scales the normal
+block row by row, so the block gives the bits of a per-school loop.
 """
 
 from __future__ import annotations
@@ -111,14 +118,16 @@ class CovModel:
                 eps *= 10.0
         self._diag_fallback = np.sqrt(np.maximum(np.diag(self.cov), 0.0) + eps)
 
-    def sample(self, rng: RngStream, size=None, mean=None):
-        """Draw from N(mean, C) with jittered factorization; z then scaled."""
+    def sample(self, z, mean=None):
+        """Map a (k, D) block of standard normals to draws from N(mean, C).
+
+        The stacked vector-matrix product gives each row the bits of its own
+        ``z_i @ L.T``; a plain ``z @ L.T`` can differ in the last bits.
+        """
         center = self.mean_better if mean is None else np.asarray(mean, dtype=float)
         self._ensure_factor()
-        shape = self.dim if size is None else (size, self.dim)
-        z = rng.normal(size=shape)
         if self._factor is not None:
-            return center + z @ self._factor.T
+            return center + np.matmul(z[:, None, :], self._factor.T)[:, 0]
         return center + z * self._diag_fallback
 
 
@@ -168,49 +177,63 @@ def elite_indices(fitnesses, positions, best_position, k):
     return order[:k]
 
 
-def gaussian_operator(position, model: CovModel, rng: RngStream):
-    """Resample around the rank-weighted mean plus a pull toward it.
+def _school_draws(rng: RngStream, k: int, d: int):
+    """Each school's Gaussian vector, then its uniform, school after school:
+    a (k, D) normal block and a (k, 1) uniform column."""
+    z, r = [], []
+    for _ in range(k):
+        z.append(rng.normal(size=d))
+        r.append(rng.uniform())
+    return np.array(z), np.array(r)[:, None]
 
-    X_new = N(mean_better, C) + r * (mean_better - X), r ~ U(0, 1).
-    Draw order: Gaussian vector first, then the uniform scalar.
+
+def gaussian_operator(schools, model: CovModel, rng: RngStream):
+    """Resample each school around the rank-weighted mean plus a pull toward it.
+
+    X_new = N(mean_better, C) + r * (mean_better - X), r ~ U(0, 1), for each
+    row X of the (k, D) block ``schools``. Draw order, school by school: the
+    Gaussian vector, then the uniform scalar.
     """
-    position = np.asarray(position, dtype=float)
-    g = model.sample(rng)
-    r = float(rng.uniform())
-    return g + r * (model.mean_better - position)
+    schools = np.asarray(schools, dtype=float)
+    z, r = _school_draws(rng, *schools.shape)
+    return model.sample(z) + r * (model.mean_better - schools)
 
 
-def shift_operator(position, model: CovModel, best_position, rng: RngStream):
-    """Gaussian resample around the shifted mean (mean_better + best + X)/3.
+def shift_operator(schools, model: CovModel, best_position, rng: RngStream):
+    """Gaussian resample of each school around the shifted mean (mean_better + best + X)/3.
 
-    X_new = N((mean_better + X_best + X)/3, C) + r * (mean_better - X).
-    Draw order: Gaussian vector first, then the uniform scalar.
+    X_new = N((mean_better + X_best + X)/3, C) + r * (mean_better - X), for
+    each row X of the (k, D) block ``schools``. Draw order, school by
+    school: the Gaussian vector, then the uniform scalar.
     """
-    position = np.asarray(position, dtype=float)
-    best_position = np.asarray(best_position, dtype=float)
-    center = (model.mean_better + best_position + position) / 3.0
-    g = model.sample(rng, mean=center)
-    r = float(rng.uniform())
-    return g + r * (model.mean_better - position)
+    schools = np.asarray(schools, dtype=float)
+    z, r = _school_draws(rng, *schools.shape)
+    center = (model.mean_better + np.asarray(best_position, dtype=float) + schools) / 3.0
+    return model.sample(z, mean=center) + r * (model.mean_better - schools)
 
 
-def differential_operator(position, model: CovModel, others, best_position,
-                          worst_position, rng: RngStream):
-    """Gaussian resample plus two scaled difference vectors.
+def differential_operator(X, k, model: CovModel, rng: RngStream):
+    """Gaussian resample of the first k agents plus two scaled difference vectors.
 
     X_new = N(mean_better, C) + r1 * (X_ran1 - X_best) + r2 * (X_ran2 - X_worst)
 
-    with X_ran1, X_ran2 two distinct agents drawn from ``others`` (the
-    population excluding the updating agent). Draw order: Gaussian vector,
-    the distinct index pair, then r1 and r2.
+    for each school X[i], i < k, of the sorted (n, D) population ``X``, with
+    best X[0] and worst X[-1]. X_ran1 and X_ran2 are two distinct agents
+    other than X[i]: the pair j drawn from range(n - 1) maps to the row
+    j + (j >= i). Draw order, school by school: the Gaussian vector, the
+    distinct index pair, then r1 and r2.
     """
-    others = np.atleast_2d(np.asarray(others, dtype=float))
-    if others.shape[0] < 2:
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    if n < 3:
         raise ValueError("differencing needs at least 2 other agents (population of 3)")
-    best_position = np.asarray(best_position, dtype=float)
-    worst_position = np.asarray(worst_position, dtype=float)
-    g = model.sample(rng)
-    i1, i2 = rng.distinct_pair(others.shape[0])
-    r1 = float(rng.uniform())
-    r2 = float(rng.uniform())
-    return g + r1 * (others[i1] - best_position) + r2 * (others[i2] - worst_position)
+    z, pairs, r = [], [], []
+    for _ in range(k):
+        z.append(rng.normal(size=d))
+        pairs.append(rng.distinct_pair(n - 1))
+        r.append(rng.uniform(size=2))
+    pairs = np.array(pairs)
+    pairs += pairs >= np.arange(k)[:, None]
+    r = np.array(r)
+    return (model.sample(np.array(z)) + r[:, :1] * (X[pairs[:, 0]] - X[0])
+            + r[:, 1:] * (X[pairs[:, 1]] - X[-1]))

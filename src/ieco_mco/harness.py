@@ -287,10 +287,12 @@ class ResultSet:
                                  if aa == a and pp == p])
                 if vals.size == 0:
                     continue
+                # an infinite best makes std NaN, and inf with -inf the mean
+                with np.errstate(invalid="ignore"):
+                    mean, std = float(vals.mean()), float(vals.std())
                 rows.append({
                     "algorithm": a, "problem": p,
-                    "best": float(vals.min()), "mean": float(vals.mean()),
-                    "std": float(vals.std()),
+                    "best": float(vals.min()), "mean": mean, "std": std,
                 })
         return rows
 

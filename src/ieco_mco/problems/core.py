@@ -118,7 +118,8 @@ class ProblemSpec:
         violation is the worst constraint value clipped at +0.0, and 0.0 for
         an unconstrained problem."""
         f = np.fmin(self.objective(X), np.inf, dtype=float)
-        if self.constraints is None:
+        # a row-by-row formula returns an empty block without its (0, m) shape
+        if self.constraints is None or X.shape[0] == 0:
             return f, np.zeros(X.shape[0])
         g = np.fmin(self.constraints(X), np.inf, dtype=float)
         # maximum(worst, 0.0), not maximum(0.0, worst): a worst value of -0.0

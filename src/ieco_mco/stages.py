@@ -42,7 +42,8 @@ A numpy generator fills an array in row-major order from the same stream
 that successive smaller calls would read, so one block call yields exactly
 the numbers of k per-agent calls in agent order. The covariance operators
 interleave a Gaussian vector, a uniform and, for differencing, an index pair
-within each agent, so they still draw one school at a time.
+within each school, so they draw school by school; they too take the whole
+school block, and compute on it once the draws are made.
 """
 
 from __future__ import annotations
@@ -258,19 +259,16 @@ def _high_schools(X, k, assign, model, ctx, rng):
     return high_school_update(X[:k], X[0], X[-1], X.mean(axis=0), ctx, rng)
 
 
-# The covariance operators interleave a Gaussian vector, a uniform and (for
-# differencing) an index pair per agent, so they run one school at a time.
 def _gaussian_schools(X, k, assign, model, ctx, rng):
-    return [cov.gaussian_operator(x, model, rng) for x in X[:k]]
+    return cov.gaussian_operator(X[:k], model, rng)
 
 
 def _shift_schools(X, k, assign, model, ctx, rng):
-    return [cov.shift_operator(x, model, X[0], rng) for x in X[:k]]
+    return cov.shift_operator(X[:k], model, X[0], rng)
 
 
 def _differential_schools(X, k, assign, model, ctx, rng):
-    return [cov.differential_operator(X[i], model, np.delete(X, i, axis=0),
-                                      X[0], X[-1], rng) for i in range(k)]
+    return cov.differential_operator(X, k, model, rng)
 
 
 def _primary_students(X, k, assign, model, ctx, rng):

@@ -317,7 +317,7 @@ def test_criterion_4_covariance_oracle(capsys):
     archive2 = EliteArchive(capacity=120)
     archive2.push(X2, gen2.normal(size=40))
     model2 = estimate(archive2)
-    draws = model2.sample(RngStream(99), size=100000)
+    draws = model2.sample(RngStream(99).normal(size=(100000, 6)))
     empirical = np.cov(draws, rowvar=False, bias=True)
     rel = (np.linalg.norm(empirical - model2.cov)
            / np.linalg.norm(model2.cov))

@@ -208,7 +208,8 @@ def test_env_can_supply_config_path(tmp_path, capsys, monkeypatch):
 
 
 def _synthetic_results(tmp_path, tie=True, algorithms=("alpha", "beta"),
-                       problems=("p1", "p2", "p3"), runs=3):
+                       problems=("p1", "p2", "p3"), runs=3, bests=None):
+    """``bests`` maps (algorithm, problem, run) cells to the best they hold."""
     records = {}
     gen = np.random.default_rng(5)
     for a_idx, alg in enumerate(algorithms):
@@ -218,6 +219,7 @@ def _synthetic_results(tmp_path, tie=True, algorithms=("alpha", "beta"),
                     best = 1.0 + 0.1 * run
                 else:
                     best = float(a_idx) + 0.01 * gen.uniform()
+                best = (bests or {}).get((alg, prob, run), best)
                 records[(alg, prob, run)] = RunRecord(
                     algorithm=alg, problem=prob, dimension=2, run=run,
                     seed=run, best_position=np.zeros(2), best_fitness=best,
@@ -228,6 +230,17 @@ def _synthetic_results(tmp_path, tie=True, algorithms=("alpha", "beta"),
     persist(ResultSet(records, {"algorithms": list(algorithms),
                                 "problems": list(problems)}), out)
     return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_reports_refuse_a_non_finite_best_naming_its_cell(tmp_path, capsys, bad):
+    out = _synthetic_results(tmp_path, tie=False, bests={
+        ("beta", "p2", 1): bad, ("alpha", "p3", 0): bad})
+    for argv in (("compare",), ("stats", "--test", "wilcoxon"), ("stats",)):
+        assert run_cli(*argv, "--results", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "run 1 of beta on p2 has a non-finite best" in err
 
 
 def test_compare_reports_ranks_and_wtl(tmp_path, capsys):

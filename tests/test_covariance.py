@@ -263,15 +263,14 @@ def test_estimate_translation_equivariance():
 def test_sample_zero_covariance_collapses_to_mean():
     mean = np.array([3.0, -1.0])
     model = CovModel(mean_better=mean, cov=np.zeros((2, 2)))
-    rng = RngStream(53)
-    for _ in range(100):
-        s = model.sample(rng)
+    draws = model.sample(RngStream(53).normal(size=(100, 2)))
+    for s in draws:
         assert np.linalg.norm(s - mean) < 1e-5 * np.linalg.norm(mean) + 1e-5
 
 
 def test_sample_identity_covariance_monte_carlo():
     model = CovModel(mean_better=np.zeros(2), cov=np.eye(2))
-    draws = model.sample(RngStream(59), size=100000)
+    draws = model.sample(RngStream(59).normal(size=(100000, 2)))
     emp = np.cov(draws.T, bias=True)
     assert abs(emp[0, 0] - 1.0) < 0.05
     assert abs(emp[1, 1] - 1.0) < 0.05
@@ -283,7 +282,7 @@ def test_sample_identity_covariance_monte_carlo():
 
 def test_sample_one_dimensional_variance():
     model = CovModel(mean_better=np.zeros(1), cov=np.array([[4.0]]))
-    draws = model.sample(RngStream(61), size=100000)
+    draws = model.sample(RngStream(61).normal(size=(100000, 1)))
     assert abs(draws.var() - 4.0) < 0.2  # 5% of 4
     assert abs(draws.mean()) < 3.0 * 2.0 / math.sqrt(100000)
 
@@ -293,7 +292,7 @@ def test_sample_random_model_frobenius_error():
     A = rng.normal(size=(4, 4))
     C = A @ A.T
     model = CovModel(mean_better=rng.normal(size=4), cov=C)
-    draws = model.sample(RngStream(71), size=100000)
+    draws = model.sample(RngStream(71).normal(size=(100000, 4)))
     emp = np.cov(draws.T, bias=True)
     rel = np.linalg.norm(emp - C) / np.linalg.norm(C)
     assert rel < 0.05
@@ -306,7 +305,7 @@ def test_sample_handles_singular_covariance():
     arch = EliteArchive(6)
     arch.push(X, np.linspace(0, 1, 6))
     model = estimate(arch)
-    s = model.sample(RngStream(73), size=200)
+    s = model.sample(RngStream(73).normal(size=(200, 3)))
     assert np.all(np.isfinite(s))
     # samples hug the line: deviation orthogonal to it stays at jitter scale
     unit = direction / np.linalg.norm(direction)
@@ -319,79 +318,96 @@ def test_sample_rejects_non_finite_covariance():
     model = CovModel(mean_better=np.zeros(2),
                      cov=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        model.sample(RngStream(79))
+        model.sample(RngStream(79).normal(size=(1, 2)))
+
+
+def test_sample_rows_equal_per_row_factor_products():
+    # A plain block product Z @ L.T can differ from z @ L.T in the last bits.
+    rng = RngStream(89)
+    for d in (2, 10, 30):
+        A = rng.normal(size=(d, d))
+        model = CovModel(mean_better=rng.normal(size=d), cov=A @ A.T)
+        model._ensure_factor()
+        for k in (1, 7, 30):
+            z = rng.normal(size=(k, d))
+            rows = [model.mean_better + row @ model._factor.T for row in z]
+            assert np.array_equal(model.sample(z), np.vstack(rows))
 
 
 # ----------------------------------------------------------------- operators
+# Each operator takes a whole block of schools; the hand examples use blocks
+# of one row.
 
 def test_gaussian_operator_hand_example():
     # mean_better=2, X=0, Gaussian draw=2.5, rand=0.5 -> 2.5 + 0.5*2 = 3.5
     model = CovModel(mean_better=np.array([2.0]), cov=np.array([[1.0]]))
     rng = ScriptedRng(normals=[0.5], uniforms=[0.5])  # z=0.5 -> draw 2.5
-    out = gaussian_operator(np.array([0.0]), model, rng)
-    assert out[0] == pytest.approx(3.5, abs=1e-9)
+    out = gaussian_operator(np.array([[0.0]]), model, rng)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(3.5, abs=1e-9)
 
 
 def test_gaussian_operator_fixed_points():
     model = zero_cov_model([2.0])
-    out = gaussian_operator(np.array([0.0]), model,
+    out = gaussian_operator(np.array([[0.0]]), model,
                             ScriptedRng(normals=[0.0], uniforms=[0.0]))
-    assert out[0] == 2.0
-    out = gaussian_operator(np.array([2.0]), model,
+    assert out[0, 0] == 2.0
+    out = gaussian_operator(np.array([[2.0]]), model,
                             ScriptedRng(normals=[0.0], uniforms=[0.77]))
-    assert out[0] == 2.0
+    assert out[0, 0] == 2.0
 
 
 def test_shift_operator_hand_example():
     # mean_better=3, best=6, X=0, C=0, rand=1 -> (3+6+0)/3 + 1*3 = 6
     model = zero_cov_model([3.0])
     rng = ScriptedRng(normals=[0.0], uniforms=[1.0])
-    out = shift_operator(np.array([0.0]), model, np.array([6.0]), rng)
-    assert out[0] == pytest.approx(6.0, abs=1e-12)
+    out = shift_operator(np.array([[0.0]]), model, np.array([6.0]), rng)
+    assert out[0, 0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_shift_operator_fixed_points():
     model = zero_cov_model([5.0])
-    out = shift_operator(np.array([5.0]), model, np.array([5.0]),
+    out = shift_operator(np.array([[5.0]]), model, np.array([5.0]),
                          ScriptedRng(normals=[0.0], uniforms=[0.4]))
-    assert out[0] == 5.0
+    assert out[0, 0] == 5.0
     model2 = zero_cov_model([3.0])
-    out = shift_operator(np.array([1.0]), model2, np.array([2.0]),
+    out = shift_operator(np.array([[1.0]]), model2, np.array([2.0]),
                          ScriptedRng(normals=[0.0], uniforms=[0.0]))
-    assert out[0] == pytest.approx(2.0, abs=1e-12)  # centroid of 3, 2, 1
+    assert out[0, 0] == pytest.approx(2.0, abs=1e-12)  # centroid of 3, 2, 1
 
+
+# The differencing operator updates X[i] for i < k from the sorted population
+# X with best X[0] and worst X[-1]; with k = 1 the one school is X[0] and the
+# pair indexes the other agents X[1:].
 
 def test_differential_operator_hand_example():
     # mean=1, ran1=4, best=2, ran2=0, worst=5, r1=0.5, r2=0.2 -> 1 + 1 - 1 = 1
     model = zero_cov_model([1.0])
-    others = np.array([[4.0], [0.0]])
+    X = np.array([[2.0], [4.0], [0.0], [5.0]])
     rng = ScriptedRng(normals=[0.0], pairs=[(0, 1)], uniforms=[0.5, 0.2])
-    out = differential_operator(np.array([9.0]), model, others,
-                                np.array([2.0]), np.array([5.0]), rng)
-    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    out = differential_operator(X, 1, model, rng)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_differential_operator_fixed_points():
     model = zero_cov_model([1.0])
     # ran1 == best and ran2 == worst: both difference terms vanish
-    others = np.array([[2.0], [5.0]])
+    X = np.array([[2.0], [2.0], [5.0]])
     rng = ScriptedRng(normals=[0.0], pairs=[(0, 1)], uniforms=[0.9, 0.8])
-    out = differential_operator(np.array([9.0]), model, others,
-                                np.array([2.0]), np.array([5.0]), rng)
-    assert out[0] == 1.0
+    out = differential_operator(X, 1, model, rng)
+    assert out[0, 0] == 1.0
     # r1 = r2 = 0 collapses to the Gaussian center as well
-    others = np.array([[4.0], [0.0]])
+    X = np.array([[2.0], [4.0], [0.0], [5.0]])
     rng = ScriptedRng(normals=[0.0], pairs=[(0, 1)], uniforms=[0.0, 0.0])
-    out = differential_operator(np.array([9.0]), model, others,
-                                np.array([2.0]), np.array([5.0]), rng)
-    assert out[0] == 1.0
+    out = differential_operator(X, 1, model, rng)
+    assert out[0, 0] == 1.0
 
 
 def test_differential_operator_needs_three_agents():
     model = zero_cov_model([1.0])
     with pytest.raises(ValueError):
-        differential_operator(np.array([9.0]), model, np.array([[4.0]]),
-                              np.array([2.0]), np.array([5.0]), RngStream(83))
+        differential_operator(np.array([[2.0], [5.0]]), 1, model, RngStream(83))
 
 
 def test_operator_translation_equivariance():
@@ -400,14 +416,112 @@ def test_operator_translation_equivariance():
     for shift in (0.0, t):
         model = zero_cov_model([2.0 + shift])
         rng = ScriptedRng(normals=[0.0], uniforms=[0.3])
-        outs.append(gaussian_operator(np.array([0.5 + shift]), model, rng)[0])
+        outs.append(gaussian_operator(np.array([[0.5 + shift]]), model, rng)[0, 0])
     assert outs[1] - outs[0] == pytest.approx(t, abs=1e-9)
     outs = []
     for shift in (0.0, t):
         model = zero_cov_model([3.0 + shift])
         rng = ScriptedRng(normals=[0.0], pairs=[(0, 1)], uniforms=[0.6, 0.1])
-        others = np.array([[4.0 + shift], [0.0 + shift]])
-        outs.append(differential_operator(np.array([1.0 + shift]), model, others,
-                                          np.array([2.0 + shift]),
-                                          np.array([5.0 + shift]), rng)[0])
+        X = np.array([[2.0], [4.0], [0.0], [5.0]]) + shift
+        outs.append(differential_operator(X, 1, model, rng)[0, 0])
     assert outs[1] - outs[0] == pytest.approx(t, abs=1e-9)
+
+
+# One school at a time, as the operators ran before they took blocks: the
+# reference for the draws and the bits of the block operators.
+
+def ref_sample(model, rng, center):
+    z = rng.normal(size=model.dim)
+    model._ensure_factor()
+    if model._factor is not None:
+        return center + z @ model._factor.T
+    return center + z * model._diag_fallback
+
+
+def ref_gaussian(x, model, rng):
+    g = ref_sample(model, rng, model.mean_better)
+    r = float(rng.uniform())
+    return g + r * (model.mean_better - x)
+
+
+def ref_shift(x, model, best, rng):
+    g = ref_sample(model, rng, (model.mean_better + best + x) / 3.0)
+    r = float(rng.uniform())
+    return g + r * (model.mean_better - x)
+
+
+def ref_differential(x, model, others, best, worst, rng):
+    g = ref_sample(model, rng, model.mean_better)
+    i1, i2 = rng.distinct_pair(others.shape[0])
+    r1 = float(rng.uniform())
+    r2 = float(rng.uniform())
+    return g + r1 * (others[i1] - best) + r2 * (others[i2] - worst)
+
+
+def ref_schools(name, X, k, model, rng):
+    if name == "gaussian":
+        return [ref_gaussian(X[i], model, rng) for i in range(k)]
+    if name == "shift":
+        return [ref_shift(X[i], model, X[0], rng) for i in range(k)]
+    return [ref_differential(X[i], model, np.delete(X, i, axis=0), X[0], X[-1], rng)
+            for i in range(k)]
+
+
+def block_schools(name, X, k, model, rng):
+    if name == "gaussian":
+        return gaussian_operator(X[:k], model, rng)
+    if name == "shift":
+        return shift_operator(X[:k], model, X[0], rng)
+    return differential_operator(X, k, model, rng)
+
+
+def random_model(d, fallback):
+    gen = RngStream(97)
+    if fallback:
+        # eigenvalue -1 along the ones vector, beyond every jitter, so the
+        # model scales by its (positive) diagonal
+        cov = 2.0 * np.eye(d) - np.full((d, d), 3.0 / d)
+        return CovModel(mean_better=gen.uniform(-2.0, 2.0, size=d), cov=cov)
+    archive = EliteArchive(4 * d)
+    archive.push(gen.uniform(-3.0, 3.0, size=(4 * d, d)), gen.uniform(size=4 * d))
+    return estimate(archive)
+
+
+N_AGENTS, D = 8, 5
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("k", [1, 3, N_AGENTS - 1])
+@pytest.mark.parametrize("name", ["gaussian", "shift", "differential"])
+def test_block_operator_equals_per_school_loop(name, k, fallback):
+    model = random_model(D, fallback)
+    model._ensure_factor()
+    assert (model._factor is None) == fallback
+    assert model._factor is not None or np.all(model._diag_fallback > 1.0)
+    X = RngStream(101).uniform(-5.0, 5.0, size=(N_AGENTS, D))
+    rng = RngStream(17)
+    block = block_schools(name, X, k, model, rng)
+    assert block.shape == (k, D)
+    ref_rng = RngStream(17)
+    loop = np.vstack(ref_schools(name, X, k, model, ref_rng))
+    assert np.array_equal(block, loop)
+    assert rng._gen.bit_generator.state == ref_rng._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["gaussian", "shift", "differential"])
+def test_block_operator_equals_per_school_loop_on_scripted_draws(name):
+    # k = n - 1 schools, and each pair straddles its school's skipped row
+    k = N_AGENTS - 1
+    gen = RngStream(103)
+    normals = gen.normal(size=k * D).tolist()
+    uniforms = gen.uniform(size=2 * k).tolist()
+    pairs = [(max(i - 1, 0), max(i, 1)) for i in range(k)]
+    model = random_model(D, False)
+    X = gen.uniform(-5.0, 5.0, size=(N_AGENTS, D))
+
+    def scripted():
+        return ScriptedRng(normals=normals, uniforms=uniforms, pairs=pairs)
+
+    block = block_schools(name, X, k, model, scripted())
+    loop = np.vstack(ref_schools(name, X, k, model, scripted()))
+    assert np.array_equal(block, loop)

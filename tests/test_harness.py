@@ -548,6 +548,21 @@ def test_summary_matches_recomputation(tmp_path):
         assert abs(row["std"] - vals.std()) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bests,mean", [((np.inf,), np.inf),
+                                        ((np.inf, -np.inf), np.nan)])
+def test_summary_of_a_non_finite_best_has_nan_std_and_no_warning(tmp_path, bests, mean):
+    rs = _tiny_batch()
+    keys = sorted(rs.records)
+    for key, best in zip(keys, bests):
+        rs.records[key].best_fitness = best
+    row = next(r for r in rs.summary()
+               if (r["algorithm"], r["problem"]) == keys[0][:2])
+    assert np.array_equal(row["mean"], mean, equal_nan=True)
+    assert np.isnan(row["std"])
+    persist(rs, tmp_path / "out")
+
+
 def test_persisted_bytes_are_reproducible(tmp_path):
     a = persist(_tiny_batch(), tmp_path / "a")
     b = persist(_tiny_batch(), tmp_path / "b")

@@ -312,6 +312,13 @@ def test_engineering_finite_over_random_box_samples():
         assert np.all(np.isfinite(vals)), pid
 
 
+@pytest.mark.parametrize("pid", ENGINEERING_NAMES + ["f01"])
+def test_empty_block_reads_as_two_empty_arrays(pid):
+    spec = make_problem(pid)
+    f, v = spec.batch(np.empty((0, spec.dimension)))
+    assert f.shape == v.shape == (0,)
+
+
 def test_step_cone_pulley_has_folded_equalities():
     spec = make_engineering("rw10")
     g = spec.constraints(np.array([[0.04, 0.045, 0.05, 0.06, 0.05]]))[0]

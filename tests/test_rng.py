@@ -160,6 +160,29 @@ def test_stream_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("size", [None, 7, (3, 4)])
+@pytest.mark.parametrize("prefix", [0, 29])
+def test_unit_uniform_equals_generator_uniform(size, prefix):
+    # uniform on [0, 1) draws through Generator.random: same bits, same state
+    rng = RngStream(43)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(43)))
+    if prefix:  # leaves half of a 64-bit draw buffered
+        rng.integers(prefix)
+        gen.integers(prefix)
+    got, want = rng.uniform(size=size), gen.uniform(0.0, 1.0, size)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert rng._gen.bit_generator.state == gen.bit_generator.state
+    assert rng.normal() == gen.standard_normal()
+
+
+def test_uniform_keeps_its_bounds():
+    rng, gen = RngStream(47), np.random.Generator(np.random.PCG64(np.random.SeedSequence(47)))
+    assert np.array_equal(rng.uniform(-5.0, 5.0, size=(2, 3)), gen.uniform(-5.0, 5.0, (2, 3)))
+    assert rng.uniform(2.0, 3.0) == gen.uniform(2.0, 3.0)
+    assert rng.uniform(0.0, 1.0) == gen.uniform(0.0, 1.0)
+
+
 def test_stream_rejects_negative_seed():
     with pytest.raises(ValueError):
         RngStream(-1)
