@@ -12,10 +12,12 @@ Persisted layout under an output directory:
 - ``results.csv``: one row per run, one column per :class:`RunRecord` field
   except ``trace``, named as the field and in field order (``wall_time``
   last)
-- ``traces.csv``: one row per run: algorithm, problem, run, then the trace's
-  n evaluation counts, then its n best-so-far values. :func:`load` reads
-  only ``meta.json`` and ``results.csv``; a loaded record's trace is read
-  from this file on first use, one problem's rows at a time
+- ``traces/<i>.csv``: one file per problem, ``i`` being the problem's index
+  among the set's distinct problem labels, sorted. One row per run of that
+  problem: algorithm, problem, run, then the trace's n evaluation counts,
+  then its n best-so-far values. :func:`load` reads only ``meta.json`` and
+  ``results.csv``; a loaded record's trace is read on first use, together
+  with the rest of its problem's file
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -29,9 +31,9 @@ from __future__ import annotations
 import collections.abc
 import csv
 import hashlib
-import itertools
 import json
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -61,7 +63,7 @@ from .stages import (
     step,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION = 30
 DEFAULT_FES_MULT = 3000
@@ -73,7 +75,7 @@ class SchemaMismatchError(ValueError):
 
 class BrokenResultsError(RuntimeError):
     """A persisted cell's traces row is missing, a value does not parse, or
-    traces.csv changed between loading a set and reading a trace from it."""
+    a traces file changed between loading a set and reading a trace from it."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -130,9 +132,10 @@ class Evaluator:
     """Budget-charging objective evaluator with constraint handling.
 
     ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
-    returns (fitness, objective, feasible, positions). Infeasible rows are
-    then resampled inside the box, in row order, so their positions may
-    differ from the input. Resampling draws come from ``rng``, the run's
+    returns (fitness, objective, violation, positions): the ranking value
+    and the readings it was computed from. Infeasible rows are then
+    resampled inside the box, in row order, so their positions and readings
+    may differ from the input. Resampling draws come from ``rng``, the run's
     single stream, after the iteration's update draws.
 
     The infeasible rows share one :class:`TrialStream`, which reads trials
@@ -164,11 +167,10 @@ class Evaluator:
                 % (n, self.used, self.fes_max))
         objective, violation = self.spec.batch(X)
         self.used += n
-        feasible = violation <= VIOLATION_TOL
-        fitness = penalized_fitness(objective, violation, feasible)
-        infeasible = np.flatnonzero(~feasible)
+        fitness = penalized_fitness(objective, violation)
+        infeasible = np.flatnonzero(violation > VIOLATION_TOL)
         if infeasible.size == 0:
-            return fitness, objective, feasible, X
+            return fitness, objective, violation, X
         positions = X.copy()
         stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
                              budget=self.remaining)
@@ -177,10 +179,10 @@ class Evaluator:
             self.used += out.evaluations - 1
             fitness[i] = out.fitness
             objective[i] = out.objective
-            feasible[i] = out.feasible
+            violation[i] = out.violation
             positions[i] = out.position
         stream.close()
-        return fitness, objective, feasible, positions
+        return fitness, objective, violation, positions
 
 
 @dataclass
@@ -189,7 +191,7 @@ class RunRecord:
 
     Equality ignores ``wall_time``; every other field must match exactly.
     A run's ``trace`` is a list; :func:`load` gives each record a sequence
-    that reads the trace from ``traces.csv`` on first use.
+    that reads the trace from its problem's traces file on first use.
     """
 
     algorithm: str
@@ -279,14 +281,15 @@ class ResultSet:
 
     def summary(self) -> List[dict]:
         """Best/mean/std of best_fitness per (algorithm, problem) cell."""
+        cells: Dict[Tuple[str, str], List[float]] = {}
+        for (a, p, _), rec in sorted(self.records.items()):
+            cells.setdefault((a, p), []).append(rec.best_fitness)
         rows = []
         for a in self.algorithms:
             for p in self.problems:
-                vals = np.array([rec.best_fitness for (aa, pp, _), rec
-                                 in sorted(self.records.items())
-                                 if aa == a and pp == p])
-                if vals.size == 0:
+                if (a, p) not in cells:
                     continue
+                vals = np.array(cells[a, p])
                 # an infinite best makes std NaN, and inf with -inf the mean
                 with np.errstate(invalid="ignore"):
                     mean, std = float(vals.mean()), float(vals.std())
@@ -310,8 +313,8 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     ev = Evaluator(spec, fes_max, rng)
 
     X0 = init_population(cfg.n, spec.bounds, rng)
-    fit, obj, feas, X0 = ev.evaluate(X0)
-    pop = Population(X0, fit, obj, feas)
+    fit, obj, vio, X0 = ev.evaluate(X0)
+    pop = Population(X0, fit, obj, vio)
 
     archive = (None if variant is Variant.ECO
                else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dim))
@@ -329,16 +332,15 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     if trace[-1][0] != ev.used:
         trace.append((ev.used, float(pop.fitness[0])))
 
-    best_position = pop.positions[0].copy()
-    _, best_violation = spec.evaluate(best_position)
+    best_violation = float(pop.violation[0])
     return RunRecord(
         algorithm=cfg.algorithm, problem=spec.name, dimension=dim,
         run=run_index, seed=cfg.seed,
-        best_position=best_position,
+        best_position=pop.positions[0].copy(),
         best_fitness=float(pop.fitness[0]),
         best_objective=float(pop.objective[0]),
         best_violation=best_violation,
-        feasible=bool(pop.feasible[0]),
+        feasible=best_violation <= VIOLATION_TOL,
         trace=trace, evaluations_used=ev.used,
         wall_time=time.perf_counter() - t0,
     )
@@ -447,25 +449,37 @@ def _write_rows(path: Path, header: List[str], rows):
         w.writerows(rows)
 
 
+def _trace_paths(folder: Path, problems) -> Dict[str, Path]:
+    """The traces file of each problem: ``<i>.csv`` under ``folder``, ``i``
+    being the problem's index among the distinct labels, sorted."""
+    return {p: folder / ("%d.csv" % i) for i, p in enumerate(sorted(set(problems)))}
+
+
 def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = [results.records[key] for key in sorted(results.records)]
-    # A loaded set reads its traces from its traces.csv on first use, which
-    # may be the file about to be rewritten, so read them all first.
+    # A loaded set reads its traces from the files about to be replaced on
+    # first use, so read them all first.
     traces = [list(r.trace) for r in records]
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
-    with open(out / "traces.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(_TRACES_HEADER)
-        labels = csv.writer(fh, lineterminator="")
-        for r, trace in zip(records, traces):
-            # What csv.writer would write: numbers never need quoting.
-            labels.writerow((r.algorithm, r.problem, r.run))
-            fh.write(",".join(["", *[str(fes) for fes, _ in trace],
-                               *[str(best) for _, best in trace]]) + "\r\n")
+    shutil.rmtree(out / "traces", ignore_errors=True)
+    (out / "traces").mkdir()
+    paths = _trace_paths(out / "traces", (r.problem for r in records))
+    for problem, path in paths.items():
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(_TRACES_HEADER)
+            labels = csv.writer(fh, lineterminator="")
+            for r, trace in zip(records, traces):
+                if r.problem != problem:
+                    continue
+                # What csv.writer would write: numbers never need quoting.
+                labels.writerow((r.algorithm, r.problem, r.run))
+                fh.write(",".join(["", *[str(fes) for fes, _ in trace],
+                                   *[str(best) for _, best in trace]]) + "\r\n")
     _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
                 ([row["algorithm"], row["problem"], repr(row["best"]),
                   repr(row["mean"]), repr(row["std"])]
@@ -480,13 +494,6 @@ def persist(results: ResultSet, out_dir) -> Path:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
-
-
-def _broken_row(path: Path, line: int, header: List[str], row, exc):
-    named = dict(zip(header, row))
-    cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
-    return BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
-                              % (path, line, *cell, exc))
 
 
 def _read_rows(path: Path, header: List[str], parse):
@@ -504,7 +511,10 @@ def _read_rows(path: Path, header: List[str], parse):
             try:
                 parsed = parse(row)
             except ValueError as exc:
-                raise _broken_row(path, reader.line_num, header, row, exc) from None
+                named = dict(zip(header, row))
+                cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
+                raise BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
+                                         % (path, reader.line_num, *cell, exc)) from None
             yield parsed
 
 
@@ -516,94 +526,35 @@ def _parse_trace(row):
                      strict=True)))
 
 
+def _stamp(path: Path):
+    stat = os.stat(path)
+    return stat.st_size, stat.st_mtime_ns
+
+
 class _TraceReader:
-    """The traces.csv of one loaded set, read one problem at a time.
+    """The traces files of one loaded set, each read whole on the first use
+    of one of its problem's traces. Each file's size and modification time
+    are taken at load; a read that finds them changed raises
+    :class:`BrokenResultsError`."""
 
-    The first read walks the file once and notes where each problem's rows
-    start; every read then decodes only its problem's rows, from there. The
-    file's size and modification time are taken at load; a read that finds
-    them changed raises :class:`BrokenResultsError`.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.stamp = self._stamp()
+    def __init__(self, folder: Path, problems):
+        self.paths = _trace_paths(folder, problems)
+        self.stamps = {p: _stamp(path) for p, path in self.paths.items()}
         self.problems: Dict[str, dict] = {}
-        # problem -> (offset, line number) of each of its rows
-        self.starts: Optional[Dict[str, List[Tuple[int, int]]]] = None
-
-    def _stamp(self):
-        stat = os.stat(self.path)
-        return stat.st_size, stat.st_mtime_ns
 
     def trace(self, key: Tuple[str, str, int]) -> List[Tuple[int, float]]:
         problem = key[1]
+        path = self.paths[problem]
         if problem not in self.problems:
-            self.problems[problem] = self._read(problem)
+            if _stamp(path) != self.stamps[problem]:
+                raise BrokenResultsError("%s changed after the results were loaded"
+                                         % path)
+            self.problems[problem] = dict(_read_rows(path, _TRACES_HEADER,
+                                                     _parse_trace))
         if key not in self.problems[problem]:
             raise BrokenResultsError("%s has no row for cell (%s, %s, run %d)"
-                                     % (self.path, *key))
+                                     % (path, *key))
         return self.problems[problem][key]
-
-    def _read(self, problem: str) -> dict:
-        """The traces of ``problem`` by cell."""
-        if self._stamp() != self.stamp:
-            raise BrokenResultsError("%s changed after the results were loaded"
-                                     % self.path)
-        found = {}
-        # Rows are found and read as bytes, in the encoding text mode would
-        # decode them with; only the rows of ``problem`` are decoded.
-        with open(self.path, newline="") as text:
-            fh, encoding = text.buffer, text.encoding
-            if self.starts is None:
-                self.starts = self._walk(fh, encoding)
-            for offset, number in self.starts.get(problem, ()):
-                fh.seek(offset)
-                line = fh.readline()
-                if b'"' in line:
-                    row = next(_quoted_rows(line, fh, encoding))
-                else:
-                    row = line.decode(encoding).rstrip("\r\n").split(",")
-                try:
-                    key, points = _parse_trace(row)
-                except ValueError as exc:
-                    raise _broken_row(self.path, number, _TRACES_HEADER, row,
-                                      exc) from None
-                found[key] = points
-        return found
-
-    def _walk(self, fh, encoding) -> Dict[str, List[Tuple[int, int]]]:
-        """Where each problem's rows start in traces.csv, open as ``fh``. Only
-        a line that holds a quote can hide its problem field, so only such a
-        row goes through csv; another is split only up to its problem."""
-        if fh.readline().decode(encoding).rstrip("\r\n") != ",".join(_TRACES_HEADER):
-            raise BrokenResultsError("%s line 1: expected the header %s"
-                                     % (self.path, ",".join(_TRACES_HEADER)))
-        starts: Dict[str, List[Tuple[int, int]]] = {}
-        number = 2
-        while True:
-            offset = fh.tell()
-            line = fh.readline()
-            if not line:
-                return starts
-            if b'"' in line:
-                reader = _quoted_rows(line, fh, encoding)
-                problem = next(reader)[1:2]
-                lines = reader.line_num
-            else:
-                problem = [p.decode(encoding) for p in line.split(b",", 2)[1:2]]
-                lines = 1
-            if problem:
-                starts.setdefault(problem[0], []).append((offset, number))
-            number += lines
-
-
-def _quoted_rows(line: bytes, fh, encoding: str):
-    """csv rows from ``line`` on, reading further lines from the binary file
-    ``fh`` only as a row needs them, so ``fh`` stays at the end of the last
-    row read."""
-    lines = itertools.chain([line], iter(fh.readline, b""))
-    return csv.reader(raw.decode(encoding) for raw in lines)
 
 
 class _LoadedTrace(collections.abc.Sequence):
@@ -638,12 +589,13 @@ class _LoadedTrace(collections.abc.Sequence):
 def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
-    Reads ``meta.json`` and ``results.csv``; each record's trace is read from
-    ``traces.csv`` on first use, together with the other traces of its
-    problem. Raises :class:`BrokenResultsError`, naming the file and the cell,
-    when a value of ``results.csv`` does not parse; the first read of a trace
-    raises it when the run has no traces row, a value of its problem's rows
-    does not parse, or ``traces.csv`` changed since the load.
+    Reads ``meta.json`` and ``results.csv`` and stats each problem's traces
+    file; each record's trace is read on first use, together with the other
+    traces of its problem's file. Raises :class:`BrokenResultsError`, naming
+    the file and the cell, when a value of ``results.csv`` does not parse;
+    the first read of a trace raises it when the run has no traces row, a
+    value of its problem's file does not parse, or that file changed since
+    the load.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -654,15 +606,16 @@ def load(out_dir) -> ResultSet:
             "results were written with schema %r; this build reads %d"
             % (version, SCHEMA_VERSION))
 
-    traces = _TraceReader(out / "traces.csv")
-
     def parse_result(row):
         values = {name: decode(text)
                   for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
         key = (values["algorithm"], values["problem"], values["run"])
-        return key, RunRecord(trace=_LoadedTrace(traces, key), **values)
+        return key, RunRecord(trace=None, **values)
 
     records = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
+    traces = _TraceReader(out / "traces", (key[1] for key in records))
+    for key, rec in records.items():
+        rec.trace = _LoadedTrace(traces, key)
     return ResultSet(records, metadata)
 
 

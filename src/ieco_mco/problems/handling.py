@@ -38,10 +38,12 @@ MAX_RESAMPLES = 100
 VIOLATION_TOL = 1e-8
 
 
-def penalized_fitness(objective, violation, feasible):
-    """The ranking value: the objective where feasible, otherwise
-    ``INFEASIBLE_BASE`` plus the violation. Takes scalars or (n,) arrays."""
-    return np.where(feasible, objective, INFEASIBLE_BASE + violation)
+def penalized_fitness(objective, violation):
+    """The ranking value: the objective where the violation is at most
+    ``VIOLATION_TOL``, otherwise ``INFEASIBLE_BASE`` plus the violation.
+    Takes scalars or (n,) arrays."""
+    return np.where(violation <= VIOLATION_TOL, objective,
+                    INFEASIBLE_BASE + violation)
 
 
 @dataclass
@@ -51,12 +53,15 @@ class HandledPoint:
     position: np.ndarray
     objective: float
     violation: float
-    feasible: bool
     evaluations: int  # total objective evaluations spent, >= 1
 
     @property
+    def feasible(self) -> bool:
+        return self.violation <= VIOLATION_TOL
+
+    @property
     def fitness(self) -> float:
-        return float(penalized_fitness(self.objective, self.violation, self.feasible))
+        return float(penalized_fitness(self.objective, self.violation))
 
 
 class TrialStream:
@@ -125,13 +130,13 @@ def constrained_evaluate(x: np.ndarray, objective: float, violation: float,
     """
     spent = 1
     best = HandledPoint(np.array(x, dtype=float), float(objective),
-                        float(violation), bool(violation <= VIOLATION_TOL), spent)
+                        float(violation), spent)
     if best.feasible:
         return best
     for trial, obj, vio in stream.trials():
         spent += 1
         if vio < best.violation:
-            best = HandledPoint(trial, obj, vio, vio <= VIOLATION_TOL, spent)
+            best = HandledPoint(trial, obj, vio, spent)
             if best.feasible:
                 break
     best.evaluations = spent

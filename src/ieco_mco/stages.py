@@ -147,20 +147,20 @@ class Population:
     """Positions with ranking fitness, kept sorted ascending by fitness.
 
     ``fitness`` is the scalar the algorithm ranks on; for constrained
-    problems it is the penalized value, and ``objective``/``feasible`` retain
-    the raw readings for reporting. For unconstrained problems the three
-    arrays are fitness, fitness, all-True.
+    problems it is the penalized value, and ``objective``/``violation``
+    keep the readings it was ranked from. For unconstrained problems the
+    three arrays are fitness, fitness, all zero.
     """
 
-    def __init__(self, positions, fitness, objective=None, feasible=None):
+    def __init__(self, positions, fitness, objective=None, violation=None):
         self.positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
         self.fitness = np.asarray(fitness, dtype=float).copy()
         if self.positions.shape[0] != self.fitness.shape[0]:
             raise ValueError("positions and fitness lengths differ")
         self.objective = (self.fitness.copy() if objective is None
                           else np.asarray(objective, dtype=float).copy())
-        self.feasible = (np.ones(self.size, dtype=bool) if feasible is None
-                         else np.asarray(feasible, dtype=bool).copy())
+        self.violation = (np.zeros(self.size) if violation is None
+                          else np.asarray(violation, dtype=float).copy())
         self.sort()
 
     @property
@@ -176,7 +176,7 @@ class Population:
         self.positions = self.positions[order]
         self.fitness = self.fitness[order]
         self.objective = self.objective[order]
-        self.feasible = self.feasible[order]
+        self.violation = self.violation[order]
 
 
 def closest_school(positions, school_positions) -> np.ndarray:
@@ -309,7 +309,8 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
          bounds: Bounds) -> Population:
     """One full iteration: propose, evaluate, select greedily, archive elites.
 
-    ``evaluator`` must expose ``evaluate(X) -> (fitness, objective, feasible,
+    ``pop`` is sorted, as a :class:`Population` keeps itself. ``evaluator``
+    must expose ``evaluate(X) -> (fitness, objective, violation,
     positions)`` and own the evaluation budget; the iteration needs exactly
     ``pop.size`` base evaluations (constraint handling may spend more).
     ``archive`` is None for a variant that keeps none. Otherwise the
@@ -324,7 +325,6 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
         raise BudgetExhaustedError(
             "iteration needs %d evaluations but only %d remain"
             % (n, ctx.fes_max - ctx.fes))
-    pop.sort()
     X = pop.positions
     fraction, school_rule = _SCHOOLS[variant, ctx.stage]
     k = school_count(fraction, n)
@@ -339,13 +339,13 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     proposals = np.empty_like(X)
     proposals[:k] = school_rule(X, k, assign, model, ctx, rng)
     proposals[k:] = _STUDENT_RULES[ctx.stage](X, k, assign, model, ctx, rng)
-    child_fit, child_obj, child_feas, child_pos = evaluator.evaluate(clamp(proposals, bounds))
+    child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(clamp(proposals, bounds))
 
     improved = child_fit < pop.fitness
     pop.positions[improved] = child_pos[improved]
     pop.fitness[improved] = child_fit[improved]
     pop.objective[improved] = child_obj[improved]
-    pop.feasible[improved] = child_feas[improved]
+    pop.violation[improved] = child_vio[improved]
     pop.sort()
 
     if archive is not None:

@@ -95,7 +95,7 @@ def sequential_resample(spec, x, objective, violation, rng, extra_cap):
     tol = VIOLATION_TOL
     spent = 1
     best = HandledPoint(np.array(x, dtype=float), float(objective),
-                        float(violation), bool(violation <= tol), spent)
+                        float(violation), spent)
     if best.feasible:
         return best
     for _ in range(min(MAX_RESAMPLES, max(0, int(extra_cap)))):
@@ -103,7 +103,7 @@ def sequential_resample(spec, x, objective, violation, rng, extra_cap):
         obj, vio = spec.evaluate(trial)
         spent += 1
         if vio < best.violation or (vio <= tol and not best.feasible):
-            best = HandledPoint(trial, obj, vio, vio <= tol, spent)
+            best = HandledPoint(trial, obj, vio, spent)
             if best.feasible:
                 break
     best.evaluations = spent
@@ -114,21 +114,25 @@ def sequential_evaluate(spec, X, rng, fes_max, used=0):
     """Reference ``Evaluator.evaluate``: read the block, then resample each
     infeasible row in row order with :func:`sequential_resample`.
 
-    Returns (fitness, objective, feasible, positions, used, handled), where
+    Returns (fitness, objective, violation, positions, used, handled), where
     ``handled`` lists the HandledPoint of each infeasible row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     objective, violation = spec.batch(X)
     used += X.shape[0]
-    feasible = violation <= VIOLATION_TOL
-    fitness = penalized_fitness(objective, violation, feasible)
+    fitness = penalized_fitness(objective, violation)
     positions = X.copy()
     handled = []
-    for i in np.flatnonzero(~feasible):
+    for i in np.flatnonzero(violation > VIOLATION_TOL):
         out = sequential_resample(spec, X[i], objective[i], violation[i], rng,
                                   fes_max - used)
         used += out.evaluations - 1
-        fitness[i], objective[i], feasible[i] = out.fitness, out.objective, out.feasible
+        fitness[i], objective[i], violation[i] = out.fitness, out.objective, out.violation
         positions[i] = out.position
         handled.append(out)
-    return fitness, objective, feasible, positions, used, handled
+    return fitness, objective, violation, positions, used, handled
+
+
+def traces_bytes(out):
+    """The bytes of each file under a persisted set's traces folder, by name."""
+    return {p.name: p.read_bytes() for p in (out / "traces").iterdir()}

@@ -9,6 +9,8 @@ import pytest
 from ieco_mco import cli, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 
+from support import traces_bytes
+
 TINY = ["--runs", "1", "--dim", "5", "--n", "6", "--fes-max", "60"]
 
 
@@ -140,6 +142,23 @@ def test_compare_on_missing_directory_is_usage_error(tmp_path, capsys):
 # ------------------------------------------------------------- run behaviour
 
 
+def test_run_whose_model_estimate_raises_names_its_cell(tmp_path, capsys,
+                                                       monkeypatch):
+    def estimate(archive):
+        raise ValueError("no model")
+
+    monkeypatch.setattr(harness.cov, "estimate", estimate)
+    code = run_cli("run", "--algorithms", "IECO-MCO", "--problems", "f01",
+                   "--runs", "1", "--n", "6", "--fes-max", "120", "--dim", "5",
+                   "--seed", "7", "--out", str(tmp_path / "r"))
+    assert code == 1
+    seed = harness.derive_seed(7, "IECO-MCO", "f01-zakharov-d5", 0)
+    err = capsys.readouterr().err
+    assert ("algorithm=IECO-MCO problem=f01-zakharov-d5 run=0 seed=%d" % seed
+            in err)
+    assert "ValueError: no model" in err
+
+
 def test_run_cardinality_two_algorithms_ten_runs(tmp_path, capsys):
     code = run_cli("run", "--algorithms", "IECO-MCO,ECO", "--problems", "rw01",
                    "--runs", "10", "--n", "6", "--fes-max", "120",
@@ -156,8 +175,8 @@ def _strip_volatile(out_dir):
     results = [r.rsplit(",", 1)[0] for r in rows]
     meta = json.loads((out_dir / "meta.json").read_text())
     meta.pop("created_at")
-    return (results, (out_dir / "traces.csv").read_bytes(),
-            (out_dir / "summary.csv").read_bytes(), meta)
+    return (results, traces_bytes(out_dir), (out_dir / "summary.csv").read_bytes(),
+            meta)
 
 
 def test_run_twice_with_config_produces_identical_outputs(tmp_path, capsys):
@@ -311,7 +330,8 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
                                     "position value"])
 def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
     out = _synthetic_results(tmp_path, tie=True)
-    path = out / ("results.csv" if broken == "position value" else "traces.csv")
+    # p3's traces are the third problem's file
+    path = out / ("results.csv" if broken == "position value" else "traces/2.csv")
     rows = path.read_text().splitlines()
     if broken == "traces row":
         rows.pop()

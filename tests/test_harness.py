@@ -4,6 +4,7 @@ import csv
 import json
 import os
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ieco_mco.harness import (
     Evaluator,
     ResultSet,
     RunConfig,
+    RunRecord,
     SchemaMismatchError,
     config_hash,
     derive_seed,
@@ -24,12 +26,13 @@ from ieco_mco.harness import (
     run_batch,
     run_single,
 )
-from ieco_mco.problems import MAX_RESAMPLES, stable_seed
+from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, penalized_fitness,
+                               stable_seed)
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
 from ieco_mco.stages import Population, StageContext, Variant, stage_of, step
 
-from support import sphere_spec
+from support import sphere_spec, traces_bytes
 
 DESK = ["f%02d" % i for i in range(1, 13)]
 
@@ -74,6 +77,48 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     assert np.all(pop.positions[:, 0] >= 0.0)
 
 
+# ------------------------------------------------------ degenerate archives
+
+
+@pytest.mark.parametrize("algorithm", ["GECO", "SECO", "DECO", "IECO-MCO"])
+def test_run_on_an_archive_of_one_repeated_row_keeps_budget_box_and_order(
+        monkeypatch, algorithm):
+    """Every agent starts on one point of a flat objective, so no child is
+    ever accepted and every archived elite is that point: the covariance
+    model is estimated from one repeated row, with zero scatter."""
+    spec = ProblemSpec(
+        name="flat", dimension=4, bounds=Bounds.cube(-5.0, 5.0, 4),
+        objective=lambda X: np.ones(len(X)), category="test")
+    point = np.array([1.0, -2.0, 3.0, 0.5])
+    monkeypatch.setattr(harness, "init_population",
+                        lambda n, bounds, rng: np.tile(point, (n, 1)))
+    archives, real_estimate = [], harness.cov.estimate
+
+    def estimate(archive):
+        archives.append(archive.positions())
+        return real_estimate(archive)
+
+    real_step = harness.step
+
+    def checked_step(pop, *args):
+        pop = real_step(pop, *args)
+        assert np.all((pop.positions >= spec.bounds.lower)
+                      & (pop.positions <= spec.bounds.upper))
+        assert np.all(pop.fitness[:-1] <= pop.fitness[1:])
+        return pop
+
+    monkeypatch.setattr(harness.cov, "estimate", estimate)
+    monkeypatch.setattr(harness, "step", checked_step)
+    cfg = RunConfig(algorithm=algorithm, problem="flat", seed=5, dimension=4,
+                    n=8, fes_max=400)
+    rec = run_single(cfg, spec)
+    assert archives
+    assert all(np.array_equal(rows, np.tile(point, (len(rows), 1)))
+               for rows in archives)
+    assert rec.evaluations_used == 400
+    assert np.array_equal(rec.best_position, point)
+
+
 # ---------------------------------------------------------------- run config
 
 
@@ -116,11 +161,11 @@ def test_derive_seed_is_stable_and_cell_specific():
 def test_evaluator_charges_one_per_candidate():
     ev = Evaluator(sphere_spec(3), fes_max=10, rng=RngStream(3))
     X = np.ones((4, 3))
-    fit, obj, feas, pos = ev.evaluate(X)
+    fit, obj, vio, pos = ev.evaluate(X)
     assert ev.used == 4
     assert np.array_equal(fit, obj)
     assert np.array_equal(fit, np.full(4, 3.0))
-    assert feas.all()
+    assert not vio.any()
     assert np.array_equal(pos, X)
 
 
@@ -158,10 +203,26 @@ def test_evaluator_resampling_respects_hard_budget():
 def test_evaluator_constrained_reports_penalised_fitness():
     spec = _never_feasible_spec()
     ev = Evaluator(spec, fes_max=3, rng=RngStream(3))
-    fit, obj, feas, pos = ev.evaluate(np.full((1, 1), 0.5))
-    assert not feas[0]
-    assert fit[0] > 1e14
+    fit, obj, vio, pos = ev.evaluate(np.full((1, 1), 0.5))
+    assert vio[0] == 1.0
+    assert fit[0] == penalized_fitness(obj[0], vio[0]) > 1e14
     assert obj[0] <= 1.0
+
+
+@pytest.mark.parametrize("problem", ["f01", "rw03", "rw05"])
+def test_a_run_reads_no_point_after_its_budget(monkeypatch, problem):
+    """The record keeps the readings that ranked the best agent; no single
+    point is read again after the budget is spent."""
+    def evaluate(self, x):
+        raise AssertionError("ProblemSpec.evaluate called")
+
+    monkeypatch.setattr(ProblemSpec, "evaluate", evaluate)
+    rs = run_batch(["ECO", "IECO-MCO"], [problem], runs=2, base_seed=3,
+                   dimension=5, n=6, fes_max=120)
+    for rec in rs.records.values():
+        assert rec.best_fitness == penalized_fitness(rec.best_objective,
+                                                     rec.best_violation)
+        assert rec.feasible == (rec.best_violation <= VIOLATION_TOL)
 
 
 def test_worst_constraint_of_minus_zero_reads_as_plus_zero(tmp_path):
@@ -431,7 +492,24 @@ def _schema_1_directory(out):
     return out
 
 
-@pytest.mark.parametrize("make", [_schema_999_directory, _schema_1_directory])
+def _schema_2_directory(out):
+    """One run as schema 2 laid it out: every trace in one traces.csv."""
+    out.mkdir(parents=True)
+    (out / "meta.json").write_text(json.dumps(
+        {"schema_version": 2, "algorithms": ["ECO"], "problems": ["f01"],
+         "runs": 1}))
+    (out / "results.csv").write_text(
+        ",".join(f.name for f in fields(RunRecord) if f.name != "trace")
+        + "\nECO,f01,2,0,7,0.5 0.5,0.5,0.5,0.0,1,12,0.01\n")
+    (out / "traces.csv").write_text(
+        "algorithm,problem,run,fes...,best...\nECO,f01,0,6,12,1.5,0.5\n")
+    (out / "summary.csv").write_text(
+        "algorithm,problem,best,mean,std\nECO,f01,0.5,0.5,0.0\n")
+    return out
+
+
+@pytest.mark.parametrize("make", [_schema_999_directory, _schema_1_directory,
+                                  _schema_2_directory])
 def test_load_rejects_schema_mismatch(tmp_path, capsys, make):
     out = make(tmp_path / "out")
     version = json.loads((out / "meta.json").read_text())["schema_version"]
@@ -451,14 +529,17 @@ def _rewrite_last_row(path, change):
     return "%s line %d" % (path, len(rows))
 
 
+# The traces files of _tiny_batch: f01-zakharov-d5 is 0.csv, f02-rosenbrock-d5
+# is 1.csv.
 def _drop_last_trace(out):
-    rows = (out / "traces.csv").read_text().splitlines()
-    (out / "traces.csv").write_text("\n".join(rows[:-1]) + "\n")
-    return str(out / "traces.csv")
+    path = out / "traces" / "1.csv"
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:-1]) + "\n")
+    return str(path)
 
 
 def _add_a_trace_value(out):
-    return _rewrite_last_row(out / "traces.csv",
+    return _rewrite_last_row(out / "traces" / "1.csv",
                              lambda header, row: row.append("120"))
 
 
@@ -475,7 +556,7 @@ def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
     out = persist(rs, tmp_path / "out")
     broken = corrupt(out)
     with pytest.raises(BrokenResultsError) as err:
-        # traces.csv is read on a trace's first use, results.csv at load.
+        # A traces file is read on a trace's first use, results.csv at load.
         list(load(out).records[("IECO-MCO", "f02-rosenbrock-d5", 2)].trace)
     assert broken in str(err.value)
     assert "cell (IECO-MCO, f02-rosenbrock-d5, run 2)" in str(err.value)
@@ -485,7 +566,7 @@ def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
 def test_trace_read_after_the_traces_file_changed_names_it(tmp_path, change):
     out = persist(_tiny_batch(), tmp_path / "out")
     rs = load(out)
-    path = out / "traces.csv"
+    path = out / "traces" / "0.csv"
     if change == "touch":
         stat = path.stat()
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
@@ -497,33 +578,43 @@ def test_trace_read_after_the_traces_file_changed_names_it(tmp_path, change):
     assert str(path) in str(err.value)
 
 
-def test_one_walk_finds_every_problems_traces(tmp_path, monkeypatch):
-    """The first trace read walks traces.csv once; every problem is then read
-    from where its rows start, also rows whose labels hold a quote, a comma
-    or a line break and so span lines."""
+def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
+    """Touching every trace of a loaded set twice opens each problem's file
+    once, also when the labels hold a quote, a comma or a line break."""
     labels = {"f01-zakharov-d5": 'f01 "a,\r\nb"', "f02-rosenbrock-d5": "f02"}
     rs = _tiny_batch()
     rs = ResultSet({(a, labels[p], r): replace(rec, problem=labels[p])
                     for (a, p, r), rec in rs.records.items()}, rs.metadata)
-    walks = []
-    walk = harness._TraceReader._walk
+    back = load(persist(rs, tmp_path / "out"))
+    opened = []
 
-    def spy(self, *args):
-        walks.append(self.path)
-        return walk(self, *args)
+    def spy(path, *args, **kwargs):
+        opened.append(Path(path))
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(harness._TraceReader, "_walk", spy)
-    assert load(persist(rs, tmp_path / "out")) == rs
-    assert walks == [tmp_path / "out" / "traces.csv"]
+    monkeypatch.setattr(harness, "open", spy, raising=False)
+    assert back == rs
+    assert back == rs
+    # sorted labels: 'f01 "a,\r\nb"' is 0.csv, "f02" is 1.csv
+    assert sorted(opened) == [tmp_path / "out" / "traces" / name
+                              for name in ("0.csv", "1.csv")]
 
 
 def test_persist_over_the_set_it_loaded_gives_it_back(tmp_path):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
-    written = (out / "traces.csv").read_bytes()
+    written = traces_bytes(out)
     persist(load(out), out)
     assert load(out) == rs
-    assert (out / "traces.csv").read_bytes() == written
+    assert traces_bytes(out) == written
+
+
+def test_persist_replaces_the_traces_of_the_set_there_before(tmp_path):
+    out = persist(_tiny_batch(problems=("f01", "f02", "f03")), tmp_path / "out")
+    rs = _tiny_batch(problems=("f04",))
+    persist(rs, out)
+    assert sorted(traces_bytes(out)) == ["0.csv"]
+    assert load(out) == rs
 
 
 def test_persist_writes_the_hash_of_the_written_payload(tmp_path):
@@ -573,10 +664,11 @@ def test_persisted_bytes_are_reproducible(tmp_path):
     assert [r.rsplit(",", 1)[0] for r in rows_a] == \
            [r.rsplit(",", 1)[0] for r in rows_b]
 
-    assert (a / "traces.csv").read_bytes() == (b / "traces.csv").read_bytes()
+    assert traces_bytes(a) == traces_bytes(b)
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
     assert sorted(p.name for p in a.iterdir()) == [
-        "meta.json", "results.csv", "summary.csv", "traces.csv"]
+        "meta.json", "results.csv", "summary.csv", "traces"]
+    assert sorted(traces_bytes(a)) == ["0.csv", "1.csv"]
 
     # metadata differs only in the timestamp
     meta_a = json.loads((a / "meta.json").read_text())

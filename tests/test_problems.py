@@ -334,10 +334,11 @@ def test_step_cone_pulley_has_folded_equalities():
 
 
 def test_penalized_fitness_orders_feasible_before_infeasible():
-    assert penalized_fitness(123.0, 0.0, True) == 123.0
-    bad = penalized_fitness(0.0, 2.5, False)
+    assert penalized_fitness(123.0, 0.0) == 123.0
+    assert penalized_fitness(123.0, VIOLATION_TOL) == 123.0
+    bad = penalized_fitness(0.0, 2.5)
     assert bad == INFEASIBLE_BASE + 2.5
-    assert penalized_fitness(1e12, 0.0, True) < penalized_fitness(0.0, 0.0, False)
+    assert penalized_fitness(1e12, 0.0) < penalized_fitness(0.0, 2 * VIOLATION_TOL)
 
 
 def _line_spec():

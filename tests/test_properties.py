@@ -26,8 +26,9 @@ Persisting a result set and loading it back gives equal records, whatever
 the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
 best), however long the traces (up to 20,000 points, past the csv module's
 131,072-character field limit had a trace been one field) and whatever
-commas and quotes the labels hold. The traces.csv that persist writes
-with one join per row equals what ``csv.writer`` writes for the same rows.
+commas and quotes the labels hold. Each problem's traces file that persist
+writes with one join per row equals what ``csv.writer`` writes for the same
+rows.
 
 A whole run, drawn over variant, population size, dimension, budget,
 registry problem, seed and a share of the box that reads as inf or NaN,
@@ -58,12 +59,13 @@ from ieco_mco.problems import (
     MAX_RESAMPLES,
     VIOLATION_TOL,
     make_problem,
+    penalized_fitness,
 )
 from ieco_mco.problems import engineering
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
 from ieco_mco.stages import Variant
-from support import sequential_evaluate
+from support import sequential_evaluate, traces_bytes
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
 PROBLEMS = ([(pid, 10) for pid in ENGINEERING_NAMES]
@@ -173,14 +175,14 @@ def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, seed):
     spec, X = case
     n = X.shape[0]
     ev = Evaluator(spec, fes_max=n + spare, rng=RngStream(seed))
-    fitness, objective, feasible, positions = ev.evaluate(X)
+    fitness, objective, violation, positions = ev.evaluate(X)
     assert n <= ev.used <= ev.fes_max
     obj, vio = spec.batch(positions)
     for i in range(n):
         assert spec.bounds.contains(positions[i]), (spec.name, positions[i])
         assert _bits(objective[i]) == _bits(obj[i])
-        assert feasible[i] == (vio[i] <= VIOLATION_TOL)
-        expected = obj[i] if feasible[i] else INFEASIBLE_BASE + vio[i]
+        assert _bits(violation[i]) == _bits(vio[i])
+        expected = obj[i] if vio[i] <= VIOLATION_TOL else INFEASIBLE_BASE + vio[i]
         assert _bits(fitness[i]) == _bits(expected), (spec.name, i)
 
 
@@ -334,7 +336,7 @@ def test_persist_then_load_gives_equal_records(rs):
         for rec in back.records.values():
             rec.wall_time += 1.0
         again = persist(back, Path(tmp) / "again")
-        assert (again / "traces.csv").read_bytes() == (first / "traces.csv").read_bytes()
+        assert traces_bytes(again) == traces_bytes(first)
         assert _without_wall_time(again / "results.csv") == \
             _without_wall_time(first / "results.csv")
 
@@ -342,17 +344,20 @@ def test_persist_then_load_gives_equal_records(rs):
 @settings(max_examples=40, deadline=None)
 @given(result_sets())
 def test_traces_file_equals_what_csv_writer_writes(rs):
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["algorithm", "problem", "run", "fes...", "best..."])
-    for key in sorted(rs.records):
-        rec = rs.records[key]
-        writer.writerow([rec.algorithm, rec.problem, rec.run,
-                         *[fes for fes, _ in rec.trace],
-                         *[best for _, best in rec.trace]])
+    expected = {}
+    for i, problem in enumerate(sorted({rec.problem for rec in rs.records.values()})):
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["algorithm", "problem", "run", "fes...", "best..."])
+        for key in sorted(rs.records):
+            rec = rs.records[key]
+            if rec.problem == problem:
+                writer.writerow([rec.algorithm, rec.problem, rec.run,
+                                 *[fes for fes, _ in rec.trace],
+                                 *[best for _, best in rec.trace]])
+        expected["%d.csv" % i] = text.getvalue().encode()
     with tempfile.TemporaryDirectory() as tmp:
-        out = persist(rs, Path(tmp))
-        assert (out / "traces.csv").read_bytes() == expected.getvalue().encode()
+        assert traces_bytes(persist(rs, Path(tmp))) == expected
 
 
 # ------------------------------------------------------------------ whole runs
@@ -388,7 +393,8 @@ def with_nonfinite_region(spec, share, value):
 def test_whole_run_keeps_budget_box_order_and_records(cfg, share, value):
     """After every step the population lies in the box, is sorted and has no
     order statistic of its fitness above the one before; the run stays in
-    budget, its trace never rises, and its record survives persist/load.
+    budget, its trace never rises, its best fitness is the penalty rule's
+    value of its best readings, and its record survives persist/load.
     A drawn share of the box reads as a non-finite objective."""
     spec = with_nonfinite_region(make_problem(cfg.problem, cfg.dimension),
                                  share, value)
@@ -409,6 +415,8 @@ def test_whole_run_keeps_budget_box_order_and_records(cfg, share, value):
     # resampling can spend a constrained run's budget before its first step
     assert steps or spec.constraints is not None
     assert not steps or rec.best_fitness == steps[-1]
+    assert rec.best_fitness == penalized_fitness(rec.best_objective,
+                                                 rec.best_violation)
     assert rec.evaluations_used <= cfg.fes_max
     best = [b for _, b in rec.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
