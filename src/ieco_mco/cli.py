@@ -2,9 +2,13 @@
 
 Commands: ``run``, ``compare``, ``stats``, ``export-trace``,
 ``list-problems``. Option values resolve with precedence command line >
-``MCO_*`` environment variable > config file > built-in default. The config
-file is INI-style with a single ``[run]`` section whose keys match the long
-flag names with underscores; ``_RUN_SETTINGS`` lists them.
+``MCO_*`` environment variable > config file > built-in default. ``run``
+reads ``MCO_CONFIG`` and ``MCO_<KEY>`` for each key of ``_RUN_SETTINGS``;
+``compare`` reads ``MCO_RESULTS`` and ``MCO_ALPHA``; ``stats`` those two,
+``MCO_TEST`` and ``MCO_OUT``; ``export-trace`` ``MCO_RESULTS`` and
+``MCO_PROBLEM``. No other option reads a variable. Only ``run`` reads a
+config file: INI-style, with a single ``[run]`` section whose keys are the
+``_RUN_SETTINGS`` keys.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """

@@ -29,7 +29,6 @@ block row by row, so the block gives the bits of a per-school loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -91,32 +90,27 @@ def rank_weights(m: int) -> np.ndarray:
 
 @dataclass
 class CovModel:
-    """Gaussian search model estimated from the elite archive."""
+    """Gaussian search model estimated from the elite archive. ``factor``,
+    made on construction, is the Cholesky factor of ``cov`` under the first
+    jitter of a tenfold ladder that works, else a diagonal scale matrix."""
 
     mean_better: np.ndarray
     cov: np.ndarray
-    _factor: Optional[np.ndarray] = field(default=None, repr=False)
-    _diag_fallback: Optional[np.ndarray] = field(default=None, repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def dim(self):
-        return self.mean_better.shape[0]
-
-    def _ensure_factor(self):
-        if self._factor is not None or self._diag_fallback is not None:
-            return
+    def __post_init__(self):
         if not np.all(np.isfinite(self.cov)):
             raise ValueError("covariance matrix holds non-finite entries")
-        d = self.dim
+        d = self.cov.shape[0]
         eye = np.eye(d)
         eps = 1e-12 * (np.trace(self.cov) / d + 1.0)
         for _ in range(9):  # initial attempt plus at most 8 escalations
             try:
-                self._factor = np.linalg.cholesky(self.cov + eps * eye)
+                self.factor = np.linalg.cholesky(self.cov + eps * eye)
                 return
             except np.linalg.LinAlgError:
                 eps *= 10.0
-        self._diag_fallback = np.sqrt(np.maximum(np.diag(self.cov), 0.0) + eps)
+        self.factor = np.diag(np.sqrt(np.maximum(np.diag(self.cov), 0.0) + eps))
 
     def sample(self, z, mean=None):
         """Map a (k, D) block of standard normals to draws from N(mean, C).
@@ -125,10 +119,7 @@ class CovModel:
         ``z_i @ L.T``; a plain ``z @ L.T`` can differ in the last bits.
         """
         center = self.mean_better if mean is None else np.asarray(mean, dtype=float)
-        self._ensure_factor()
-        if self._factor is not None:
-            return center + np.matmul(z[:, None, :], self._factor.T)[:, 0]
-        return center + z * self._diag_fallback
+        return center + np.matmul(z[:, None, :], self.factor.T)[:, 0]
 
 
 def estimate(archive: EliteArchive) -> CovModel:

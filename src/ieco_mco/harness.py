@@ -133,10 +133,10 @@ class Evaluator:
 
     ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
     returns (fitness, objective, violation, positions): the ranking value
-    and the readings it was computed from. Infeasible rows are then
-    resampled inside the box, in row order, so their positions and readings
-    may differ from the input. Resampling draws come from ``rng``, the run's
-    single stream, after the iteration's update draws.
+    and the readings it was computed from. Infeasible rows are first
+    resampled inside the box, in row order, on a copy of ``X``; then the
+    whole block is ranked at once. Resampling draws come from ``rng``, the
+    run's single stream, after the iteration's update draws.
 
     The infeasible rows share one :class:`TrialStream`, which reads trials
     ahead in blocks (one ``spec.batch`` per block) and consumes only the
@@ -167,22 +167,17 @@ class Evaluator:
                 % (n, self.used, self.fes_max))
         objective, violation = self.spec.batch(X)
         self.used += n
-        fitness = penalized_fitness(objective, violation)
         infeasible = np.flatnonzero(violation > VIOLATION_TOL)
-        if infeasible.size == 0:
-            return fitness, objective, violation, X
-        positions = X.copy()
-        stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
-                             budget=self.remaining)
-        for i in infeasible:
-            out = constrained_evaluate(X[i], objective[i], violation[i], stream)
-            self.used += out.evaluations - 1
-            fitness[i] = out.fitness
-            objective[i] = out.objective
-            violation[i] = out.violation
-            positions[i] = out.position
-        stream.close()
-        return fitness, objective, violation, positions
+        if infeasible.size:
+            X = X.copy()
+            stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
+                                 budget=self.remaining)
+            for i in infeasible:
+                out = constrained_evaluate(X[i], objective[i], violation[i], stream)
+                self.used += out.evaluations - 1
+                X[i], objective[i], violation[i] = out.position, out.objective, out.violation
+            stream.close()
+        return penalized_fitness(objective, violation), objective, violation, X
 
 
 @dataclass
@@ -467,6 +462,8 @@ def persist(results: ResultSet, out_dir) -> Path:
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
     shutil.rmtree(out / "traces", ignore_errors=True)
+    for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
+        (out / stale).unlink(missing_ok=True)
     (out / "traces").mkdir()
     paths = _trace_paths(out / "traces", (r.problem for r in records))
     for problem, path in paths.items():

@@ -59,10 +59,6 @@ class HandledPoint:
     def feasible(self) -> bool:
         return self.violation <= VIOLATION_TOL
 
-    @property
-    def fitness(self) -> float:
-        return float(penalized_fitness(self.objective, self.violation))
-
 
 class TrialStream:
     """Uniform box samples for the resampling rule, read ahead in blocks.

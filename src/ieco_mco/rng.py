@@ -50,12 +50,10 @@ class RngStream:
         self._seq = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        # On [0, 1) ``random`` gives the bits and the next stream state of
-        # ``uniform``, with less call overhead.
-        if low == 0.0 and high == 1.0:
-            return self._gen.random(size)
-        return self._gen.uniform(low, high, size)
+    def uniform(self, size=None):
+        """Draws on [0, 1). ``random`` gives the bits and the next stream
+        state of ``Generator.uniform``, with less call overhead."""
+        return self._gen.random(size)
 
     def peek_uniform(self, size):
         """The draws ``uniform(size=size)`` would return, leaving the stream

@@ -152,24 +152,14 @@ class Population:
     three arrays are fitness, fitness, all zero.
     """
 
-    def __init__(self, positions, fitness, objective=None, violation=None):
+    def __init__(self, positions, fitness, objective, violation):
         self.positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
         self.fitness = np.asarray(fitness, dtype=float).copy()
         if self.positions.shape[0] != self.fitness.shape[0]:
             raise ValueError("positions and fitness lengths differ")
-        self.objective = (self.fitness.copy() if objective is None
-                          else np.asarray(objective, dtype=float).copy())
-        self.violation = (np.zeros(self.size) if violation is None
-                          else np.asarray(violation, dtype=float).copy())
+        self.objective = np.asarray(objective, dtype=float).copy()
+        self.violation = np.asarray(violation, dtype=float).copy()
         self.sort()
-
-    @property
-    def size(self):
-        return self.positions.shape[0]
-
-    @property
-    def dim(self):
-        return self.positions.shape[1]
 
     def sort(self):
         order = np.argsort(self.fitness, kind="stable")
@@ -312,7 +302,7 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     ``pop`` is sorted, as a :class:`Population` keeps itself. ``evaluator``
     must expose ``evaluate(X) -> (fitness, objective, violation,
     positions)`` and own the evaluation budget; the iteration needs exactly
-    ``pop.size`` base evaluations (constraint handling may spend more).
+    one base evaluation per agent (constraint handling may spend more).
     ``archive`` is None for a variant that keeps none. Otherwise the
     variant's school rule runs once the archive supports a model, and the
     iteration's elites of finite fitness are pushed to it: a non-finite one
@@ -320,18 +310,18 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     it waits for a young archive. Raises
     :class:`BudgetExhaustedError` when the base cost does not fit.
     """
-    n = pop.size
+    X = pop.positions
+    n, d = X.shape
     if ctx.fes + n > ctx.fes_max:
         raise BudgetExhaustedError(
             "iteration needs %d evaluations but only %d remain"
             % (n, ctx.fes_max - ctx.fes))
-    X = pop.positions
     fraction, school_rule = _SCHOOLS[variant, ctx.stage]
     k = school_count(fraction, n)
     assign = closest_school(X[k:], X[:k])
 
     model = None
-    if archive is not None and len(archive) >= cov.min_model_entries(pop.dim):
+    if archive is not None and len(archive) >= cov.min_model_entries(d):
         model = cov.estimate(archive)
     else:
         school_rule = _SCHOOLS[Variant.ECO, ctx.stage][1]

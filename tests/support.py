@@ -29,11 +29,11 @@ class ScriptedRng:
         vals = [float(self._normals.pop(0)) for _ in range(int(np.prod(size)))]
         return np.asarray(vals).reshape(size)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
+    def uniform(self, size=None):
         if size is None:
-            return low + (high - low) * float(self._uniforms.pop(0))
+            return float(self._uniforms.pop(0))
         vals = [float(self._uniforms.pop(0)) for _ in range(int(np.prod(size)))]
-        return low + (high - low) * np.asarray(vals).reshape(size)
+        return np.asarray(vals).reshape(size)
 
     def peek_uniform(self, size):
         count = int(np.prod(size))
@@ -70,7 +70,7 @@ class CountingEvaluator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         self.used += X.shape[0]
         f = np.asarray(self.fn(X), dtype=float)
-        return f, f.copy(), np.ones(X.shape[0], dtype=bool), X.copy()
+        return f, f.copy(), np.zeros(X.shape[0]), X.copy()
 
 
 def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):
@@ -127,7 +127,8 @@ def sequential_evaluate(spec, X, rng, fes_max, used=0):
         out = sequential_resample(spec, X[i], objective[i], violation[i], rng,
                                   fes_max - used)
         used += out.evaluations - 1
-        fitness[i], objective[i], violation[i] = out.fitness, out.objective, out.violation
+        objective[i], violation[i] = out.objective, out.violation
+        fitness[i] = penalized_fitness(out.objective, out.violation)
         positions[i] = out.position
         handled.append(out)
     return fitness, objective, violation, positions, used, handled

@@ -22,7 +22,7 @@ def run_cli(*argv):
 def clean_env(monkeypatch):
     for key in ("CONFIG", "ALGORITHMS", "PROBLEMS", "RUNS", "SEED", "DIM",
                 "FES_MULT", "FES_MAX", "N", "JOBS", "OUT", "RESULTS", "TEST",
-                "PROBLEM", "TRACE_STRIDE", "INSTANCE_SEED"):
+                "PROBLEM", "TRACE_STRIDE", "INSTANCE_SEED", "ALPHA"):
         monkeypatch.delenv(cli.ENV_PREFIX + key, raising=False)
 
 
@@ -221,6 +221,64 @@ def test_env_can_supply_config_path(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MCO_CONFIG", str(cfg))
     assert run_cli("run", "--out", str(tmp_path / "r")) == 0
     assert "persisted 1 records" in capsys.readouterr().out
+
+
+# The variables the cli docstring and the README document, per command: for
+# ``run``, the raw value and the run_batch keyword and value it must reach.
+_RUN_VARIABLES = {
+    "CONFIG": ("p.cfg", "runs", 7),  # p.cfg holds runs = 7
+    "ALGORITHMS": ("ECO,GECO", "algorithms", ["ECO", "GECO"]),
+    "PROBLEMS": ("f01,f02", "problems", ["f01", "f02"]),
+    "RUNS": ("3", "runs", 3),
+    "SEED": ("5", "base_seed", 5),
+    "DIM": ("7", "dimension", 7),
+    "FES_MULT": ("11", "fes_mult", 11),
+    "FES_MAX": ("90", "fes_max", 90),
+    "N": ("8", "n", 8),
+    "JOBS": ("2", "jobs", 2),
+    "OUT": ("elsewhere", None, None),
+    "TRACE_STRIDE": ("4", "trace_stride", 4),
+    "INSTANCE_SEED": ("9", "instance_seed", 9),
+}
+# For the read commands: argv, the variable's value, the exit code and a
+# needle in what the command prints or, for a path, a file it writes.
+_READ_VARIABLES = {
+    ("compare", "RESULTS"): ((), "{results}", 0, "Friedman test"),
+    ("compare", "ALPHA"): (("--results", "{results}"), "2", 2, "got 2"),
+    ("stats", "RESULTS"): ((), "{results}", 0, "Friedman test"),
+    ("stats", "TEST"): (("--results", "{results}"), "kw", 0, "Kruskal-Wallis"),
+    ("stats", "ALPHA"): (("--results", "{results}"), "2", 2, "got 2"),
+    ("stats", "OUT"): (("--results", "{results}"), "reports", 0,
+                       Path("reports", "report-friedman.txt")),
+    ("export-trace", "RESULTS"): (("--problem", "p1"), "{results}", 0, "fes,alpha,beta"),
+    ("export-trace", "PROBLEM"): (("--results", "{results}"), "p1", 0, "fes,alpha,beta"),
+}
+
+
+@pytest.mark.parametrize("command, variable", [
+    *(("run", v) for v in _RUN_VARIABLES), *_READ_VARIABLES])
+def test_each_documented_variable_is_honoured(tmp_path, capsys, monkeypatch,
+                                              command, variable):
+    monkeypatch.chdir(tmp_path)
+    if command == "run":
+        raw, keyword, want = _RUN_VARIABLES[variable]
+        (tmp_path / "p.cfg").write_text("[run]\nruns = 7\n")
+        seen = {}
+        monkeypatch.setattr(harness, "run_batch",
+                            lambda **kw: seen.update(kw) or ResultSet({}, {}))
+        monkeypatch.setenv(cli.ENV_PREFIX + variable, raw)
+        assert run_cli("run") == 0
+        if keyword is None:
+            assert (tmp_path / raw / "meta.json").exists()
+        else:
+            assert seen[keyword] == want
+        return
+    results = str(_synthetic_results(tmp_path, tie=False))
+    argv, raw, code, needle = _READ_VARIABLES[command, variable]
+    monkeypatch.setenv(cli.ENV_PREFIX + variable, raw.format(results=results))
+    assert run_cli(command, *(a.format(results=results) for a in argv)) == code
+    printed = "".join(capsys.readouterr())
+    assert (tmp_path / needle).exists() if isinstance(needle, Path) else needle in printed
 
 
 # --------------------------------------------------------- stats and compare

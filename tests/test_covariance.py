@@ -109,7 +109,7 @@ def test_archive_property_random_push_sequences():
         seen = []
         for _ in range(20):
             k = int(rng.integers(1, 4))
-            block = rng.uniform(-1.0, 1.0, size=(k, 2))
+            block = -1.0 + 2.0 * rng.uniform(size=(k, 2))
             fits = rng.uniform(size=k)
             arch.push(block, fits)
             seen.extend([(p.copy(), float(f)) for p, f in zip(block, fits)])
@@ -219,7 +219,7 @@ def test_estimate_matches_brute_force_on_random_archives():
     for _ in range(200):
         m = int(rng.integers(2, 51))
         d = int(rng.integers(1, 11))
-        X = rng.uniform(-5.0, 5.0, size=(m, d))
+        X = -5.0 + 10.0 * rng.uniform(size=(m, d))
         f = rng.uniform(size=m)
         arch = EliteArchive(m)
         arch.push(X, f)
@@ -234,7 +234,7 @@ def test_estimated_covariance_is_psd():
     for _ in range(50):
         m = int(rng.integers(2, 30))
         d = int(rng.integers(1, 8))
-        X = rng.uniform(-10.0, 10.0, size=(m, d))
+        X = -10.0 + 20.0 * rng.uniform(size=(m, d))
         arch = EliteArchive(m)
         arch.push(X, rng.uniform(size=m))
         C = estimate(arch).cov
@@ -246,7 +246,7 @@ def test_estimated_covariance_is_psd():
 
 def test_estimate_translation_equivariance():
     rng = RngStream(47)
-    X = rng.uniform(-3.0, 3.0, size=(12, 4))
+    X = -3.0 + 6.0 * rng.uniform(size=(12, 4))
     f = rng.uniform(size=12)
     t = np.array([10.0, -20.0, 5.0, 0.25])
     a = EliteArchive(12)
@@ -315,10 +315,9 @@ def test_sample_handles_singular_covariance():
 
 
 def test_sample_rejects_non_finite_covariance():
-    model = CovModel(mean_better=np.zeros(2),
-                     cov=np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        model.sample(RngStream(79).normal(size=(1, 2)))
+    # the model factors on construction, so it is never built to sample
+    with pytest.raises(ValueError, match="non-finite"):
+        CovModel(mean_better=np.zeros(2), cov=np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_sample_rows_equal_per_row_factor_products():
@@ -327,10 +326,9 @@ def test_sample_rows_equal_per_row_factor_products():
     for d in (2, 10, 30):
         A = rng.normal(size=(d, d))
         model = CovModel(mean_better=rng.normal(size=d), cov=A @ A.T)
-        model._ensure_factor()
         for k in (1, 7, 30):
             z = rng.normal(size=(k, d))
-            rows = [model.mean_better + row @ model._factor.T for row in z]
+            rows = [model.mean_better + row @ model.factor.T for row in z]
             assert np.array_equal(model.sample(z), np.vstack(rows))
 
 
@@ -430,12 +428,15 @@ def test_operator_translation_equivariance():
 # One school at a time, as the operators ran before they took blocks: the
 # reference for the draws and the bits of the block operators.
 
+def is_diagonal(m):
+    return np.array_equal(m, np.diag(np.diag(m)))
+
+
 def ref_sample(model, rng, center):
-    z = rng.normal(size=model.dim)
-    model._ensure_factor()
-    if model._factor is not None:
-        return center + z @ model._factor.T
-    return center + z * model._diag_fallback
+    z = rng.normal(size=model.mean_better.shape[0])
+    if is_diagonal(model.factor):  # the fallback scales each coordinate
+        return center + z * np.diag(model.factor)
+    return center + z @ model.factor.T
 
 
 def ref_gaussian(x, model, rng):
@@ -481,9 +482,9 @@ def random_model(d, fallback):
         # eigenvalue -1 along the ones vector, beyond every jitter, so the
         # model scales by its (positive) diagonal
         cov = 2.0 * np.eye(d) - np.full((d, d), 3.0 / d)
-        return CovModel(mean_better=gen.uniform(-2.0, 2.0, size=d), cov=cov)
+        return CovModel(mean_better=-2.0 + 4.0 * gen.uniform(size=d), cov=cov)
     archive = EliteArchive(4 * d)
-    archive.push(gen.uniform(-3.0, 3.0, size=(4 * d, d)), gen.uniform(size=4 * d))
+    archive.push(-3.0 + 6.0 * gen.uniform(size=(4 * d, d)), gen.uniform(size=4 * d))
     return estimate(archive)
 
 
@@ -495,10 +496,9 @@ N_AGENTS, D = 8, 5
 @pytest.mark.parametrize("name", ["gaussian", "shift", "differential"])
 def test_block_operator_equals_per_school_loop(name, k, fallback):
     model = random_model(D, fallback)
-    model._ensure_factor()
-    assert (model._factor is None) == fallback
-    assert model._factor is not None or np.all(model._diag_fallback > 1.0)
-    X = RngStream(101).uniform(-5.0, 5.0, size=(N_AGENTS, D))
+    assert is_diagonal(model.factor) == fallback
+    assert not fallback or np.all(np.diag(model.factor) > 1.0)
+    X = -5.0 + 10.0 * RngStream(101).uniform(size=(N_AGENTS, D))
     rng = RngStream(17)
     block = block_schools(name, X, k, model, rng)
     assert block.shape == (k, D)
@@ -517,7 +517,7 @@ def test_block_operator_equals_per_school_loop_on_scripted_draws(name):
     uniforms = gen.uniform(size=2 * k).tolist()
     pairs = [(max(i - 1, 0), max(i, 1)) for i in range(k)]
     model = random_model(D, False)
-    X = gen.uniform(-5.0, 5.0, size=(N_AGENTS, D))
+    X = -5.0 + 10.0 * gen.uniform(size=(N_AGENTS, D))
 
     def scripted():
         return ScriptedRng(normals=normals, uniforms=uniforms, pairs=pairs)
@@ -525,3 +525,22 @@ def test_block_operator_equals_per_school_loop_on_scripted_draws(name):
     block = block_schools(name, X, k, model, scripted())
     loop = np.vstack(ref_schools(name, X, k, model, scripted()))
     assert np.array_equal(block, loop)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_model_factors_on_construction_and_never_in_sample(fallback, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    model = random_model(D, fallback)
+    built = len(calls)
+    assert built >= 1
+    z = RngStream(107).normal(size=(3, D))
+    model.sample(z)
+    model.sample(z, mean=np.zeros(D))
+    assert len(calls) == built

