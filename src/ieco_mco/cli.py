@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import harness, stats
-from .problems import list_problems as registry_list
+from .problems import list_problems as registry_list, problem_label
 
 ENV_PREFIX = "MCO_"
 
@@ -249,11 +249,11 @@ def cmd_export_trace(args) -> int:
     if not problem:
         raise UsageError("no problem given; use --problem")
     if problem not in results.problems:
-        # Resolve as make_problem does: by the leading token, whatever its case.
-        # Two persisted problems can share it only if custom problems were
-        # persisted through the library; then the name is ambiguous.
-        head = problem.strip().lower().split("-")[0]
-        matches = [p for p in results.problems if p.split("-")[0] == head]
+        # Resolve by the registry's name rule, on both sides. Two persisted
+        # problems can share a label only if custom problems were persisted
+        # through the library; then the name is ambiguous.
+        label = problem_label(problem)
+        matches = [p for p in results.problems if problem_label(p) == label]
         if not matches:
             raise UsageError("unknown problem %r; persisted problems: %s"
                              % (problem, ", ".join(results.problems)))
@@ -261,12 +261,15 @@ def cmd_export_trace(args) -> int:
             raise UsageError("ambiguous problem %r; candidates: %s"
                              % (problem, ", ".join(matches)))
         (problem,) = matches
-    algorithms = (_csv_list(args.algorithms) if args.algorithms
-                  else results.algorithms)
-    for a in algorithms:
-        if a not in results.algorithms:
+    # algorithm labels match whatever their case; the persisted label is used
+    persisted = {a.strip().lower(): a for a in results.algorithms}
+    algorithms = []
+    for a in (_csv_list(args.algorithms) if args.algorithms
+              else results.algorithms):
+        if a.strip().lower() not in persisted:
             raise UsageError("unknown algorithm %r; persisted algorithms: %s"
                              % (a, ", ".join(results.algorithms)))
+        algorithms.append(persisted[a.strip().lower()])
     try:
         grid, series = harness.export_trace(results, problem, algorithms)
     except (KeyError, ValueError) as exc:

@@ -188,6 +188,7 @@ def _component_shifts(family: str, transform: TransformSpec, count: int) -> np.n
         seed = stable_seed("composition-shift", family, k,
                            transform.shift.tobytes().hex())
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        # 0.1, not generate_transform's 0.09999999999999998: the golden digests pin it
         shifts[k] = BENCHMARK_LOW + span * (0.1 + 0.8 * gen.uniform(size=d))
     return shifts
 
@@ -236,8 +237,11 @@ def make_benchmark(family: str, dim: int, transform: TransformSpec,
     if transform.dimension != dim:
         raise ValueError("transform dimension %d does not match %d"
                          % (transform.dimension, dim))
-    bounds = Bounds.cube(BENCHMARK_LOW, BENCHMARK_HIGH, dim)
-    if family in BASE_FUNCTIONS or family in HYBRID_FAMILIES:
+    if family in COMPOSITION_FAMILIES:
+        batch = _composition_evaluator(family, COMPOSITION_FAMILIES[family],
+                                       transform)
+        category, note = "composition", "value at the primary component shift"
+    elif family in BASE_FUNCTIONS or family in HYBRID_FAMILIES:
         if family in BASE_FUNCTIONS:
             base = BASE_FUNCTIONS[family]
             category = "unimodal" if family in ("sphere", "zakharov", "elliptic",
@@ -253,56 +257,39 @@ def make_benchmark(family: str, dim: int, transform: TransformSpec,
         def batch(X):
             return base((X - shift) @ rot_t) - anchor + bias
 
-        return ProblemSpec(
-            name=name or "%s-d%d" % (family, dim), dimension=dim, bounds=bounds,
-            objective=batch, category=category,
-            known_target=bias,
-            target_note="exact optimum value at the shift point",
-            known_point=shift.copy(),
-        )
-    if family in COMPOSITION_FAMILIES:
-        batch = _composition_evaluator(family, COMPOSITION_FAMILIES[family],
-                                       transform)
-        return ProblemSpec(
-            name=name or "%s-d%d" % (family, dim), dimension=dim, bounds=bounds,
-            objective=batch, category="composition",
-            known_target=transform.f_bias,
-            target_note="value at the primary component shift",
-            known_point=transform.shift.copy(),
-        )
-    raise KeyError("unknown benchmark family %r" % family)
+        note = "exact optimum value at the shift point"
+    else:
+        raise KeyError("unknown benchmark family %r" % family)
+    return ProblemSpec(
+        name=name or "%s-d%d" % (family, dim),
+        bounds=Bounds.cube(BENCHMARK_LOW, BENCHMARK_HIGH, dim),
+        objective=batch, category=category, known_target=transform.f_bias,
+        target_note=note, known_point=transform.shift.copy(),
+    )
 
 
 # ------------------------------------------------------------- desk suite
 # Twelve fixed instances mirroring the usual competition structure:
 # one unimodal, four basic multimodal, three hybrid, four composition.
 
-DESK_SUITE_LAYOUT: list[tuple[str, str, float]] = [
-    ("f01", "zakharov", 300.0),
-    ("f02", "rosenbrock", 400.0),
-    ("f03", "schwefel", 600.0),
-    ("f04", "rastrigin", 800.0),
-    ("f05", "levy", 900.0),
-    ("f06", "hybrid1", 1800.0),
-    ("f07", "hybrid2", 2000.0),
-    ("f08", "hybrid3", 2200.0),
-    ("f09", "comp1", 2300.0),
-    ("f10", "comp2", 2400.0),
-    ("f11", "comp3", 2600.0),
-    ("f12", "comp4", 2700.0),
-]
-
-DESK_SUITE_NAMES = [entry[0] for entry in DESK_SUITE_LAYOUT]
+DESK_SUITE: dict[str, tuple[str, float]] = {
+    "f01": ("zakharov", 300.0),
+    "f02": ("rosenbrock", 400.0),
+    "f03": ("schwefel", 600.0),
+    "f04": ("rastrigin", 800.0),
+    "f05": ("levy", 900.0),
+    "f06": ("hybrid1", 1800.0),
+    "f07": ("hybrid2", 2000.0),
+    "f08": ("hybrid3", 2200.0),
+    "f09": ("comp1", 2300.0),
+    "f10": ("comp2", 2400.0),
+    "f11": ("comp3", 2600.0),
+    "f12": ("comp4", 2700.0),
+}
 
 
-def desk_problem(name: str, dim: int, instance_seed: int = 0) -> ProblemSpec:
-    for label, family, bias in DESK_SUITE_LAYOUT:
-        if label == name:
-            ts = generate_transform(dim, stable_seed("desk", label, dim, instance_seed),
-                                    f_bias=bias)
-            return make_benchmark(family, dim, ts, name="%s-%s-d%d" % (label, family, dim))
-    raise KeyError("unknown desk problem %r" % name)
-
-
-def desk_suite(dim: int, instance_seed: int = 0) -> list[ProblemSpec]:
-    return [desk_problem(nm, dim, instance_seed) for nm in DESK_SUITE_NAMES]
+def desk_problem(label: str, dim: int, instance_seed: int = 0) -> ProblemSpec:
+    family, bias = DESK_SUITE[label]
+    ts = generate_transform(dim, stable_seed("desk", label, dim, instance_seed),
+                            f_bias=bias)
+    return make_benchmark(family, dim, ts, name="%s-%s-d%d" % (label, family, dim))

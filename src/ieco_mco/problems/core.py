@@ -48,10 +48,6 @@ class TransformSpec:
         return self.shift.shape[0]
 
 
-def identity_transform(dim: int, f_bias: float = 0.0) -> TransformSpec:
-    return TransformSpec(np.zeros(dim), np.eye(dim), f_bias)
-
-
 def stable_seed(*parts) -> int:
     """64-bit seed from a label tuple via blake2b; platform independent."""
     text = "\x1f".join(str(p) for p in parts)
@@ -86,7 +82,6 @@ class ProblemSpec:
     """
 
     name: str
-    dimension: int
     bounds: Bounds
     objective: Callable[[np.ndarray], np.ndarray]
     category: str
@@ -96,10 +91,12 @@ class ProblemSpec:
     known_point: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.bounds.dimension != self.dimension:
-            raise ValueError("bounds dimension does not match problem dimension")
         if self.known_point is not None:
             self.known_point = np.asarray(self.known_point, dtype=float)
+
+    @property
+    def dimension(self):
+        return self.bounds.dimension
 
     def batch(self, X):
         """(objective, violation) of an (n, D) block, each (n,)."""

@@ -65,9 +65,8 @@ def _rows(fn):
 
 def _spec(name, bounds_pairs, objective, constraints, known_target, note,
           known_point):
-    bounds = Bounds.from_pairs(bounds_pairs)
     return ProblemSpec(
-        name=name, dimension=bounds.dimension, bounds=bounds,
+        name=name, bounds=Bounds.from_pairs(bounds_pairs),
         objective=_rows(objective), constraints=_rows(constraints),
         category="engineering", known_target=known_target, target_note=note,
         known_point=known_point,
@@ -233,7 +232,7 @@ def make_rw06():
         return (1.0 / 6.931 - (Z[:, 0] * Z[:, 1]) / (Z[:, 2] * Z[:, 3])) ** 2
 
     return ProblemSpec(
-        name="rw06-gear-train", dimension=4, bounds=Bounds.cube(12.0, 60.0, 4),
+        name="rw06-gear-train", bounds=Bounds.cube(12.0, 60.0, 4),
         objective=f, category="engineering",
         known_target=2.7009e-12,
         target_note="integer tooth counts via rounding; best known about 2.700857e-12",
@@ -409,17 +408,8 @@ def make_rw10():
     )
 
 
-_BUILDERS = {
+ENGINEERING = {
     "rw01": make_rw01, "rw02": make_rw02, "rw03": make_rw03, "rw04": make_rw04,
     "rw05": make_rw05, "rw06": make_rw06, "rw07": make_rw07, "rw08": make_rw08,
     "rw09": make_rw09, "rw10": make_rw10,
 }
-
-ENGINEERING_NAMES = list(_BUILDERS)
-
-
-def make_engineering(pid: str) -> ProblemSpec:
-    key = pid.strip().lower()
-    if key not in _BUILDERS:
-        raise KeyError("unknown engineering problem %r (rw01 .. rw10)" % pid)
-    return _BUILDERS[key]()

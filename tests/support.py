@@ -81,7 +81,7 @@ def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):
         return (X ** 2).sum(axis=1)
 
     return ProblemSpec(
-        name=name, dimension=dim, bounds=Bounds.cube(low, high, dim),
+        name=name, bounds=Bounds.cube(low, high, dim),
         objective=batch,
         category="unimodal", known_target=0.0,
         target_note="analytic optimum at the origin",

@@ -8,6 +8,7 @@ import pytest
 
 from ieco_mco import cli, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
+from ieco_mco.problems import make_problem
 
 from support import traces_bytes
 
@@ -116,6 +117,19 @@ def test_bad_batch_arguments_are_usage_errors(tmp_path, capsys, flags, needle):
                    *TINY, *flags)
     assert code == 2
     assert needle in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_full_problem_name_must_name_what_it_builds(tmp_path, capsys):
+    with pytest.raises(KeyError, match="f05-levy-d10"):
+        make_problem("f05-levy-d30", 10)
+    with pytest.raises(KeyError, match="rw03-three-bar-truss"):
+        make_problem("rw03-welded-beam")
+    code = run_cli("run", "--algorithms", "ECO", "--problems", "f05-levy-d30",
+                   "--runs", "1", "--dim", "10", "--n", "6", "--fes-max", "60",
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "f05-levy-d10" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -514,6 +528,16 @@ def test_export_trace_refuses_an_ambiguous_leading_token(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "disk-a" in captured.err and "disk-b" in captured.err
     assert captured.out == ""
+
+
+def test_export_trace_matches_algorithms_whatever_their_case(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("run", "--problems", "f01", "--out", str(out), *TINY) == 0
+    assert load(out).algorithms == ["ieco-mco", "eco"]
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out), "--problem", "F01",
+                   "--algorithms", "IECO-MCO, Eco") == 0
+    assert capsys.readouterr().out.startswith("fes,ieco-mco,eco\n")
 
 
 def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):

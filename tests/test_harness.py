@@ -53,7 +53,7 @@ def half_nan_spec(vectorized):
         return np.array([float("nan") if x[0] < 0.0 else float(x @ x) for x in X])
 
     return ProblemSpec(
-        name="half-nan", dimension=2, bounds=Bounds.cube(-10.0, 10.0, 2),
+        name="half-nan", bounds=Bounds.cube(-10.0, 10.0, 2),
         objective=block if vectorized else rowwise, category="test")
 
 
@@ -87,7 +87,7 @@ def test_run_on_an_archive_of_one_repeated_row_keeps_budget_box_and_order(
     ever accepted and every archived elite is that point: the covariance
     model is estimated from one repeated row, with zero scatter."""
     spec = ProblemSpec(
-        name="flat", dimension=4, bounds=Bounds.cube(-5.0, 5.0, 4),
+        name="flat", bounds=Bounds.cube(-5.0, 5.0, 4),
         objective=lambda X: np.ones(len(X)), category="test")
     point = np.array([1.0, -2.0, 3.0, 0.5])
     monkeypatch.setattr(harness, "init_population",
@@ -182,7 +182,7 @@ def test_evaluator_refuses_to_exceed_budget():
 
 def _never_feasible_spec():
     return ProblemSpec(
-        name="never", dimension=1, bounds=Bounds.cube(0.0, 1.0, 1),
+        name="never", bounds=Bounds.cube(0.0, 1.0, 1),
         objective=lambda X: X[:, 0], category="engineering",
         constraints=lambda X: np.ones((len(X), 1)),
     )
@@ -227,7 +227,7 @@ def test_a_run_reads_no_point_after_its_budget(monkeypatch, problem):
 
 def test_worst_constraint_of_minus_zero_reads_as_plus_zero(tmp_path):
     spec = ProblemSpec(
-        name="minus-zero", dimension=2, bounds=Bounds.cube(-1.0, 1.0, 2),
+        name="minus-zero", bounds=Bounds.cube(-1.0, 1.0, 2),
         objective=lambda X: (X ** 2).sum(axis=1), category="test",
         constraints=lambda X: np.column_stack([np.full(len(X), -0.0),
                                                np.full(len(X), -1.0)]),

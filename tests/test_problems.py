@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ieco_mco.problems import (
-    DESK_SUITE_LAYOUT,
-    ENGINEERING_NAMES,
+    DESK_SUITE,
+    ENGINEERING,
     INFEASIBLE_BASE,
     MAX_RESAMPLES,
     VIOLATION_TOL,
@@ -16,14 +16,12 @@ from ieco_mco.problems import (
     TrialStream,
     constrained_evaluate,
     desk_problem,
-    desk_suite,
     generate_transform,
-    identity_transform,
     list_problems,
     make_benchmark,
-    make_engineering,
     make_problem,
     penalized_fitness,
+    problem_label,
     stable_seed,
 )
 from ieco_mco.problems.benchmarks import (
@@ -41,7 +39,7 @@ from support import ScriptedRng
 
 
 def test_identity_transform_shape():
-    ts = identity_transform(4, f_bias=2.5)
+    ts = TransformSpec(np.zeros(4), np.eye(4), 2.5)
     assert ts.dimension == 4
     assert np.array_equal(ts.shift, np.zeros(4))
     assert np.array_equal(ts.rotation, np.eye(4))
@@ -109,7 +107,7 @@ def test_sphere_at_origin_is_zero():
 
 
 def test_sphere_benchmark_optimum_identity():
-    spec = make_benchmark("sphere", 3, identity_transform(3))
+    spec = make_benchmark("sphere", 3, TransformSpec(np.zeros(3), np.eye(3)))
     assert spec.evaluate(np.zeros(3))[0] == 0.0
 
 
@@ -166,22 +164,22 @@ def test_sphere_rotation_invariance():
 
 def test_make_benchmark_unknown_family():
     with pytest.raises(KeyError):
-        make_benchmark("nosuch", 3, identity_transform(3))
+        make_benchmark("nosuch", 3, TransformSpec(np.zeros(3), np.eye(3)))
 
 
 def test_make_benchmark_dimension_mismatch():
     with pytest.raises(ValueError):
-        make_benchmark("sphere", 4, identity_transform(3))
+        make_benchmark("sphere", 4, TransformSpec(np.zeros(3), np.eye(3)))
 
 
 def test_hybrid_rejects_dimension_below_block_count():
     # hybrid3 splits across five base functions
     with pytest.raises(ValueError):
-        make_benchmark("hybrid3", 4, identity_transform(4))
+        make_benchmark("hybrid3", 4, TransformSpec(np.zeros(4), np.eye(4)))
 
 
 def test_hybrid_blocks_cover_all_coordinates():
-    spec = make_benchmark("hybrid2", 10, identity_transform(10))
+    spec = make_benchmark("hybrid2", 10, TransformSpec(np.zeros(10), np.eye(10)))
     assert spec.evaluate(np.zeros(10))[0] == 0.0
     # moving any single coordinate off the optimum must change the value
     for j in range(10):
@@ -191,9 +189,9 @@ def test_hybrid_blocks_cover_all_coordinates():
 
 
 def test_desk_suite_layout():
-    suite = desk_suite(10)
+    suite = [make_problem(label, 10) for label in DESK_SUITE]
     assert [s.name for s in suite] == ["%s-%s-d10" % (l, f)
-                                       for l, f, _ in DESK_SUITE_LAYOUT]
+                                       for l, (f, _) in DESK_SUITE.items()]
     cats = {s.category for s in suite}
     assert "hybrid" in cats and "composition" in cats
     assert all(s.dimension == 10 for s in suite)
@@ -201,18 +199,21 @@ def test_desk_suite_layout():
 
 
 def test_desk_problem_unknown_label():
+    with pytest.raises(KeyError, match="unknown problem 'f99'"):
+        make_problem("f99", 10)
     with pytest.raises(KeyError):
         desk_problem("f99", 10)
 
 
 def test_desk_suite_instance_seed_changes_shift():
-    a = desk_problem("f04", 10, instance_seed=0)
-    b = desk_problem("f04", 10, instance_seed=1)
+    a = make_problem("f04", 10, instance_seed=0)
+    b = make_problem("f04", 10, instance_seed=1)
     assert not np.array_equal(a.known_point, b.known_point)
 
 
 def test_desk_suite_value_at_shift_is_bias_exactly():
-    for (label, _, bias), spec in zip(DESK_SUITE_LAYOUT, desk_suite(10)):
+    for label, (_, bias) in DESK_SUITE.items():
+        spec = make_problem(label, 10)
         assert spec.evaluate(spec.known_point)[0] == bias, label
 
 
@@ -220,14 +221,14 @@ def test_desk_suite_value_at_shift_is_bias_exactly():
 def test_desk_suite_bias_is_statistical_lower_bound():
     gen = np.random.default_rng(1009)
     X = gen.uniform(-100.0, 100.0, size=(100000, 10))
-    for (label, _, bias), spec in zip(DESK_SUITE_LAYOUT, desk_suite(10)):
-        vals, _ = spec.batch(X)
+    for label, (_, bias) in DESK_SUITE.items():
+        vals, _ = make_problem(label, 10).batch(X)
         assert np.all(np.isfinite(vals)), label
         assert vals.min() >= bias, label
 
 
 def test_composition_value_at_secondary_components_stays_above_bias():
-    spec = desk_problem("f09", 10)
+    spec = make_problem("f09", 10)
     gen = np.random.default_rng(5)
     X = spec.known_point + gen.normal(scale=30.0, size=(2000, 10))
     X = np.clip(X, -100.0, 100.0)
@@ -240,25 +241,25 @@ def test_composition_value_at_secondary_components_stays_above_bias():
 
 
 def test_engineering_registry_complete():
-    assert ENGINEERING_NAMES == ["rw%02d" % i for i in range(1, 11)]
-    dims = [make_engineering(pid).dimension for pid in ENGINEERING_NAMES]
+    assert list(ENGINEERING) == ["rw%02d" % i for i in range(1, 11)]
+    dims = [make_problem(pid).dimension for pid in ENGINEERING]
     assert dims == [3, 4, 2, 4, 7, 4, 10, 5, 5, 5]
 
 
-def test_make_engineering_unknown_id():
-    with pytest.raises(KeyError):
-        make_engineering("rw11")
+def test_make_problem_unknown_engineering_id():
+    with pytest.raises(KeyError, match="unknown problem 'rw11'"):
+        make_problem("rw11")
 
 
 def test_recorded_best_values():
-    assert make_engineering("rw01").known_target == 1.2667e-2
-    assert make_engineering("rw03").known_target == 2.6389e2
-    assert make_engineering("rw06").known_target == 2.7009e-12
+    assert make_problem("rw01").known_target == 1.2667e-2
+    assert make_problem("rw03").known_target == 2.6389e2
+    assert make_problem("rw06").known_target == 2.7009e-12
 
 
 def test_known_points_are_feasible_and_in_bounds():
-    for pid in ENGINEERING_NAMES:
-        spec = make_engineering(pid)
+    for pid in ENGINEERING:
+        spec = make_problem(pid)
         if spec.known_point is None:
             continue
         assert spec.bounds.contains(spec.known_point), pid
@@ -277,20 +278,20 @@ def test_known_point_objectives_match_documented_values():
         "rw09": (0.313657, 1e-5),
     }
     for pid, (value, tol) in expected.items():
-        spec = make_engineering(pid)
+        spec = make_problem(pid)
         obj, _ = spec.evaluate(spec.known_point)
         assert abs(obj - value) <= tol, (pid, obj)
 
 
 def test_gear_train_best_is_reproduced_exactly():
-    spec = make_engineering("rw06")
+    spec = make_problem("rw06")
     obj, vio = spec.evaluate(np.array([19.0, 16.0, 43.0, 49.0]))
     assert obj == 2.7008571488865134e-12
     assert vio == 0.0
 
 
 def test_gear_train_rounds_to_integer_tooth_counts():
-    spec = make_engineering("rw06")
+    spec = make_problem("rw06")
     rounded, _ = spec.evaluate(np.array([19.2, 16.4, 42.8, 49.1]))
     exact, _ = spec.evaluate(np.array([19.0, 16.0, 43.0, 49.0]))
     assert rounded == exact
@@ -300,8 +301,8 @@ def test_gear_train_rounds_to_integer_tooth_counts():
 
 def test_engineering_finite_over_random_box_samples():
     gen = np.random.default_rng(2024)
-    for pid in ENGINEERING_NAMES:
-        spec = make_engineering(pid)
+    for pid in ENGINEERING:
+        spec = make_problem(pid)
         X = spec.bounds.lower + spec.bounds.span * gen.uniform(
             size=(2000, spec.dimension))
         for x in X[:200]:
@@ -312,7 +313,7 @@ def test_engineering_finite_over_random_box_samples():
         assert np.all(np.isfinite(vals)), pid
 
 
-@pytest.mark.parametrize("pid", ENGINEERING_NAMES + ["f01"])
+@pytest.mark.parametrize("pid", list(ENGINEERING) + ["f01"])
 def test_empty_block_reads_as_two_empty_arrays(pid):
     spec = make_problem(pid)
     f, v = spec.batch(np.empty((0, spec.dimension)))
@@ -320,7 +321,7 @@ def test_empty_block_reads_as_two_empty_arrays(pid):
 
 
 def test_step_cone_pulley_has_folded_equalities():
-    spec = make_engineering("rw10")
+    spec = make_problem("rw10")
     g = spec.constraints(np.array([[0.04, 0.045, 0.05, 0.06, 0.05]]))[0]
     assert g.shape == (11,)   # 3 folded equalities + 8 inequalities
     assert np.all(np.isfinite(g))
@@ -344,7 +345,7 @@ def test_penalized_fitness_orders_feasible_before_infeasible():
 def _line_spec():
     """1-D toy problem on [0, 10]: objective x, feasible iff x <= 2."""
     return ProblemSpec(
-        name="line", dimension=1, bounds=Bounds.cube(0.0, 10.0, 1),
+        name="line", bounds=Bounds.cube(0.0, 10.0, 1),
         objective=lambda X: X[:, 0], category="engineering",
         constraints=lambda X: X[:, :1] - 2.0,
     )
@@ -363,7 +364,7 @@ def _handle(spec, x, rng, budget=MAX_RESAMPLES):
 def test_constrained_evaluate_takes_the_start_reading_as_given():
     calls = []
     spec = ProblemSpec(
-        name="counted", dimension=1, bounds=Bounds.cube(0.0, 10.0, 1),
+        name="counted", bounds=Bounds.cube(0.0, 10.0, 1),
         objective=lambda X: calls.append(len(X)) or X[:, 0], category="test",
         constraints=lambda X: X[:, :1] - 2.0,
     )
@@ -421,7 +422,7 @@ def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
 
 def test_constrained_evaluate_counts_one_evaluation_per_resample():
     spec = ProblemSpec(
-        name="never", dimension=1, bounds=Bounds.cube(0.0, 1.0, 1),
+        name="never", bounds=Bounds.cube(0.0, 1.0, 1),
         objective=lambda X: X[:, 0], category="engineering",
         constraints=lambda X: np.ones((len(X), 1)),   # constant violation
     )
@@ -445,7 +446,7 @@ def test_constrained_evaluate_stops_at_first_feasible_draw():
 
 
 def test_constrained_evaluate_stays_inside_bounds():
-    spec = make_engineering("rw03")
+    spec = make_problem("rw03")
     rng = RngStream(17)
     for _ in range(25):
         x = spec.bounds.lower + spec.bounds.span * rng.uniform(size=spec.dimension)
@@ -454,7 +455,7 @@ def test_constrained_evaluate_stays_inside_bounds():
 
 
 def test_constrained_evaluate_truss_known_point_is_feasible():
-    spec = make_engineering("rw03")
+    spec = make_problem("rw03")
     out = _handle(spec, spec.known_point, RngStream(23))
     assert out.feasible
     assert np.array_equal(out.position, spec.known_point)
@@ -464,14 +465,28 @@ def test_constrained_evaluate_truss_known_point_is_feasible():
 # ---------------------------------------------------------------- registry
 
 
+# registry order: the desk suite, then the engineering designs
+LABELS = ["f%02d" % i for i in range(1, 13)] + ["rw%02d" % i for i in range(1, 11)]
+
+
 def test_list_problems_covers_both_suites():
+    assert list(DESK_SUITE) + list(ENGINEERING) == LABELS
     rows = list_problems(dimension=10)
-    assert len(rows) == 22
     names = [r[0] for r in rows]
+    assert [problem_label(name) for name in names] == LABELS
     assert "f01-zakharov-d10" in names
     assert "rw06-gear-train" in names
     cats = {r[1] for r in rows}
     assert "engineering" in cats
+
+
+@pytest.mark.parametrize("dimension", [10, 30])
+@pytest.mark.parametrize("label", LABELS)
+def test_every_label_resolves_back_from_its_full_name(label, dimension):
+    name = make_problem(label, dimension).name
+    assert problem_label(name) == label
+    for full in (name, name.upper(), " %s " % name):
+        assert make_problem(full, dimension).name == name
 
 
 def test_make_problem_resolves_short_and_full_names():

@@ -55,8 +55,8 @@ from ieco_mco import harness
 from ieco_mco.harness import (Evaluator, ResultSet, RunConfig, RunRecord, load,
                               persist, run_single)
 from ieco_mco.problems import (
-    DESK_SUITE_NAMES,
-    ENGINEERING_NAMES,
+    DESK_SUITE,
+    ENGINEERING,
     INFEASIBLE_BASE,
     MAX_RESAMPLES,
     VIOLATION_TOL,
@@ -70,8 +70,8 @@ from ieco_mco.stages import Variant
 from support import sequential_evaluate, traces_bytes
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
-ENGINEERING = [(pid, 10) for pid in ENGINEERING_NAMES]
-PROBLEMS = (ENGINEERING
+ENGINEERING_CASES = [(pid, 10) for pid in ENGINEERING]
+PROBLEMS = (ENGINEERING_CASES
             + [("f%02d" % i, d) for d in (2, 10) for i in range(1, 13)
                if d >= 5 or i not in (6, 7, 8)])
 
@@ -126,7 +126,7 @@ def numpy_scalar_problem(pid):
     scalar per entry: the reading the Python-float one must equal."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engineering, "_rows", lambda fn: lambda X: list(map(fn, X)))
-        return engineering.make_engineering(pid)
+        return ENGINEERING[pid]()
 
 
 # Python floats raise or turn complex where numpy scalars give inf or NaN:
@@ -141,7 +141,7 @@ _ENTRIES = {
 
 @st.composite
 def engineering_blocks(draw):
-    pid = draw(st.sampled_from(ENGINEERING_NAMES))
+    pid = draw(st.sampled_from(list(ENGINEERING)))
     spec = problem(pid, 10)
     n = draw(st.integers(1, 8))
     u = np.array(draw(st.lists(_ENTRIES[draw(st.sampled_from(list(_ENTRIES)))],
@@ -190,7 +190,7 @@ def test_evaluator_keeps_budget_box_and_penalty_rule(case, spare, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(problem_and_block(problems=ENGINEERING), st.integers(0, 250),
+@given(problem_and_block(problems=ENGINEERING_CASES), st.integers(0, 250),
        st.integers(0, 2 ** 32 - 1))
 @example((problem("rw03", 10), np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])), 40, 0)
 def test_evaluator_ranks_each_row_by_the_reading_it_returns(case, spare, seed):
@@ -205,18 +205,18 @@ def test_evaluator_ranks_each_row_by_the_reading_it_returns(case, spare, seed):
 
 # Elementwise formulas only, so block and point readings agree bit for bit.
 NEVER_FEASIBLE = ProblemSpec(
-    name="never-feasible", dimension=2, bounds=Bounds.cube(-1.0, 1.0, 2),
+    name="never-feasible", bounds=Bounds.cube(-1.0, 1.0, 2),
     objective=lambda X: X[:, 0] - X[:, 1], category="test",
     constraints=lambda X: np.stack([0.5 + X[:, 0] * X[:, 0],
                                     0.25 + np.abs(X[:, 1])], axis=1),
 )
 # Feasible on a cube of side 0.27 inside the unit cube: about 2% of draws.
 RARELY_FEASIBLE = ProblemSpec(
-    name="rarely-feasible", dimension=3, bounds=Bounds.cube(0.0, 1.0, 3),
+    name="rarely-feasible", bounds=Bounds.cube(0.0, 1.0, 3),
     objective=lambda X: X[:, 0] + 2.0 * X[:, 1] - X[:, 2], category="test",
     constraints=lambda X: np.abs(X - np.array([0.3, 0.6, 0.5])) - 0.135,
 )
-RESAMPLED = [problem(name, 10) for name in ENGINEERING_NAMES] + [
+RESAMPLED = [problem(name, 10) for name in ENGINEERING] + [
     NEVER_FEASIBLE, RARELY_FEASIBLE]
 
 
@@ -385,7 +385,7 @@ _LEAST_DIMENSION = {"f06": 3, "f07": 4, "f08": 5}
 
 @st.composite
 def run_configs(draw):
-    name = draw(st.sampled_from(DESK_SUITE_NAMES + ENGINEERING_NAMES))
+    name = draw(st.sampled_from(list(DESK_SUITE) + list(ENGINEERING)))
     n = draw(st.integers(5, 60))
     return RunConfig(algorithm=draw(st.sampled_from(Variant)).value, problem=name,
                      seed=draw(st.integers(0, 2 ** 32 - 1)), n=n,
