@@ -68,6 +68,11 @@ class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
 
+def _message(exc):
+    """The text of an error: ``str`` of a KeyError quotes its message."""
+    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
 def _env(name):
     return os.environ.get(ENV_PREFIX + name.upper())
 
@@ -154,7 +159,7 @@ def cmd_run(args) -> int:
     try:
         results = harness.run_batch(**values)
     except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc))
+        raise UsageError(_message(exc))
     harness.persist(results, out)
     print("persisted %d records to %s" % (len(results), out))
     print("%-10s %-24s %14s %14s %14s" % ("algorithm", "problem", "best",
@@ -273,7 +278,7 @@ def cmd_export_trace(args) -> int:
     try:
         grid, series = harness.export_trace(results, problem, algorithms)
     except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc))
+        raise UsageError(_message(exc))
 
     lines = ["fes," + ",".join(algorithms)]
     for i, fes in enumerate(grid):

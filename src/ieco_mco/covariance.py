@@ -18,10 +18,11 @@ resample, and a differencing resample that adds scaled pairwise differences.
 Each iteration pushes the k agents with the highest elite score, which
 weighs fitness and distance from the best agent equally (``ELITE_WEIGHT``).
 
-Each operator takes the whole (k, D) school block of an iteration. It draws
-school by school, in the order one school at a time would draw: the
-school's Gaussian vector, then (differencing only) its index pair, then its
-uniform or uniforms. All arithmetic then runs once on the block, with every
+Each operator takes the sorted (n, D) population and the school count k,
+and proposes the whole school block X[:k] of an iteration. It draws school
+by school, in the order one school at a time would draw: the school's
+Gaussian vector, then (differencing only) its index pair, then its uniform
+or uniforms. All arithmetic then runs once on the block, with every
 addition in the per-school order, and ``CovModel.sample`` scales the normal
 block row by row, so the block gives the bits of a per-school loop.
 """
@@ -178,28 +179,30 @@ def _school_draws(rng: RngStream, k: int, d: int):
     return np.array(z), np.array(r)[:, None]
 
 
-def gaussian_operator(schools, model: CovModel, rng: RngStream):
+def gaussian_operator(X, k, model: CovModel, rng: RngStream):
     """Resample each school around the rank-weighted mean plus a pull toward it.
 
     X_new = N(mean_better, C) + r * (mean_better - X), r ~ U(0, 1), for each
-    row X of the (k, D) block ``schools``. Draw order, school by school: the
-    Gaussian vector, then the uniform scalar.
+    school X[i], i < k, of the sorted (n, D) population ``X``. Draw order,
+    school by school: the Gaussian vector, then the uniform scalar.
     """
-    schools = np.asarray(schools, dtype=float)
+    schools = np.asarray(X, dtype=float)[:k]
     z, r = _school_draws(rng, *schools.shape)
     return model.sample(z) + r * (model.mean_better - schools)
 
 
-def shift_operator(schools, model: CovModel, best_position, rng: RngStream):
+def shift_operator(X, k, model: CovModel, rng: RngStream):
     """Gaussian resample of each school around the shifted mean (mean_better + best + X)/3.
 
     X_new = N((mean_better + X_best + X)/3, C) + r * (mean_better - X), for
-    each row X of the (k, D) block ``schools``. Draw order, school by
-    school: the Gaussian vector, then the uniform scalar.
+    each school X[i], i < k, of the sorted (n, D) population ``X``, with best
+    X[0]. Draw order, school by school: the Gaussian vector, then the
+    uniform scalar.
     """
-    schools = np.asarray(schools, dtype=float)
+    X = np.asarray(X, dtype=float)
+    schools = X[:k]
     z, r = _school_draws(rng, *schools.shape)
-    center = (model.mean_better + np.asarray(best_position, dtype=float) + schools) / 3.0
+    center = (model.mean_better + X[0] + schools) / 3.0
     return model.sample(z, mean=center) + r * (model.mean_better - schools)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 DEGENERATE_CHAOS_SEEDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _SEED_GUARD = 1e-9
 
-DEFAULT_LEVY_BETA = 1.5
+# Stability index of the heavy-tailed Levy steps.
+LEVY_BETA = 1.5
 
 
 class ChaoticOrbitError(ValueError):
@@ -69,9 +70,6 @@ class RngStream:
 
     def normal(self, size=None):
         return self._gen.standard_normal(size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
 
     def distinct_pair(self, n):
         """Two distinct indices drawn uniformly from range(n), order random."""
@@ -200,19 +198,19 @@ def mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def levy_sample(dim: int, rng: RngStream, beta: float = DEFAULT_LEVY_BETA,
-                size=None) -> np.ndarray:
+def levy_sample(dim: int, rng: RngStream, size=None) -> np.ndarray:
     """Heavy-tailed step vector (or ``size`` rows of them) via Mantegna.
 
-    s_j = u_j / |v_j|^(1/beta) with u_j ~ N(0, sigma_u^2) and v_j ~ N(0, 1),
-    drawn componentwise (u vector first, then v vector, row after row).
+    s_j = u_j / |v_j|^(1/beta) with beta = LEVY_BETA, u_j ~ N(0, sigma_u^2)
+    and v_j ~ N(0, 1), drawn componentwise (u vector first, then v vector,
+    row after row).
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    sigma = mantegna_sigma(beta)
+    sigma = mantegna_sigma(LEVY_BETA)
     z = rng.normal(size=(2, dim) if size is None else (size, 2, dim))
     u = z[..., 0, :] * sigma
-    return u / np.abs(z[..., 1, :]) ** (1.0 / beta)
+    return u / np.abs(z[..., 1, :]) ** (1.0 / LEVY_BETA)
 
 
 def clamp(x: np.ndarray, bounds: Bounds) -> np.ndarray:

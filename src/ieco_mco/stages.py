@@ -16,21 +16,24 @@ with w = 0.1 * ln(2 - fes/fes_max), P = 4 * randn * (1 - fes/fes_max) drawn
 once per iteration, and the per-student gain E = (pi/P) * (fes/fes_max) when
 the student's talent draw exceeds the threshold Th = 0.5, else 1. close(X) is
 the school position nearest to the student (ties to the lowest index) and
-Xmean_i the mean of the students whose nearest school is i. Each rule acts
-on the whole block of schools or students at once. New positions are
-clamped to the box and survive per agent only when they improve on the
-parent.
+Xmean_i the mean of the students whose nearest school is i. Every rule
+takes the whole population, sorted by fitness, and the school count k, and
+reads its operands from it: schools X[:k], students X[k:], best X[0], worst
+X[-1], the population mean and close(X). It proposes its whole block of
+schools or students at once. New positions are clamped to the box and
+survive per agent only when they improve on the parent.
 
 Variants swap the school rule for a covariance operator estimated from the
 elite archive: the full variant uses the Gaussian operator in the primary
 stage, the shifted operator in the middle stage and the differencing operator
 in the high stage, while each single-operator ablation applies its one
-operator in all three stages. One (variant, stage) table holds the school
-fraction G and the school rule: ECO's fractions are 0.2, 0.1, 0.1 by stage
-and every other variant's 0.4, 0.5, 0.5. Students always use the plain rule
-of the stage. Every variant but ECO keeps an elite archive of 20 * D rows;
-until it holds enough entries for a usable model the school update falls
-back to the plain stage rule.
+operator in all three stages. The operators take the same sorted population
+and k. One variant table holds each variant's school fraction G by stage and
+its operator by stage: ECO's fractions are 0.2, 0.1, 0.1 and every other
+variant's 0.4, 0.5, 0.5. Students always use the plain rule of the stage.
+Every variant but ECO keeps an elite archive of 20 * D rows; until it holds
+enough entries for a usable model the school update falls back to the plain
+stage rule.
 
 Per-iteration draw order (one shared stream): the scalar for P; the school
 block, agents in fitness order; the student block, agents in fitness order;
@@ -42,8 +45,8 @@ A numpy generator fills an array in row-major order from the same stream
 that successive smaller calls would read, so one block call yields exactly
 the numbers of k per-agent calls in agent order. The covariance operators
 interleave a Gaussian vector, a uniform and, for differencing, an index pair
-within each school, so they draw school by school; they too take the whole
-school block, and compute on it once the draws are made.
+within each school, so they draw school by school, then compute once on the
+whole school block.
 """
 
 from __future__ import annotations
@@ -176,52 +179,10 @@ def closest_school(positions, school_positions) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- updates
-# Each rule maps an (m, D) block of schools or students to m proposals and
-# makes its random draws in one call; the step clamps the whole proposal.
-
-def primary_school_update(schools, school_means, ctx, rng):
-    """X + w * (Xmean_i - X) .* Levy(D)."""
-    k, d = schools.shape
-    return schools + ctx.omega * (school_means - schools) * levy_sample(d, rng, size=k)
-
-
-def primary_student_update(students, close, ctx, rng):
-    """X + w * (close(X) - X) * randn with one scalar normal per student."""
-    r = rng.normal(size=students.shape[0])[:, None]
-    return students + ctx.omega * (close - students) * r
-
-
-def middle_school_update(schools, best, mean, ctx, rng):
-    """X + (Xbest - Xmean) * exp(fes/fes_max - 1) .* Levy(D)."""
-    k, d = schools.shape
-    decay = math.exp(ctx.progress() - 1.0)
-    return schools + (best - mean) * decay * levy_sample(d, rng, size=k)
-
-
-def middle_student_update(students, close, ctx, rng):
-    """X - w*close(X) - P * (E * w * close(X) - X); one talent draw per student."""
-    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
-    return students - ctx.omega * close - ctx.p * (e * ctx.omega * close - students)
-
-
-def high_school_update(schools, best, worst, mean, ctx, rng):
-    """X + (Xbest - Xmean)*randn1 - (Xworst - Xmean)*randn2 (two scalars per school)."""
-    r = rng.normal(size=(schools.shape[0], 2))
-    return schools + (best - mean) * r[:, :1] - (worst - mean) * r[:, 1:]
-
-
-def high_student_update(students, best, ctx, rng):
-    """X - P * (E * Xbest - X); one talent draw per student."""
-    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
-    return students - ctx.p * (e * best - students)
-
-
-# ---------------------------------------------------------------- dispatch
-# Entries take the sorted positions X, the school count k, each student's
-# school index and the model (None for plain rules), and return the (k, D)
-# school or (n - k, D) student proposals. They call the rules and operators
-# through their module names, so rebinding one (as perfbench's tracer does)
-# reaches every dispatch.
+# Each rule takes the sorted (n, D) population X and the school count k, and
+# reads its operands from it: schools X[:k], students X[k:], best X[0], worst
+# X[-1]. It maps the school or student block to proposals and makes its
+# random draws in one call; the step clamps the whole proposal.
 
 def _school_means(X, k, assign) -> np.ndarray:
     """Per-school mean of the students assigned to it by close().
@@ -237,59 +198,58 @@ def _school_means(X, k, assign) -> np.ndarray:
     return means
 
 
-def _primary_schools(X, k, assign, model, ctx, rng):
-    return primary_school_update(X[:k], _school_means(X, k, assign), ctx, rng)
+def primary_school_update(X, k, assign, ctx, rng):
+    """X + w * (Xmean_i - X) .* Levy(D) for each school X."""
+    schools = X[:k]
+    return (schools + ctx.omega * (_school_means(X, k, assign) - schools)
+            * levy_sample(X.shape[1], rng, size=k))
 
 
-def _middle_schools(X, k, assign, model, ctx, rng):
-    return middle_school_update(X[:k], X[0], X.mean(axis=0), ctx, rng)
+def primary_student_update(X, k, assign, ctx, rng):
+    """X + w * (close(X) - X) * randn with one scalar normal per student."""
+    students = X[k:]
+    r = rng.normal(size=students.shape[0])[:, None]
+    return students + ctx.omega * (X[assign] - students) * r
 
 
-def _high_schools(X, k, assign, model, ctx, rng):
-    return high_school_update(X[:k], X[0], X[-1], X.mean(axis=0), ctx, rng)
+def middle_school_update(X, k, assign, ctx, rng):
+    """X + (Xbest - Xmean) * exp(fes/fes_max - 1) .* Levy(D) for each school X."""
+    decay = math.exp(ctx.progress() - 1.0)
+    return X[:k] + (X[0] - X.mean(axis=0)) * decay * levy_sample(X.shape[1], rng, size=k)
 
 
-def _gaussian_schools(X, k, assign, model, ctx, rng):
-    return cov.gaussian_operator(X[:k], model, rng)
+def middle_student_update(X, k, assign, ctx, rng):
+    """X - w*close(X) - P * (E * w * close(X) - X); one talent draw per student."""
+    students, close = X[k:], X[assign]
+    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
+    return students - ctx.omega * close - ctx.p * (e * ctx.omega * close - students)
 
 
-def _shift_schools(X, k, assign, model, ctx, rng):
-    return cov.shift_operator(X[:k], model, X[0], rng)
+def high_school_update(X, k, assign, ctx, rng):
+    """X + (Xbest - Xmean)*randn1 - (Xworst - Xmean)*randn2 (two scalars per school)."""
+    mean = X.mean(axis=0)
+    r = rng.normal(size=(k, 2))
+    return X[:k] + (X[0] - mean) * r[:, :1] - (X[-1] - mean) * r[:, 1:]
 
 
-def _differential_schools(X, k, assign, model, ctx, rng):
-    return cov.differential_operator(X, k, model, rng)
+def high_student_update(X, k, assign, ctx, rng):
+    """X - P * (E * Xbest - X); one talent draw per student."""
+    students = X[k:]
+    e = talent_gain(ctx, rng.uniform(size=students.shape[0]))[:, None]
+    return students - ctx.p * (e * X[0] - students)
 
 
-def _primary_students(X, k, assign, model, ctx, rng):
-    return primary_student_update(X[k:], X[assign], ctx, rng)
-
-
-def _middle_students(X, k, assign, model, ctx, rng):
-    return middle_student_update(X[k:], X[assign], ctx, rng)
-
-
-def _high_students(X, k, assign, model, ctx, rng):
-    return high_student_update(X[k:], X[0], ctx, rng)
-
-
-# (school fraction, school rule) per (variant, stage). ECO takes a smaller
-# share of schools; its rules are the plain ones, which every variant uses
-# until its archive supports a model.
-_SCHOOLS = {
-    (variant, stage): (fraction, rule)
-    for variant, fractions, rules in (
-        (Variant.ECO, (0.2, 0.1, 0.1),
-         (_primary_schools, _middle_schools, _high_schools)),
-        (Variant.GECO, (0.4, 0.5, 0.5), (_gaussian_schools,) * 3),
-        (Variant.SECO, (0.4, 0.5, 0.5), (_shift_schools,) * 3),
-        (Variant.DECO, (0.4, 0.5, 0.5), (_differential_schools,) * 3),
-        (Variant.IECO_MCO, (0.4, 0.5, 0.5),
-         (_gaussian_schools, _shift_schools, _differential_schools)),
-    )
-    for stage, fraction, rule in zip(Stage, fractions, rules)
+# Per variant: the school fraction G by stage and, for a variant with a
+# model, its covariance operator by stage (0 Gaussian, 1 shifted,
+# 2 differencing). Until the archive supports a model, the plain school
+# rule of the stage runs with the variant's own fraction.
+_VARIANTS = {
+    Variant.ECO: ((0.2, 0.1, 0.1), None),
+    Variant.GECO: ((0.4, 0.5, 0.5), (0, 0, 0)),
+    Variant.SECO: ((0.4, 0.5, 0.5), (1, 1, 1)),
+    Variant.DECO: ((0.4, 0.5, 0.5), (2, 2, 2)),
+    Variant.IECO_MCO: ((0.4, 0.5, 0.5), (0, 1, 2)),
 }
-_STUDENT_RULES = dict(zip(Stage, (_primary_students, _middle_students, _high_students)))
 
 
 # -------------------------------------------------------------------- step
@@ -304,7 +264,7 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     positions)`` and own the evaluation budget; the iteration needs exactly
     one base evaluation per agent (constraint handling may spend more).
     ``archive`` is None for a variant that keeps none. Otherwise the
-    variant's school rule runs once the archive supports a model, and the
+    variant's operator runs once the archive supports a model, and the
     iteration's elites of finite fitness are pushed to it: a non-finite one
     cannot rank an entry, and the model waits for enough finite entries as
     it waits for a young archive. Raises
@@ -316,19 +276,25 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
         raise BudgetExhaustedError(
             "iteration needs %d evaluations but only %d remain"
             % (n, ctx.fes_max - ctx.fes))
-    fraction, school_rule = _SCHOOLS[variant, ctx.stage]
-    k = school_count(fraction, n)
+    fractions, operators = _VARIANTS[variant]
+    i = ctx.stage.value - 1
+    k = school_count(fractions[i], n)
     assign = closest_school(X[k:], X[:k])
 
-    model = None
-    if archive is not None and len(archive) >= cov.min_model_entries(d):
-        model = cov.estimate(archive)
-    else:
-        school_rule = _SCHOOLS[Variant.ECO, ctx.stage][1]
-
+    # The rules are looked up here, by name, so that rebinding a name (as
+    # perfbench's tracer does) reaches every call.
     proposals = np.empty_like(X)
-    proposals[:k] = school_rule(X, k, assign, model, ctx, rng)
-    proposals[k:] = _STUDENT_RULES[ctx.stage](X, k, assign, model, ctx, rng)
+    if archive is not None and len(archive) >= cov.min_model_entries(d):
+        operator = (cov.gaussian_operator, cov.shift_operator,
+                    cov.differential_operator)[operators[i]]
+        proposals[:k] = operator(X, k, cov.estimate(archive), rng)
+    else:
+        school_rule = (primary_school_update, middle_school_update,
+                       high_school_update)[i]
+        proposals[:k] = school_rule(X, k, assign, ctx, rng)
+    student_rule = (primary_student_update, middle_student_update,
+                    high_student_update)[i]
+    proposals[k:] = student_rule(X, k, assign, ctx, rng)
     child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(clamp(proposals, bounds))
 
     improved = child_fit < pop.fitness

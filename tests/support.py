@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ieco_mco.rng import Bounds, mantegna_sigma
+from ieco_mco.rng import LEVY_BETA, Bounds, mantegna_sigma
 from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, HandledPoint,
                                penalized_fitness)
 from ieco_mco.problems.core import ProblemSpec
@@ -41,20 +41,17 @@ class ScriptedRng:
             raise IndexError("peek past the scripted uniforms")
         return np.asarray(self._uniforms[:count], dtype=float).reshape(size)
 
-    def integers(self, low, high=None, size=None):
-        raise NotImplementedError("scripted integers not needed")
-
     def distinct_pair(self, n):
         return tuple(self._pairs.pop(0))
 
 
-def levy_script(values, beta=1.5):
+def levy_script(values):
     """Normal-draw queue that makes levy_sample emit ``values`` (v fixed at 1).
 
     levy_sample draws the u vector first, then the v vector; with v = 1 the
     output is (value / sigma) * sigma, exact to one ulp.
     """
-    sigma = mantegna_sigma(beta)
+    sigma = mantegna_sigma(LEVY_BETA)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     return [v / sigma for v in values] + [1.0] * values.size
 

@@ -133,6 +133,21 @@ def test_a_full_problem_name_must_name_what_it_builds(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("problem,dim,message", [
+    ("f99", "5", "unknown problem 'f99'; try f01..f12 or rw01..rw10"),
+    ("f05-levy-d30", "10", "problem 'f05-levy-d30' is not the name of what "
+                           "its label builds, f05-levy-d10"),
+], ids=["unknown", "mismatched"])
+def test_registry_errors_print_their_message_unquoted(tmp_path, capsys,
+                                                      problem, dim, message):
+    # the registry raises KeyError, whose str() would quote the message
+    code = run_cli("run", "--algorithms", "ECO", "--problems", problem,
+                   "--runs", "1", "--dim", dim, "--n", "6", "--fes-max", "60",
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("problem", ["f01", "rw01"])
 def test_zero_budget_multiplier_is_usage_error(tmp_path, capsys, problem):
     """The budget rule fes_mult * D is checked for every problem before the
@@ -546,6 +561,18 @@ def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):
                    "--problem", "f09") == 2
     assert run_cli("export-trace", "--results", str(out), "--problem", "f01",
                    "--algorithms", "GECO") == 2
+
+
+def test_export_trace_missing_record_prints_its_message_unquoted(tmp_path,
+                                                                 capsys):
+    out = _synthetic_results(tmp_path, tie=True)
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[-1].startswith("beta,p3,")
+    (out / "results.csv").write_text("\n".join(rows[:-1]) + "\n")
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out), "--problem", "p3") == 2
+    assert capsys.readouterr().err == ("error: no record for algorithm 'beta' "
+                                       "on problem 'p3' run 2\n")
 
 
 # -------------------------------------------------------------- list-problems

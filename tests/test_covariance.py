@@ -108,7 +108,7 @@ def test_archive_property_random_push_sequences():
         arch = EliteArchive(capacity)
         seen = []
         for _ in range(20):
-            k = int(rng.integers(1, 4))
+            k = int(rng._gen.integers(1, 4))
             block = -1.0 + 2.0 * rng.uniform(size=(k, 2))
             fits = rng.uniform(size=k)
             arch.push(block, fits)
@@ -217,8 +217,8 @@ def brute_force_model(X, f):
 def test_estimate_matches_brute_force_on_random_archives():
     rng = RngStream(37)
     for _ in range(200):
-        m = int(rng.integers(2, 51))
-        d = int(rng.integers(1, 11))
+        m = int(rng._gen.integers(2, 51))
+        d = int(rng._gen.integers(1, 11))
         X = -5.0 + 10.0 * rng.uniform(size=(m, d))
         f = rng.uniform(size=m)
         arch = EliteArchive(m)
@@ -232,8 +232,8 @@ def test_estimate_matches_brute_force_on_random_archives():
 def test_estimated_covariance_is_psd():
     rng = RngStream(43)
     for _ in range(50):
-        m = int(rng.integers(2, 30))
-        d = int(rng.integers(1, 8))
+        m = int(rng._gen.integers(2, 30))
+        d = int(rng._gen.integers(1, 8))
         X = -10.0 + 20.0 * rng.uniform(size=(m, d))
         arch = EliteArchive(m)
         arch.push(X, rng.uniform(size=m))
@@ -333,24 +333,24 @@ def test_sample_rows_equal_per_row_factor_products():
 
 
 # ----------------------------------------------------------------- operators
-# Each operator takes a whole block of schools; the hand examples use blocks
-# of one row.
+# Each operator takes the sorted population X and the school count k, with
+# best X[0], and proposes the school block X[:k].
 
 def test_gaussian_operator_hand_example():
     # mean_better=2, X=0, Gaussian draw=2.5, rand=0.5 -> 2.5 + 0.5*2 = 3.5
     model = CovModel(mean_better=np.array([2.0]), cov=np.array([[1.0]]))
     rng = ScriptedRng(normals=[0.5], uniforms=[0.5])  # z=0.5 -> draw 2.5
-    out = gaussian_operator(np.array([[0.0]]), model, rng)
+    out = gaussian_operator(np.array([[0.0]]), 1, model, rng)
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(3.5, abs=1e-9)
 
 
 def test_gaussian_operator_fixed_points():
     model = zero_cov_model([2.0])
-    out = gaussian_operator(np.array([[0.0]]), model,
+    out = gaussian_operator(np.array([[0.0]]), 1, model,
                             ScriptedRng(normals=[0.0], uniforms=[0.0]))
     assert out[0, 0] == 2.0
-    out = gaussian_operator(np.array([[2.0]]), model,
+    out = gaussian_operator(np.array([[2.0]]), 1, model,
                             ScriptedRng(normals=[0.0], uniforms=[0.77]))
     assert out[0, 0] == 2.0
 
@@ -358,20 +358,20 @@ def test_gaussian_operator_fixed_points():
 def test_shift_operator_hand_example():
     # mean_better=3, best=6, X=0, C=0, rand=1 -> (3+6+0)/3 + 1*3 = 6
     model = zero_cov_model([3.0])
-    rng = ScriptedRng(normals=[0.0], uniforms=[1.0])
-    out = shift_operator(np.array([[0.0]]), model, np.array([6.0]), rng)
-    assert out[0, 0] == pytest.approx(6.0, abs=1e-12)
+    rng = ScriptedRng(normals=[0.0, 0.0], uniforms=[1.0, 1.0])
+    out = shift_operator(np.array([[6.0], [0.0]]), 2, model, rng)
+    assert out[1, 0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_shift_operator_fixed_points():
     model = zero_cov_model([5.0])
-    out = shift_operator(np.array([[5.0]]), model, np.array([5.0]),
+    out = shift_operator(np.array([[5.0]]), 1, model,
                          ScriptedRng(normals=[0.0], uniforms=[0.4]))
     assert out[0, 0] == 5.0
     model2 = zero_cov_model([3.0])
-    out = shift_operator(np.array([[1.0]]), model2, np.array([2.0]),
-                         ScriptedRng(normals=[0.0], uniforms=[0.0]))
-    assert out[0, 0] == pytest.approx(2.0, abs=1e-12)  # centroid of 3, 2, 1
+    out = shift_operator(np.array([[2.0], [1.0]]), 2, model2,
+                         ScriptedRng(normals=[0.0, 0.0], uniforms=[0.0, 0.0]))
+    assert out[1, 0] == pytest.approx(2.0, abs=1e-12)  # centroid of 3, 2, 1
 
 
 # The differencing operator updates X[i] for i < k from the sorted population
@@ -414,7 +414,7 @@ def test_operator_translation_equivariance():
     for shift in (0.0, t):
         model = zero_cov_model([2.0 + shift])
         rng = ScriptedRng(normals=[0.0], uniforms=[0.3])
-        outs.append(gaussian_operator(np.array([[0.5 + shift]]), model, rng)[0, 0])
+        outs.append(gaussian_operator(np.array([[0.5 + shift]]), 1, model, rng)[0, 0])
     assert outs[1] - outs[0] == pytest.approx(t, abs=1e-9)
     outs = []
     for shift in (0.0, t):
@@ -469,11 +469,9 @@ def ref_schools(name, X, k, model, rng):
 
 
 def block_schools(name, X, k, model, rng):
-    if name == "gaussian":
-        return gaussian_operator(X[:k], model, rng)
-    if name == "shift":
-        return shift_operator(X[:k], model, X[0], rng)
-    return differential_operator(X, k, model, rng)
+    operator = {"gaussian": gaussian_operator, "shift": shift_operator,
+                "differential": differential_operator}[name]
+    return operator(X, k, model, rng)
 
 
 def random_model(d, fallback):

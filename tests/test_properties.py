@@ -224,7 +224,7 @@ def _draw_prefix(rng, kind):
     """Move the stream off a fresh state; ``integers`` leaves half of a
     64-bit draw buffered in the bit generator."""
     if kind == "integers":
-        rng.integers(29)
+        rng._gen.integers(29)
     elif kind == "normal":
         rng.normal(size=3)
 

@@ -9,6 +9,7 @@ import pytest
 
 from support import ScriptedRng
 
+import ieco_mco.rng as rng_module
 from ieco_mco.rng import (
     Bounds,
     ChaoticOrbitError,
@@ -28,7 +29,7 @@ from ieco_mco.rng import (
 def test_peek_uniform_leaves_the_stream_where_it_was(prefix):
     rng = RngStream(41)
     if prefix:
-        rng.integers(prefix)   # leaves half of a 64-bit draw buffered
+        rng._gen.integers(prefix)   # leaves half of a 64-bit draw buffered
     before = rng._gen.bit_generator.state
     peeked = rng.peek_uniform(size=(4, 3))
     assert rng._gen.bit_generator.state == before
@@ -39,13 +40,13 @@ def test_peek_uniform_leaves_the_stream_where_it_was(prefix):
 def test_peek_then_consumed_prefix_equals_sequential_draws(prefix):
     block, seq = RngStream(42), RngStream(42)
     if prefix:
-        block.integers(prefix)
-        seq.integers(prefix)
+        block._gen.integers(prefix)
+        seq._gen.integers(prefix)
     peeked = block.peek_uniform(size=(8, 3))
     block.uniform(size=(5, 3))
     rows = [seq.uniform(size=3) for _ in range(5)]
     assert np.array_equal(peeked[:5], np.array(rows))
-    assert block.integers(1000) == seq.integers(1000)
+    assert block._gen.integers(1000) == seq._gen.integers(1000)
     assert np.array_equal(block.normal(size=6), seq.normal(size=6))
     assert block.distinct_pair(29) == seq.distinct_pair(29)
 
@@ -167,7 +168,7 @@ def test_unit_uniform_equals_generator_uniform(size, prefix):
     rng = RngStream(43)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(43)))
     if prefix:  # leaves half of a 64-bit draw buffered
-        rng.integers(prefix)
+        rng._gen.integers(prefix)
         gen.integers(prefix)
     got, want = rng.uniform(size=size), gen.uniform(0.0, 1.0, size)
     assert type(got) is type(want)
@@ -224,12 +225,13 @@ def test_mantegna_sigma_at_beta_two_as_documented():
     assert mantegna_sigma(2.0) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mantegna_sigma_beta_two_formula_limit():
+def test_mantegna_sigma_beta_two_formula_limit(monkeypatch):
     # What the formula actually yields at beta=2, and the reduction of s.
     assert mantegna_sigma(2.0) == pytest.approx(9.884972298779197e-09, rel=1e-9)
     sigma = mantegna_sigma(2.0)
     u_raw, v_raw = 0.7, -1.3
-    s = levy_sample(1, ScriptedRng(normals=[u_raw, v_raw]), beta=2.0)
+    monkeypatch.setattr(rng_module, "LEVY_BETA", 2.0)
+    s = levy_sample(1, ScriptedRng(normals=[u_raw, v_raw]))
     assert s[0] == pytest.approx(u_raw * sigma / abs(v_raw) ** 0.5, rel=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -10,12 +11,11 @@ import pytest
 from support import CountingEvaluator, ScriptedRng, levy_script
 
 import ieco_mco.stages as st
-from ieco_mco.covariance import EliteArchive
+from ieco_mco.covariance import EliteArchive, min_model_entries
 from ieco_mco.rng import (Bounds, BudgetExhaustedError, RngStream, levy_sample,
                           logistic_chain, mantegna_sigma)
 from ieco_mco.stages import (
-    _SCHOOLS,
-    _STUDENT_RULES,
+    _VARIANTS,
     ARCHIVE_ROWS_PER_DIM,
     TALENT_THRESHOLD,
     Population,
@@ -133,29 +133,36 @@ def test_talent_gain_branches_and_floor():
 
 
 # ------------------------------------------------------------ update rules
-# Rules take (m, D) blocks; one-row blocks give the hand-computed examples.
+# Rules take the sorted population X, the school count k and each student's
+# school; they read best X[0], worst X[-1] and the mean off X. In the hand
+# examples D = 1, and X holds the example's operands.
 
 def col(*values):
     """(m, 1) block from scalars."""
     return np.array(values, dtype=float)[:, None]
 
 
+def one_school(*values):
+    """(X, k, assign) for D = 1, school X[0] and every other row its student."""
+    return col(*values), 1, np.zeros(len(values) - 1, dtype=int)
+
+
 def test_primary_school_hand_example():
     # D=1, X=2, mean=4, w=0.05, Levy draw=1.2 -> 2 + 0.05*2*1.2 = 2.12
     ctx = ctx_with(omega_val=0.05)
     rng = ScriptedRng(normals=levy_script([1.2]))
-    out = primary_school_update(col(2.0), col(4.0), ctx, rng)
+    out = primary_school_update(*one_school(2.0, 4.0), ctx, rng)
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(2.12, abs=1e-9)
 
 
 def test_primary_school_fixed_points():
     ctx = ctx_with(omega_val=0.05)
-    out = primary_school_update(col(4.0), col(4.0), ctx,
+    out = primary_school_update(*one_school(4.0, 4.0), ctx,
                                 ScriptedRng(normals=levy_script([1.7])))
     assert out[0, 0] == 4.0
     ctx0 = ctx_with(omega_val=omega(1000, 1000))
-    out = primary_school_update(col(2.0), col(9.0), ctx0,
+    out = primary_school_update(*one_school(2.0, 9.0), ctx0,
                                 ScriptedRng(normals=levy_script([1.7])))
     assert out[0, 0] == 2.0
 
@@ -170,43 +177,44 @@ def test_closest_school_picks_nearest_and_breaks_ties_low():
 def test_primary_student_hand_example():
     # D=1, X=3, close=0, w=0.06, randn=-1 -> 3 + 0.06*(0-3)*(-1) = 3.18
     ctx = ctx_with(omega_val=0.06)
-    out = primary_student_update(col(3.0), col(0.0), ctx,
+    out = primary_student_update(*one_school(0.0, 3.0), ctx,
                                  ScriptedRng(normals=[-1.0]))
     assert out[0, 0] == pytest.approx(3.18, abs=1e-12)
 
 
 def test_primary_student_fixed_point_at_school():
     ctx = ctx_with(omega_val=0.06)
-    out = primary_student_update(col(0.0), col(0.0), ctx,
+    out = primary_student_update(*one_school(0.0, 0.0), ctx,
                                  ScriptedRng(normals=[0.83]))
     assert out[0, 0] == 0.0
 
 
 def test_middle_school_hand_example():
     # D=1, X=1, best=5, mean=3, progress=0.5, Levy=0.5 -> 1 + 2*exp(-0.5)*0.5
+    # (X is the second of k=2 schools; the best is the first)
     ctx = ctx_with(stage=Stage.MIDDLE, fes=500, fes_max=1000)
-    out = middle_school_update(col(1.0), np.array([5.0]), np.array([3.0]), ctx,
-                               ScriptedRng(normals=levy_script([0.5])))
-    assert out[0, 0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
-    assert out[0, 0] == pytest.approx(1.6065, abs=1e-4)
+    out = middle_school_update(col(5.0, 1.0, 3.0), 2, None, ctx,
+                               ScriptedRng(normals=levy_script([0.5]) * 2))
+    assert out[1, 0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
+    assert out[1, 0] == pytest.approx(1.6065, abs=1e-4)
 
 
 def test_middle_school_fixed_point_and_endpoint():
     ctx = ctx_with(stage=Stage.MIDDLE, fes=250, fes_max=1000)
-    out = middle_school_update(col(1.0), np.array([3.0]), np.array([3.0]), ctx,
-                               ScriptedRng(normals=levy_script([2.2])))
-    assert out[0, 0] == 1.0  # best == mean annihilates the step
+    out = middle_school_update(col(3.0, 1.0, 5.0), 2, None, ctx,
+                               ScriptedRng(normals=levy_script([2.2]) * 2))
+    assert out[1, 0] == 1.0  # best == mean annihilates the step
     # fes = fes_max -> decay factor e^0 = 1
     ctx_end = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000)
-    out = middle_school_update(col(1.0), np.array([4.0]), np.array([3.0]), ctx_end,
-                               ScriptedRng(normals=levy_script([1.0])))
-    assert out[0, 0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
+    out = middle_school_update(col(4.0, 1.0, 4.0), 2, None, ctx_end,
+                               ScriptedRng(normals=levy_script([1.0]) * 2))
+    assert out[1, 0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
 
 
 def test_middle_student_hand_example():
     # D=1, X=2, close=1, w=0.05, P=1, E=1 -> 2 - 0.05 - (0.05 - 2) = 3.90
     ctx = ctx_with(stage=Stage.MIDDLE, omega_val=0.05, p=1.0)
-    out = middle_student_update(col(2.0), col(1.0), ctx,
+    out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.3]))  # R_m <= Th -> E=1
     assert out[0, 0] == pytest.approx(3.90, abs=1e-12)
 
@@ -215,44 +223,46 @@ def test_middle_student_terminal_budget_fixed_point():
     # P=0 and w=0 at fes=fes_max: X stays put.
     ctx = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000,
                    omega_val=omega(1000, 1000), p=0.0)
-    out = middle_student_update(col(2.0), col(1.0), ctx,
+    out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.4]))
     assert out[0, 0] == 2.0
 
 
 def test_high_school_hand_example():
     # D=1, X=0, best=2, mean=1, worst=5, r1=1, r2=0.5 -> 0 + 1 - 2 = -1
+    # (X is the second of k=2 schools; the best is the first)
     ctx = ctx_with(stage=Stage.HIGH)
-    out = high_school_update(col(0.0), np.array([2.0]), np.array([5.0]),
-                             np.array([1.0]), ctx, ScriptedRng(normals=[1.0, 0.5]))
-    assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    out = high_school_update(col(2.0, 0.0, -3.0, 5.0), 2, None, ctx,
+                             ScriptedRng(normals=[1.0, 0.5] * 2))
+    assert out[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_high_school_fixed_points():
     ctx = ctx_with(stage=Stage.HIGH)
-    one = np.array([1.0])
-    out = high_school_update(col(7.0), one, one, one, ctx,
-                             ScriptedRng(normals=[2.3, -1.1]))
-    assert out[0, 0] == 7.0
-    out = high_school_update(col(7.0), np.array([2.0]), np.array([5.0]),
-                             np.array([1.0]), ctx, ScriptedRng(normals=[0.0, 0.0]))
-    assert out[0, 0] == 7.0
+    # best = worst = mean = 1
+    out = high_school_update(col(1.0, 7.0, -5.0, 1.0), 2, None, ctx,
+                             ScriptedRng(normals=[2.3, -1.1] * 2))
+    assert out[1, 0] == 7.0
+    # best 2, worst 5, mean 1
+    out = high_school_update(col(2.0, 7.0, -10.0, 5.0), 2, None, ctx,
+                             ScriptedRng(normals=[0.0, 0.0] * 2))
+    assert out[1, 0] == 7.0
 
 
 def test_high_student_hand_example():
     # D=1, X=1, best=3, P=0.5, E=1 -> 1 - 0.5*(3-1) = 0
     ctx = ctx_with(stage=Stage.HIGH, p=0.5)
-    out = high_student_update(col(1.0), np.array([3.0]), ctx,
+    out = high_student_update(*one_school(3.0, 1.0), ctx,
                               ScriptedRng(uniforms=[0.2]))  # E = 1
     assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_high_student_fixed_points():
-    best = np.array([3.0])
-    out = high_student_update(col(1.0), best, ctx_with(stage=Stage.HIGH, p=0.0),
+    # best = 3
+    out = high_student_update(*one_school(3.0, 1.0), ctx_with(stage=Stage.HIGH, p=0.0),
                               ScriptedRng(uniforms=[0.9]))
     assert out[0, 0] == 1.0
-    out = high_student_update(col(3.0), best, ctx_with(stage=Stage.HIGH, p=0.7),
+    out = high_student_update(*one_school(3.0, 3.0), ctx_with(stage=Stage.HIGH, p=0.7),
                               ScriptedRng(uniforms=[0.2]))
     assert out[0, 0] == 3.0  # E=1 and X=best: fixed point at the best school
 
@@ -264,22 +274,21 @@ def test_updates_are_translation_equivariant():
     cases = []
     for shift in (0.0, t):
         rng = ScriptedRng(normals=levy_script([1.2]))
-        cases.append(primary_school_update(col(2.0 + shift), col(4.0 + shift),
+        cases.append(primary_school_update(*one_school(2.0 + shift, 4.0 + shift),
                                            ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
     cases = []
     for shift in (0.0, t):
-        rng = ScriptedRng(normals=[0.7, -0.2])
-        cases.append(high_school_update(col(0.5 + shift), np.array([2.0 + shift]),
-                                        np.array([5.0 + shift]),
-                                        np.array([1.0 + shift]), ctx, rng)[0, 0])
+        rng = ScriptedRng(normals=[0.7, -0.2] * 2)
+        X = col(2.0, 0.5, -3.5, 5.0) + shift   # best 2, worst 5, mean 1
+        cases.append(high_school_update(X, 2, None, ctx, rng)[1, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
     cases = []
     for shift in (0.0, t):
         rng = ScriptedRng(normals=[-0.4])
-        schools = col(0.0 + shift, 10.0 + shift)
-        close = schools[closest_school(col(3.0 + shift), schools)]
-        cases.append(primary_student_update(col(3.0 + shift), close, ctx, rng)[0, 0])
+        X = col(0.0, 10.0, 3.0) + shift
+        assign = closest_school(X[2:], X[:2])
+        cases.append(primary_student_update(X, 2, assign, ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
 
 
@@ -352,15 +361,22 @@ def test_levy_block_equals_sequential_calls(size):
     (high_student_update, ref_high_student, 0, 1),
 ])
 def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
-    src = RngStream(101)
-    X = -5.0 + 10.0 * src.uniform(size=(K, D))
-    per_row = [-5.0 + 10.0 * src.uniform(size=(K, D)) for _ in range(n_rows)]
-    shared = [-5.0 + 10.0 * src.uniform(size=D) for _ in range(n_shared)]
+    X = -5.0 + 10.0 * RngStream(101).uniform(size=(2 * K, D))
+    assign = closest_school(X[K:], X[:K])
+    # The operands a reference names after x, read off X as the rules read
+    # them: n_rows with one row per agent of the block, then n_shared rows.
+    operands = {"mean_i": _school_means(X, K, assign), "close": X[assign],
+                "best": X[0], "worst": X[-1], "mean": X.mean(axis=0)}
+    names = list(inspect.signature(ref).parameters)[1:-2]
+    per_row = [operands[name] for name in names[:n_rows]]
+    shared = [operands[name] for name in names[n_rows:]]
+    assert len(shared) == n_shared
     ctx = ctx_with(omega_val=0.05, p=p, fes=400)
-    block = rule(X, *per_row, *shared, ctx, RngStream(17))
+    block = rule(X, K, assign, ctx, RngStream(17))
     assert block.shape == (K, D)
+    rows = X[:K] if "school" in rule.__name__ else X[K:]
     rng = RngStream(17)
-    loop = np.vstack([ref(X[i], *[a[i] for a in per_row], *shared, ctx, rng)
+    loop = np.vstack([ref(rows[i], *[a[i] for a in per_row], *shared, ctx, rng)
                       for i in range(K)])
     assert np.array_equal(block, loop)
 
@@ -374,24 +390,70 @@ def test_algorithm_params_defaults_per_variant():
         Variant.IECO_MCO: (0.4, 0.5, 0.5),
     }
     for variant, expected in fractions.items():
-        assert tuple(_SCHOOLS[variant, s][0] for s in Stage) == expected
+        assert _VARIANTS[variant][0] == expected
     assert TALENT_THRESHOLD == 0.5
     assert ARCHIVE_ROWS_PER_DIM == 20
 
 
+# The school operator each variant with a model runs, by stage.
+OPERATORS = {
+    Variant.GECO: ("gaussian_operator",) * 3,
+    Variant.SECO: ("shift_operator",) * 3,
+    Variant.DECO: ("differential_operator",) * 3,
+    Variant.IECO_MCO: ("gaussian_operator", "shift_operator",
+                       "differential_operator"),
+}
+
+
 def test_dispatch_table_covers_every_variant_and_stage():
-    assert set(_SCHOOLS) == {(v, s) for v in Variant for s in Stage}
-    assert set(_STUDENT_RULES) == set(Stage)
-    rows = {
-        Variant.ECO: (st._primary_schools, st._middle_schools, st._high_schools),
-        Variant.GECO: (st._gaussian_schools,) * 3,
-        Variant.SECO: (st._shift_schools,) * 3,
-        Variant.DECO: (st._differential_schools,) * 3,
-        Variant.IECO_MCO: (st._gaussian_schools, st._shift_schools,
-                           st._differential_schools),
-    }
-    for variant, rules in rows.items():
-        assert [_SCHOOLS[variant, s][1] for s in Stage] == list(rules)
+    assert set(_VARIANTS) == set(Variant)
+    assert _VARIANTS[Variant.ECO][1] is None
+    names = ("gaussian_operator", "shift_operator", "differential_operator")
+    for variant, operators in OPERATORS.items():
+        assert tuple(names[j] for j in _VARIANTS[variant][1]) == operators
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_step_calls_every_rule_and_operator_through_its_name(variant,
+                                                             monkeypatch):
+    # perfbench's tracer rebinds these module attributes, so step must reach
+    # them by name when it runs, not through functions a table holds.
+    calls = []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for stage in ("primary", "middle", "high"):
+        count(st, stage + "_school_update")
+        count(st, stage + "_student_update")
+    for name in ("gaussian_operator", "shift_operator", "differential_operator"):
+        count(st.cov, name)
+
+    bounds = Bounds.cube(-100.0, 100.0, 2)
+    seen = set()
+    for first in (1, 2, 3):   # each stage once with a young archive
+        ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1))
+        pop, rng = make_pop(ev, bounds, 10, seed=5)
+        archive = archive_for(variant, 2)
+        for it in range(first, first + 4):
+            stage = stage_of(it)
+            modelled = archive is not None and len(archive) >= min_model_entries(2)
+            ctx = StageContext.draw(stage, ev.used, 10 ** 6, rng)
+            calls.clear()
+            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
+            plain = stage.name.lower()
+            school = (OPERATORS[variant][stage.value - 1] if modelled
+                      else plain + "_school_update")
+            assert calls == [school, plain + "_student_update"], (stage, modelled)
+            seen.add((stage, modelled))
+    both = (False,) if variant is Variant.ECO else (False, True)
+    assert seen == {(stage, modelled) for stage in Stage for modelled in both}
 
 
 def test_school_partition_after_sort():
@@ -413,6 +475,20 @@ def test_school_means_fallback_to_population_mean():
     means = _school_means(pop.positions, 2, assign)
     assert np.allclose(means[0], pos[2:].mean(axis=0))
     assert np.allclose(means[1], pos.mean(axis=0))
+
+
+def test_school_means_at_d1_are_the_mean_of_each_contiguous_column():
+    # At D = 1 a school's students form one contiguous column, which numpy
+    # sums pairwise from 8 values on; a scatter-add and count form differs
+    # there in the last bits. 27 students in 3 schools: one holds 9 or more.
+    for seed in range(200):
+        X = -5.0 + 10.0 * RngStream(seed).uniform(size=(30, 1))
+        assign = closest_school(X[3:], X[:3])
+        assert np.bincount(assign, minlength=3).max() >= 9
+        means = _school_means(X, 3, assign)
+        for i in range(3):
+            column = X[3:, 0][assign == i]
+            assert means[i, 0] == (column.mean() if column.size else X[:, 0].mean())
 
 
 def test_population_sort_is_stable_and_stats_correct():
@@ -545,7 +621,7 @@ def test_step_fills_archive_for_improved_variants():
     for it in range(1, 10):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
         pop = step(pop, Variant.IECO_MCO, ctx, archive, rng, ev, bounds)
-        pushed += school_count(_SCHOOLS[Variant.IECO_MCO, ctx.stage][0], 10)
+        pushed += school_count(_VARIANTS[Variant.IECO_MCO][0][ctx.stage.value - 1], 10)
         assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
