@@ -35,7 +35,6 @@ import json
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -401,6 +400,8 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
             key, rec = _run_cell(task)
             records[key] = rec
     else:
+        # imported here so that a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, rec in pool.map(_run_cell, tasks, chunksize=1):
                 records[key] = rec

@@ -5,8 +5,11 @@ The input convention throughout is a minimization matrix ``values`` of shape
 Friedman test ranks algorithms per problem on the mean over runs, the
 rank-sum test compares two run vectors on one problem, and the
 Kruskal-Wallis test compares several samples with tie-corrected pooled
-ranking. Chi-square tails come from scipy; rank statistics and the exact
-rank-sum enumeration are computed here.
+ranking. Average ranks, rank statistics and the exact rank-sum enumeration
+are computed here with numpy. The chi-square and normal tails come from
+``scipy.special``, which each tail helper imports on its first call, so
+importing this module (and the optimizer, which never calls it) loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
 
 DEFAULT_ALPHA = 0.05
 EXACT_RANKSUM_LIMIT = 12  # exact enumeration when |a| + |b| <= this
@@ -47,6 +49,32 @@ def _as_matrix(values) -> np.ndarray:
     return m
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D sample, ties sharing their average rank.
+
+    Equal to ``scipy.stats.rankdata(x)``: ranks are whole or half numbers,
+    so they are exact. -0.0 ties with 0.0 and +-inf rank as the extremes;
+    NaN has no rank and raises ValueError.
+    """
+    if np.isnan(x).any():
+        raise ValueError("cannot rank a sample that holds NaN")
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts
+    return (below + (counts + 1) / 2.0)[inverse]
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square upper tail, bit for bit ``scipy.stats.chi2.sf(x, df)``."""
+    from scipy.special import chdtrc
+    return float(chdtrc(df, x))
+
+
+def _norm_sf(z: float) -> float:
+    """Standard normal upper tail, bit for bit ``scipy.stats.norm.sf(z)``."""
+    from scipy.special import ndtr
+    return float(ndtr(-z))
+
+
 def _labels(n: int, labels: Optional[Sequence[str]]) -> List[str]:
     if labels is None:
         return ["alg%d" % j for j in range(n)]
@@ -70,10 +98,10 @@ def friedman(values, algorithms: Optional[Sequence[str]] = None) -> StatReport:
     if n < 2:
         raise ValueError("friedman needs at least 2 problems")
     summary = m.mean(axis=2)
-    ranks = np.vstack([rankdata(summary[i]) for i in range(n)])
+    ranks = np.vstack([_average_ranks(summary[i]) for i in range(n)])
     mean_ranks = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
-    p = float(chi2.sf(stat, k - 1))
+    p = _chi2_sf(stat, k - 1)
     names = _labels(k, algorithms)
     return StatReport(statistic=float(stat), p_value=p,
                       ranks=dict(zip(names, mean_ranks.tolist())))
@@ -120,7 +148,7 @@ def _ranksum_normal_p(pooled_ranks: np.ndarray, n_a: int) -> float:
     else:
         diff = 0.0
     z = diff / math.sqrt(var)
-    return float(min(1.0, 2.0 * norm.sf(abs(z))))
+    return min(1.0, 2.0 * _norm_sf(abs(z)))
 
 
 def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> Tuple[float, str]:
@@ -135,7 +163,7 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> Tuple[float, str]:
     b = np.asarray(b, dtype=float).ravel()
     if a.size < 2 or b.size < 2:
         raise ValueError("rank-sum test needs at least 2 observations per sample")
-    pooled = rankdata(np.concatenate([a, b]))
+    pooled = _average_ranks(np.concatenate([a, b]))
     if a.size + b.size <= EXACT_RANKSUM_LIMIT:
         p = _ranksum_exact_p(pooled, a.size)
     else:
@@ -171,7 +199,7 @@ def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
             raise ValueError("kruskal_wallis groups must be non-empty")
     pooled = np.concatenate(arrays)
     total = pooled.size
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
     mean_ranks = []
     start = 0
     raw = 0.0
@@ -187,7 +215,7 @@ def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
     if tie == 0.0:
         return 0.0, 1.0, mean_ranks
     h = raw / tie
-    p = float(chi2.sf(h, len(arrays) - 1))
+    p = _chi2_sf(h, len(arrays) - 1)
     return h, p, mean_ranks
 
 

@@ -5,10 +5,13 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare, kruskal, mannwhitneyu, rankdata
+from scipy.stats import chi2, friedmanchisquare, kruskal, mannwhitneyu, norm, rankdata
 
 from ieco_mco.stats import (
     StatReport,
+    _average_ranks,
+    _chi2_sf,
+    _norm_sf,
     format_friedman,
     format_wtl,
     friedman,
@@ -16,6 +19,41 @@ from ieco_mco.stats import (
     wilcoxon_rank_sum,
     wtl_table,
 )
+
+
+# ------------------------------------------------------- ranks and tails
+
+
+def test_average_ranks_equal_rankdata_on_tied_samples():
+    # few distinct levels force ties; -0.0 ties with 0.0 and +-inf rank as
+    # the extremes, all as scipy ranks them
+    gen = np.random.default_rng(61)
+    levels = np.array([-np.inf, -2.5, -0.0, 0.0, 1.0, 3.0, np.inf])
+    for _ in range(300):
+        x = gen.choice(levels, size=int(gen.integers(1, 40)))
+        ours = _average_ranks(x)
+        assert ours.dtype == np.float64
+        assert ours.tobytes() == rankdata(x).tobytes()
+    x = gen.normal(size=50)
+    assert _average_ranks(x).tobytes() == rankdata(x).tobytes()
+
+
+def test_average_ranks_refuse_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        _average_ranks(np.array([1.0, np.nan, 2.0]))
+
+
+def test_chi2_tail_is_scipy_chi2_sf_bit_for_bit():
+    grid = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, 80.0, 801),
+                           [150.0, 400.0, 1500.0, np.inf]])
+    for df in range(1, 13):
+        for x in grid:
+            assert repr(_chi2_sf(x, df)) == repr(float(chi2.sf(x, df))), (x, df)
+
+
+def test_normal_tail_is_scipy_norm_sf_bit_for_bit():
+    for z in np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-12, 38.5, np.inf]]):
+        assert repr(_norm_sf(z)) == repr(float(norm.sf(z))), z
 
 
 # ----------------------------------------------------------------- friedman
@@ -182,6 +220,19 @@ def test_ranksum_rejects_tiny_samples():
         wilcoxon_rank_sum([1.0, 2.0], [])
 
 
+def test_ranksum_rejects_nan():
+    # a NaN once ranked as a value and gave p = 0 with a tie verdict
+    with pytest.raises(ValueError, match="NaN"):
+        wilcoxon_rank_sum([1.0, np.nan, 4.0], [2.0, 3.0, 5.0])
+
+
+def test_ranksum_ranks_infinities_as_extremes():
+    p, verdict = wilcoxon_rank_sum([-np.inf, 1.0, 2.0], [3.0, 4.0, np.inf],
+                                   alpha=0.2)
+    assert p == wilcoxon_rank_sum([0.0, 1.0, 2.0], [3.0, 4.0, 5.0])[0]
+    assert verdict == "+"
+
+
 def test_ranksum_median_decides_direction_mean_breaks_ties():
     # significant difference with medians apart
     a = [1.0, 1.0, 1.0, 1.0, 2.0]
@@ -227,6 +278,12 @@ def test_kruskal_mean_ranks_follow_stochastic_ordering():
     groups = [gen.normal(loc=mu, scale=0.1, size=20) for mu in (0.0, 5.0, 10.0)]
     _, _, ranks = kruskal_wallis(groups)
     assert ranks[0] < ranks[1] < ranks[2]
+
+
+def test_kruskal_rejects_nan():
+    # a NaN once gave (nan, nan, [nan, nan])
+    with pytest.raises(ValueError, match="NaN"):
+        kruskal_wallis([[1.0, np.nan], [2.0, 3.0]])
 
 
 def test_kruskal_input_validation():
