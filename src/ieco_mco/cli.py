@@ -1,14 +1,19 @@
 """Command-line interface: run experiments, compare, test, export traces.
 
 Commands: ``run``, ``compare``, ``stats``, ``export-trace``,
-``list-problems``. Option values resolve with precedence command line >
-``MCO_*`` environment variable > config file > built-in default. ``run``
-reads ``MCO_CONFIG`` and ``MCO_<KEY>`` for each key of ``_RUN_SETTINGS``;
+``list-problems``. One table, ``_COMMANDS``, lists each command's options;
+it builds the parser, dispatches, and resolves every option by one rule:
+command line > ``MCO_<KEY>`` variable > ``[run]`` config key > default,
+the chosen text cast by the option's cast. A value set to the empty string
+is set; an option no source sets is not passed on, so an unset run setting
+takes its ``RunConfig`` default.
+
+``run`` reads ``MCO_CONFIG`` and ``MCO_<KEY>`` for each of its options;
 ``compare`` reads ``MCO_RESULTS`` and ``MCO_ALPHA``; ``stats`` those two,
 ``MCO_TEST`` and ``MCO_OUT``; ``export-trace`` ``MCO_RESULTS`` and
 ``MCO_PROBLEM``. No other option reads a variable. Only ``run`` reads a
-config file: INI-style, with a single ``[run]`` section whose keys are the
-``_RUN_SETTINGS`` keys.
+config file, named by ``--config``, else ``MCO_CONFIG``: INI-style, with a
+single ``[run]`` section whose keys are ``run``'s other option keys.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
@@ -20,12 +25,13 @@ import configparser
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import harness, stats
 from .problems import list_problems as registry_list, problem_label
+from .stages import algorithm_label
 
 ENV_PREFIX = "MCO_"
 
@@ -35,33 +41,17 @@ def _csv_list(raw):
     return [p for p in parts if p]
 
 
-class _Setting(NamedTuple):
-    """An ``mco run`` setting: flag ``--key`` (dashes for underscores), variable
-    ``MCO_KEY``, config key ``key``, run_batch keyword ``keyword or key``."""
+class _Option(NamedTuple):
+    """An option of a command: flag ``--key`` (dashes for underscores),
+    variable ``MCO_KEY`` when ``env``, and for ``run`` config key ``key``.
+    Its value reaches the handler as ``keyword or key``."""
 
     key: str
     cast: Callable
-    default: Any
+    default: Optional[str]
     help: str
     keyword: Optional[str] = None
-
-
-_RUN_SETTINGS = (
-    _Setting("algorithms", _csv_list, "ieco-mco,eco",
-             "comma-separated variant labels"),
-    _Setting("problems", _csv_list, "", "comma-separated problem names"),
-    _Setting("runs", int, 30, "runs per (algorithm, problem)"),
-    _Setting("seed", int, 0, "base seed of the batch", "base_seed"),
-    _Setting("dim", int, 10, "dimension of scalable problems", "dimension"),
-    _Setting("fes_mult", int, harness.DEFAULT_FES_MULT, "budget per unit of D"),
-    _Setting("fes_max", int, None, "budget per run (overrides --fes-mult)"),
-    _Setting("n", int, harness.DEFAULT_POPULATION, "population size"),
-    _Setting("jobs", int, 1, "worker processes"),
-    _Setting("out", str, "results", "output directory for persisted results"),
-    _Setting("trace_stride", int, None, "evaluations between trace points"),
-    _Setting("instance_seed", int, 0, "seed of the desk problem instances"),
-)
-_RUN_KEYS = tuple(s.key for s in _RUN_SETTINGS)
+    env: bool = True
 
 
 class UsageError(Exception):
@@ -73,87 +63,50 @@ def _message(exc):
     return exc.args[0] if isinstance(exc, KeyError) else str(exc)
 
 
-def _env(name):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
 def _read_config(path) -> dict:
     parser = configparser.ConfigParser()
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError("cannot parse config file %s: %s" % (path, exc))
     if not loaded:
         raise UsageError("config file not found: %s" % path)
     if not parser.has_section("run"):
         raise UsageError("config file %s is missing the [run] section" % path)
     out = {}
     for key in parser.options("run"):
-        if key not in _RUN_KEYS:
+        if key not in _CONFIG_KEYS:
             raise UsageError("unknown config key %r (valid: %s)"
-                             % (key, ", ".join(_RUN_KEYS)))
+                             % (key, ", ".join(_CONFIG_KEYS)))
         out[key] = parser.get("run", key)
     return out
 
 
-def _resolve(name, cli_value, config, default, cast):
-    """Apply the precedence chain and cast the chosen raw string."""
-    raw = cli_value
-    if raw is None:
-        raw = _env(name)
-    if raw is None:
-        raw = config.get(name)
-    if raw is None:
-        raw = default
-    if not isinstance(raw, str):
-        return raw
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError("bad value for %s: %s" % (name, exc))
+def _resolve(options, flags) -> dict:
+    """Each option's value by the one rule, read from the file of an earlier
+    ``config`` option; an option that no source sets is left out."""
+    values: dict = {}
+    for opt in options:
+        raw = flags[opt.key]
+        if raw is None and opt.env:
+            raw = os.environ.get(ENV_PREFIX + opt.key.upper())
+        if raw is None:
+            raw = values.get("config", {}).get(opt.key, opt.default)
+        if raw is None:
+            continue
+        try:
+            values[opt.keyword or opt.key] = opt.cast(raw)
+        except ValueError as exc:
+            raise UsageError("bad value for %s: %s" % (opt.key, exc))
+    return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="mco",
-        description="Population-based optimizer benchmark harness")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute an experiment batch")
-    run.add_argument("--config", help="INI config file with a [run] section")
-    for setting in _RUN_SETTINGS:
-        run.add_argument("--" + setting.key.replace("_", "-"), dest=setting.key,
-                         type=setting.cast, help=setting.help)
-
-    comp = sub.add_parser("compare", help="Friedman ranks and win/tie/loss "
-                                          "over persisted results")
-    comp.add_argument("--results", help="directory written by `mco run`")
-    comp.add_argument("--alpha", type=float)
-
-    st = sub.add_parser("stats", help="write one statistical report")
-    st.add_argument("--results", help="directory written by `mco run`")
-    st.add_argument("--test", choices=("friedman", "wilcoxon", "kw"))
-    st.add_argument("--alpha", type=float)
-    st.add_argument("--out", help="directory for report files")
-
-    et = sub.add_parser("export-trace", help="mean convergence series per "
-                                             "algorithm on a shared grid")
-    et.add_argument("--results", help="directory written by `mco run`")
-    et.add_argument("--problem", help="problem name to export")
-    et.add_argument("--algorithms", help="comma-separated subset (default all)")
-    et.add_argument("--out", help="output CSV path (default stdout)")
-
-    lp = sub.add_parser("list-problems", help="print the problem registry")
-    lp.add_argument("--dim", type=int)
-    return top
-
-
-def cmd_run(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    if not args.config and _env("CONFIG"):
-        config = _read_config(_env("CONFIG"))
-
-    values = {s.keyword or s.key: _resolve(s.key, getattr(args, s.key), config,
-                                           s.default, s.cast)
-              for s in _RUN_SETTINGS}
+def cmd_run(values) -> int:
+    """execute an experiment batch"""
+    values.pop("config", None)
     out = values.pop("out")
+    if not out:
+        raise UsageError("no output directory; use --out")
     # run_batch checks every argument before its first run and raises
     # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
     try:
@@ -171,8 +124,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_results(args):
-    where = args.results or _env("RESULTS")
+def _load_results(values):
+    where = values.get("results")
     if not where:
         raise UsageError("no results directory; use --results")
     try:
@@ -197,12 +150,12 @@ _TESTS = {
 }
 
 
-def _reports(args, tests):
-    """The report text of each named test on the results ``args`` point at,
-    once alpha lies in (0, 1) and the results are rectangular and large
+def _reports(values, tests):
+    """The report text of each named test on the results ``values`` point
+    at, once alpha lies in (0, 1) and the results are rectangular and large
     enough for every one of them."""
-    results = _load_results(args)
-    alpha = _resolve("alpha", args.alpha, {}, stats.DEFAULT_ALPHA, float)
+    results = _load_results(values)
+    alpha = values["alpha"]
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie in (0, 1); got %g" % alpha)
     try:
@@ -216,31 +169,33 @@ def _reports(args, tests):
             if got < need:
                 raise UsageError("%s needs at least %d %s; the results hold %d"
                                  % (test, need, what, got))
-    values = results.to_matrix()
-    bad = np.argwhere(~np.isfinite(values))
+    matrix = results.to_matrix()
+    bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         i, j, r = bad[0]
         raise UsageError("run %d of %s on %s has a non-finite best (%r); the "
                          "statistical tests need finite values"
                          % (r, results.algorithms[j], results.problems[i],
-                            float(values[i, j, r])))
-    return [_TESTS[test][1](values, results.algorithms, alpha) for test in tests]
+                            float(matrix[i, j, r])))
+    return [_TESTS[test][1](matrix, results.algorithms, alpha) for test in tests]
 
 
-def cmd_compare(args) -> int:
-    for text in _reports(args, ("friedman", "wilcoxon")):
+def cmd_compare(values) -> int:
+    """Friedman ranks and win/tie/loss over persisted results"""
+    for text in _reports(values, ("friedman", "wilcoxon")):
         print(text)
     return 0
 
 
-def cmd_stats(args) -> int:
-    test = args.test or _env("TEST") or "friedman"
+def cmd_stats(values) -> int:
+    """write one statistical report"""
+    test = values["test"]
     if test not in _TESTS:
         raise UsageError("unknown test %r" % test)
-    (text,) = _reports(args, (test,))
+    (text,) = _reports(values, (test,))
     text += "\n"
     sys.stdout.write(text)
-    out = args.out or _env("OUT")
+    out = values.get("out")
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,9 +203,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_export_trace(args) -> int:
-    results = _load_results(args)
-    problem = args.problem or _env("PROBLEM")
+def cmd_export_trace(values) -> int:
+    """mean convergence series per algorithm on a shared grid"""
+    results = _load_results(values)
+    problem = values.get("problem")
     if not problem:
         raise UsageError("no problem given; use --problem")
     if problem not in results.problems:
@@ -266,15 +222,14 @@ def cmd_export_trace(args) -> int:
             raise UsageError("ambiguous problem %r; candidates: %s"
                              % (problem, ", ".join(matches)))
         (problem,) = matches
-    # algorithm labels match whatever their case; the persisted label is used
-    persisted = {a.strip().lower(): a for a in results.algorithms}
+    # algorithm names match by the variant name rule; the persisted label is used
+    persisted = {algorithm_label(a): a for a in results.algorithms}
     algorithms = []
-    for a in (_csv_list(args.algorithms) if args.algorithms
-              else results.algorithms):
-        if a.strip().lower() not in persisted:
+    for a in values.get("algorithms") or results.algorithms:
+        if algorithm_label(a) not in persisted:
             raise UsageError("unknown algorithm %r; persisted algorithms: %s"
                              % (a, ", ".join(results.algorithms)))
-        algorithms.append(persisted[a.strip().lower()])
+        algorithms.append(persisted[algorithm_label(a)])
     try:
         grid, series = harness.export_trace(results, problem, algorithms)
     except (KeyError, ValueError) as exc:
@@ -285,18 +240,20 @@ def cmd_export_trace(args) -> int:
         lines.append("%d,%s" % (fes, ",".join(repr(float(series[a][i]))
                                               for a in algorithms)))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-        print("wrote %s (%d grid points)" % (args.out, len(grid)))
+    out = values.get("out")
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
+        print("wrote %s (%d grid points)" % (out, len(grid)))
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_list_problems(args) -> int:
+def cmd_list_problems(values) -> int:
+    """print the problem registry"""
     try:
-        rows = registry_list(dimension=10 if args.dim is None else args.dim)
+        rows = registry_list(**values)
     except ValueError as exc:
         raise UsageError(str(exc))
     print("%-26s %-12s %s" % ("name", "category", "D"))
@@ -305,23 +262,74 @@ def cmd_list_problems(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "stats": cmd_stats,
-    "export-trace": cmd_export_trace,
-    "list-problems": cmd_list_problems,
+_RESULTS = _Option("results", str, None, "directory written by `mco run`")
+_ALPHA = _Option("alpha", float, repr(stats.DEFAULT_ALPHA),
+                 "significance level in (0, 1)")
+_DIM = _Option("dim", int, None, "dimension of scalable problems", "dimension")
+
+# Every command: its handler, whose docstring is its help, and its options.
+# ``run``'s ``config`` option comes first, so the options after it can read
+# its file.
+_COMMANDS = {
+    "run": (cmd_run, (
+        _Option("config", _read_config, None,
+                "INI config file with a [run] section"),
+        _Option("algorithms", _csv_list, "ieco-mco,eco",
+                "comma-separated variant labels"),
+        _Option("problems", _csv_list, "", "comma-separated problem names"),
+        _Option("runs", int, "30", "runs per (algorithm, problem)"),
+        _Option("seed", int, "0", "base seed of the batch", "base_seed"),
+        _DIM,
+        _Option("fes_mult", int, None, "budget per unit of D"),
+        _Option("fes_max", int, None, "budget per run (overrides --fes-mult)"),
+        _Option("n", int, None, "population size"),
+        _Option("jobs", int, None, "worker processes"),
+        _Option("out", str, "results", "output directory for persisted results"),
+        _Option("trace_stride", int, None, "evaluations between trace points"),
+        _Option("instance_seed", int, None,
+                "seed of the desk problem instances"),
+    )),
+    "compare": (cmd_compare, (_RESULTS, _ALPHA)),
+    "stats": (cmd_stats, (
+        _RESULTS,
+        _Option("test", str, "friedman", " | ".join(_TESTS)),
+        _ALPHA,
+        _Option("out", str, None, "directory for report files"),
+    )),
+    "export-trace": (cmd_export_trace, (
+        _RESULTS,
+        _Option("problem", str, None, "problem name to export"),
+        _Option("algorithms", _csv_list, None,
+                "comma-separated subset (default all)", env=False),
+        _Option("out", str, None, "output CSV path (default stdout)",
+                env=False),
+    )),
+    "list-problems": (cmd_list_problems, (_DIM._replace(env=False),)),
 }
+_CONFIG_KEYS = tuple(opt.key for opt in _COMMANDS["run"][1][1:])
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="mco",
+        description="Population-based optimizer benchmark harness")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (handler, options) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=handler.__doc__)
+        for opt in options:
+            parser.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
+                                help=opt.help)
+    return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler, options = _COMMANDS[flags["command"]]
     try:
-        return _DISPATCH[args.command](args)
+        return handler(_resolve(options, flags))
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -64,8 +64,6 @@ from .stages import (
 
 SCHEMA_VERSION = 3
 _MASK64 = (1 << 64) - 1
-DEFAULT_POPULATION = 30
-DEFAULT_FES_MULT = 3000
 
 
 class SchemaMismatchError(ValueError):
@@ -94,9 +92,9 @@ class RunConfig:
     problem: str
     seed: int
     dimension: int = 10
-    n: int = DEFAULT_POPULATION
+    n: int = 30
     fes_max: Optional[int] = None        # None -> fes_mult * dimension
-    fes_mult: int = DEFAULT_FES_MULT
+    fes_mult: int = 3000
     trace_stride: Optional[int] = None   # None -> n
     instance_seed: int = 0
 

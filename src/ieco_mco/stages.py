@@ -75,6 +75,12 @@ class Stage(enum.Enum):
     HIGH = 3
 
 
+def algorithm_label(name: str) -> str:
+    """The label an algorithm name resolves by: upper case, without
+    surrounding blanks, ``_`` read as ``-``."""
+    return name.strip().upper().replace("_", "-")
+
+
 class Variant(enum.Enum):
     """Optimizer variants: the base algorithm, three single-operator
     ablations, and the full multi-operator variant."""
@@ -87,7 +93,7 @@ class Variant(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Variant":
-        norm = label.strip().upper().replace("_", "-")
+        norm = algorithm_label(label)
         for v in cls:
             if v.value == norm:
                 return v

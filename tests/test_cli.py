@@ -81,6 +81,63 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[other]\nruns = 2\n", "runs = 2\n"],
+                         ids=["other-section", "no-section"])
+def test_config_without_run_section_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = run_cli("run", "--config", str(cfg), "--problems", "f01",
+                   "--out", str(tmp_path / "r"), *TINY)
+    assert code == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "variable", "config"])
+def test_malformed_value_is_usage_error_whatever_its_source(
+        tmp_path, capsys, monkeypatch, source):
+    argv = ["run", "--algorithms", "ECO", "--problems", "f01", "--dim", "5",
+            "--n", "6", "--fes-max", "60", "--out", str(tmp_path / "r")]
+    if source == "flag":
+        argv += ["--runs", "two"]
+    elif source == "variable":
+        monkeypatch.setenv("MCO_RUNS", "two")
+    else:
+        (tmp_path / "p.cfg").write_text("[run]\nruns = two\n")
+        argv += ["--config", str(tmp_path / "p.cfg")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for runs: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_unset_run_settings_are_left_to_run_config(tmp_path, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(harness, "run_batch",
+                        lambda **kw: seen.update(kw) or ResultSet({}, {}))
+    assert run_cli("run", "--problems", "f01", "--out", str(tmp_path / "r")) == 0
+    assert seen == {"algorithms": ["ieco-mco", "eco"], "problems": ["f01"],
+                    "runs": 30, "base_seed": 0}
+
+
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_empty_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               source):
+    """An empty output directory would persist into the working directory
+    and replace its traces/; it is refused before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "mine.txt").write_text("keep me\n")
+    argv = ["run", "--algorithms", "ECO", "--problems", "f01", *TINY]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        monkeypatch.setenv("MCO_OUT", "")
+    assert run_cli(*argv) == 2
+    assert "no output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traces"]
+    assert (tmp_path / "traces" / "mine.txt").read_text() == "keep me\n"
+
+
 def test_runtime_failure_maps_to_exit_one(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise RuntimeError("synthetic failure")
@@ -308,6 +365,35 @@ def test_each_documented_variable_is_honoured(tmp_path, capsys, monkeypatch,
     assert run_cli(command, *(a.format(results=results) for a in argv)) == code
     printed = "".join(capsys.readouterr())
     assert (tmp_path / needle).exists() if isinstance(needle, Path) else needle in printed
+
+
+@pytest.mark.parametrize("command, flag, variable", [
+    ("compare", "results", "RESULTS"), ("stats", "test", "TEST"),
+    ("export-trace", "problem", "PROBLEM")])
+def test_an_empty_flag_is_a_value(tmp_path, capsys, monkeypatch, command,
+                                  flag, variable):
+    """The flag wins whenever it is given, also when it is empty."""
+    results = str(_synthetic_results(tmp_path, tie=False))
+    raw = {"RESULTS": results, "TEST": "kw", "PROBLEM": "p1"}[variable]
+    monkeypatch.setenv(cli.ENV_PREFIX + variable, raw)
+    argv = [command, "--" + flag, ""]
+    if flag != "results":
+        argv += ["--results", results]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_unknown_test_is_usage_error(tmp_path, capsys, monkeypatch, source):
+    argv = ["stats", "--results", str(_synthetic_results(tmp_path, tie=False))]
+    if source == "flag":
+        argv += ["--test", "bogus"]
+    else:
+        monkeypatch.setenv("MCO_TEST", "bogus")
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown test 'bogus'\n"
+    assert captured.out == ""
 
 
 # --------------------------------------------------------- stats and compare
@@ -553,6 +639,26 @@ def test_export_trace_matches_algorithms_whatever_their_case(tmp_path, capsys):
     assert run_cli("export-trace", "--results", str(out), "--problem", "F01",
                    "--algorithms", "IECO-MCO, Eco") == 0
     assert capsys.readouterr().out.startswith("fes,ieco-mco,eco\n")
+
+
+def test_export_trace_matches_algorithms_by_the_variant_name_rule(tmp_path,
+                                                                  capsys):
+    out = tmp_path / "r"
+    assert run_cli("run", "--algorithms", "ieco_mco,eco", "--problems", "f01",
+                   "--out", str(out), *TINY) == 0
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out), "--problem", "f01",
+                   "--algorithms", "IECO-MCO") == 0
+    assert capsys.readouterr().out.startswith("fes,ieco_mco\n")
+
+
+def test_export_trace_without_problem_is_usage_error(tmp_path, capsys):
+    out = _synthetic_results(tmp_path, tie=False)
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no problem given; use --problem\n"
+    assert captured.out == ""
 
 
 def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):

@@ -429,6 +429,14 @@ def test_result_set_rejects_missing_cells():
         rs.validate_rectangular()
 
 
+def test_result_set_rejects_non_contiguous_run_indices():
+    rs = _tiny_batch()
+    for key in [k for k in rs.records if k[2] == 1]:
+        del rs.records[key]
+    with pytest.raises(ValueError, match="not contiguous"):
+        rs.validate_rectangular()
+
+
 # --------------------------------------------------------------- persistence
 
 
@@ -600,6 +608,27 @@ def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
                               for name in ("0.csv", "1.csv")]
 
 
+def test_results_file_with_a_wrong_header_is_a_runtime_failure(tmp_path,
+                                                                capsys):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / "results.csv"
+    path.write_text(path.read_text().replace("best_fitness", "fitness", 1))
+    with pytest.raises(BrokenResultsError, match="line 1: expected the header"):
+        load(out)
+    assert cli.main(["compare", "--results", str(out)]) == 1
+    assert "%s line 1: expected the header" % path in capsys.readouterr().err
+
+
+def test_two_loaded_sets_compare_equal_trace_by_trace(tmp_path):
+    rs = _tiny_batch()
+    a, b = (load(persist(rs, tmp_path / name)) for name in ("a", "b"))
+    key = ("ECO", "f01-zakharov-d5", 0)
+    assert a.records[key].trace == b.records[key].trace
+    assert a == b
+    b.records[key].trace = list(b.records[key].trace)[:-1]
+    assert a != b
+
+
 def test_persist_over_the_set_it_loaded_gives_it_back(tmp_path):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
@@ -717,3 +746,11 @@ def test_export_trace_unknown_cell():
         export_trace(rs, "no-such-problem")
     with pytest.raises(KeyError):
         export_trace(rs, rs.problems[0], algorithms=["ECO", "GECO"])
+
+
+def test_export_trace_without_trace_data():
+    rs = _tiny_batch()
+    for rec in rs.records.values():
+        rec.trace = []
+    with pytest.raises(ValueError, match="no trace data for problem"):
+        export_trace(rs, rs.problems[0])

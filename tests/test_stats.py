@@ -167,6 +167,21 @@ def test_ranksum_dominant_sample_wins():
     assert verdict == "-"
 
 
+@pytest.mark.parametrize("a,b,verdict", [
+    # medians 5 and 5, means -44.5 and 50.2: the mean decides
+    ([-100.0] * 10 + [5.0] + [6.0] * 10, [4.9] * 10 + [5.0] + [100.0] * 10, "+"),
+    ([4.9] * 10 + [5.0] + [100.0] * 10, [-100.0] * 10 + [5.0] + [6.0] * 10, "-"),
+    # medians and means both 0: no side is better
+    ([-15.5] + [-0.5] * 9 + [0.0] + [2.0] * 10, [-1.0] * 10 + [0.0] + [1.0] * 10,
+     "="),
+], ids=["mean-a", "mean-b", "all-tied"])
+def test_ranksum_verdict_falls_back_to_the_mean_when_medians_tie(a, b, verdict):
+    assert np.median(a) == np.median(b)
+    p, got = wilcoxon_rank_sum(a, b)
+    assert p < 0.05
+    assert got == verdict
+
+
 def test_ranksum_exact_matches_reference_when_tie_free():
     gen = np.random.default_rng(42)
     for _ in range(100):
