@@ -107,6 +107,11 @@ def cmd_run(values) -> int:
     out = values.pop("out")
     if not out:
         raise UsageError("no output directory; use --out")
+    # persist makes the directory only after the whole batch has run
+    blocker = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not blocker.is_dir():
+        raise UsageError("cannot write results to %s: %s is not a directory"
+                         % (out, blocker))
     # run_batch checks every argument before its first run and raises
     # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
     try:
@@ -159,17 +164,16 @@ def _reports(values, tests):
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie in (0, 1); got %g" % alpha)
     try:
-        results.validate_rectangular()
+        matrix = results.to_matrix()
     except ValueError as exc:
         raise UsageError(str(exc))
-    have = (len(results.algorithms), len(results.problems), results.run_count)
+    problems, algorithms, runs = matrix.shape
     for test in tests:
-        for what, got, need in zip(("algorithms", "problems", "runs"), have,
-                                   _TESTS[test][0]):
+        for what, got, need in zip(("algorithms", "problems", "runs"),
+                                   (algorithms, problems, runs), _TESTS[test][0]):
             if got < need:
                 raise UsageError("%s needs at least %d %s; the results hold %d"
                                  % (test, need, what, got))
-    matrix = results.to_matrix()
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         i, j, r = bad[0]
@@ -285,9 +289,6 @@ _COMMANDS = {
         _Option("n", int, None, "population size"),
         _Option("jobs", int, None, "worker processes"),
         _Option("out", str, "results", "output directory for persisted results"),
-        _Option("trace_stride", int, None, "evaluations between trace points"),
-        _Option("instance_seed", int, None,
-                "seed of the desk problem instances"),
     )),
     "compare": (cmd_compare, (_RESULTS, _ALPHA)),
     "stats": (cmd_stats, (

@@ -6,6 +6,9 @@ call (constraint resampling included) and never lets the total exceed
 ``fes_max``. Batches derive one seed per (algorithm, problem, run) cell from
 the base seed and a stable 64-bit hash, so cells are reproducible in
 isolation and identical whether executed serially or in a process pool.
+A run's trace holds one (evaluations used, best-so-far) point after the
+initial population and one after every iteration, the last at the
+evaluations the run used.
 
 Persisted layout under an output directory:
 
@@ -85,7 +88,8 @@ class RunConfig:
     """Everything a single run needs; no ambient entropy.
 
     ``algorithm``, ``problem`` and ``seed`` name one cell; the other fields
-    are the run settings, which a batch shares across its cells.
+    are the run settings, which a batch shares across its cells: the
+    dimension, the population size and the two inputs of the budget rule.
     """
 
     algorithm: str
@@ -95,8 +99,6 @@ class RunConfig:
     n: int = 30
     fes_max: Optional[int] = None        # None -> fes_mult * dimension
     fes_mult: int = 3000
-    trace_stride: Optional[int] = None   # None -> n
-    instance_seed: int = 0
 
     def __post_init__(self):
         Variant.from_label(self.algorithm)
@@ -106,8 +108,6 @@ class RunConfig:
             raise ValueError("population size must be at least 5")
         if self.fes_max is not None and self.fes_max < 2 * self.n:
             raise ValueError("fes_max must be at least 2 * n")
-        if self.trace_stride is not None and self.trace_stride < 1:
-            raise ValueError("trace_stride must be positive")
 
     def settings(self) -> dict:
         """The run settings: every field except the cell's coordinates."""
@@ -296,8 +296,8 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                run_index: int = 0) -> RunRecord:
     """Execute one run; deterministic in ``cfg`` alone."""
     t0 = time.perf_counter()
-    spec = problem if problem is not None else make_problem(
-        cfg.problem, cfg.dimension, cfg.instance_seed)
+    spec = problem if problem is not None else make_problem(cfg.problem,
+                                                            cfg.dimension)
     dim = spec.dimension
     fes_max = cfg.resolved_fes_max(dim)
     variant = Variant.from_label(cfg.algorithm)
@@ -311,18 +311,14 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     archive = (None if variant is Variant.ECO
                else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dim))
 
-    stride = cfg.trace_stride if cfg.trace_stride is not None else cfg.n
     trace: List[Tuple[int, float]] = [(ev.used, float(pop.fitness[0]))]
 
     iteration = 1
     while ev.used + cfg.n <= fes_max:
         ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max, rng)
         pop = step(pop, variant, ctx, archive, rng, ev, spec.bounds)
-        if ev.used - trace[-1][0] >= stride:
-            trace.append((ev.used, float(pop.fitness[0])))
-        iteration += 1
-    if trace[-1][0] != ev.used:
         trace.append((ev.used, float(pop.fitness[0])))
+        iteration += 1
 
     best_violation = float(pop.violation[0])
     return RunRecord(
@@ -380,7 +376,7 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     algorithms = list(variants.values())
     specs: Dict[str, ProblemSpec] = {}
     for prob in problems:
-        spec = make_problem(prob, shared.dimension, shared.instance_seed)
+        spec = make_problem(prob, shared.dimension)
         specs.setdefault(spec.name, spec)
     for spec in specs.values():
         shared.resolved_fes_max(spec.dimension)

@@ -31,11 +31,10 @@ __all__ = [
     "list_problems", "generate_transform", "stable_seed",
 ]
 
-# label -> builder(dimension, instance_seed); an engineering design has its
-# own dimension and one instance
+# label -> builder(dimension); an engineering design has its own dimension
 _REGISTRY = {
     **{label: partial(desk_problem, label) for label in DESK_SUITE},
-    **{label: (lambda dimension, instance_seed, build=build: build())
+    **{label: (lambda dimension, build=build: build())
        for label, build in ENGINEERING.items()},
 }
 
@@ -51,14 +50,14 @@ def list_problems(dimension: int = 10):
             for spec in (make_problem(label, dimension) for label in _REGISTRY)]
 
 
-def make_problem(name: str, dimension: int = 10, instance_seed: int = 0) -> ProblemSpec:
+def make_problem(name: str, dimension: int = 10) -> ProblemSpec:
     """Build a problem by label (f01 .. f12, rw01 .. rw10) or by the full name
     of what that label builds, like ``rw03-three-bar-truss`` or
     ``f05-levy-d10`` at dimension 10; case is ignored."""
     label = problem_label(name)
     if label not in _REGISTRY:
         raise KeyError("unknown problem %r; try f01..f12 or rw01..rw10" % name)
-    spec = _REGISTRY[label](dimension, instance_seed)
+    spec = _REGISTRY[label](dimension)
     if name.strip().lower() not in (label, spec.name.lower()):
         raise KeyError("problem %r is not the name of what its label builds, %s"
                        % (name, spec.name))

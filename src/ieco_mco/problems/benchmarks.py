@@ -288,8 +288,9 @@ DESK_SUITE: dict[str, tuple[str, float]] = {
 }
 
 
-def desk_problem(label: str, dim: int, instance_seed: int = 0) -> ProblemSpec:
+def desk_problem(label: str, dim: int) -> ProblemSpec:
     family, bias = DESK_SUITE[label]
-    ts = generate_transform(dim, stable_seed("desk", label, dim, instance_seed),
-                            f_bias=bias)
+    # The trailing 0 is the instance the golden digests pin; hashing anything
+    # else would move every desk shift and rotation.
+    ts = generate_transform(dim, stable_seed("desk", label, dim, 0), f_bias=bias)
     return make_benchmark(family, dim, ts, name="%s-%s-d%d" % (label, family, dim))

@@ -23,7 +23,7 @@ def run_cli(*argv):
 def clean_env(monkeypatch):
     for key in ("CONFIG", "ALGORITHMS", "PROBLEMS", "RUNS", "SEED", "DIM",
                 "FES_MULT", "FES_MAX", "N", "JOBS", "OUT", "RESULTS", "TEST",
-                "PROBLEM", "TRACE_STRIDE", "INSTANCE_SEED", "ALPHA"):
+                "PROBLEM", "ALPHA"):
         monkeypatch.delenv(cli.ENV_PREFIX + key, raising=False)
 
 
@@ -119,6 +119,22 @@ def test_unset_run_settings_are_left_to_run_config(tmp_path, monkeypatch):
                     "runs": 30, "base_seed": 0}
 
 
+@pytest.mark.parametrize("out", ["afile/r", "afile"])
+def test_an_output_path_through_a_file_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep me\n")
+    calls = []
+    monkeypatch.setattr(cli.harness, "run_single",
+                        lambda *a, **k: calls.append(a))
+    assert run_cli("run", "--algorithms", "ECO", "--problems", "f01", *TINY,
+                   "--out", out) == 2
+    assert "afile is not a directory" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+
+
 @pytest.mark.parametrize("source", ["flag", "variable"])
 def test_empty_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
                                                source):
@@ -166,7 +182,6 @@ def test_failure_inside_a_run_exits_one(tmp_path, capsys, monkeypatch):
     (["--problems", "f01", "--runs", "0"], "runs"),
     (["--problems", "f01", "--n", "3"], "population"),
     (["--problems", "f01", "--fes-max", "5"], "fes_max"),
-    (["--problems", "f01", "--trace-stride", "0"], "trace_stride"),
     (["--problems", "f01", "--algorithms", ""], "no algorithms"),
 ])
 def test_bad_batch_arguments_are_usage_errors(tmp_path, capsys, flags, needle):
@@ -323,8 +338,6 @@ _RUN_VARIABLES = {
     "N": ("8", "n", 8),
     "JOBS": ("2", "jobs", 2),
     "OUT": ("elsewhere", None, None),
-    "TRACE_STRIDE": ("4", "trace_stride", 4),
-    "INSTANCE_SEED": ("9", "instance_seed", 9),
 }
 # For the read commands: argv, the variable's value, the exit code and a
 # needle in what the command prints or, for a path, a file it writes.
@@ -541,6 +554,23 @@ def test_compare_and_stats_open_only_meta_and_results(tmp_path, capsys,
     assert sorted(opened) == ["meta.json", "results.csv"]
 
 
+@pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
+                                  ["stats", "--test", "wilcoxon"],
+                                  ["stats", "--test", "kw"]])
+def test_reports_walk_the_result_grid_once(tmp_path, capsys, monkeypatch, argv):
+    out = _synthetic_results(tmp_path, tie=False)
+    calls = []
+    validate = ResultSet.validate_rectangular
+
+    def spy(self):
+        calls.append(1)
+        return validate(self)
+
+    monkeypatch.setattr(ResultSet, "validate_rectangular", spy)
+    assert run_cli(*argv, "--results", str(out)) == 0
+    assert len(calls) == 1
+
+
 def test_export_trace_decodes_only_its_problems_rows(tmp_path, capsys,
                                                      monkeypatch):
     out = _synthetic_results(tmp_path, tie=False)
@@ -573,6 +603,24 @@ def _real_results(tmp_path):
                    "--fes-max", "120", "--out", str(out))
     assert code == 0
     return out
+
+
+def test_sets_written_with_the_dropped_run_settings_still_read(tmp_path,
+                                                               capsys):
+    """Schema-3 sets written before trace_stride and instance_seed were
+    dropped hold both in meta.json; they load and report unchanged."""
+    results = harness.run_batch(["ECO", "IECO-MCO"], ["f01", "f02"], runs=2,
+                                base_seed=0, dimension=5, n=6, fes_max=120)
+    results.metadata.update(trace_stride=None, instance_seed=0)
+    out = persist(results, tmp_path / "old")
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["schema_version"] == 3
+    assert (meta["trace_stride"], meta["instance_seed"]) == (None, 0)
+    assert load(out).records == results.records
+    assert run_cli("compare", "--results", str(out)) == 0
+    assert run_cli("export-trace", "--results", str(out), "--problem",
+                   "f01") == 0
+    assert "fes,ECO,IECO-MCO" in capsys.readouterr().out
 
 
 def test_export_trace_writes_columnar_series(tmp_path, capsys):

@@ -131,8 +131,6 @@ def test_run_config_validation():
         RunConfig(algorithm="ECO", problem="f01", seed=1, n=4)
     with pytest.raises(ValueError):
         RunConfig(algorithm="ECO", problem="f01", seed=1, n=30, fes_max=59)
-    with pytest.raises(ValueError):
-        RunConfig(algorithm="ECO", problem="f01", seed=1, trace_stride=0)
 
 
 def test_run_config_default_budget_is_3000_d():
@@ -296,12 +294,27 @@ def test_run_single_trace_is_monotone_and_anchored():
     assert best[-1] == rec.best_fitness
 
 
-def test_run_single_trace_stride_thins_records():
-    cfg = RunConfig(algorithm="ECO", problem="f01", seed=2, dimension=5,
-                    n=10, fes_max=600, trace_stride=200)
-    rec = run_single(cfg)
-    gaps = np.diff([f for f, _ in rec.trace])
-    assert all(g >= 200 for g in gaps[:-1])
+@pytest.mark.parametrize("problem", ["f01", "rw03"])
+def test_run_single_records_one_trace_point_per_iteration(monkeypatch, problem):
+    # rw03 resamples infeasible rows, so its iterations charge uneven counts
+    used_before_step = []
+
+    def counted(pop, variant, ctx, archive, rng, ev, bounds):
+        used_before_step.append(ev.used)
+        return step(pop, variant, ctx, archive, rng, ev, bounds)
+
+    monkeypatch.setattr(harness, "step", counted)
+    n = 10
+    rec = run_single(RunConfig(algorithm="IECO-MCO", problem=problem, seed=2,
+                               dimension=5, n=n, fes_max=900))
+    fes = [f for f, _ in rec.trace]
+    assert len(rec.trace) == len(used_before_step) + 1
+    # the first point is the initial population's, each later one a step's
+    assert fes[:-1] == used_before_step
+    assert all(g >= n for g in np.diff(fes))
+    assert fes[-1] == rec.evaluations_used
+    if problem == "rw03":
+        assert fes[0] > n and len(set(np.diff(fes))) > 1
 
 
 def test_run_single_improves_on_sphere():
@@ -389,8 +402,7 @@ def test_run_batch_metadata_is_the_batch_plus_run_config_settings():
              "dimensions", "config_hash", "created_at"}
     assert set(rs.metadata) == settings | batch
     assert {k: rs.metadata[k] for k in settings} == {
-        "dimension": 5, "n": 6, "fes_max": 60, "fes_mult": 3000,
-        "trace_stride": None, "instance_seed": 0}
+        "dimension": 5, "n": 6, "fes_max": 60, "fes_mult": 3000}
 
 
 def test_run_batch_checks_the_budget_of_every_problem_first(monkeypatch):

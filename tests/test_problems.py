@@ -205,12 +205,6 @@ def test_desk_problem_unknown_label():
         desk_problem("f99", 10)
 
 
-def test_desk_suite_instance_seed_changes_shift():
-    a = make_problem("f04", 10, instance_seed=0)
-    b = make_problem("f04", 10, instance_seed=1)
-    assert not np.array_equal(a.known_point, b.known_point)
-
-
 def test_desk_suite_value_at_shift_is_bias_exactly():
     for label, (_, bias) in DESK_SUITE.items():
         spec = make_problem(label, 10)
