@@ -15,12 +15,17 @@ Persisted layout under an output directory:
 - ``results.csv``: one row per run, one column per :class:`RunRecord` field
   except ``trace``, named as the field and in field order (``wall_time``
   last)
-- ``traces/<i>.csv``: one file per problem, ``i`` being the problem's index
-  among the set's distinct problem labels, sorted. One row per run of that
-  problem: algorithm, problem, run, then the trace's n evaluation counts,
-  then its n best-so-far values. :func:`load` reads only ``meta.json`` and
-  ``results.csv``; a loaded record's trace is read on first use, together
-  with the rest of its problem's file
+- ``traces/<i>.npz``: one uncompressed numpy archive per problem, ``i``
+  being the problem's index among the set's distinct problem labels,
+  sorted. It holds five 1-D arrays, one entry per run of that problem in
+  sorted key order for the first three: ``algorithm`` (str), ``run``
+  (int64), ``length`` (int64, the trace's point count), then ``fes``
+  (int64) and ``best`` (float64), every trace's evaluation counts and
+  best-so-far values concatenated in the same order. Read one with
+  ``numpy.load(path, allow_pickle=False)``; ``mco export-trace`` gives the
+  CSV view. :func:`load` reads only ``meta.json`` and ``results.csv``; a
+  loaded record's trace is read on first use, together with the rest of
+  its problem's file
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -38,6 +43,7 @@ import json
 import os
 import shutil
 import time
+import zipfile
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,7 +71,7 @@ from .stages import (
     step,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _MASK64 = (1 << 64) - 1
 
 
@@ -74,8 +80,9 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A persisted cell's traces row is missing, a value does not parse, or
-    a traces file changed between loading a set and reading a trace from it."""
+    """A value of ``results.csv`` does not parse, a traces file is not one
+    :func:`persist` writes or has no trace for a cell, or a traces file
+    changed between loading a set and reading a trace from it."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -282,8 +289,9 @@ class ResultSet:
                 if (a, p) not in cells:
                     continue
                 vals = np.array(cells[a, p])
-                # an infinite best makes std NaN, and inf with -inf the mean
-                with np.errstate(invalid="ignore"):
+                # an infinite best makes std NaN, and inf with -inf the mean;
+                # finite bests past half the float range can make either inf
+                with np.errstate(invalid="ignore", over="ignore"):
                     mean, std = float(vals.mean()), float(vals.std())
                 rows.append({
                     "algorithm": a, "problem": p,
@@ -365,6 +373,10 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
             raise ValueError("no %s given" % what)
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if base_seed < 0:
+        raise ValueError("base seed must be a non-negative integer")
 
     # The cell seeds hash each problem's full name, which depends on the
     # dimension setting, so the settings are read once before any cell.
@@ -389,7 +401,7 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
              for run in range(runs)]
 
     records: Dict[Tuple[str, str, int], RunRecord] = {}
-    if jobs <= 1:
+    if jobs == 1:
         for task in tasks:
             key, rec = _run_cell(task)
             records[key] = rec
@@ -429,7 +441,10 @@ _CODECS = {
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(RunRecord)
             if f.name != "trace"]
 _RESULTS_HEADER = [name for name, _, _ in _COLUMNS]
-_TRACES_HEADER = ["algorithm", "problem", "run", "fes...", "best..."]
+# The arrays of a traces file and their dtypes; "U" is a str dtype of any
+# length.
+_TRACE_ARRAYS = {"algorithm": "U", "run": "<i8", "length": "<i8",
+                 "fes": "<i8", "best": "<f8"}
 
 
 def _write_rows(path: Path, header: List[str], rows):
@@ -440,9 +455,17 @@ def _write_rows(path: Path, header: List[str], rows):
 
 
 def _trace_paths(folder: Path, problems) -> Dict[str, Path]:
-    """The traces file of each problem: ``<i>.csv`` under ``folder``, ``i``
+    """The traces file of each problem: ``<i>.npz`` under ``folder``, ``i``
     being the problem's index among the distinct labels, sorted."""
-    return {p: folder / ("%d.csv" % i) for i, p in enumerate(sorted(set(problems)))}
+    return {p: folder / ("%d.npz" % i) for i, p in enumerate(sorted(set(problems)))}
+
+
+def _trace_arrays(trace):
+    """A trace's evaluation counts and best-so-far values as two arrays, of
+    the dtypes a traces file holds them in, read in one pass."""
+    points = np.fromiter(trace, dtype=[("fes", "<i8"), ("best", "<f8")],
+                         count=len(trace))
+    return points["fes"], points["best"]
 
 
 def persist(results: ResultSet, out_dir) -> Path:
@@ -452,7 +475,7 @@ def persist(results: ResultSet, out_dir) -> Path:
     records = [results.records[key] for key in sorted(results.records)]
     # A loaded set reads its traces from the files about to be replaced on
     # first use, so read them all first.
-    traces = [list(r.trace) for r in records]
+    traces = [_trace_arrays(r.trace) for r in records]
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
@@ -460,18 +483,16 @@ def persist(results: ResultSet, out_dir) -> Path:
     for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
         (out / stale).unlink(missing_ok=True)
     (out / "traces").mkdir()
-    paths = _trace_paths(out / "traces", (r.problem for r in records))
-    for problem, path in paths.items():
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(_TRACES_HEADER)
-            labels = csv.writer(fh, lineterminator="")
-            for r, trace in zip(records, traces):
-                if r.problem != problem:
-                    continue
-                # What csv.writer would write: numbers never need quoting.
-                labels.writerow((r.algorithm, r.problem, r.run))
-                fh.write(",".join(["", *[str(fes) for fes, _ in trace],
-                                   *[str(best) for _, best in trace]]) + "\r\n")
+    cells: Dict[str, list] = {}
+    for r, trace in zip(records, traces):
+        cells.setdefault(r.problem, []).append((r.algorithm, r.run, trace))
+    for problem, path in _trace_paths(out / "traces", cells).items():
+        algorithms, runs, points = zip(*cells[problem])
+        np.savez(path, algorithm=np.array(algorithms, dtype=str),
+                 run=np.array(runs, dtype="<i8"),
+                 length=np.array([len(fes) for fes, _ in points], dtype="<i8"),
+                 fes=np.concatenate([fes for fes, _ in points]),
+                 best=np.concatenate([best for _, best in points]))
     _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
                 ([row["algorithm"], row["problem"], repr(row["best"]),
                   repr(row["mean"]), repr(row["std"])]
@@ -510,12 +531,44 @@ def _read_rows(path: Path, header: List[str], parse):
             yield parsed
 
 
-def _parse_trace(row):
-    algorithm, problem, run, *values = row
-    half = len(values) // 2
-    return ((algorithm, problem, int(run)),
-            list(zip(map(int, values[:half]), map(float, values[half:]),
-                     strict=True)))
+def _read_traces(path: Path, problem: str):
+    """The traces of ``problem``'s file, by cell.
+
+    Raises :class:`BrokenResultsError` naming the file when it is not a
+    numpy archive, lacks an array, holds one of another dtype or shape, or
+    its lengths do not split its points.
+    """
+    try:
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one array, not an archive")
+            with npz:
+                arrays = {name: npz[name] for name in _TRACE_ARRAYS}
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise BrokenResultsError("%s is not a traces file: %s" % (path, exc)) from None
+    for name, dtype in _TRACE_ARRAYS.items():
+        a = arrays[name]
+        if a.ndim != 1 or (a.dtype.kind if dtype == "U" else a.dtype.str) != dtype:
+            raise BrokenResultsError("%s: array %r is %d-D %s; expected 1-D %s"
+                                     % (path, name, a.ndim, a.dtype.str, dtype))
+    lengths = arrays["length"].tolist()
+    if (not len(arrays["algorithm"]) == len(arrays["run"]) == len(lengths)
+            or min(lengths, default=0) < 0
+            or not sum(lengths) == len(arrays["fes"]) == len(arrays["best"])):
+        raise BrokenResultsError(
+            "%s: %d algorithms, %d runs and %d lengths summing to %d do not "
+            "split %d evaluation counts and %d best values"
+            % (path, len(arrays["algorithm"]), len(arrays["run"]), len(lengths),
+               sum(lengths), len(arrays["fes"]), len(arrays["best"])))
+    fes, best = arrays["fes"].tolist(), arrays["best"].tolist()
+    traces = {}
+    end = 0
+    for algorithm, run, length in zip(arrays["algorithm"].tolist(),
+                                      arrays["run"].tolist(), lengths):
+        start, end = end, end + length
+        traces[algorithm, problem, run] = list(zip(fes[start:end], best[start:end]))
+    return traces
 
 
 def _stamp(path: Path):
@@ -541,10 +594,9 @@ class _TraceReader:
             if _stamp(path) != self.stamps[problem]:
                 raise BrokenResultsError("%s changed after the results were loaded"
                                          % path)
-            self.problems[problem] = dict(_read_rows(path, _TRACES_HEADER,
-                                                     _parse_trace))
+            self.problems[problem] = _read_traces(path, problem)
         if key not in self.problems[problem]:
-            raise BrokenResultsError("%s has no row for cell (%s, %s, run %d)"
+            raise BrokenResultsError("%s has no trace for cell (%s, %s, run %d)"
                                      % (path, *key))
         return self.problems[problem][key]
 
@@ -585,9 +637,9 @@ def load(out_dir) -> ResultSet:
     file; each record's trace is read on first use, together with the other
     traces of its problem's file. Raises :class:`BrokenResultsError`, naming
     the file and the cell, when a value of ``results.csv`` does not parse;
-    the first read of a trace raises it when the run has no traces row, a
-    value of its problem's file does not parse, or that file changed since
-    the load.
+    the first read of a trace raises it, naming its problem's file, when
+    that file is not one :func:`persist` writes, has no trace for the run,
+    or changed since the load.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -628,21 +680,18 @@ def export_trace(results: ResultSet, problem: str,
             if key not in results.records:
                 raise KeyError("no record for algorithm %r on problem %r run %d"
                                % (a, problem, r))
-            cell.append(results.records[key].trace)
+            cell.append(_trace_arrays(results.records[key].trace))
         cells[a] = cell
 
-    grid = sorted({fes for cell in cells.values()
-                   for tr in cell for fes, _ in tr})
-    if not grid:
+    counts = [fes for cell in cells.values() for fes, _ in cell]
+    grid = np.unique(np.concatenate(counts)) if counts else np.array([], dtype=np.int64)
+    if not grid.size:
         raise ValueError("no trace data for problem %r" % problem)
-    grid = np.array(grid, dtype=int)
 
     series = {}
     for a in algs:
         acc = np.zeros(len(grid))
-        for tr in cells[a]:
-            fes = np.array([f for f, _ in tr])
-            best = np.array([b for _, b in tr])
+        for fes, best in cells[a]:
             idx = np.searchsorted(fes, grid, side="right") - 1
             idx = np.clip(idx, 0, len(fes) - 1)
             acc += best[idx]

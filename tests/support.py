@@ -134,3 +134,21 @@ def sequential_evaluate(spec, X, rng, fes_max, used=0):
 def traces_bytes(out):
     """The bytes of each file under a persisted set's traces folder, by name."""
     return {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+
+
+def rewrite_traces(path, change):
+    """Write ``change(arrays)`` over the traces file at ``path``, ``arrays``
+    being its arrays by name."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    np.savez(path, **change(arrays))
+
+
+def drop_last_trace(path):
+    """Rewrite the traces file at ``path`` without its last trace."""
+    def drop(a):
+        end = len(a["fes"]) - a["length"][-1]
+        return {"algorithm": a["algorithm"][:-1], "run": a["run"][:-1],
+                "length": a["length"][:-1], "fes": a["fes"][:end],
+                "best": a["best"][:end]}
+    rewrite_traces(path, drop)

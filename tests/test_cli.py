@@ -10,7 +10,7 @@ from ieco_mco import cli, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 from ieco_mco.problems import make_problem
 
-from support import traces_bytes
+from support import drop_last_trace, rewrite_traces, traces_bytes
 
 TINY = ["--runs", "1", "--dim", "5", "--n", "6", "--fes-max", "60"]
 
@@ -133,6 +133,23 @@ def test_an_output_path_through_a_file_is_refused_before_any_run(
     assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
     assert (tmp_path / "afile").read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--jobs", "0"], "jobs must be at least 1"),
+    (["--jobs", "-3"], "jobs must be at least 1"),
+    (["--seed", "-1"], "base seed must be a non-negative integer"),
+])
+def test_no_jobs_or_a_negative_seed_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, flags, message):
+    calls = []
+    monkeypatch.setattr(cli.harness, "run_single",
+                        lambda *a, **k: calls.append(a))
+    assert run_cli("run", "--algorithms", "ECO", "--problems", "f01", *TINY,
+                   *flags, "--out", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert calls == []
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "variable"])
@@ -516,25 +533,28 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
                                     "position value"])
 def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
     out = _synthetic_results(tmp_path, tie=True)
-    # p3's traces are the third problem's file
-    path = out / ("results.csv" if broken == "position value" else "traces/2.csv")
-    rows = path.read_text().splitlines()
+    # p3's traces are the third problem's file; its last trace is beta's run 2
+    path = out / "traces" / "2.npz"
     if broken == "traces row":
-        rows.pop()
-        where = str(path)
+        drop_last_trace(path)
+        expected = ["%s has no trace for cell (beta, p3, run 2)" % path]
+    elif broken == "trace value":
+        rewrite_traces(path, lambda a: {**a, "fes": np.append(a["fes"], 120)})
+        expected = ["%s: " % path, "do not split 13 evaluation counts"]
     else:
-        rows[-1] = (rows[-1] + ",120" if broken == "trace value"
-                    else rows[-1].replace("0.0 0.0", "0.0 nan-ish"))
-        where = "%s line %d" % (path, len(rows))
-    path.write_text("\n".join(rows) + "\n")
+        path = out / "results.csv"
+        rows = path.read_text().splitlines()
+        rows[-1] = rows[-1].replace("0.0 0.0", "0.0 nan-ish")
+        path.write_text("\n".join(rows) + "\n")
+        expected = ["%s line %d, cell (beta, p3, run 2)" % (path, len(rows))]
     capsys.readouterr()
-    # compare reads only results.csv; export-trace reads p3's traces rows.
+    # compare reads only results.csv; export-trace reads p3's traces file.
     argv = (("compare",) if broken == "position value"
             else ("export-trace", "--problem", "p3"))
     assert run_cli(*argv, "--results", str(out)) == 1
     err = capsys.readouterr().err
-    assert where in err
-    assert "cell (beta, p3, run 2)" in err
+    for text in expected:
+        assert text in err
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
@@ -575,15 +595,17 @@ def test_export_trace_decodes_only_its_problems_rows(tmp_path, capsys,
                                                      monkeypatch):
     out = _synthetic_results(tmp_path, tie=False)
     decoded = []
-    parse = harness._parse_trace
+    read = harness._read_traces
 
-    def spy(row):
-        decoded.append(row[1])
-        return parse(row)
+    def spy(path, problem):
+        traces = read(path, problem)
+        decoded.append((path.name, sorted(traces)))
+        return traces
 
-    monkeypatch.setattr(harness, "_parse_trace", spy)
+    monkeypatch.setattr(harness, "_read_traces", spy)
     assert run_cli("export-trace", "--results", str(out), "--problem", "p3") == 0
-    assert decoded == ["p3"] * 6
+    assert decoded == [("2.npz", [(a, "p3", r) for a in ("alpha", "beta")
+                                  for r in range(3)])]
 
 
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):
@@ -605,24 +627,6 @@ def _real_results(tmp_path):
     return out
 
 
-def test_sets_written_with_the_dropped_run_settings_still_read(tmp_path,
-                                                               capsys):
-    """Schema-3 sets written before trace_stride and instance_seed were
-    dropped hold both in meta.json; they load and report unchanged."""
-    results = harness.run_batch(["ECO", "IECO-MCO"], ["f01", "f02"], runs=2,
-                                base_seed=0, dimension=5, n=6, fes_max=120)
-    results.metadata.update(trace_stride=None, instance_seed=0)
-    out = persist(results, tmp_path / "old")
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["schema_version"] == 3
-    assert (meta["trace_stride"], meta["instance_seed"]) == (None, 0)
-    assert load(out).records == results.records
-    assert run_cli("compare", "--results", str(out)) == 0
-    assert run_cli("export-trace", "--results", str(out), "--problem",
-                   "f01") == 0
-    assert "fes,ECO,IECO-MCO" in capsys.readouterr().out
-
-
 def test_export_trace_writes_columnar_series(tmp_path, capsys):
     out = _real_results(tmp_path)
     capsys.readouterr()
@@ -636,6 +640,50 @@ def test_export_trace_writes_columnar_series(tmp_path, capsys):
     for col in (1, 2):
         series = [float(r.split(",")[col]) for r in lines[1:]]
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
+
+
+def _export_text_walking_each_point(results, problem):
+    """What export-trace printed when it read each trace point by point: a
+    grid of every recorded evaluation count, then per algorithm the mean
+    over runs of the best value at or before each grid point."""
+    algs, runs = results.algorithms, results.run_count
+    traces = {a: [list(results.records[(a, problem, r)].trace)
+                  for r in range(runs)] for a in algs}
+    grid = np.array(sorted({f for a in algs for tr in traces[a] for f, _ in tr}),
+                    dtype=int)
+    series = {}
+    for a in algs:
+        acc = np.zeros(len(grid))
+        for tr in traces[a]:
+            fes = np.array([f for f, _ in tr])
+            idx = np.clip(np.searchsorted(fes, grid, side="right") - 1, 0,
+                          len(fes) - 1)
+            acc += np.array([b for _, b in tr])[idx]
+        series[a] = acc / runs
+    return "".join("%d,%s\n" % (fes, ",".join(repr(float(series[a][i]))
+                                               for a in algs))
+                   for i, fes in enumerate(grid))
+
+
+def test_export_trace_prints_what_the_point_by_point_reading_printed(
+        tmp_path, capsys):
+    """Constrained cells resample, so their runs record different
+    evaluation counts and the grid is the union of ragged traces."""
+    out = tmp_path / "r"
+    assert run_cli("run", "--algorithms", "ECO,IECO-MCO", "--problems",
+                   "f01,rw03", "--runs", "3", "--dim", "5", "--n", "6",
+                   "--fes-max", "120", "--out", str(out)) == 0
+    results = load(out)
+    rw03 = "rw03-three-bar-truss"
+    grids = {tuple(f for f, _ in results.records[("ECO", rw03, r)].trace)
+             for r in range(3)}
+    assert len(grids) > 1
+    for problem in ("f01-zakharov-d5", rw03):
+        capsys.readouterr()
+        assert run_cli("export-trace", "--results", str(out), "--problem",
+                       problem) == 0
+        assert capsys.readouterr().out == (
+            "fes,ECO,IECO-MCO\n" + _export_text_walking_each_point(results, problem))
 
 
 def test_export_trace_to_stdout(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
 from ieco_mco.stages import Population, StageContext, Variant, stage_of, step
 
-from support import sphere_spec, traces_bytes
+from support import drop_last_trace, rewrite_traces, sphere_spec, traces_bytes
 
 DESK = ["f%02d" % i for i in range(1, 13)]
 
@@ -423,6 +424,22 @@ def test_run_batch_validation():
         run_batch(["NOPE"], ["f01"], runs=1, base_seed=1)
 
 
+@pytest.mark.parametrize("argument,message", [
+    ({"jobs": 0}, "jobs must be at least 1"),
+    ({"jobs": -3}, "jobs must be at least 1"),
+    ({"base_seed": -1}, "base seed must be a non-negative integer"),
+])
+def test_run_batch_refuses_no_jobs_and_a_negative_base_seed(monkeypatch,
+                                                            argument, message):
+    calls = []
+    monkeypatch.setattr(harness, "run_single",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=message):
+        run_batch(**{"algorithms": ["ECO"], "problems": ["f01"], "runs": 1,
+                     "base_seed": 1, **argument})
+    assert calls == []
+
+
 def test_run_batch_drops_labels_that_name_an_earlier_variant_or_problem():
     rs = run_batch(["ECO", "eco"], ["f01", "f01-zakharov-d5"], runs=2,
                    base_seed=4, dimension=5, n=6, fes_max=60)
@@ -528,8 +545,24 @@ def _schema_2_directory(out):
     return out
 
 
+def _schema_3_directory(out):
+    """One run as schema 3 laid it out: each problem's traces in a CSV file."""
+    (out / "traces").mkdir(parents=True)
+    (out / "meta.json").write_text(json.dumps(
+        {"schema_version": 3, "algorithms": ["ECO"], "problems": ["f01"],
+         "runs": 1}))
+    (out / "results.csv").write_text(
+        ",".join(f.name for f in fields(RunRecord) if f.name != "trace")
+        + "\nECO,f01,2,0,7,0.5 0.5,0.5,0.5,0.0,1,12,0.01\n")
+    (out / "traces" / "0.csv").write_text(
+        "algorithm,problem,run,fes...,best...\nECO,f01,0,6,12,1.5,0.5\n")
+    (out / "summary.csv").write_text(
+        "algorithm,problem,best,mean,std\nECO,f01,0.5,0.5,0.0\n")
+    return out
+
+
 @pytest.mark.parametrize("make", [_schema_999_directory, _schema_1_directory,
-                                  _schema_2_directory])
+                                  _schema_2_directory, _schema_3_directory])
 def test_load_rejects_schema_mismatch(tmp_path, capsys, make):
     out = make(tmp_path / "out")
     version = json.loads((out / "meta.json").read_text())["schema_version"]
@@ -549,24 +582,27 @@ def _rewrite_last_row(path, change):
     return "%s line %d" % (path, len(rows))
 
 
-# The traces files of _tiny_batch: f01-zakharov-d5 is 0.csv, f02-rosenbrock-d5
-# is 1.csv.
+# The traces files of _tiny_batch: f01-zakharov-d5 is 0.npz, f02-rosenbrock-d5
+# is 1.npz; each file's last trace is IECO-MCO's run 2.
+LAST_CELL = "cell (IECO-MCO, f02-rosenbrock-d5, run 2)"
+
+
 def _drop_last_trace(out):
-    path = out / "traces" / "1.csv"
-    rows = path.read_text().splitlines()
-    path.write_text("\n".join(rows[:-1]) + "\n")
-    return str(path)
+    path = out / "traces" / "1.npz"
+    drop_last_trace(path)
+    return ["%s has no trace for %s" % (path, LAST_CELL)]
 
 
 def _add_a_trace_value(out):
-    return _rewrite_last_row(out / "traces" / "1.csv",
-                             lambda header, row: row.append("120"))
+    path = out / "traces" / "1.npz"
+    rewrite_traces(path, lambda a: {**a, "fes": np.append(a["fes"], 120)})
+    return ["%s: " % path, "do not split 61 evaluation counts and 60 best values"]
 
 
 def _bad_position(out):
     def change(header, row):
         row[header.index("best_position")] = "nan-ish 1.0"
-    return _rewrite_last_row(out / "results.csv", change)
+    return [_rewrite_last_row(out / "results.csv", change), LAST_CELL]
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_trace, _add_a_trace_value,
@@ -574,25 +610,90 @@ def _bad_position(out):
 def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
-    broken = corrupt(out)
+    expected = corrupt(out)
     with pytest.raises(BrokenResultsError) as err:
         # A traces file is read on a trace's first use, results.csv at load.
         list(load(out).records[("IECO-MCO", "f02-rosenbrock-d5", 2)].trace)
-    assert broken in str(err.value)
-    assert "cell (IECO-MCO, f02-rosenbrock-d5, run 2)" in str(err.value)
+    for text in expected:
+        assert text in str(err.value)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _save_one_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
+def _flip_a_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+# Each way a traces file can be broken, and what the error says about it.
+_BROKEN_TRACES = {
+    "truncated": (_truncate, "is not a traces file"),
+    "empty": (lambda path: path.write_bytes(b""), "is not a traces file"),
+    "csv text": (lambda path: path.write_text("algorithm,problem,run\n"),
+                 "is not a traces file"),
+    "one array": (_save_one_array, "not an archive"),
+    "flipped byte": (_flip_a_byte, "is not a traces file"),
+    "missing array": (lambda path: rewrite_traces(path, lambda a: {
+        k: v for k, v in a.items() if k != "length"}), "length"),
+    "object array": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "algorithm": a["algorithm"].astype(object)}), "is not a traces file"),
+    "int32 runs": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "run": a["run"].astype(np.int32)}), "array 'run' is 1-D <i4"),
+    "float counts": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "fes": a["fes"].astype(float)}), "array 'fes' is 1-D <f8"),
+    "2-D best": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "best": a["best"].reshape(2, -1)}), "array 'best' is 2-D"),
+    "bytes labels": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "algorithm": a["algorithm"].astype("S")}), "array 'algorithm'"),
+    "lengths short": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "length": a["length"] - 1}), "do not split"),
+    "a run too many": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "run": np.append(a["run"], 7)}), "do not split"),
+    "negative length": (lambda path: rewrite_traces(path, lambda a: {
+        **a, "length": a["length"] * np.array([-1, 1, 1, 1, 1, 3])}),
+        "do not split"),
+}
+
+
+@pytest.mark.parametrize("broken", _BROKEN_TRACES)
+def test_a_broken_traces_file_is_named_and_fails_the_cli(tmp_path, capsys,
+                                                         broken):
+    corrupt, message = _BROKEN_TRACES[broken]
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / "traces" / "1.npz"
+    corrupt(path)
+    with pytest.raises(BrokenResultsError, match="^%s" % re.escape(str(path))) as err:
+        list(load(out).records[("ECO", "f02-rosenbrock-d5", 0)].trace)
+    assert message in str(err.value)
+    # The other problem's file still reads.
+    assert load(out).records[("ECO", "f01-zakharov-d5", 0)].trace
+    capsys.readouterr()
+    assert cli.main(["export-trace", "--results", str(out), "--problem",
+                     "f02"]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", ["append a row", "touch"])
 def test_trace_read_after_the_traces_file_changed_names_it(tmp_path, change):
     out = persist(_tiny_batch(), tmp_path / "out")
     rs = load(out)
-    path = out / "traces" / "0.csv"
+    path = out / "traces" / "0.npz"
     if change == "touch":
         stat = path.stat()
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
     else:
-        with open(path, "a", newline="") as fh:
-            fh.write("ECO,f01-zakharov-d5,9,6,1.5\r\n")
+        rewrite_traces(path, lambda a: {
+            "algorithm": np.append(a["algorithm"], "ECO"),
+            "run": np.append(a["run"], 9), "length": np.append(a["length"], 1),
+            "fes": np.append(a["fes"], 6), "best": np.append(a["best"], 1.5)})
     with pytest.raises(BrokenResultsError, match="changed") as err:
         list(rs.records[("ECO", "f01-zakharov-d5", 0)].trace)
     assert str(path) in str(err.value)
@@ -615,9 +716,9 @@ def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "open", spy, raising=False)
     assert back == rs
     assert back == rs
-    # sorted labels: 'f01 "a,\r\nb"' is 0.csv, "f02" is 1.csv
+    # sorted labels: 'f01 "a,\r\nb"' is 0.npz, "f02" is 1.npz
     assert sorted(opened) == [tmp_path / "out" / "traces" / name
-                              for name in ("0.csv", "1.csv")]
+                              for name in ("0.npz", "1.npz")]
 
 
 def test_results_file_with_a_wrong_header_is_a_runtime_failure(tmp_path,
@@ -654,7 +755,7 @@ def test_persist_replaces_the_traces_of_the_set_there_before(tmp_path):
     out = persist(_tiny_batch(problems=("f01", "f02", "f03")), tmp_path / "out")
     rs = _tiny_batch(problems=("f04",))
     persist(rs, out)
-    assert sorted(traces_bytes(out)) == ["0.csv"]
+    assert sorted(traces_bytes(out)) == ["0.npz"]
     assert load(out) == rs
 
 
@@ -705,6 +806,18 @@ def test_summary_of_a_non_finite_best_has_nan_std_and_no_warning(tmp_path, bests
     persist(rs, tmp_path / "out")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bests", [(1.7e308, 1.7e308), (1.7e308, -1.7e308)])
+def test_summary_of_bests_near_the_float_limit_warns_nothing(tmp_path, bests):
+    """The sum or the squared deviations of such bests overflow."""
+    rs = _tiny_batch()
+    keys = sorted(rs.records)
+    for key, best in zip(keys, bests):
+        rs.records[key].best_fitness = best
+    assert len(rs.summary()) == 4
+    persist(rs, tmp_path / "out")
+
+
 def test_persisted_bytes_are_reproducible(tmp_path):
     a = persist(_tiny_batch(), tmp_path / "a")
     b = persist(_tiny_batch(), tmp_path / "b")
@@ -719,7 +832,7 @@ def test_persisted_bytes_are_reproducible(tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
     assert sorted(p.name for p in a.iterdir()) == [
         "meta.json", "results.csv", "summary.csv", "traces"]
-    assert sorted(traces_bytes(a)) == ["0.csv", "1.csv"]
+    assert sorted(traces_bytes(a)) == ["0.npz", "1.npz"]
 
     # metadata differs only in the timestamp
     meta_a = json.loads((a / "meta.json").read_text())

@@ -26,11 +26,10 @@ where that rule leaves it.
 
 Persisting a result set and loading it back gives equal records, whatever
 the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
-best), however long the traces (up to 20,000 points, past the csv module's
-131,072-character field limit had a trace been one field) and whatever
-commas and quotes the labels hold. Each problem's traces file that persist
-writes with one join per row equals what ``csv.writer`` writes for the same
-rows.
+best), however long the traces (up to 20,000 points) and whatever commas,
+quotes and line breaks the labels hold. The arrays of each problem's traces
+file hold its records' traces bit for bit, read by ``numpy.load`` with
+pickles refused.
 
 A whole run, drawn over variant, population size, dimension, budget,
 registry problem, seed and a share of the box that reads as inf or NaN,
@@ -39,10 +38,8 @@ sorted with no order statistic of its fitness rising, records a trace
 that never rises, and persists and loads back.
 """
 
-import csv
 import dataclasses
 import functools
-import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -304,8 +301,8 @@ def test_block_resampling_keeps_a_buffered_half():
 _edge_floats = st.sampled_from([float("inf"), float("-inf"), -0.0, 5e-324,
                                 2.2250738585072014e-308, INFEASIBLE_BASE + 0.375])
 _floats = st.one_of(_edge_floats, st.floats(allow_nan=False))
-_labels = st.one_of(st.sampled_from(["f01", 'rw,03 "bar"', '"', ","]),
-                    st.text(alphabet='ab,"\' ;', min_size=1, max_size=6))
+_labels = st.one_of(st.sampled_from(["f01", 'rw,03 "bar"', '"', ",", "a\r\nb"]),
+                    st.text(alphabet='ab,"\' ;\n\r', min_size=1, max_size=6))
 
 
 @st.composite
@@ -360,21 +357,29 @@ def test_persist_then_load_gives_equal_records(rs):
 
 @settings(max_examples=40, deadline=None)
 @given(result_sets())
-def test_traces_file_equals_what_csv_writer_writes(rs):
-    expected = {}
-    for i, problem in enumerate(sorted({rec.problem for rec in rs.records.values()})):
-        text = io.StringIO(newline="")
-        writer = csv.writer(text)
-        writer.writerow(["algorithm", "problem", "run", "fes...", "best..."])
-        for key in sorted(rs.records):
-            rec = rs.records[key]
-            if rec.problem == problem:
-                writer.writerow([rec.algorithm, rec.problem, rec.run,
-                                 *[fes for fes, _ in rec.trace],
-                                 *[best for _, best in rec.trace]])
-        expected["%d.csv" % i] = text.getvalue().encode()
+def test_traces_file_arrays_hold_the_records_traces_bit_for_bit(rs):
+    problems = sorted({rec.problem for rec in rs.records.values()})
     with tempfile.TemporaryDirectory() as tmp:
-        assert traces_bytes(persist(rs, Path(tmp))) == expected
+        folder = persist(rs, Path(tmp)) / "traces"
+        assert sorted(p.name for p in folder.iterdir()) == sorted(
+            "%d.npz" % i for i in range(len(problems)))
+        for i, problem in enumerate(problems):
+            records = [rs.records[key] for key in sorted(rs.records)
+                       if key[1] == problem]
+            with np.load(folder / ("%d.npz" % i), allow_pickle=False) as npz:
+                assert npz.files == ["algorithm", "run", "length", "fes", "best"]
+                arrays = {name: npz[name] for name in npz.files}
+            assert arrays["algorithm"].dtype.kind == "U"
+            assert arrays["algorithm"].tolist() == [r.algorithm for r in records]
+            for name, expected in (
+                    ("run", [r.run for r in records]),
+                    ("length", [len(r.trace) for r in records]),
+                    ("fes", [f for r in records for f, _ in r.trace])):
+                assert arrays[name].dtype == np.dtype("<i8")
+                assert arrays[name].tolist() == expected
+            best = np.array([b for r in records for _, b in r.trace], dtype="<f8")
+            assert arrays["best"].dtype == np.dtype("<f8")
+            assert arrays["best"].tobytes() == best.tobytes()
 
 
 # ------------------------------------------------------------------ whole runs
