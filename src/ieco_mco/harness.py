@@ -6,9 +6,9 @@ call (constraint resampling included) and never lets the total exceed
 ``fes_max``. Batches derive one seed per (algorithm, problem, run) cell from
 the base seed and a stable 64-bit hash, so cells are reproducible in
 isolation and identical whether executed serially or in a process pool.
-A run's trace holds one (evaluations used, best-so-far) point after the
-initial population and one after every iteration, the last at the
-evaluations the run used.
+A run's trace is a :data:`TRACE_DTYPE` array of (evaluations used,
+best-so-far) points: one after the initial population and one after every
+iteration, the last at the evaluations the run used.
 
 Persisted layout under an output directory:
 
@@ -23,9 +23,8 @@ Persisted layout under an output directory:
   (int64) and ``best`` (float64), every trace's evaluation counts and
   best-so-far values concatenated in the same order. Read one with
   ``numpy.load(path, allow_pickle=False)``; ``mco export-trace`` gives the
-  CSV view. :func:`load` reads only ``meta.json`` and ``results.csv``; a
-  loaded record's trace is read on first use, together with the rest of
-  its problem's file
+  CSV view. :func:`load` reads every traces file, and each loaded record's
+  trace is a slice of its file's arrays
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -36,11 +35,9 @@ Record equality ignores wall_time (the only non-deterministic field).
 
 from __future__ import annotations
 
-import collections.abc
 import csv
 import hashlib
 import json
-import os
 import shutil
 import time
 import zipfile
@@ -73,6 +70,9 @@ from .stages import (
 
 SCHEMA_VERSION = 4
 _MASK64 = (1 << 64) - 1
+# A trace's points: evaluations used and best-so-far fitness, the dtypes a
+# traces file holds them in.
+TRACE_DTYPE = np.dtype([("fes", "<i8"), ("best", "<f8")])
 
 
 class SchemaMismatchError(ValueError):
@@ -80,9 +80,8 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A value of ``results.csv`` does not parse, a traces file is not one
-    :func:`persist` writes or has no trace for a cell, or a traces file
-    changed between loading a set and reading a trace from it."""
+    """A value of ``results.csv`` does not parse, or a traces file is not
+    one :func:`persist` writes or has no trace for a cell."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -189,8 +188,8 @@ class RunRecord:
     """Outcome of one independent run.
 
     Equality ignores ``wall_time``; every other field must match exactly.
-    A run's ``trace`` is a list; :func:`load` gives each record a sequence
-    that reads the trace from its problem's traces file on first use.
+    ``trace`` is a :data:`TRACE_DTYPE` array; a sequence of (fes, best)
+    pairs given in its place is converted on construction.
     """
 
     algorithm: str
@@ -203,9 +202,13 @@ class RunRecord:
     best_objective: float
     best_violation: float
     feasible: bool
-    trace: Sequence[Tuple[int, float]]
+    trace: np.ndarray
     evaluations_used: int
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        if not (isinstance(self.trace, np.ndarray) and self.trace.dtype == TRACE_DTYPE):
+            self.trace = np.array([tuple(p) for p in self.trace], dtype=TRACE_DTYPE)
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
@@ -290,9 +293,14 @@ class ResultSet:
                     continue
                 vals = np.array(cells[a, p])
                 # an infinite best makes std NaN, and inf with -inf the mean;
-                # finite bests past half the float range can make either inf
+                # finite bests past half the float range can make either inf,
+                # so those are read again as multiples of the largest one
                 with np.errstate(invalid="ignore", over="ignore"):
                     mean, std = float(vals.mean()), float(vals.std())
+                if not np.isfinite([mean, std]).all() and np.isfinite(vals).all():
+                    scale = np.abs(vals).max()
+                    mean = float((vals / scale).mean() * scale)
+                    std = float((vals / scale).std() * scale)
                 rows.append({
                     "algorithm": a, "problem": p,
                     "best": float(vals.min()), "mean": mean, "std": std,
@@ -319,13 +327,15 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     archive = (None if variant is Variant.ECO
                else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dim))
 
-    trace: List[Tuple[int, float]] = [(ev.used, float(pop.fitness[0]))]
+    # every point after the first is an iteration's, which charges at least n
+    trace = np.empty(fes_max // cfg.n + 1, dtype=TRACE_DTYPE)
+    trace[0] = ev.used, pop.fitness[0]
 
     iteration = 1
     while ev.used + cfg.n <= fes_max:
         ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max, rng)
         pop = step(pop, variant, ctx, archive, rng, ev, spec.bounds)
-        trace.append((ev.used, float(pop.fitness[0])))
+        trace[iteration] = ev.used, pop.fitness[0]
         iteration += 1
 
     best_violation = float(pop.violation[0])
@@ -337,7 +347,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         best_objective=float(pop.objective[0]),
         best_violation=best_violation,
         feasible=best_violation <= VIOLATION_TOL,
-        trace=trace, evaluations_used=ev.used,
+        trace=trace[:iteration], evaluations_used=ev.used,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -460,22 +470,18 @@ def _trace_paths(folder: Path, problems) -> Dict[str, Path]:
     return {p: folder / ("%d.npz" % i) for i, p in enumerate(sorted(set(problems)))}
 
 
-def _trace_arrays(trace):
-    """A trace's evaluation counts and best-so-far values as two arrays, of
-    the dtypes a traces file holds them in, read in one pass."""
-    points = np.fromiter(trace, dtype=[("fes", "<i8"), ("best", "<f8")],
-                         count=len(trace))
-    return points["fes"], points["best"]
-
-
 def persist(results: ResultSet, out_dir) -> Path:
-    """Write the result set under ``out_dir``; returns the directory path."""
+    """Write the result set under ``out_dir``; returns the directory path.
+
+    Raises ValueError, before writing anything, for an algorithm label that
+    holds a NUL character: a traces file's str array drops trailing NULs.
+    """
+    records = [results.records[key] for key in sorted(results.records)]
+    for r in records:
+        if "\0" in r.algorithm:
+            raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = [results.records[key] for key in sorted(results.records)]
-    # A loaded set reads its traces from the files about to be replaced on
-    # first use, so read them all first.
-    traces = [_trace_arrays(r.trace) for r in records]
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
@@ -483,16 +489,16 @@ def persist(results: ResultSet, out_dir) -> Path:
     for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
         (out / stale).unlink(missing_ok=True)
     (out / "traces").mkdir()
-    cells: Dict[str, list] = {}
-    for r, trace in zip(records, traces):
-        cells.setdefault(r.problem, []).append((r.algorithm, r.run, trace))
+    cells: Dict[str, List[RunRecord]] = {}
+    for r in records:
+        cells.setdefault(r.problem, []).append(r)
     for problem, path in _trace_paths(out / "traces", cells).items():
-        algorithms, runs, points = zip(*cells[problem])
-        np.savez(path, algorithm=np.array(algorithms, dtype=str),
-                 run=np.array(runs, dtype="<i8"),
-                 length=np.array([len(fes) for fes, _ in points], dtype="<i8"),
-                 fes=np.concatenate([fes for fes, _ in points]),
-                 best=np.concatenate([best for _, best in points]))
+        rows = cells[problem]
+        points = np.concatenate([r.trace for r in rows])
+        np.savez(path, algorithm=np.array([r.algorithm for r in rows], dtype=str),
+                 run=np.array([r.run for r in rows], dtype="<i8"),
+                 length=np.array([len(r.trace) for r in rows], dtype="<i8"),
+                 fes=points["fes"], best=points["best"])
     _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
                 ([row["algorithm"], row["problem"], repr(row["best"]),
                   repr(row["mean"]), repr(row["std"])]
@@ -531,8 +537,9 @@ def _read_rows(path: Path, header: List[str], parse):
             yield parsed
 
 
-def _read_traces(path: Path, problem: str):
-    """The traces of ``problem``'s file, by cell.
+def _read_traces(path: Path, problem: str) -> Dict[Tuple[str, str, int], np.ndarray]:
+    """The traces of ``problem``'s file, by cell, each a slice of one
+    :data:`TRACE_DTYPE` array.
 
     Raises :class:`BrokenResultsError` naming the file when it is not a
     numpy archive, lacks an array, holds one of another dtype or shape, or
@@ -561,85 +568,25 @@ def _read_traces(path: Path, problem: str):
             "split %d evaluation counts and %d best values"
             % (path, len(arrays["algorithm"]), len(arrays["run"]), len(lengths),
                sum(lengths), len(arrays["fes"]), len(arrays["best"])))
-    fes, best = arrays["fes"].tolist(), arrays["best"].tolist()
+    points = np.empty(len(arrays["fes"]), dtype=TRACE_DTYPE)
+    points["fes"], points["best"] = arrays["fes"], arrays["best"]
     traces = {}
     end = 0
     for algorithm, run, length in zip(arrays["algorithm"].tolist(),
                                       arrays["run"].tolist(), lengths):
         start, end = end, end + length
-        traces[algorithm, problem, run] = list(zip(fes[start:end], best[start:end]))
+        traces[algorithm, problem, run] = points[start:end]
     return traces
-
-
-def _stamp(path: Path):
-    stat = os.stat(path)
-    return stat.st_size, stat.st_mtime_ns
-
-
-class _TraceReader:
-    """The traces files of one loaded set, each read whole on the first use
-    of one of its problem's traces. Each file's size and modification time
-    are taken at load; a read that finds them changed raises
-    :class:`BrokenResultsError`."""
-
-    def __init__(self, folder: Path, problems):
-        self.paths = _trace_paths(folder, problems)
-        self.stamps = {p: _stamp(path) for p, path in self.paths.items()}
-        self.problems: Dict[str, dict] = {}
-
-    def trace(self, key: Tuple[str, str, int]) -> List[Tuple[int, float]]:
-        problem = key[1]
-        path = self.paths[problem]
-        if problem not in self.problems:
-            if _stamp(path) != self.stamps[problem]:
-                raise BrokenResultsError("%s changed after the results were loaded"
-                                         % path)
-            self.problems[problem] = _read_traces(path, problem)
-        if key not in self.problems[problem]:
-            raise BrokenResultsError("%s has no trace for cell (%s, %s, run %d)"
-                                     % (path, *key))
-        return self.problems[problem][key]
-
-
-class _LoadedTrace(collections.abc.Sequence):
-    """A loaded record's trace, read through its set's :class:`_TraceReader`
-    on first use."""
-
-    def __init__(self, reader: _TraceReader, key: Tuple[str, str, int]):
-        self._reader = reader
-        self._key = key
-
-    def _points(self) -> List[Tuple[int, float]]:
-        return self._reader.trace(self._key)
-
-    def __len__(self):
-        return len(self._points())
-
-    def __getitem__(self, index):
-        return self._points()[index]
-
-    def __iter__(self):
-        return iter(self._points())
-
-    def __eq__(self, other):
-        if isinstance(other, _LoadedTrace):
-            other = other._points()
-        return self._points() == other
-
-    def __repr__(self):
-        return repr(self._points())
 
 
 def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
-    Reads ``meta.json`` and ``results.csv`` and stats each problem's traces
-    file; each record's trace is read on first use, together with the other
-    traces of its problem's file. Raises :class:`BrokenResultsError`, naming
-    the file and the cell, when a value of ``results.csv`` does not parse;
-    the first read of a trace raises it, naming its problem's file, when
-    that file is not one :func:`persist` writes, has no trace for the run,
-    or changed since the load.
+    Reads ``meta.json``, ``results.csv`` and every problem's traces file;
+    each record's trace is a slice of its file's arrays. Raises
+    :class:`BrokenResultsError`, naming the file and the cell, when a value
+    of ``results.csv`` does not parse, and naming the file when a traces
+    file is not one :func:`persist` writes or has no trace for a run.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -653,13 +600,19 @@ def load(out_dir) -> ResultSet:
     def parse_result(row):
         values = {name: decode(text)
                   for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
-        key = (values["algorithm"], values["problem"], values["run"])
-        return key, RunRecord(trace=None, **values)
+        return (values["algorithm"], values["problem"], values["run"]), values
 
-    records = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
-    traces = _TraceReader(out / "traces", (key[1] for key in records))
-    for key, rec in records.items():
-        rec.trace = _LoadedTrace(traces, key)
+    rows = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
+    paths = _trace_paths(out / "traces", (key[1] for key in rows))
+    traces = {}
+    for problem, path in paths.items():
+        traces.update(_read_traces(path, problem))
+    records = {}
+    for key, values in rows.items():
+        if key not in traces:
+            raise BrokenResultsError("%s has no trace for cell (%s, %s, run %d)"
+                                     % (paths[key[1]], *key))
+        records[key] = RunRecord(trace=traces[key], **values)
     return ResultSet(records, metadata)
 
 
@@ -680,10 +633,10 @@ def export_trace(results: ResultSet, problem: str,
             if key not in results.records:
                 raise KeyError("no record for algorithm %r on problem %r run %d"
                                % (a, problem, r))
-            cell.append(_trace_arrays(results.records[key].trace))
+            cell.append(results.records[key].trace)
         cells[a] = cell
 
-    counts = [fes for cell in cells.values() for fes, _ in cell]
+    counts = [trace["fes"] for cell in cells.values() for trace in cell]
     grid = np.unique(np.concatenate(counts)) if counts else np.array([], dtype=np.int64)
     if not grid.size:
         raise ValueError("no trace data for problem %r" % problem)
@@ -691,9 +644,9 @@ def export_trace(results: ResultSet, problem: str,
     series = {}
     for a in algs:
         acc = np.zeros(len(grid))
-        for fes, best in cells[a]:
-            idx = np.searchsorted(fes, grid, side="right") - 1
-            idx = np.clip(idx, 0, len(fes) - 1)
-            acc += best[idx]
+        for trace in cells[a]:
+            idx = np.searchsorted(trace["fes"], grid, side="right") - 1
+            idx = np.clip(idx, 0, len(trace) - 1)
+            acc += trace["best"][idx]
         series[a] = acc / runs
     return grid, series

@@ -547,21 +547,20 @@ def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
         rows[-1] = rows[-1].replace("0.0 0.0", "0.0 nan-ish")
         path.write_text("\n".join(rows) + "\n")
         expected = ["%s line %d, cell (beta, p3, run 2)" % (path, len(rows))]
-    capsys.readouterr()
-    # compare reads only results.csv; export-trace reads p3's traces file.
-    argv = (("compare",) if broken == "position value"
-            else ("export-trace", "--problem", "p3"))
-    assert run_cli(*argv, "--results", str(out)) == 1
-    err = capsys.readouterr().err
-    for text in expected:
-        assert text in err
+    # every command loads the whole set: results.csv and each traces file
+    for argv in (("compare",), ("export-trace", "--problem", "p1")):
+        capsys.readouterr()
+        assert run_cli(*argv, "--results", str(out)) == 1
+        err = capsys.readouterr().err
+        for text in expected:
+            assert text in err
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
                                   ["stats", "--test", "wilcoxon"],
                                   ["stats", "--test", "kw"]])
-def test_compare_and_stats_open_only_meta_and_results(tmp_path, capsys,
-                                                      monkeypatch, argv):
+def test_compare_and_stats_open_each_file_of_the_set_once(tmp_path, capsys,
+                                                          monkeypatch, argv):
     out = _synthetic_results(tmp_path, tie=False)
     opened = []
 
@@ -571,7 +570,7 @@ def test_compare_and_stats_open_only_meta_and_results(tmp_path, capsys,
 
     monkeypatch.setattr(harness, "open", spy, raising=False)
     assert run_cli(*argv, "--results", str(out)) == 0
-    assert sorted(opened) == ["meta.json", "results.csv"]
+    assert sorted(opened) == ["0.npz", "1.npz", "2.npz", "meta.json", "results.csv"]
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
@@ -591,8 +590,8 @@ def test_reports_walk_the_result_grid_once(tmp_path, capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
-def test_export_trace_decodes_only_its_problems_rows(tmp_path, capsys,
-                                                     monkeypatch):
+def test_export_trace_decodes_each_traces_file_once(tmp_path, capsys,
+                                                   monkeypatch):
     out = _synthetic_results(tmp_path, tie=False)
     decoded = []
     read = harness._read_traces
@@ -604,8 +603,9 @@ def test_export_trace_decodes_only_its_problems_rows(tmp_path, capsys,
 
     monkeypatch.setattr(harness, "_read_traces", spy)
     assert run_cli("export-trace", "--results", str(out), "--problem", "p3") == 0
-    assert decoded == [("2.npz", [(a, "p3", r) for a in ("alpha", "beta")
-                                  for r in range(3)])]
+    assert decoded == [("%d.npz" % i, [(a, p, r) for a in ("alpha", "beta")
+                                       for r in range(3)])
+                       for i, p in enumerate(("p1", "p2", "p3"))]
 
 
 def test_stats_rejects_non_rectangular_results(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ieco_mco.problems import (
     INFEASIBLE_BASE,
     MAX_RESAMPLES,
     VIOLATION_TOL,
+    HandledPoint,
     ProblemSpec,
     TransformSpec,
     TrialStream,
@@ -426,7 +427,37 @@ def test_constrained_evaluate_counts_one_evaluation_per_resample():
     out = _handle(spec, np.array([0.5]), RngStream(5), budget=4)
     assert out.evaluations == 1 + 4
     out = _handle(spec, np.array([0.5]), RngStream(5), budget=MAX_RESAMPLES + 50)
-    assert out.evaluations == 1 + MAX_RESAMPLES
+    # the cap is a constant of the method: 100 resamples after the own reading
+    assert out.evaluations == 1 + MAX_RESAMPLES == 101
+
+
+def test_a_violation_of_exactly_the_tolerance_is_feasible():
+    point = np.zeros(1)
+    assert HandledPoint(point, 0.0, VIOLATION_TOL, 1).feasible
+    assert not HandledPoint(point, 0.0, np.nextafter(VIOLATION_TOL, 1.0), 1).feasible
+    # and a start point read at the tolerance is kept without a resample
+    spec = ProblemSpec(
+        name="edge", bounds=Bounds.cube(0.0, 10.0, 1),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.full((len(X), 1), VIOLATION_TOL),
+    )
+    out = _handle(spec, np.array([3.0]), ScriptedRng())
+    assert out.feasible and out.evaluations == 1
+    assert np.array_equal(out.position, [3.0])
+
+
+def test_on_a_violation_tie_the_earlier_trial_wins():
+    spec = ProblemSpec(
+        name="flat-violation", bounds=Bounds.cube(0.0, 10.0, 1),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.full((len(X), 1), 0.5),
+    )
+    # trials at x = 3 and x = 7 both violate by 0.5, less than the start's 1.0
+    stream = TrialStream(spec, ScriptedRng(uniforms=[0.3, 0.7]), rows=1, budget=2)
+    out = constrained_evaluate(np.array([9.0]), 9.0, 1.0, stream)
+    stream.close()
+    assert out.violation == 0.5 and out.evaluations == 3
+    assert np.array_equal(out.position, [3.0]) and out.objective == 3.0
 
 
 def test_constrained_evaluate_stops_at_first_feasible_draw():

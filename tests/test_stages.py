@@ -55,6 +55,11 @@ def test_omega_at_start():
     assert omega(0, 1000) == pytest.approx(0.1 * math.log(2.0), abs=1e-15)
 
 
+def test_omega_accepts_a_budget_of_one():
+    assert omega(0, 1) == 0.1 * math.log(2.0)
+    assert omega(1, 1) == 0.0
+
+
 def test_omega_at_half_budget():
     assert omega(500, 1000) == pytest.approx(0.0405465, abs=1e-7)
     assert omega(500, 1000) == pytest.approx(0.1 * math.log(1.5), abs=1e-15)
