@@ -18,6 +18,12 @@ resample, and a differencing resample that adds scaled pairwise differences.
 Each iteration pushes the k agents with the highest elite score, which
 weighs fitness and distance from the best agent equally (``ELITE_WEIGHT``).
 
+The archive keeps what ``estimate`` needs, so that nothing a push did not
+change is derived again: its window in place and in FIFO row order, so
+every sum adds as before; finite, as ``push`` refuses non-finite rows; and
+in stable rank order, as ``push`` merges its rows in. ``rank_weights`` and
+the identity of each D are cached.
+
 Each operator takes the sorted (n, D) population and the school count k,
 and proposes the whole school block X[:k] of an iteration. It draws school
 by school, in the order one school at a time would draw: the school's
@@ -29,6 +35,8 @@ block row by row, so the block gives the bits of a per-school loop.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,42 +59,96 @@ def min_model_entries(dim: int) -> int:
 
 
 class EliteArchive:
-    """FIFO store of elite (position, fitness-at-insertion) pairs."""
+    """FIFO store of elite (position, fitness-at-insertion) pairs.
+
+    The window is rows ``[_start, _stop)`` of a ``(2 * capacity, D)``
+    buffer, oldest first; it moves to the front only when a push would run
+    past the end. ``_order`` holds the window's buffer rows in stable rank
+    order of fitness, as ``np.argsort(fitnesses(), kind="stable")`` would
+    give them; each push merges its rows into it.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("archive capacity must be at least 1")
         self.capacity = int(capacity)
-        self._positions = np.empty((0, 0))
-        self._fitness = np.empty(0)
+        self._rows = np.empty((0, 0))  # sized at the first push
+        self._ranked = np.empty((0, 0))  # estimate's scratch block
+        self._fitness = np.empty(2 * self.capacity)
+        self._start = self._stop = 0
+        self._order = np.empty(0, dtype=np.intp)
 
     def __len__(self):
-        return self._fitness.shape[0]
+        return self._stop - self._start
 
     def push(self, positions, fitnesses):
-        """Append entries in order; evict oldest while above capacity."""
+        """Append entries in order; evict oldest while above capacity.
+
+        Raises ValueError, leaving the archive as it was, for mismatched
+        lengths, a row of another width, or an entry that is not finite.
+        """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         fitnesses = np.atleast_1d(np.asarray(fitnesses, dtype=float))
-        if positions.shape[0] != fitnesses.shape[0]:
+        r, d = positions.shape
+        if r != fitnesses.shape[0]:
             raise ValueError("positions and fitnesses must have matching lengths")
-        old = self._positions.reshape(-1, positions.shape[1])
-        self._positions = np.concatenate((old, positions))[-self.capacity:]
-        self._fitness = np.concatenate((self._fitness, fitnesses))[-self.capacity:]
+        if not (np.isfinite(positions).all() and np.isfinite(fitnesses).all()):
+            raise ValueError("archive entries must be finite")
+        if self._rows.shape[1] != d:
+            if len(self):
+                raise ValueError("positions must have %d columns, not %d"
+                                 % (self._rows.shape[1], d))
+            self._rows = np.empty((2 * self.capacity, d))
+            self._ranked = np.empty((self.capacity, d))
+        if r == 0:
+            return
+        if r > self.capacity:
+            r = self.capacity
+            positions, fitnesses = positions[-r:], fitnesses[-r:]
+        start = self._start + max(0, len(self) + r - self.capacity)
+        stop, order = self._stop, self._order
+        if start > self._start:
+            order = order[order >= start]
+        if stop + r > self._rows.shape[0]:  # move the window to the front
+            self._rows[:stop - start] = self._rows[start:stop]
+            self._fitness[:stop - start] = self._fitness[start:stop]
+            order = order - start
+            start, stop = 0, stop - start
+        self._rows[stop:stop + r] = positions
+        self._fitness[stop:stop + r] = fitnesses
+        # The kept rows in rank order, then the new rows in window order: a
+        # stable sort of them by fitness is the stable argsort of the window,
+        # and the sort merges the long sorted run with the few new rows.
+        rows = np.concatenate((order, np.arange(stop, stop + r)))
+        self._order = rows[np.argsort(self._fitness[rows], kind="stable")]
+        self._start, self._stop = start, stop + r
 
     def positions(self) -> np.ndarray:
-        return self._positions.copy()
+        return self._rows[self._start:self._stop].copy()
 
     def fitnesses(self) -> np.ndarray:
-        return self._fitness.copy()
+        return self._fitness[self._start:self._stop].copy()
 
 
+@functools.lru_cache(maxsize=None)
 def rank_weights(m: int) -> np.ndarray:
-    """Log-rank weights for m archive entries, best rank first, sum 1."""
+    """Log-rank weights for m archive entries, best rank first, sum 1.
+
+    Cached per m, so the array is read-only."""
     if m < 1:
         raise ValueError("m must be positive")
     ranks = np.arange(1, m + 1, dtype=float)
     raw = np.log((m + 1) / ranks)
-    return raw / raw.sum()
+    weights = raw / raw.sum()
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass
@@ -100,11 +162,11 @@ class CovModel:
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.cov)):
+        if not np.isfinite(self.cov).all():
             raise ValueError("covariance matrix holds non-finite entries")
         d = self.cov.shape[0]
-        eye = np.eye(d)
-        eps = 1e-12 * (np.trace(self.cov) / d + 1.0)
+        eye = _identity(d)
+        eps = 1e-12 * (self.cov.trace() / d + 1.0)
         for _ in range(9):  # initial attempt plus at most 8 escalations
             try:
                 self.factor = np.linalg.cholesky(self.cov + eps * eye)
@@ -124,18 +186,19 @@ class CovModel:
 
 
 def estimate(archive: EliteArchive) -> CovModel:
-    """Rank-weighted mean and scatter matrix of the current archive."""
+    """Rank-weighted mean and scatter matrix of the current archive.
+
+    Reads the archive's own window and rank order; its scratch block holds
+    the ranked rows, then the deviations."""
     m = len(archive)
     if m < 2:
         raise ArchiveTooSmallError("covariance estimation needs at least 2 entries, have %d" % m)
-    X = archive.positions()
-    f = archive.fitnesses()
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(f))):
-        raise ValueError("archive holds non-finite entries")
-    order = np.argsort(f, kind="stable")
-    mean = rank_weights(m) @ X[order]
-    dev = X - mean
-    cov = dev.T @ dev / m
+    X = archive._rows[archive._start:archive._stop]
+    ranked = np.take(archive._rows, archive._order, axis=0, out=archive._ranked[:m])
+    mean = rank_weights(m) @ ranked
+    dev = np.subtract(X, mean, out=ranked)
+    cov = dev.T @ dev
+    cov /= m
     return CovModel(mean_better=mean, cov=cov)
 
 
@@ -153,15 +216,20 @@ def elite_indices(fitnesses, positions, best_position, k):
         raise ValueError("k must lie in [1, population size]")
     pos = np.asarray(positions, dtype=float)
     best = np.asarray(best_position, dtype=float)
-    finite = np.isfinite(f)
-    ranked = f if finite.all() else f[finite]
-    f_min, f_max = (ranked.min(), ranked.max()) if ranked.size else (0.0, 0.0)
+    f_min, f_max = f.min(), f.max()
+    all_finite = math.isfinite(f_min) and math.isfinite(f_max)  # NaN and inf show here
+    if not all_finite:
+        ranked = f[np.isfinite(f)]
+        f_min, f_max = (ranked.min(), ranked.max()) if ranked.size else (0.0, 0.0)
     if f_max > f_min:
         fitness_norm = (f_max - f) / (f_max - f_min)
     else:
         fitness_norm = np.ones_like(f)
-    fitness_norm[~finite] = 0.0
-    d = np.linalg.norm(pos - best, axis=1)
+    if not all_finite:
+        fitness_norm[~np.isfinite(f)] = 0.0
+    # the row norms as np.linalg.norm(pos - best, axis=1) computes them
+    diff = pos - best
+    d = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
     d_max = d.max()
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)
     scores = ELITE_WEIGHT * fitness_norm + (1.0 - ELITE_WEIGHT) * distance_norm

@@ -474,12 +474,20 @@ def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path.
 
     Raises ValueError, before writing anything, for an algorithm label that
-    holds a NUL character: a traces file's str array drops trailing NULs.
+    holds a NUL character (a traces file's str array drops trailing NULs)
+    and for a trace that is not a 1-D :data:`TRACE_DTYPE` array, naming the
+    cell.
     """
     records = [results.records[key] for key in sorted(results.records)]
+    cells: Dict[str, List[RunRecord]] = {}
     for r in records:
         if "\0" in r.algorithm:
             raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
+        if not (isinstance(r.trace, np.ndarray) and r.trace.dtype == TRACE_DTYPE
+                and r.trace.ndim == 1):
+            raise ValueError("cell (%s, %s, run %d): the trace is not a 1-D array of "
+                             "dtype TRACE_DTYPE" % (r.algorithm, r.problem, r.run))
+        cells.setdefault(r.problem, []).append(r)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "results.csv", _RESULTS_HEADER,
@@ -489,9 +497,6 @@ def persist(results: ResultSet, out_dir) -> Path:
     for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
         (out / stale).unlink(missing_ok=True)
     (out / "traces").mkdir()
-    cells: Dict[str, List[RunRecord]] = {}
-    for r in records:
-        cells.setdefault(r.problem, []).append(r)
     for problem, path in _trace_paths(out / "traces", cells).items():
         rows = cells[problem]
         points = np.concatenate([r.trace for r in rows])

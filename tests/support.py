@@ -1,10 +1,13 @@
-"""Shared helpers for the test suite: scripted RNG playback, tiny specs and
-the one-draw-at-a-time resampling rule kept as a reference."""
+"""Shared helpers for the test suite: scripted RNG playback, tiny specs, the
+one-draw-at-a-time resampling rule kept as a reference, and the covariance
+model and elite scores derived from scratch on every call, as they were
+before the archive kept its window and rank order."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ieco_mco.covariance import ELITE_WEIGHT
 from ieco_mco.rng import LEVY_BETA, Bounds, mantegna_sigma
 from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, HandledPoint,
                                penalized_fitness)
@@ -152,3 +155,44 @@ def drop_last_trace(path):
                 "length": a["length"][:-1], "fes": a["fes"][:end],
                 "best": a["best"][:end]}
     rewrite_traces(path, drop)
+
+
+def reference_estimate(X, f):
+    """Reference covariance model of an archive holding rows ``X`` (oldest
+    first) with stored fitnesses ``f``: sort, gather, weigh and factor from
+    scratch. Returns (mean_better, cov, factor)."""
+    m, d = X.shape
+    order = np.argsort(f, kind="stable")
+    ranks = np.arange(1, m + 1, dtype=float)
+    raw = np.log((m + 1) / ranks)
+    mean = (raw / raw.sum()) @ X[order]
+    dev = X - mean
+    cov = dev.T @ dev / m
+    eye = np.eye(d)
+    eps = 1e-12 * (np.trace(cov) / d + 1.0)
+    for _ in range(9):
+        try:
+            return mean, cov, np.linalg.cholesky(cov + eps * eye)
+        except np.linalg.LinAlgError:
+            eps *= 10.0
+    return mean, cov, np.diag(np.sqrt(np.maximum(np.diag(cov), 0.0) + eps))
+
+
+def reference_elite_indices(fitnesses, positions, best_position, k):
+    """Reference elite selection: the k highest elite scores, ties to the
+    lower index, with the non-finite mask and ``np.linalg.norm`` always
+    built."""
+    f = np.asarray(fitnesses, dtype=float)
+    finite = np.isfinite(f)
+    ranked = f if finite.all() else f[finite]
+    f_min, f_max = (ranked.min(), ranked.max()) if ranked.size else (0.0, 0.0)
+    if f_max > f_min:
+        fitness_norm = (f_max - f) / (f_max - f_min)
+    else:
+        fitness_norm = np.ones_like(f)
+    fitness_norm[~finite] = 0.0
+    d = np.linalg.norm(np.asarray(positions, dtype=float) - best_position, axis=1)
+    d_max = d.max()
+    distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)
+    scores = ELITE_WEIGHT * fitness_norm + (1.0 - ELITE_WEIGHT) * distance_norm
+    return np.argsort(-scores, kind="stable")[:k]

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from support import ScriptedRng
+from support import ScriptedRng, reference_elite_indices, reference_estimate
 
 from ieco_mco.covariance import (
     ArchiveTooSmallError,
@@ -22,6 +23,15 @@ from ieco_mco.covariance import (
     shift_operator,
 )
 from ieco_mco.rng import RngStream
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# Fitnesses tie often: a few levels, -0.0 and 0.0 among them, or any float.
+_fitness = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]),
+                     st.floats(-1e3, 1e3, allow_nan=False))
 
 
 def zero_cov_model(mean):
@@ -76,6 +86,27 @@ def test_elite_k_validation():
         elite_indices(fitness, positions, positions[0], k=3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.data())
+@example(3, 2, 0, None)
+def test_elite_indices_match_the_reference(n, d, seed, data):
+    """The same indices as the reference, which always builds the
+    non-finite mask and reads the distances through np.linalg.norm."""
+    if data is None:  # every fitness non-finite
+        f = np.array([np.nan, np.inf, -np.inf])
+        k = 2
+    else:
+        f = np.array(data.draw(st.lists(
+            st.one_of(_fitness, st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n))
+    gen = np.random.default_rng(seed)
+    pos = gen.uniform(-5.0, 5.0, size=(n, d))
+    pos[gen.random(n) < 0.3] = pos[0]  # agents that sit on the best
+    assert np.array_equal(elite_indices(f, pos, pos[0], k),
+                          reference_elite_indices(f, pos, pos[0], k))
+
+
 # ------------------------------------------------------------------- archive
 
 def test_archive_fifo_eviction():
@@ -118,12 +149,54 @@ def test_archive_property_random_push_sequences():
             assert np.array_equal(arch.fitnesses(), np.array([f for _, f in tail]))
 
 
+@st.composite
+def push_sequences(draw):
+    """A capacity, then 1 to 8 pushes of 1 to capacity + 5 rows each."""
+    capacity = draw(st.integers(1, 50))
+    d = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pushes = []
+    for r in draw(st.lists(st.integers(1, capacity + 5), min_size=1, max_size=8)):
+        fits = np.array(draw(st.lists(_fitness, min_size=r, max_size=r)))
+        pushes.append((gen.uniform(-5.0, 5.0, size=(r, d)), fits))
+    return capacity, pushes
+
+
+@settings(max_examples=200, deadline=None)
+@given(push_sequences())
+def test_push_keeps_the_window_and_its_stable_rank_order(case):
+    """After every push the window is the last min(capacity, total) rows,
+    its kept rank order is their stable argsort, and the model equals the
+    reference derived from scratch, bit for bit."""
+    capacity, pushes = case
+    arch = EliteArchive(capacity)
+    X, f = np.empty((0, pushes[0][0].shape[1])), np.empty(0)
+    for rows, fits in pushes:
+        arch.push(rows, fits)
+        X, f = np.concatenate((X, rows)), np.concatenate((f, fits))
+        keep = min(capacity, f.shape[0])
+        assert np.array_equal(arch.positions(), X[-keep:])
+        assert np.array_equal(_bits(arch.fitnesses()), _bits(f[-keep:]))
+        assert np.array_equal(arch._order - arch._start,
+                              np.argsort(f[-keep:], kind="stable"))
+        if keep >= 2:
+            model = estimate(arch)
+            for got, want in zip((model.mean_better, model.cov, model.factor),
+                                 reference_estimate(X[-keep:], f[-keep:])):
+                assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_archive_validation():
     with pytest.raises(ValueError):
         EliteArchive(0)
     arch = EliteArchive(3)
     with pytest.raises(ValueError):
         arch.push(np.array([[0.0], [1.0]]), np.array([0.0]))
+    # a one-column row would broadcast across the buffer's two columns
+    arch.push(np.array([[0.0, 1.0]]), np.array([0.5]))
+    with pytest.raises(ValueError, match="2 columns, not 1"):
+        arch.push(np.array([[3.0]]), np.array([0.0]))
+    assert np.array_equal(arch.positions(), [[0.0, 1.0]])
 
 
 def test_min_model_entries_threshold():
@@ -191,10 +264,27 @@ def test_estimate_needs_two_entries():
 
 
 def test_estimate_rejects_non_finite_entries():
+    """A push refuses a non-finite position or fitness and leaves the
+    archive as it was, so estimate never meets one."""
+    rows, fits = np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([0.5, 0.2])
     arch = EliteArchive(5)
-    arch.push(np.array([[1.0], [np.nan]]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        estimate(arch)
+    arch.push(rows, fits)
+    model = estimate(arch)
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ("position", "fitness"):
+            new_rows, new_fits = np.array([[0.0, 1.0], [2.0, 2.0]]), np.array([0.1, 0.3])
+            if where == "position":
+                new_rows[1, 0] = bad
+            else:
+                new_fits[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                arch.push(new_rows, new_fits)
+            assert len(arch) == 2
+            assert np.array_equal(arch.positions(), rows)
+            assert np.array_equal(arch.fitnesses(), fits)
+            again = estimate(arch)
+            for name in ("mean_better", "cov", "factor"):
+                assert np.array_equal(getattr(again, name), getattr(model, name))
 
 
 def brute_force_model(X, f):
@@ -312,6 +402,33 @@ def test_sample_handles_singular_covariance():
     residual = s - model.mean_better
     ortho = residual - np.outer(residual @ unit, unit)
     assert np.abs(ortho).max() < 1e-4
+
+
+def _ladder_cov(t):
+    """diag(-t, 2 + t): trace/D + 1 = 2, so the ladder starts at eps = 2e-12,
+    and cov + eps * I factors exactly when eps > t."""
+    return np.diag([-t, 2.0 + t])
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_jitter_ladder_factors_at_its_first_working_step(k):
+    eps = 2e-12 * 10.0 ** k  # 1e-12 * (trace/D + 1) * 10^k
+    t = eps / math.sqrt(10.0)  # beyond the jitter of step k - 1, not of step k
+    factor = CovModel(mean_better=np.zeros(2), cov=_ladder_cov(t)).factor
+    assert factor[0, 1] == factor[1, 0] == 0.0
+    assert factor[0, 0] ** 2 == pytest.approx(eps - t, rel=1e-9)
+    assert factor[1, 1] ** 2 == pytest.approx(2.0 + t + eps, rel=1e-12)
+
+
+def test_jitter_ladder_beyond_nine_steps_falls_back_to_the_diagonal():
+    """Past step 8 the factor is diag(sqrt(max(C_ii, 0) + eps)), eps being
+    the jitter one step beyond the last tried, 1e-12 * (trace/D + 1) * 10^9."""
+    eps = 2e-12 * 10.0 ** 9
+    t = eps / math.sqrt(10.0)  # a tenth step would factor
+    factor = CovModel(mean_better=np.zeros(2), cov=_ladder_cov(t)).factor
+    assert factor[0, 1] == factor[1, 0] == 0.0
+    assert factor[0, 0] ** 2 == pytest.approx(eps, rel=1e-12)
+    assert factor[1, 1] ** 2 == pytest.approx(2.0 + t + eps, rel=1e-12)
 
 
 def test_sample_rejects_non_finite_covariance():

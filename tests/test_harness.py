@@ -839,6 +839,22 @@ def test_persist_refuses_a_nul_in_an_algorithm_label_before_writing(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
+def test_persist_refuses_a_trace_that_is_not_an_array_before_writing(tmp_path):
+    """A trace assigned a list after construction is refused with the
+    cell's name, before any file of the set there is touched."""
+    out = persist(_tiny_batch(), tmp_path / "out")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    rs = _tiny_batch(problems=("f03", "f04"))
+    key = ("IECO-MCO", rs.problems[1], 2)
+    rs.records[key].trace = rs.records[key].trace.tolist()
+    cell = re.escape("cell (IECO-MCO, %s, run 2)" % rs.problems[1])
+    for where in (out, tmp_path / "new"):
+        with pytest.raises(ValueError, match=cell):
+            persist(rs, where)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert not (tmp_path / "new").exists()
+
+
 def test_persisted_bytes_are_reproducible(tmp_path):
     a = persist(_tiny_batch(), tmp_path / "a")
     b = persist(_tiny_batch(), tmp_path / "b")
