@@ -135,7 +135,7 @@ def _load_results(values):
         raise UsageError("no results directory; use --results")
     try:
         return harness.load(where)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise UsageError("cannot read results: %s" % exc)
     except harness.SchemaMismatchError as exc:
         raise UsageError(str(exc))

@@ -23,8 +23,7 @@ Persisted layout under an output directory:
   (int64) and ``best`` (float64), every trace's evaluation counts and
   best-so-far values concatenated in the same order. Read one with
   ``numpy.load(path, allow_pickle=False)``; ``mco export-trace`` gives the
-  CSV view. :func:`load` reads every traces file, and each loaded record's
-  trace is a slice of its file's arrays
+  CSV view
 - ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
 - ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
   :class:`RunConfig` setting, the dimension of each problem, schema version,
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import covariance as cov
 from .problems import (
     VIOLATION_TOL,
     TrialStream,
@@ -60,12 +58,13 @@ from .problems import (
 from .problems.core import ProblemSpec
 from .rng import BudgetExhaustedError, RngStream, init_population
 from .stages import (
-    ARCHIVE_ROWS_PER_DIM,
     Population,
     StageContext,
-    Variant,
+    algorithm_label,
+    elite_archive,
     stage_of,
     step,
+    variant_of,
 )
 
 SCHEMA_VERSION = 4
@@ -80,8 +79,8 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A value of ``results.csv`` does not parse, or a traces file is not
-    one :func:`persist` writes or has no trace for a cell."""
+    """A persisted set lacks a file, or holds one that :func:`persist` does
+    not write."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -107,7 +106,7 @@ class RunConfig:
     fes_mult: int = 3000
 
     def __post_init__(self):
-        Variant.from_label(self.algorithm)
+        variant_of(self.algorithm)
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.n < 5:
@@ -231,20 +230,15 @@ class ResultSet:
 
     @property
     def algorithms(self) -> List[str]:
-        found = sorted({k[0] for k in self.records})
-        listed = self.metadata.get("algorithms")
-        return list(listed) if listed else found
+        return list(self.metadata.get("algorithms") or sorted({k[0] for k in self.records}))
 
     @property
     def problems(self) -> List[str]:
-        found = sorted({k[1] for k in self.records})
-        listed = self.metadata.get("problems")
-        return list(listed) if listed else found
+        return list(self.metadata.get("problems") or sorted({k[1] for k in self.records}))
 
     @property
     def run_count(self) -> int:
-        runs = {k[2] for k in self.records}
-        return (max(runs) + 1) if runs else 0
+        return max((k[2] + 1 for k in self.records), default=0)
 
     def __len__(self):
         return len(self.records)
@@ -316,7 +310,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                                                             cfg.dimension)
     dim = spec.dimension
     fes_max = cfg.resolved_fes_max(dim)
-    variant = Variant.from_label(cfg.algorithm)
+    variant = variant_of(cfg.algorithm)
     rng = RngStream(cfg.seed)
     ev = Evaluator(spec, fes_max, rng)
 
@@ -324,8 +318,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     fit, obj, vio, X0 = ev.evaluate(X0)
     pop = Population(X0, fit, obj, vio)
 
-    archive = (None if variant is Variant.ECO
-               else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dim))
+    archive = elite_archive(variant, dim)
 
     # every point after the first is an iteration's, which charges at least n
     trace = np.empty(fes_max // cfg.n + 1, dtype=TRACE_DTYPE)
@@ -353,14 +346,14 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
 
 def _run_cell(args) -> Tuple[Tuple[str, str, int], RunRecord]:
-    cfg, alg, prob, run = args
+    cfg, run = args
     try:
         rec = run_single(cfg, run_index=run)
     except Exception as exc:
-        raise RuntimeError("run failed in cell algorithm=%s problem=%s run=%d "
-                           "seed=%d: %s: %s" % (alg, prob, run, cfg.seed,
-                                                type(exc).__name__, exc)) from exc
-    return (alg, prob, run), rec
+        raise RuntimeError("run failed in cell algorithm=%s problem=%s run=%d seed=%d: %s: %s"
+                           % (cfg.algorithm, cfg.problem, run, cfg.seed,
+                              type(exc).__name__, exc)) from exc
+    return (cfg.algorithm, cfg.problem, run), rec
 
 
 def config_hash(payload: dict) -> str:
@@ -392,10 +385,11 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
     # dimension setting, so the settings are read once before any cell.
     shared = RunConfig(algorithm=algorithms[0], problem=problems[0], seed=0,
                        **settings)
-    variants: Dict[Variant, str] = {}
+    labels: Dict[str, str] = {}
     for alg in algorithms:
-        variants.setdefault(Variant.from_label(alg), alg)
-    algorithms = list(variants.values())
+        variant_of(alg)
+        labels.setdefault(algorithm_label(alg), alg)
+    algorithms = list(labels.values())
     specs: Dict[str, ProblemSpec] = {}
     for prob in problems:
         spec = make_problem(prob, shared.dimension)
@@ -404,8 +398,7 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
         shared.resolved_fes_max(spec.dimension)
     tasks = [(RunConfig(algorithm=alg, problem=prob,
                         seed=derive_seed(base_seed, alg, prob, run),
-                        **settings),
-              alg, prob, run)
+                        **settings), run)
              for alg in algorithms
              for prob in specs
              for run in range(runs)]
@@ -520,35 +513,42 @@ def persist(results: ResultSet, out_dir) -> Path:
     return out
 
 
-def _read_rows(path: Path, header: List[str], parse):
-    """Yield ``parse(row)`` for each row of a CSV file written by persist.
+def _read_results(path: Path) -> Dict[Tuple[str, str, int], dict]:
+    """The decoded fields of each row of ``results.csv``, by cell.
 
-    A wrong header or a row that does not parse raises
-    :class:`BrokenResultsError` naming the file, the line and the cell.
+    A wrong header, a value that does not parse or a cell an earlier row
+    holds raises :class:`BrokenResultsError` naming the file, the line and
+    the cell.
     """
+    rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
+        if next(reader, None) != _RESULTS_HEADER:
             raise BrokenResultsError("%s line 1: expected the header %s"
-                                     % (path, ",".join(header)))
+                                     % (path, ",".join(_RESULTS_HEADER)))
         for row in reader:
             try:
-                parsed = parse(row)
+                values = {name: decode(text)
+                          for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
+                cell = (values["algorithm"], values["problem"], values["run"])
+                if cell in rows:
+                    raise ValueError("listed twice")
             except ValueError as exc:
-                named = dict(zip(header, row))
+                named = dict(zip(_RESULTS_HEADER, row))
                 cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
                 raise BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
                                          % (path, reader.line_num, *cell, exc)) from None
-            yield parsed
+            rows[cell] = values
+    return rows
 
 
 def _read_traces(path: Path, problem: str) -> Dict[Tuple[str, str, int], np.ndarray]:
     """The traces of ``problem``'s file, by cell, each a slice of one
     :data:`TRACE_DTYPE` array.
 
-    Raises :class:`BrokenResultsError` naming the file when it is not a
-    numpy archive, lacks an array, holds one of another dtype or shape, or
-    its lengths do not split its points.
+    Raises :class:`BrokenResultsError` naming the file when it is not one
+    :func:`persist` writes, with the entry and the cell when it lists a
+    cell twice.
     """
     try:
         with open(path, "rb") as fh:
@@ -577,10 +577,14 @@ def _read_traces(path: Path, problem: str) -> Dict[Tuple[str, str, int], np.ndar
     points["fes"], points["best"] = arrays["fes"], arrays["best"]
     traces = {}
     end = 0
-    for algorithm, run, length in zip(arrays["algorithm"].tolist(),
-                                      arrays["run"].tolist(), lengths):
-        start, end = end, end + length
-        traces[algorithm, problem, run] = points[start:end]
+    for entry, (algorithm, run) in enumerate(zip(arrays["algorithm"].tolist(),
+                                                 arrays["run"].tolist())):
+        cell = (algorithm, problem, run)
+        if cell in traces:
+            raise BrokenResultsError("%s entry %d, cell (%s, %s, run %d): listed twice"
+                                     % (path, entry, *cell))
+        start, end = end, end + lengths[entry]
+        traces[cell] = points[start:end]
     return traces
 
 
@@ -588,30 +592,36 @@ def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
     Reads ``meta.json``, ``results.csv`` and every problem's traces file;
-    each record's trace is a slice of its file's arrays. Raises
-    :class:`BrokenResultsError`, naming the file and the cell, when a value
-    of ``results.csv`` does not parse, and naming the file when a traces
-    file is not one :func:`persist` writes or has no trace for a run.
+    each record's trace is a slice of its file's arrays. A folder or
+    ``meta.json`` that cannot be opened raises the ``OSError``. Past that, a
+    file that is missing or not one :func:`persist` writes raises
+    :class:`BrokenResultsError` naming it, with the line or entry and the
+    cell where there is one.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
-        metadata = json.load(fh)
+        try:
+            metadata = json.load(fh)
+        except ValueError as exc:
+            raise BrokenResultsError("%s is not JSON: %s" % (fh.name, exc)) from None
+    if not isinstance(metadata, dict):
+        raise BrokenResultsError("%s is not a JSON object" % fh.name)
     version = metadata.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             "results were written with schema %r; this build reads %d"
             % (version, SCHEMA_VERSION))
 
-    def parse_result(row):
-        values = {name: decode(text)
-                  for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
-        return (values["algorithm"], values["problem"], values["run"]), values
-
-    rows = dict(_read_rows(out / "results.csv", _RESULTS_HEADER, parse_result))
-    paths = _trace_paths(out / "traces", (key[1] for key in rows))
     traces = {}
-    for problem, path in paths.items():
-        traces.update(_read_traces(path, problem))
+    try:
+        rows = _read_results(out / "results.csv")
+        paths = _trace_paths(out / "traces", (key[1] for key in rows))
+        for problem, path in paths.items():
+            traces.update(_read_traces(path, problem))
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        missing = Path(exc.filename)
+        raise BrokenResultsError("%s is missing" % (
+            missing if missing.parent.is_dir() else missing.parent)) from None
     records = {}
     for key, values in rows.items():
         if key not in traces:
@@ -630,16 +640,13 @@ def export_trace(results: ResultSet, problem: str,
     """
     algs = list(algorithms) if algorithms else results.algorithms
     runs = results.run_count
-    cells = {}
     for a in algs:
-        cell = []
         for r in range(runs):
-            key = (a, problem, r)
-            if key not in results.records:
+            if (a, problem, r) not in results.records:
                 raise KeyError("no record for algorithm %r on problem %r run %d"
                                % (a, problem, r))
-            cell.append(results.records[key].trace)
-        cells[a] = cell
+    cells = {a: [results.records[a, problem, r].trace for r in range(runs)]
+             for a in algs}
 
     counts = [trace["fes"] for cell in cells.values() for trace in cell]
     grid = np.unique(np.concatenate(counts)) if counts else np.array([], dtype=np.int64)

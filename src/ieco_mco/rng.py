@@ -64,7 +64,7 @@ class RngStream:
         bit_gen = self._gen.bit_generator
         state = bit_gen.state
         try:
-            return self._gen.uniform(size=size)
+            return self.uniform(size)
         finally:
             bit_gen.state = state
 

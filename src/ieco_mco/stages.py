@@ -28,10 +28,12 @@ elite archive: the full variant uses the Gaussian operator in the primary
 stage, the shifted operator in the middle stage and the differencing operator
 in the high stage, while each single-operator ablation applies its one
 operator in all three stages. The operators take the same sorted population
-and k. One variant table holds each variant's school fraction G by stage and
-its operator by stage: ECO's fractions are 0.2, 0.1, 0.1 and every other
-variant's 0.4, 0.5, 0.5. Students always use the plain rule of the stage.
-Every variant but ECO keeps an elite archive of 20 * D rows; until it holds
+and k. The variant table, keyed by label, is the only declaration of a
+variant: each row holds the school fraction G by stage and, for a variant
+with a model, its operator's name by stage. ECO's fractions are 0.2, 0.1,
+0.1 and every other variant's 0.4, 0.5, 0.5. A stage is its index 0, 1 or 2
+into those tuples. Students always use the plain rule of the stage. A
+variant with operators keeps an elite archive of 20 * D rows; until it holds
 enough entries for a usable model the school update falls back to the plain
 stage rule.
 
@@ -51,7 +53,6 @@ whole school block.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -69,43 +70,12 @@ ARCHIVE_ROWS_PER_DIM = 20
 TALENT_GAIN_P_FLOOR = 1e-12
 
 
-class Stage(enum.Enum):
-    PRIMARY = 1
-    MIDDLE = 2
-    HIGH = 3
-
-
-def algorithm_label(name: str) -> str:
-    """The label an algorithm name resolves by: upper case, without
-    surrounding blanks, ``_`` read as ``-``."""
-    return name.strip().upper().replace("_", "-")
-
-
-class Variant(enum.Enum):
-    """Optimizer variants: the base algorithm, three single-operator
-    ablations, and the full multi-operator variant."""
-
-    ECO = "ECO"
-    GECO = "GECO"
-    SECO = "SECO"
-    DECO = "DECO"
-    IECO_MCO = "IECO-MCO"
-
-    @classmethod
-    def from_label(cls, label: str) -> "Variant":
-        norm = algorithm_label(label)
-        for v in cls:
-            if v.value == norm:
-                return v
-        raise ValueError("unknown variant %r (expected one of %s)"
-                         % (label, ", ".join(v.value for v in cls)))
-
-
-def stage_of(iteration: int) -> Stage:
-    """Iterations cycle primary, middle, high with period 3 (1-based)."""
+def stage_of(iteration: int) -> int:
+    """The stage index 0 (primary), 1 (middle) or 2 (high): iterations
+    cycle through the three with period 3 (1-based)."""
     if iteration < 1:
         raise ValueError("iteration numbering starts at 1")
-    return (Stage.PRIMARY, Stage.MIDDLE, Stage.HIGH)[(iteration - 1) % 3]
+    return (iteration - 1) % 3
 
 
 def school_count(fraction: float, n: int) -> int:
@@ -126,14 +96,14 @@ def omega(fes: float, fes_max: float) -> float:
 class StageContext:
     """Per-iteration scalars shared by the update rules."""
 
-    stage: Stage
+    stage: int
     fes: int
     fes_max: int
     omega: float
     p: float
 
     @classmethod
-    def draw(cls, stage: Stage, fes: int, fes_max: int, rng: RngStream):
+    def draw(cls, stage: int, fes: int, fes_max: int, rng: RngStream):
         """Build the context, consuming the single per-iteration randn for P."""
         return cls(stage=stage, fes=fes, fes_max=fes_max,
                    omega=omega(fes, fes_max),
@@ -245,22 +215,44 @@ def high_student_update(X, k, assign, ctx, rng):
     return students - ctx.p * (e * X[0] - students)
 
 
-# Per variant: the school fraction G by stage and, for a variant with a
-# model, its covariance operator by stage (0 Gaussian, 1 shifted,
-# 2 differencing). Until the archive supports a model, the plain school
-# rule of the stage runs with the variant's own fraction.
+# The variant table, by canonical label: each variant's school fraction G by
+# stage and, for a variant with a model, the name of its covariance operator
+# by stage. Until the archive supports a model, the plain school rule of the
+# stage runs with the variant's own fraction.
 _VARIANTS = {
-    Variant.ECO: ((0.2, 0.1, 0.1), None),
-    Variant.GECO: ((0.4, 0.5, 0.5), (0, 0, 0)),
-    Variant.SECO: ((0.4, 0.5, 0.5), (1, 1, 1)),
-    Variant.DECO: ((0.4, 0.5, 0.5), (2, 2, 2)),
-    Variant.IECO_MCO: ((0.4, 0.5, 0.5), (0, 1, 2)),
+    "ECO": ((0.2, 0.1, 0.1), None),
+    "GECO": ((0.4, 0.5, 0.5), ("gaussian_operator",) * 3),
+    "SECO": ((0.4, 0.5, 0.5), ("shift_operator",) * 3),
+    "DECO": ((0.4, 0.5, 0.5), ("differential_operator",) * 3),
+    "IECO-MCO": ((0.4, 0.5, 0.5), ("gaussian_operator", "shift_operator",
+                                   "differential_operator")),
 }
+
+
+def algorithm_label(name: str) -> str:
+    """The label an algorithm name resolves by: upper case, without
+    surrounding blanks, ``_`` read as ``-``."""
+    return name.strip().upper().replace("_", "-")
+
+
+def variant_of(name: str):
+    """The variant table's row for the algorithm ``name`` labels."""
+    try:
+        return _VARIANTS[algorithm_label(name)]
+    except KeyError:
+        raise ValueError("unknown variant %r (expected one of %s)"
+                         % (name, ", ".join(_VARIANTS))) from None
+
+
+def elite_archive(variant, dimension: int) -> Optional[cov.EliteArchive]:
+    """The elite archive a run of the variant row keeps: one of
+    ``ARCHIVE_ROWS_PER_DIM * dimension`` rows when the row has operators."""
+    return None if variant[1] is None else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dimension)
 
 
 # -------------------------------------------------------------------- step
 
-def step(pop: Population, variant: Variant, ctx: StageContext,
+def step(pop: Population, variant, ctx: StageContext,
          archive: Optional[cov.EliteArchive], rng: RngStream, evaluator,
          bounds: Bounds) -> Population:
     """One full iteration: propose, evaluate, select greedily, archive elites.
@@ -269,7 +261,9 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     must expose ``evaluate(X) -> (fitness, objective, violation,
     positions)`` and own the evaluation budget; the iteration needs exactly
     one base evaluation per agent (constraint handling may spend more).
-    ``archive`` is None for a variant that keeps none. Otherwise the
+    ``variant`` is a row of the variant table and ``ctx.stage`` the index
+    of the stage in its per-stage tuples. ``archive`` is the row's
+    :func:`elite_archive`: None for a variant that keeps none. Otherwise the
     variant's operator runs once the archive supports a model, and the
     iteration's elites of finite fitness are pushed to it: a non-finite one
     cannot rank an entry, and the model waits for enough finite entries as
@@ -282,8 +276,8 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
         raise BudgetExhaustedError(
             "iteration needs %d evaluations but only %d remain"
             % (n, ctx.fes_max - ctx.fes))
-    fractions, operators = _VARIANTS[variant]
-    i = ctx.stage.value - 1
+    fractions, operators = variant
+    i = ctx.stage
     k = school_count(fractions[i], n)
     assign = closest_school(X[k:], X[:k])
 
@@ -291,9 +285,7 @@ def step(pop: Population, variant: Variant, ctx: StageContext,
     # perfbench's tracer does) reaches every call.
     proposals = np.empty_like(X)
     if archive is not None and len(archive) >= cov.min_model_entries(d):
-        operator = (cov.gaussian_operator, cov.shift_operator,
-                    cov.differential_operator)[operators[i]]
-        proposals[:k] = operator(X, k, cov.estimate(archive), rng)
+        proposals[:k] = getattr(cov, operators[i])(X, k, cov.estimate(archive), rng)
     else:
         school_rule = (primary_school_update, middle_school_update,
                        high_school_update)[i]

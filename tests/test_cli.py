@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ieco_mco import cli, harness
+from ieco_mco import cli, covariance, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 from ieco_mco.problems import make_problem
 
@@ -64,6 +64,17 @@ def test_invalid_variant_names_valid_ones(tmp_path, capsys):
     err = capsys.readouterr().err
     for label in ("ECO", "GECO", "SECO", "DECO", "IECO-MCO"):
         assert label in err
+
+
+def test_an_unknown_variant_prints_one_line_before_any_run(tmp_path, capsys):
+    code = run_cli("run", "--algorithms", "TURBO", "--problems", "f01",
+                   "--out", str(tmp_path / "r"), *TINY)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: unknown variant 'TURBO' (expected one of "
+                            "ECO, GECO, SECO, DECO, IECO-MCO)\n")
+    assert captured.out == ""
+    assert not (tmp_path / "r").exists()
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
@@ -265,7 +276,7 @@ def test_run_whose_model_estimate_raises_names_its_cell(tmp_path, capsys,
     def estimate(archive):
         raise ValueError("no model")
 
-    monkeypatch.setattr(harness.cov, "estimate", estimate)
+    monkeypatch.setattr(covariance, "estimate", estimate)
     code = run_cli("run", "--algorithms", "IECO-MCO", "--problems", "f01",
                    "--runs", "1", "--n", "6", "--fes-max", "120", "--dim", "5",
                    "--seed", "7", "--out", str(tmp_path / "r"))

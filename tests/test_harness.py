@@ -3,13 +3,14 @@
 import csv
 import json
 import re
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ieco_mco import cli, harness
+from ieco_mco import cli, covariance, harness, stages
 from ieco_mco.harness import (
     SCHEMA_VERSION,
     BrokenResultsError,
@@ -30,7 +31,7 @@ from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, penalized_fitness,
                                stable_seed)
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
-from ieco_mco.stages import Population, StageContext, Variant, stage_of, step
+from ieco_mco.stages import Population, StageContext, stage_of, step, variant_of
 
 from support import drop_last_trace, rewrite_traces, sphere_spec, traces_bytes
 
@@ -71,7 +72,7 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     pop = Population(pos, fit, obj, feas)
     for it in range(1, 7):
         ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, rng)
-        pop = step(pop, Variant.ECO, ctx, None, rng, ev, spec.bounds)
+        pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, spec.bounds)
     # the agent that started in the NaN half was replaced by a finite child
     assert np.all(np.isfinite(pop.fitness))
     assert np.all(pop.positions[:, 0] >= 0.0)
@@ -92,7 +93,7 @@ def test_run_on_an_archive_of_one_repeated_row_keeps_budget_box_and_order(
     point = np.array([1.0, -2.0, 3.0, 0.5])
     monkeypatch.setattr(harness, "init_population",
                         lambda n, bounds, rng: np.tile(point, (n, 1)))
-    archives, real_estimate = [], harness.cov.estimate
+    archives, real_estimate = [], covariance.estimate
 
     def estimate(archive):
         archives.append(archive.positions())
@@ -107,7 +108,7 @@ def test_run_on_an_archive_of_one_repeated_row_keeps_budget_box_and_order(
         assert np.all(pop.fitness[:-1] <= pop.fitness[1:])
         return pop
 
-    monkeypatch.setattr(harness.cov, "estimate", estimate)
+    monkeypatch.setattr(covariance, "estimate", estimate)
     monkeypatch.setattr(harness, "step", checked_step)
     cfg = RunConfig(algorithm=algorithm, problem="flat", seed=5, dimension=4,
                     n=8, fes_max=400)
@@ -450,6 +451,31 @@ def test_run_batch_drops_labels_that_name_an_earlier_variant_or_problem():
     assert rs.records == single.records
 
 
+def test_a_row_added_to_the_variant_table_runs_everywhere(monkeypatch):
+    # The table is the only declaration of a variant: one new row runs
+    # through RunConfig, run_single and run_batch, with its own operators.
+    operators = ("shift_operator", "gaussian_operator", "gaussian_operator")
+    monkeypatch.setitem(stages._VARIANTS, "SGECO", ((0.3, 0.5, 0.5), operators))
+    called = []
+
+    def count(name):
+        fn = getattr(covariance, name)
+        monkeypatch.setattr(covariance, name, lambda *args: called.append(name) or fn(*args))
+
+    for name in set(operators):
+        count(name)
+    settings = dict(dimension=2, n=6, fes_max=300)
+    rs = run_batch(["sgeco", "SGECO", "ECO"], ["f01"], runs=2, base_seed=3, **settings)
+    assert rs.algorithms == ["sgeco", "ECO"]
+    assert {"shift_operator", "gaussian_operator"} <= set(called)
+    problem = rs.problems[0]
+    for run in range(2):
+        cfg = RunConfig(algorithm=" Sgeco", problem=problem,
+                        seed=derive_seed(3, "sgeco", problem, run), **settings)
+        rec = run_single(cfg, run_index=run)
+        assert replace(rec, algorithm="sgeco") == rs.records["sgeco", problem, run]
+
+
 def test_result_set_rejects_missing_cells():
     rs = _tiny_batch()
     del rs.records[("ECO", rs.problems[0], 1)]
@@ -729,6 +755,78 @@ def test_results_file_with_a_wrong_header_is_a_runtime_failure(tmp_path,
         load(out)
     assert cli.main(["compare", "--results", str(out)]) == 1
     assert "%s line 1: expected the header" % path in capsys.readouterr().err
+
+
+def test_a_cell_listed_twice_in_results_csv_is_named(tmp_path, capsys):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / "results.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[1]   # line 3 repeats line 2; run 1 of ECO on f01 is lost
+    path.write_text("\n".join(lines) + "\n")
+    expected = "%s line 3, cell (ECO, f01-zakharov-d5, run 0): listed twice" % path
+    with pytest.raises(BrokenResultsError) as err:
+        load(out)
+    assert str(err.value) == expected
+    assert cli.main(["compare", "--results", str(out)]) == 1
+    assert capsys.readouterr().err == "failed: %s\n" % expected
+
+
+def test_a_cell_listed_twice_in_a_traces_file_is_named(tmp_path, capsys):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / "traces" / "1.npz"
+    # a seventh entry, after the six runs, holds ECO's run 0 again
+    rewrite_traces(path, lambda a: {
+        "algorithm": np.append(a["algorithm"], "ECO"),
+        "run": np.append(a["run"], 0), "length": np.append(a["length"], 1),
+        "fes": np.append(a["fes"], 6), "best": np.append(a["best"], 1.5)})
+    expected = "%s entry 6, cell (ECO, f02-rosenbrock-d5, run 0): listed twice" % path
+    with pytest.raises(BrokenResultsError) as err:
+        load(out)
+    assert str(err.value) == expected
+    assert cli.main(["compare", "--results", str(out)]) == 1
+    assert capsys.readouterr().err == "failed: %s\n" % expected
+
+
+@pytest.mark.parametrize("missing", ["results.csv", "traces", "traces/1.npz"])
+def test_a_file_missing_after_meta_json_is_a_broken_set(tmp_path, capsys, missing):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / missing
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    with pytest.raises(BrokenResultsError, match="^%s is missing$" % re.escape(str(path))):
+        load(out)
+    for argv in (["compare"], ["stats"], ["export-trace", "--problem", "f01"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--results", str(out)]) == 1
+        assert capsys.readouterr().err == "failed: %s is missing\n" % path
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{not json", "is not JSON: Expecting property name"),
+    ("", "is not JSON: Expecting value"),
+    ("[1, 2]", "is not a JSON object"),
+    ('"schema 4"', "is not a JSON object"),
+])
+def test_a_broken_meta_json_names_itself(tmp_path, capsys, text, problem):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = out / "meta.json"
+    path.write_text(text)
+    with pytest.raises(BrokenResultsError, match="^%s %s" % (re.escape(str(path)), problem)):
+        load(out)
+    assert cli.main(["stats", "--results", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("failed: %s %s" % (path, problem))
+
+
+def test_a_results_path_that_is_no_set_directory_is_a_usage_error(tmp_path, capsys):
+    out = persist(_tiny_batch(), tmp_path / "out")
+    for where in (out / "results.csv", out / "results.csv" / "deeper"):
+        assert cli.main(["compare", "--results", str(where)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read results: ")
+    (out / "meta.json").unlink()
+    assert cli.main(["compare", "--results", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read results: ")
 
 
 def test_two_loaded_sets_compare_equal_trace_by_trace(tmp_path):

@@ -63,7 +63,7 @@ from ieco_mco.problems import (
 from ieco_mco.problems import engineering
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
-from ieco_mco.stages import Variant
+from ieco_mco.stages import _VARIANTS
 from support import sequential_evaluate, traces_bytes
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
@@ -392,7 +392,7 @@ _LEAST_DIMENSION = {"f06": 3, "f07": 4, "f08": 5}
 def run_configs(draw):
     name = draw(st.sampled_from(list(DESK_SUITE) + list(ENGINEERING)))
     n = draw(st.integers(5, 60))
-    return RunConfig(algorithm=draw(st.sampled_from(Variant)).value, problem=name,
+    return RunConfig(algorithm=draw(st.sampled_from(list(_VARIANTS))), problem=name,
                      seed=draw(st.integers(0, 2 ** 32 - 1)), n=n,
                      dimension=draw(st.integers(_LEAST_DIMENSION.get(name, 1), 30)),
                      fes_max=draw(st.integers(2 * n, 20 * n)))

@@ -51,6 +51,17 @@ def test_peek_then_consumed_prefix_equals_sequential_draws(prefix):
     assert block.distinct_pair(29) == seq.distinct_pair(29)
 
 
+def test_peek_uniform_draws_through_uniform():
+    class Halves(RngStream):
+        def uniform(self, size=None):
+            return super().uniform(size) * 0.5
+
+    rng = Halves(43)
+    peeked = rng.peek_uniform(size=(3, 2))
+    assert np.array_equal(peeked, rng.uniform(size=(3, 2)))
+    assert peeked.max() < 0.5
+
+
 def test_scripted_peek_uniform_pops_nothing():
     rng = ScriptedRng(uniforms=[0.1, 0.2, 0.3])
     assert np.array_equal(rng.peek_uniform(size=(1, 2)), [[0.1, 0.2]])

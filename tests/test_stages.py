@@ -11,7 +11,7 @@ import pytest
 from support import CountingEvaluator, ScriptedRng, levy_script
 
 import ieco_mco.stages as st
-from ieco_mco.covariance import EliteArchive, min_model_entries
+from ieco_mco.covariance import min_model_entries
 from ieco_mco.rng import (Bounds, BudgetExhaustedError, RngStream, levy_sample,
                           logistic_chain, mantegna_sigma)
 from ieco_mco.stages import (
@@ -19,11 +19,10 @@ from ieco_mco.stages import (
     ARCHIVE_ROWS_PER_DIM,
     TALENT_THRESHOLD,
     Population,
-    Stage,
     StageContext,
-    Variant,
     _school_means,
     closest_school,
+    elite_archive,
     high_school_update,
     high_student_update,
     middle_school_update,
@@ -35,12 +34,13 @@ from ieco_mco.stages import (
     stage_of,
     step,
     talent_gain,
+    variant_of,
 )
 
 WIDE = Bounds.cube(-1e9, 1e9, 1)
 
 
-def ctx_with(stage=Stage.PRIMARY, fes=0, fes_max=1000, omega_val=0.0, p=0.0):
+def ctx_with(stage=0, fes=0, fes_max=1000, omega_val=0.0, p=0.0):
     return StageContext(stage=stage, fes=fes, fes_max=fes_max, omega=omega_val, p=p)
 
 
@@ -80,15 +80,15 @@ def test_omega_rejects_overrun():
 
 
 def test_stage_cycle_first_iterations():
-    assert stage_of(1) is Stage.PRIMARY
-    assert stage_of(3) is Stage.HIGH
-    assert stage_of(4) is Stage.PRIMARY
+    assert stage_of(1) == 0
+    assert stage_of(3) == 2
+    assert stage_of(4) == 0
 
 
 def test_stage_cycle_counts_over_3k_iterations():
     for k in (1, 4, 7):
         stages = [stage_of(i) for i in range(1, 3 * k + 1)]
-        for s in Stage:
+        for s in range(3):
             assert stages.count(s) == k
     with pytest.raises(ValueError):
         stage_of(0)
@@ -104,21 +104,20 @@ def test_school_count_round_half_up_and_floor_one():
 
 
 def test_variant_labels_parse_case_insensitively():
-    assert Variant.from_label("ieco-mco") is Variant.IECO_MCO
-    assert Variant.from_label("IECO_MCO") is Variant.IECO_MCO
-    assert Variant.from_label("EcO") is Variant.ECO
+    assert variant_of("ieco-mco") is _VARIANTS["IECO-MCO"]
+    assert variant_of(" IECO_MCO ") is _VARIANTS["IECO-MCO"]
+    assert variant_of("EcO") is _VARIANTS["ECO"]
     with pytest.raises(ValueError) as err:
-        Variant.from_label("bogus")
-    msg = str(err.value)
-    for label in ("eco", "geco", "seco", "deco", "ieco-mco"):
-        assert label in msg.lower()
+        variant_of("bogus")
+    assert str(err.value) == ("unknown variant 'bogus' (expected one of "
+                              "ECO, GECO, SECO, DECO, IECO-MCO)")
 
 
 def test_context_draw_uses_one_normal_and_scales_p():
-    ctx = StageContext.draw(Stage.MIDDLE, 0, 1000, ScriptedRng(normals=[0.25]))
+    ctx = StageContext.draw(1, 0, 1000, ScriptedRng(normals=[0.25]))
     assert ctx.p == pytest.approx(1.0, abs=1e-15)
     assert ctx.omega == pytest.approx(0.1 * math.log(2.0), abs=1e-15)
-    ctx_end = StageContext.draw(Stage.MIDDLE, 1000, 1000, ScriptedRng(normals=[3.7]))
+    ctx_end = StageContext.draw(1, 1000, 1000, ScriptedRng(normals=[3.7]))
     assert ctx_end.p == 0.0
     assert ctx_end.progress() == 1.0
 
@@ -197,7 +196,7 @@ def test_primary_student_fixed_point_at_school():
 def test_middle_school_hand_example():
     # D=1, X=1, best=5, mean=3, progress=0.5, Levy=0.5 -> 1 + 2*exp(-0.5)*0.5
     # (X is the second of k=2 schools; the best is the first)
-    ctx = ctx_with(stage=Stage.MIDDLE, fes=500, fes_max=1000)
+    ctx = ctx_with(stage=1, fes=500, fes_max=1000)
     out = middle_school_update(col(5.0, 1.0, 3.0), 2, None, ctx,
                                ScriptedRng(normals=levy_script([0.5]) * 2))
     assert out[1, 0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
@@ -205,12 +204,12 @@ def test_middle_school_hand_example():
 
 
 def test_middle_school_fixed_point_and_endpoint():
-    ctx = ctx_with(stage=Stage.MIDDLE, fes=250, fes_max=1000)
+    ctx = ctx_with(stage=1, fes=250, fes_max=1000)
     out = middle_school_update(col(3.0, 1.0, 5.0), 2, None, ctx,
                                ScriptedRng(normals=levy_script([2.2]) * 2))
     assert out[1, 0] == 1.0  # best == mean annihilates the step
     # fes = fes_max -> decay factor e^0 = 1
-    ctx_end = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000)
+    ctx_end = ctx_with(stage=1, fes=1000, fes_max=1000)
     out = middle_school_update(col(4.0, 1.0, 4.0), 2, None, ctx_end,
                                ScriptedRng(normals=levy_script([1.0]) * 2))
     assert out[1, 0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
@@ -218,7 +217,7 @@ def test_middle_school_fixed_point_and_endpoint():
 
 def test_middle_student_hand_example():
     # D=1, X=2, close=1, w=0.05, P=1, E=1 -> 2 - 0.05 - (0.05 - 2) = 3.90
-    ctx = ctx_with(stage=Stage.MIDDLE, omega_val=0.05, p=1.0)
+    ctx = ctx_with(stage=1, omega_val=0.05, p=1.0)
     out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.3]))  # R_m <= Th -> E=1
     assert out[0, 0] == pytest.approx(3.90, abs=1e-12)
@@ -226,7 +225,7 @@ def test_middle_student_hand_example():
 
 def test_middle_student_terminal_budget_fixed_point():
     # P=0 and w=0 at fes=fes_max: X stays put.
-    ctx = ctx_with(stage=Stage.MIDDLE, fes=1000, fes_max=1000,
+    ctx = ctx_with(stage=1, fes=1000, fes_max=1000,
                    omega_val=omega(1000, 1000), p=0.0)
     out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.4]))
@@ -236,14 +235,14 @@ def test_middle_student_terminal_budget_fixed_point():
 def test_high_school_hand_example():
     # D=1, X=0, best=2, mean=1, worst=5, r1=1, r2=0.5 -> 0 + 1 - 2 = -1
     # (X is the second of k=2 schools; the best is the first)
-    ctx = ctx_with(stage=Stage.HIGH)
+    ctx = ctx_with(stage=2)
     out = high_school_update(col(2.0, 0.0, -3.0, 5.0), 2, None, ctx,
                              ScriptedRng(normals=[1.0, 0.5] * 2))
     assert out[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_high_school_fixed_points():
-    ctx = ctx_with(stage=Stage.HIGH)
+    ctx = ctx_with(stage=2)
     # best = worst = mean = 1
     out = high_school_update(col(1.0, 7.0, -5.0, 1.0), 2, None, ctx,
                              ScriptedRng(normals=[2.3, -1.1] * 2))
@@ -256,7 +255,7 @@ def test_high_school_fixed_points():
 
 def test_high_student_hand_example():
     # D=1, X=1, best=3, P=0.5, E=1 -> 1 - 0.5*(3-1) = 0
-    ctx = ctx_with(stage=Stage.HIGH, p=0.5)
+    ctx = ctx_with(stage=2, p=0.5)
     out = high_student_update(*one_school(3.0, 1.0), ctx,
                               ScriptedRng(uniforms=[0.2]))  # E = 1
     assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -264,10 +263,10 @@ def test_high_student_hand_example():
 
 def test_high_student_fixed_points():
     # best = 3
-    out = high_student_update(*one_school(3.0, 1.0), ctx_with(stage=Stage.HIGH, p=0.0),
+    out = high_student_update(*one_school(3.0, 1.0), ctx_with(stage=2, p=0.0),
                               ScriptedRng(uniforms=[0.9]))
     assert out[0, 0] == 1.0
-    out = high_student_update(*one_school(3.0, 3.0), ctx_with(stage=Stage.HIGH, p=0.7),
+    out = high_student_update(*one_school(3.0, 3.0), ctx_with(stage=2, p=0.7),
                               ScriptedRng(uniforms=[0.2]))
     assert out[0, 0] == 3.0  # E=1 and X=best: fixed point at the best school
 
@@ -388,39 +387,31 @@ def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
 
 def test_algorithm_params_defaults_per_variant():
     fractions = {
-        Variant.ECO: (0.2, 0.1, 0.1),
-        Variant.GECO: (0.4, 0.5, 0.5),
-        Variant.SECO: (0.4, 0.5, 0.5),
-        Variant.DECO: (0.4, 0.5, 0.5),
-        Variant.IECO_MCO: (0.4, 0.5, 0.5),
+        "ECO": (0.2, 0.1, 0.1),
+        "GECO": (0.4, 0.5, 0.5),
+        "SECO": (0.4, 0.5, 0.5),
+        "DECO": (0.4, 0.5, 0.5),
+        "IECO-MCO": (0.4, 0.5, 0.5),
     }
-    for variant, expected in fractions.items():
-        assert _VARIANTS[variant][0] == expected
+    assert list(_VARIANTS) == list(fractions)
+    for label, expected in fractions.items():
+        assert _VARIANTS[label] == (expected, OPERATORS.get(label))
     assert TALENT_THRESHOLD == 0.5
     assert ARCHIVE_ROWS_PER_DIM == 20
 
 
 # The school operator each variant with a model runs, by stage.
 OPERATORS = {
-    Variant.GECO: ("gaussian_operator",) * 3,
-    Variant.SECO: ("shift_operator",) * 3,
-    Variant.DECO: ("differential_operator",) * 3,
-    Variant.IECO_MCO: ("gaussian_operator", "shift_operator",
-                       "differential_operator"),
+    "GECO": ("gaussian_operator",) * 3,
+    "SECO": ("shift_operator",) * 3,
+    "DECO": ("differential_operator",) * 3,
+    "IECO-MCO": ("gaussian_operator", "shift_operator", "differential_operator"),
 }
+STAGES = ("primary", "middle", "high")
 
 
-def test_dispatch_table_covers_every_variant_and_stage():
-    assert set(_VARIANTS) == set(Variant)
-    assert _VARIANTS[Variant.ECO][1] is None
-    names = ("gaussian_operator", "shift_operator", "differential_operator")
-    for variant, operators in OPERATORS.items():
-        assert tuple(names[j] for j in _VARIANTS[variant][1]) == operators
-
-
-@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_step_calls_every_rule_and_operator_through_its_name(variant,
-                                                             monkeypatch):
+@pytest.mark.parametrize("label", list(_VARIANTS))
+def test_step_calls_every_rule_and_operator_through_its_name(label, monkeypatch):
     # perfbench's tracer rebinds these module attributes, so step must reach
     # them by name when it runs, not through functions a table holds.
     calls = []
@@ -434,7 +425,7 @@ def test_step_calls_every_rule_and_operator_through_its_name(variant,
 
         monkeypatch.setattr(owner, name, counted)
 
-    for stage in ("primary", "middle", "high"):
+    for stage in STAGES:
         count(st, stage + "_school_update")
         count(st, stage + "_student_update")
     for name in ("gaussian_operator", "shift_operator", "differential_operator"):
@@ -445,20 +436,20 @@ def test_step_calls_every_rule_and_operator_through_its_name(variant,
     for first in (1, 2, 3):   # each stage once with a young archive
         ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1))
         pop, rng = make_pop(ev, bounds, 10, seed=5)
-        archive = archive_for(variant, 2)
+        archive = archive_for(label, 2)
         for it in range(first, first + 4):
             stage = stage_of(it)
             modelled = archive is not None and len(archive) >= min_model_entries(2)
             ctx = StageContext.draw(stage, ev.used, 10 ** 6, rng)
             calls.clear()
-            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
-            plain = stage.name.lower()
-            school = (OPERATORS[variant][stage.value - 1] if modelled
+            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
+            plain = STAGES[stage]
+            school = (OPERATORS[label][stage] if modelled
                       else plain + "_school_update")
             assert calls == [school, plain + "_student_update"], (stage, modelled)
             seen.add((stage, modelled))
-    both = (False,) if variant is Variant.ECO else (False, True)
-    assert seen == {(stage, modelled) for stage in Stage for modelled in both}
+    both = (False,) if label == "ECO" else (False, True)
+    assert seen == {(stage, modelled) for stage in range(3) for modelled in both}
 
 
 def test_school_partition_after_sort():
@@ -523,12 +514,12 @@ def make_pop(evaluator, bounds, n, seed):
     return Population(pos, fit, obj, feas), rng
 
 
-def archive_for(variant, dim):
+def archive_for(label, dim):
     """The archive run_single gives a variant: none for ECO."""
-    return None if variant is Variant.ECO else EliteArchive(ARCHIVE_ROWS_PER_DIM * dim)
+    return elite_archive(variant_of(label), dim)
 
 
-def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
+def run_iterations(label, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
                    transform=None):
     bounds = Bounds.cube(-100.0, 100.0, dim)
     fn = lambda X: ((X - 7.0) ** 2).sum(axis=1)
@@ -537,32 +528,32 @@ def run_iterations(variant, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
         fn = lambda X: transform(base(X))
     ev = CountingEvaluator(fn)
     pop, rng = make_pop(ev, bounds, n, seed)
-    archive = archive_for(variant, dim)
+    archive = archive_for(label, dim)
     snaps = []
     for it in range(1, iters + 1):
         ctx = StageContext.draw(stage_of(it), ev.used, fes_max, rng)
-        pop = step(pop, variant, ctx, archive, rng, ev, bounds)
+        pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
         snaps.append(pop.positions.copy())
     return pop, ev, snaps
 
 
 def test_step_conserves_population_size():
-    pop, ev, _ = run_iterations(Variant.ECO, 7, n=12)
+    pop, ev, _ = run_iterations("ECO", 7, n=12)
     assert pop.positions.shape[0] == 12
-    pop, ev, _ = run_iterations(Variant.IECO_MCO, 7, n=12)
+    pop, ev, _ = run_iterations("IECO-MCO", 7, n=12)
     assert pop.positions.shape[0] == 12
 
 
 def test_step_best_fitness_is_monotone():
-    for variant in (Variant.ECO, Variant.IECO_MCO):
+    for label in ("ECO", "IECO-MCO"):
         bounds = Bounds.cube(-100.0, 100.0, 3)
         ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
         pop, rng = make_pop(ev, bounds, 10, seed=9)
-        archive = archive_for(variant, 3)
+        archive = archive_for(label, 3)
         best = pop.fitness[0]
         for it in range(1, 16):
             ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
             assert pop.fitness[0] <= best
             best = pop.fitness[0]
 
@@ -574,7 +565,7 @@ def test_step_consumes_n_evaluations_per_iteration():
     pop, rng = make_pop(ev, bounds, 6, seed=3)
     for it in range(1, 4):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
+        pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
     assert ev.used == 24
 
 
@@ -582,15 +573,15 @@ def test_step_refuses_to_start_without_budget():
     bounds = Bounds.cube(-100.0, 100.0, 2)
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 6, seed=3)
-    ctx = StageContext(stage=Stage.PRIMARY, fes=24, fes_max=24, omega=0.0, p=0.0)
+    ctx = StageContext(stage=0, fes=24, fes_max=24, omega=0.0, p=0.0)
     with pytest.raises(BudgetExhaustedError):
-        step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
+        step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
 
 
 def test_step_trajectory_invariant_under_monotone_rescaling():
     # Replaying the same seed on f and on 2f+7 gives identical positions.
-    _, _, snaps_f = run_iterations(Variant.ECO, 12, n=10, dim=3, seed=21)
-    _, _, snaps_g = run_iterations(Variant.ECO, 12, n=10, dim=3, seed=21,
+    _, _, snaps_f = run_iterations("ECO", 12, n=10, dim=3, seed=21)
+    _, _, snaps_g = run_iterations("ECO", 12, n=10, dim=3, seed=21,
                                    transform=lambda v: 2.0 * v + 7.0)
     for a, b in zip(snaps_f, snaps_g):
         assert np.array_equal(a, b)
@@ -612,7 +603,7 @@ def test_step_translation_equivariance_single_iteration():
             fit, obj, feas, pos = ev.evaluate(chain_population(n, bounds))
             pop = Population(pos, fit, obj, feas)
             ctx = StageContext.draw(stage_of(first_stage), ev.used, 10 ** 6, rng)
-            pop = step(pop, Variant.ECO, ctx, None, rng, ev, bounds)
+            pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
             out.append(pop.positions)
         assert np.allclose(out[1] - out[0], t, atol=1e-8)
 
@@ -621,12 +612,12 @@ def test_step_fills_archive_for_improved_variants():
     bounds = Bounds.cube(-100.0, 100.0, 2)
     ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
     pop, rng = make_pop(ev, bounds, 10, seed=13)
-    archive = archive_for(Variant.IECO_MCO, 2)
+    archive = archive_for("IECO-MCO", 2)
     pushed = 0
     for it in range(1, 10):
         ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, Variant.IECO_MCO, ctx, archive, rng, ev, bounds)
-        pushed += school_count(_VARIANTS[Variant.IECO_MCO][0][ctx.stage.value - 1], 10)
+        pop = step(pop, variant_of("IECO-MCO"), ctx, archive, rng, ev, bounds)
+        pushed += school_count(_VARIANTS["IECO-MCO"][0][ctx.stage], 10)
         assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
@@ -635,15 +626,15 @@ def test_step_clamps_every_proposal_into_the_box():
     # covariance operators propose points past the upper face; step clamps
     # the whole block before it is evaluated.
     bounds = Bounds.cube(-1.0, 1.0, 2)
-    for variant in Variant:
+    for label in _VARIANTS:
         seen = []
         ev = CountingEvaluator(lambda X: seen.append(X.copy())
                                or ((X - 7.0) ** 2).sum(axis=1))
         pop, rng = make_pop(ev, bounds, 10, seed=17)
-        archive = archive_for(variant, 2)
+        archive = archive_for(label, 2)
         for it in range(1, 16):
             ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, variant, ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
         proposals = np.concatenate(seen[1:])
-        assert np.all((proposals >= -1.0) & (proposals <= 1.0)), variant
-        assert np.any(proposals == 1.0), variant
+        assert np.all((proposals >= -1.0) & (proposals <= 1.0)), label
+        assert np.any(proposals == 1.0), label
