@@ -101,17 +101,46 @@ def _resolve(options, flags) -> dict:
     return values
 
 
+def _out_path(out, directory: bool) -> Optional[Path]:
+    """The path ``out`` names, None when unset; a usage error, before the
+    command reads or prints anything, when a directory's path or a file's
+    folder runs through a regular file, or a file's path is a directory."""
+    if not out:
+        return None
+    path = Path(out)
+    folder = path if directory else path.parent
+    blocker = next(p for p in (folder, *folder.parents) if p.exists())
+    if not blocker.is_dir():
+        raise UsageError("cannot write results to %s: %s is not a directory"
+                         % (out, blocker))
+    if not directory and path.is_dir():
+        raise UsageError("cannot write results to %s: it is a directory" % out)
+    return path
+
+
+def _persisted_name(name, persisted, label_of, what):
+    """The persisted name ``name`` resolves to: itself, else the one persisted
+    name with its label under ``label_of``, else a usage error naming the
+    candidates (a set persisted through the library can hold two)."""
+    if name in persisted:
+        return name
+    matches = [p for p in persisted if label_of(p) == label_of(name)]
+    if not matches:
+        raise UsageError("unknown %s %r; persisted %ss: %s"
+                         % (what, name, what, ", ".join(persisted)))
+    if len(matches) > 1:
+        raise UsageError("ambiguous %s %r; candidates: %s"
+                         % (what, name, ", ".join(matches)))
+    return matches[0]
+
+
 def cmd_run(values) -> int:
     """execute an experiment batch"""
     values.pop("config", None)
     out = values.pop("out")
     if not out:
         raise UsageError("no output directory; use --out")
-    # persist makes the directory only after the whole batch has run
-    blocker = next(p for p in (Path(out), *Path(out).parents) if p.exists())
-    if not blocker.is_dir():
-        raise UsageError("cannot write results to %s: %s is not a directory"
-                         % (out, blocker))
+    _out_path(out, directory=True)
     # run_batch checks every argument before its first run and raises
     # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
     try:
@@ -196,12 +225,11 @@ def cmd_stats(values) -> int:
     test = values["test"]
     if test not in _TESTS:
         raise UsageError("unknown test %r" % test)
+    out_dir = _out_path(values.get("out"), directory=True)
     (text,) = _reports(values, (test,))
     text += "\n"
     sys.stdout.write(text)
-    out = values.get("out")
-    if out:
-        out_dir = Path(out)
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / ("report-%s.txt" % test)).write_text(text)
     return 0
@@ -209,31 +237,14 @@ def cmd_stats(values) -> int:
 
 def cmd_export_trace(values) -> int:
     """mean convergence series per algorithm on a shared grid"""
-    results = _load_results(values)
-    problem = values.get("problem")
-    if not problem:
+    target = _out_path(values.get("out"), directory=False)
+    if not values.get("problem"):
         raise UsageError("no problem given; use --problem")
-    if problem not in results.problems:
-        # Resolve by the registry's name rule, on both sides. Two persisted
-        # problems can share a label only if custom problems were persisted
-        # through the library; then the name is ambiguous.
-        label = problem_label(problem)
-        matches = [p for p in results.problems if problem_label(p) == label]
-        if not matches:
-            raise UsageError("unknown problem %r; persisted problems: %s"
-                             % (problem, ", ".join(results.problems)))
-        if len(matches) > 1:
-            raise UsageError("ambiguous problem %r; candidates: %s"
-                             % (problem, ", ".join(matches)))
-        (problem,) = matches
-    # algorithm names match by the variant name rule; the persisted label is used
-    persisted = {algorithm_label(a): a for a in results.algorithms}
-    algorithms = []
-    for a in values.get("algorithms") or results.algorithms:
-        if algorithm_label(a) not in persisted:
-            raise UsageError("unknown algorithm %r; persisted algorithms: %s"
-                             % (a, ", ".join(results.algorithms)))
-        algorithms.append(persisted[algorithm_label(a)])
+    results = _load_results(values)
+    problem = _persisted_name(values["problem"], results.problems,
+                              problem_label, "problem")
+    algorithms = [_persisted_name(a, results.algorithms, algorithm_label, "algorithm")
+                  for a in values.get("algorithms") or results.algorithms]
     try:
         grid, series = harness.export_trace(results, problem, algorithms)
     except (KeyError, ValueError) as exc:
@@ -244,11 +255,10 @@ def cmd_export_trace(values) -> int:
         lines.append("%d,%s" % (fes, ",".join(repr(float(series[a][i]))
                                               for a in algorithms)))
     text = "\n".join(lines) + "\n"
-    out = values.get("out")
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
-        print("wrote %s (%d grid points)" % (out, len(grid)))
+    if target:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+        print("wrote %s (%d grid points)" % (values["out"], len(grid)))
     else:
         sys.stdout.write(text)
     return 0

@@ -57,15 +57,7 @@ from .problems import (
 )
 from .problems.core import ProblemSpec
 from .rng import BudgetExhaustedError, RngStream, init_population
-from .stages import (
-    Population,
-    StageContext,
-    algorithm_label,
-    elite_archive,
-    stage_of,
-    step,
-    variant_of,
-)
+from .stages import Population, algorithm_label, elite_archive, step, variant_of
 
 SCHEMA_VERSION = 4
 _MASK64 = (1 << 64) - 1
@@ -326,8 +318,7 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     iteration = 1
     while ev.used + cfg.n <= fes_max:
-        ctx = StageContext.draw(stage_of(iteration), ev.used, fes_max, rng)
-        pop = step(pop, variant, ctx, archive, rng, ev, spec.bounds)
+        pop = step(pop, variant, iteration, archive, ev)
         trace[iteration] = ev.used, pop.fitness[0]
         iteration += 1
 

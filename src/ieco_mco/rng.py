@@ -33,7 +33,7 @@ class ChaoticOrbitError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Raised when an evaluation or an iteration would exceed the budget."""
+    """Raised when an evaluation would exceed the budget."""
 
 
 class RngStream:

@@ -37,9 +37,10 @@ variant with operators keeps an elite archive of 20 * D rows; until it holds
 enough entries for a usable model the school update falls back to the plain
 stage rule.
 
-Per-iteration draw order (one shared stream): the scalar for P; the school
-block, agents in fitness order; the student block, agents in fitness order;
-then any draws made by constraint handling during evaluation. A plain rule
+Per-iteration draw order on the one stream of the run's evaluator: the
+scalar for P, which :func:`step` draws first; the school block, agents in
+fitness order; the student block, agents in fitness order; then any draws
+made by constraint handling during evaluation. A plain rule
 makes its block's draws in one call: the Levy pairs as a (k, 2, D) normal
 array (each agent's u vector, then its v vector), the high-school scalar
 pairs as (k, 2), the primary-student normals and the talent uniforms as (m,).
@@ -60,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from . import covariance as cov
-from .rng import Bounds, BudgetExhaustedError, RngStream, clamp, levy_sample
+from .rng import RngStream, clamp, levy_sample
 
 # Talent threshold Th: a talent draw above it gives the student the gain E.
 TALENT_THRESHOLD = 0.5
@@ -252,32 +253,27 @@ def elite_archive(variant, dimension: int) -> Optional[cov.EliteArchive]:
 
 # -------------------------------------------------------------------- step
 
-def step(pop: Population, variant, ctx: StageContext,
-         archive: Optional[cov.EliteArchive], rng: RngStream, evaluator,
-         bounds: Bounds) -> Population:
-    """One full iteration: propose, evaluate, select greedily, archive elites.
+def step(pop: Population, variant, iteration: int,
+         archive: Optional[cov.EliteArchive], evaluator) -> Population:
+    """One full iteration: draw P, propose, evaluate, select, archive.
 
-    ``pop`` is sorted, as a :class:`Population` keeps itself. ``evaluator``
-    must expose ``evaluate(X) -> (fitness, objective, violation,
-    positions)`` and own the evaluation budget; the iteration needs exactly
-    one base evaluation per agent (constraint handling may spend more).
-    ``variant`` is a row of the variant table and ``ctx.stage`` the index
-    of the stage in its per-stage tuples. ``archive`` is the row's
-    :func:`elite_archive`: None for a variant that keeps none. Otherwise the
-    variant's operator runs once the archive supports a model, and the
-    iteration's elites of finite fitness are pushed to it: a non-finite one
-    cannot rank an entry, and the model waits for enough finite entries as
-    it waits for a young archive. Raises
-    :class:`BudgetExhaustedError` when the base cost does not fit.
+    ``pop`` is sorted, as a :class:`Population` keeps itself. ``variant`` is
+    a row of the variant table; the 1-based ``iteration`` picks the stage.
+    ``evaluator`` is the run's: ``evaluate(X) -> (fitness, objective,
+    violation, positions)``, the stream ``rng``, the box ``spec.bounds`` and
+    the budget, ``used`` of ``fes_max``. Its ``evaluate`` is the one budget
+    check: a block that does not fit raises there, after the P and proposal
+    draws. ``archive`` is the row's :func:`elite_archive`, None for a variant
+    that keeps none; otherwise its operator runs once the archive supports a
+    model, and the iteration's elites of finite fitness are pushed to it (a
+    non-finite one cannot rank an entry).
     """
+    rng = evaluator.rng
+    i = stage_of(iteration)
+    ctx = StageContext.draw(i, evaluator.used, evaluator.fes_max, rng)
     X = pop.positions
     n, d = X.shape
-    if ctx.fes + n > ctx.fes_max:
-        raise BudgetExhaustedError(
-            "iteration needs %d evaluations but only %d remain"
-            % (n, ctx.fes_max - ctx.fes))
     fractions, operators = variant
-    i = ctx.stage
     k = school_count(fractions[i], n)
     assign = closest_school(X[k:], X[:k])
 
@@ -293,7 +289,8 @@ def step(pop: Population, variant, ctx: StageContext,
     student_rule = (primary_student_update, middle_student_update,
                     high_student_update)[i]
     proposals[k:] = student_rule(X, k, assign, ctx, rng)
-    child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(clamp(proposals, bounds))
+    child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(
+        clamp(proposals, evaluator.spec.bounds))
 
     improved = child_fit < pop.fitness
     pop.positions[improved] = child_pos[improved]

@@ -5,10 +5,12 @@ before the archive kept its window and rank order."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ieco_mco.covariance import ELITE_WEIGHT
-from ieco_mco.rng import LEVY_BETA, Bounds, mantegna_sigma
+from ieco_mco.rng import LEVY_BETA, Bounds, RngStream, mantegna_sigma
 from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, HandledPoint,
                                penalized_fitness)
 from ieco_mco.problems.core import ProblemSpec
@@ -60,10 +62,15 @@ def levy_script(values):
 
 
 class CountingEvaluator:
-    """Minimal evaluator for driving step() directly; counts evaluations."""
+    """Minimal evaluator for driving step() directly: reads ``fn`` on the box
+    ``bounds`` with no constraint handling, holds the run's stream, seeded
+    with ``seed``, and counts evaluations against the budget ``fes_max``."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, bounds, seed, fes_max=10 ** 6):
         self.fn = fn
+        self.spec = SimpleNamespace(bounds=bounds)
+        self.rng = RngStream(seed)
+        self.fes_max = fes_max
         self.used = 0
 
     def evaluate(self, X):

@@ -768,6 +768,57 @@ def test_export_trace_without_problem_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_export_trace_without_problem_reads_no_set(tmp_path, capsys):
+    out = _synthetic_results(tmp_path, tie=False)
+    (out / "results.csv").unlink()
+    capsys.readouterr()
+    assert run_cli("export-trace", "--results", str(out)) == 2
+    assert capsys.readouterr() == ("", "error: no problem given; use --problem\n")
+
+
+@pytest.mark.parametrize("argv, out, needle", [
+    (["stats", "--test", "kw"], "afile", "afile is not a directory"),
+    (["stats", "--test", "kw"], "afile/reports", "afile is not a directory"),
+    (["export-trace", "--problem", "p1"], "afile/x.csv", "afile is not a directory"),
+    (["export-trace", "--problem", "p1"], "adir", "adir: it is a directory"),
+])
+def test_an_output_path_that_cannot_be_written_is_refused_before_the_set_is_read(
+        tmp_path, capsys, monkeypatch, argv, out, needle):
+    results = str(_synthetic_results(tmp_path, tie=False))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep me\n")
+    (tmp_path / "adir").mkdir()
+    loads = []
+    monkeypatch.setattr(harness, "load", lambda *a: loads.append(a))
+    capsys.readouterr()
+    assert run_cli(*argv, "--results", results, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+    assert loads == []
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+def test_export_trace_resolves_algorithms_as_problems(tmp_path, capsys):
+    """A set persisted through the library can hold two names of one label:
+    an exact name picks its own series, and the label alone is ambiguous."""
+    out = _synthetic_results(tmp_path, tie=False, algorithms=("ECO", "eco"))
+    results = load(out)
+    for name in ("ECO", "eco"):
+        capsys.readouterr()
+        assert run_cli("export-trace", "--results", str(out), "--problem", "p1",
+                       "--algorithms", name) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fes," + name
+        _, series = export_trace(results, "p1", [name])
+        assert [float(line.split(",")[1]) for line in lines[1:]] == list(series[name])
+    assert run_cli("export-trace", "--results", str(out), "--problem", "p1",
+                   "--algorithms", "Eco") == 2
+    assert capsys.readouterr() == ("", "error: ambiguous algorithm 'Eco'; "
+                                       "candidates: ECO, eco\n")
+
+
 def test_export_trace_unknown_problem_or_algorithm(tmp_path, capsys):
     out = _real_results(tmp_path)
     assert run_cli("export-trace", "--results", str(out),

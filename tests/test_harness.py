@@ -31,7 +31,8 @@ from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, penalized_fitness,
                                stable_seed)
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
-from ieco_mco.stages import Population, StageContext, stage_of, step, variant_of
+from ieco_mco.rng import init_population
+from ieco_mco.stages import Population, elite_archive, step, variant_of
 
 from support import drop_last_trace, rewrite_traces, sphere_spec, traces_bytes
 
@@ -61,8 +62,7 @@ def half_nan_spec(vectorized):
 @pytest.mark.parametrize("vectorized", [True, False])
 def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     spec = half_nan_spec(vectorized)
-    rng = RngStream(3)
-    ev = Evaluator(spec, fes_max=10 ** 6, rng=rng)
+    ev = Evaluator(spec, fes_max=10 ** 6, rng=RngStream(3))
     X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
                   [0.5, 0.5], [4.0, 4.0]])
     fit, obj, feas, pos = ev.evaluate(X)
@@ -71,8 +71,7 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     assert spec.evaluate(X[0])[0] == np.inf
     pop = Population(pos, fit, obj, feas)
     for it in range(1, 7):
-        ctx = StageContext.draw(stage_of(it), ev.used, ev.fes_max, rng)
-        pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, spec.bounds)
+        pop = step(pop, variant_of("ECO"), it, None, ev)
     # the agent that started in the NaN half was replaced by a finite child
     assert np.all(np.isfinite(pop.fitness))
     assert np.all(pop.positions[:, 0] >= 0.0)
@@ -300,9 +299,9 @@ def test_run_single_records_one_trace_point_per_iteration(monkeypatch, problem):
     # rw03 resamples infeasible rows, so its iterations charge uneven counts
     used_before_step = []
 
-    def counted(pop, variant, ctx, archive, rng, ev, bounds):
+    def counted(pop, variant, iteration, archive, ev):
         used_before_step.append(ev.used)
-        return step(pop, variant, ctx, archive, rng, ev, bounds)
+        return step(pop, variant, iteration, archive, ev)
 
     monkeypatch.setattr(harness, "step", counted)
     n = 10
@@ -316,6 +315,37 @@ def test_run_single_records_one_trace_point_per_iteration(monkeypatch, problem):
     assert fes[-1] == rec.evaluations_used
     if problem == "rw03":
         assert fes[0] > n and len(set(np.diff(fes))) > 1
+
+
+@pytest.mark.parametrize("problem", ["f01", "rw08"])
+def test_stepping_by_hand_reproduces_run_single(problem):
+    # step takes the stage, the P draw, the box and the budget from the
+    # iteration number and the evaluator, so this loop is the whole run; on
+    # rw08 resampling draws from the same stream between the P draws
+    cfg = RunConfig(algorithm="IECO-MCO", problem=problem, seed=7,
+                    dimension=5, n=10, fes_max=900)
+    spec = harness.make_problem(problem, cfg.dimension)
+    ev = Evaluator(spec, cfg.fes_max, RngStream(cfg.seed))
+    fit, obj, vio, X = ev.evaluate(init_population(cfg.n, spec.bounds, ev.rng))
+    pop = Population(X, fit, obj, vio)
+    variant = variant_of(cfg.algorithm)
+    archive = elite_archive(variant, spec.dimension)
+    trace = [(ev.used, pop.fitness[0])]
+    iteration = 1
+    while ev.used + cfg.n <= ev.fes_max:
+        pop = step(pop, variant, iteration, archive, ev)
+        trace.append((ev.used, pop.fitness[0]))
+        iteration += 1
+    if problem == "rw08":
+        assert len(set(np.diff([fes for fes, _ in trace]))) > 1
+    rec = run_single(cfg)
+    assert rec == RunRecord(
+        algorithm=cfg.algorithm, problem=spec.name, dimension=spec.dimension,
+        run=0, seed=cfg.seed, best_position=pop.positions[0],
+        best_fitness=pop.fitness[0], best_objective=pop.objective[0],
+        best_violation=pop.violation[0],
+        feasible=pop.violation[0] <= VIOLATION_TOL, trace=trace,
+        evaluations_used=ev.used)
 
 
 def test_run_single_improves_on_sphere():

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
-from support import CountingEvaluator, ScriptedRng, levy_script
+from support import CountingEvaluator, ScriptedRng, levy_script, sphere_spec
 
 import ieco_mco.stages as st
 from ieco_mco.covariance import min_model_entries
+from ieco_mco.harness import Evaluator
 from ieco_mco.rng import (Bounds, BudgetExhaustedError, RngStream, levy_sample,
                           logistic_chain, mantegna_sigma)
 from ieco_mco.stages import (
@@ -434,15 +436,14 @@ def test_step_calls_every_rule_and_operator_through_its_name(label, monkeypatch)
     bounds = Bounds.cube(-100.0, 100.0, 2)
     seen = set()
     for first in (1, 2, 3):   # each stage once with a young archive
-        ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1))
-        pop, rng = make_pop(ev, bounds, 10, seed=5)
+        ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5)
+        pop = make_pop(ev, 10)
         archive = archive_for(label, 2)
         for it in range(first, first + 4):
             stage = stage_of(it)
             modelled = archive is not None and len(archive) >= min_model_entries(2)
-            ctx = StageContext.draw(stage, ev.used, 10 ** 6, rng)
             calls.clear()
-            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant_of(label), it, archive, ev)
             plain = STAGES[stage]
             school = (OPERATORS[label][stage] if modelled
                       else plain + "_school_update")
@@ -508,10 +509,10 @@ def chain_population(n, bounds, x0=0.3):
     return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
 
 
-def make_pop(evaluator, bounds, n, seed):
-    rng = RngStream(seed)
-    fit, obj, feas, pos = evaluator.evaluate(chain_population(n, bounds))
-    return Population(pos, fit, obj, feas), rng
+def make_pop(evaluator, n):
+    """The evaluated chaotic population of ``n`` agents in the evaluator's box."""
+    fit, obj, feas, pos = evaluator.evaluate(chain_population(n, evaluator.spec.bounds))
+    return Population(pos, fit, obj, feas)
 
 
 def archive_for(label, dim):
@@ -526,13 +527,12 @@ def run_iterations(label, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
     if transform is not None:
         base = fn
         fn = lambda X: transform(base(X))
-    ev = CountingEvaluator(fn)
-    pop, rng = make_pop(ev, bounds, n, seed)
+    ev = CountingEvaluator(fn, bounds, seed, fes_max)
+    pop = make_pop(ev, n)
     archive = archive_for(label, dim)
     snaps = []
     for it in range(1, iters + 1):
-        ctx = StageContext.draw(stage_of(it), ev.used, fes_max, rng)
-        pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
+        pop = step(pop, variant_of(label), it, archive, ev)
         snaps.append(pop.positions.copy())
     return pop, ev, snaps
 
@@ -547,13 +547,12 @@ def test_step_conserves_population_size():
 def test_step_best_fitness_is_monotone():
     for label in ("ECO", "IECO-MCO"):
         bounds = Bounds.cube(-100.0, 100.0, 3)
-        ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
-        pop, rng = make_pop(ev, bounds, 10, seed=9)
+        ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=9)
+        pop = make_pop(ev, 10)
         archive = archive_for(label, 3)
         best = pop.fitness[0]
         for it in range(1, 16):
-            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant_of(label), it, archive, ev)
             assert pop.fitness[0] <= best
             best = pop.fitness[0]
 
@@ -561,21 +560,34 @@ def test_step_best_fitness_is_monotone():
 def test_step_consumes_n_evaluations_per_iteration():
     # ECO, D=2, N=6: init burns 6, three iterations burn 18 -> 24 total.
     bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
-    pop, rng = make_pop(ev, bounds, 6, seed=3)
+    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=3)
+    pop = make_pop(ev, 6)
     for it in range(1, 4):
-        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
+        pop = step(pop, variant_of("ECO"), it, None, ev)
     assert ev.used == 24
 
 
 def test_step_refuses_to_start_without_budget():
-    bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
-    pop, rng = make_pop(ev, bounds, 6, seed=3)
-    ctx = StageContext(stage=0, fes=24, fes_max=24, omega=0.0, p=0.0)
-    with pytest.raises(BudgetExhaustedError):
-        step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
+    # The evaluator's ceiling check is the iteration's only budget check. It
+    # raises after the P and proposal draws, before any objective is read,
+    # so the population, the archive and the count stay as they were.
+    for label in ("ECO", "IECO-MCO"):
+        ev = Evaluator(sphere_spec(2), fes_max=95, rng=RngStream(3))
+        pop = make_pop(ev, 10)
+        archive = archive_for(label, 2)
+        for it in range(1, 9):
+            pop = step(pop, variant_of(label), it, archive, ev)
+        positions, fitness = pop.positions.copy(), pop.fitness.copy()
+        rows = None if archive is None else archive.positions().copy()
+        with pytest.raises(BudgetExhaustedError, match=re.escape(
+                "evaluating 10 candidates would exceed the budget (90 of 95 used)")):
+            step(pop, variant_of(label), 9, archive, ev)
+        assert ev.used == 90
+        assert np.array_equal(pop.positions, positions)
+        assert np.array_equal(pop.fitness, fitness)
+        if archive is not None:
+            assert len(archive) >= min_model_entries(2)
+            assert np.array_equal(archive.positions(), rows)
 
 
 def test_step_trajectory_invariant_under_monotone_rescaling():
@@ -598,26 +610,22 @@ def test_step_translation_equivariance_single_iteration():
         out = []
         for shift in (0.0, t):
             bounds = Bounds.cube(-100.0 + shift, 100.0 + shift, dim)
-            ev = CountingEvaluator(lambda X, s=shift: ((X - s) ** 2).sum(axis=1))
-            rng = RngStream(41)
-            fit, obj, feas, pos = ev.evaluate(chain_population(n, bounds))
-            pop = Population(pos, fit, obj, feas)
-            ctx = StageContext.draw(stage_of(first_stage), ev.used, 10 ** 6, rng)
-            pop = step(pop, variant_of("ECO"), ctx, None, rng, ev, bounds)
+            ev = CountingEvaluator(lambda X, s=shift: ((X - s) ** 2).sum(axis=1),
+                                   bounds, seed=41)
+            pop = step(make_pop(ev, n), variant_of("ECO"), first_stage, None, ev)
             out.append(pop.positions)
         assert np.allclose(out[1] - out[0], t, atol=1e-8)
 
 
 def test_step_fills_archive_for_improved_variants():
     bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1))
-    pop, rng = make_pop(ev, bounds, 10, seed=13)
+    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=13)
+    pop = make_pop(ev, 10)
     archive = archive_for("IECO-MCO", 2)
     pushed = 0
     for it in range(1, 10):
-        ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-        pop = step(pop, variant_of("IECO-MCO"), ctx, archive, rng, ev, bounds)
-        pushed += school_count(_VARIANTS["IECO-MCO"][0][ctx.stage], 10)
+        pop = step(pop, variant_of("IECO-MCO"), it, archive, ev)
+        pushed += school_count(_VARIANTS["IECO-MCO"][0][stage_of(it)], 10)
         assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
@@ -629,12 +637,11 @@ def test_step_clamps_every_proposal_into_the_box():
     for label in _VARIANTS:
         seen = []
         ev = CountingEvaluator(lambda X: seen.append(X.copy())
-                               or ((X - 7.0) ** 2).sum(axis=1))
-        pop, rng = make_pop(ev, bounds, 10, seed=17)
+                               or ((X - 7.0) ** 2).sum(axis=1), bounds, seed=17)
+        pop = make_pop(ev, 10)
         archive = archive_for(label, 2)
         for it in range(1, 16):
-            ctx = StageContext.draw(stage_of(it), ev.used, 10 ** 6, rng)
-            pop = step(pop, variant_of(label), ctx, archive, rng, ev, bounds)
+            pop = step(pop, variant_of(label), it, archive, ev)
         proposals = np.concatenate(seen[1:])
         assert np.all((proposals >= -1.0) & (proposals <= 1.0)), label
         assert np.any(proposals == 1.0), label
