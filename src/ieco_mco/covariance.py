@@ -194,7 +194,10 @@ def estimate(archive: EliteArchive) -> CovModel:
     if m < 2:
         raise ArchiveTooSmallError("covariance estimation needs at least 2 entries, have %d" % m)
     X = archive._rows[archive._start:archive._stop]
-    ranked = np.take(archive._rows, archive._order, axis=0, out=archive._ranked[:m])
+    # push keeps every index of _order in range; the default mode="raise"
+    # would gather through a temporary before copying into ``out``
+    ranked = np.take(archive._rows, archive._order, axis=0, out=archive._ranked[:m],
+                     mode="clip")
     mean = rank_weights(m) @ ranked
     dev = np.subtract(X, mean, out=ranked)
     cov = dev.T @ dev
@@ -240,11 +243,11 @@ def elite_indices(fitnesses, positions, best_position, k):
 def _school_draws(rng: RngStream, k: int, d: int):
     """Each school's Gaussian vector, then its uniform, school after school:
     a (k, D) normal block and a (k, 1) uniform column."""
-    z, r = [], []
-    for _ in range(k):
-        z.append(rng.normal(size=d))
-        r.append(rng.uniform())
-    return np.array(z), np.array(r)[:, None]
+    z, r = np.empty((k, d)), np.empty((k, 1))
+    for j in range(k):
+        z[j] = rng.normal(size=d)
+        r[j] = rng.uniform()
+    return z, r
 
 
 def gaussian_operator(X, k, model: CovModel, rng: RngStream):
@@ -289,13 +292,11 @@ def differential_operator(X, k, model: CovModel, rng: RngStream):
     n, d = X.shape
     if n < 3:
         raise ValueError("differencing needs at least 2 other agents (population of 3)")
-    z, pairs, r = [], [], []
-    for _ in range(k):
-        z.append(rng.normal(size=d))
-        pairs.append(rng.distinct_pair(n - 1))
-        r.append(rng.uniform(size=2))
-    pairs = np.array(pairs)
+    z, pairs, r = np.empty((k, d)), np.empty((k, 2), dtype=np.intp), np.empty((k, 2))
+    for j in range(k):
+        z[j] = rng.normal(size=d)
+        pairs[j] = rng.distinct_pair(n - 1)
+        r[j] = rng.uniform(size=2)
     pairs += pairs >= np.arange(k)[:, None]
-    r = np.array(r)
-    return (model.sample(np.array(z)) + r[:, :1] * (X[pairs[:, 0]] - X[0])
+    return (model.sample(z) + r[:, :1] * (X[pairs[:, 0]] - X[0])
             + r[:, 1:] * (X[pairs[:, 1]] - X[-1]))

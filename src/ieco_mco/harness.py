@@ -127,10 +127,13 @@ class Evaluator:
 
     ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
     returns (fitness, objective, violation, positions): the ranking value
-    and the readings it was computed from. Infeasible rows are first
-    resampled inside the box, in row order, on a copy of ``X``; then the
-    whole block is ranked at once. Resampling draws come from ``rng``, the
-    run's single stream, after the iteration's update draws.
+    and the readings it was computed from. On a problem without
+    constraints every violation is +0.0, so the fitness is a copy of the
+    objective and no penalty or resampling pass runs. Otherwise infeasible
+    rows are first resampled inside the box, in row order, on a copy of
+    ``X``; then the whole block is ranked at once. Resampling draws come
+    from ``rng``, the run's single stream, after the iteration's update
+    draws.
 
     The infeasible rows share one :class:`TrialStream`, which reads trials
     ahead in blocks (one ``spec.batch`` per block) and consumes only the
@@ -161,6 +164,8 @@ class Evaluator:
                 % (n, self.used, self.fes_max))
         objective, violation = self.spec.batch(X)
         self.used += n
+        if self.spec.constraints is None:
+            return objective.copy(), objective, violation, X
         infeasible = np.flatnonzero(violation > VIOLATION_TOL)
         if infeasible.size:
             X = X.copy()
@@ -174,12 +179,13 @@ class Evaluator:
         return penalized_fitness(objective, violation), objective, violation, X
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Outcome of one independent run.
+    """Outcome of one independent run; read-only, so change a record with
+    ``dataclasses.replace``.
 
     Equality ignores ``wall_time``; every other field must match exactly.
-    ``trace`` is a :data:`TRACE_DTYPE` array; a sequence of (fes, best)
+    ``trace`` is a 1-D :data:`TRACE_DTYPE` array; a sequence of (fes, best)
     pairs given in its place is converted on construction.
     """
 
@@ -198,8 +204,13 @@ class RunRecord:
     wall_time: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.trace, np.ndarray) and self.trace.dtype == TRACE_DTYPE):
-            self.trace = np.array([tuple(p) for p in self.trace], dtype=TRACE_DTYPE)
+        trace = self.trace
+        if not (isinstance(trace, np.ndarray) and trace.dtype == TRACE_DTYPE):
+            trace = np.array([tuple(p) for p in trace], dtype=TRACE_DTYPE)
+        if trace.ndim != 1:
+            raise ValueError("a trace is a 1-D array of (fes, best) points, not "
+                             "of shape %s" % (trace.shape,))
+        object.__setattr__(self, "trace", trace)
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
@@ -458,19 +469,13 @@ def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path.
 
     Raises ValueError, before writing anything, for an algorithm label that
-    holds a NUL character (a traces file's str array drops trailing NULs)
-    and for a trace that is not a 1-D :data:`TRACE_DTYPE` array, naming the
-    cell.
+    holds a NUL character (a traces file's str array drops trailing NULs).
     """
     records = [results.records[key] for key in sorted(results.records)]
     cells: Dict[str, List[RunRecord]] = {}
     for r in records:
         if "\0" in r.algorithm:
             raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
-        if not (isinstance(r.trace, np.ndarray) and r.trace.dtype == TRACE_DTYPE
-                and r.trace.ndim == 1):
-            raise ValueError("cell (%s, %s, run %d): the trace is not a 1-D array of "
-                             "dtype TRACE_DTYPE" % (r.algorithm, r.problem, r.run))
         cells.setdefault(r.problem, []).append(r)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ its shift is exactly the instance bias.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -29,13 +30,29 @@ from .core import (BENCHMARK_HIGH, BENCHMARK_LOW, ProblemSpec, TransformSpec,
 # ------------------------------------------------------------ base functions
 # All take a (n, D) block and return (n,) values; minimum 0 at the origin.
 
+def _per_dimension(make):
+    """Cache ``make(d)``'s array per D, read-only, as the constants of a
+    base function at D never change."""
+    @functools.lru_cache(maxsize=None)
+    def cached(d: int) -> np.ndarray:
+        arr = make(d)
+        arr.flags.writeable = False
+        return arr
+    return cached
+
+
+_zakharov_idx = _per_dimension(lambda d: 0.5 * np.arange(1, d + 1))
+_griewank_idx = _per_dimension(lambda d: np.sqrt(np.arange(1, d + 1)))
+_elliptic_scale = _per_dimension(
+    lambda d: 10.0 ** (np.zeros(d) if d == 1 else 6.0 * np.arange(d) / (d - 1)))
+
+
 def sphere(Z):
     return (Z ** 2).sum(axis=1)
 
 
 def zakharov(Z):
-    idx = 0.5 * np.arange(1, Z.shape[1] + 1)
-    s = Z @ idx
+    s = Z @ _zakharov_idx(Z.shape[1])
     return (Z ** 2).sum(axis=1) + s ** 2 + s ** 4
 
 
@@ -93,14 +110,12 @@ def ackley(Z):
 
 
 def griewank(Z):
-    idx = np.sqrt(np.arange(1, Z.shape[1] + 1))
+    idx = _griewank_idx(Z.shape[1])
     return 1.0 + (Z ** 2).sum(axis=1) / 4000.0 - np.cos(Z / idx).prod(axis=1)
 
 
 def elliptic(Z):
-    d = Z.shape[1]
-    expo = np.zeros(d) if d == 1 else 6.0 * np.arange(d) / (d - 1)
-    return (10.0 ** expo * Z ** 2).sum(axis=1)
+    return (_elliptic_scale(Z.shape[1]) * Z ** 2).sum(axis=1)
 
 
 def bent_cigar(Z):
@@ -194,32 +209,36 @@ def _component_shifts(family: str, transform: TransformSpec, count: int) -> np.n
 
 
 def _composition_evaluator(family: str, parts, transform: TransformSpec):
+    """Every component reads the block from one ``(c, n, D)`` stack of
+    differences: its squared distances and, through one stacked product, its
+    rotated coordinates. A stacked ``matmul`` runs the gemm of each ``(n,
+    D)`` slice, so each component's values keep the bits of its own
+    product."""
     d = transform.dimension
     funcs = [BASE_FUNCTIONS[p[0]] for p in parts]
-    sigmas = np.array([p[1] for p in parts])
+    scales = 2.0 * d * np.array([p[1] for p in parts]) ** 2
     lams = np.array([p[2] for p in parts])
     biases = np.array([p[3] for p in parts])
-    shifts = _component_shifts(family, transform, len(parts))
+    shifts = _component_shifts(family, transform, len(parts))[:, None, :]
     rot_t = transform.rotation.T
     norms = np.array([float(fn(np.zeros((1, d)))[0]) for fn in funcs])
 
     def batch(X):
-        n = X.shape[0]
-        vals = np.empty((n, len(funcs)))
-        d2 = np.empty((n, len(funcs)))
+        diff = X - shifts
+        d2 = (diff ** 2).sum(axis=2).T
+        Z = np.matmul(diff, rot_t)
+        vals = np.empty(d2.shape)
         for k, fn in enumerate(funcs):
-            diff = X - shifts[k]
-            d2[:, k] = (diff ** 2).sum(axis=1)
-            Z = diff @ rot_t
-            vals[:, k] = lams[k] * (fn(Z) - norms[k]) + biases[k]
+            vals[:, k] = lams[k] * (fn(Z[k]) - norms[k]) + biases[k]
         with np.errstate(divide="ignore"):
-            w = np.exp(-d2 / (2.0 * d * sigmas ** 2)) / np.sqrt(d2)
+            w = np.exp(-d2 / scales) / np.sqrt(d2)
         # a point sitting exactly on a component shift takes full weight
         exact = d2 <= 1e-24
-        for i in np.flatnonzero(exact.any(axis=1)):
-            hit = np.flatnonzero(exact[i])
-            w[i] = 0.0
-            w[i, hit[0]] = 1.0
+        if exact.any():
+            for i in np.flatnonzero(exact.any(axis=1)):
+                hit = np.flatnonzero(exact[i])
+                w[i] = 0.0
+                w[i, hit[0]] = 1.0
         wsum = w.sum(axis=1, keepdims=True)
         flat = wsum[:, 0] <= 0
         if flat.any():

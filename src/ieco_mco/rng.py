@@ -213,6 +213,7 @@ def levy_sample(dim: int, rng: RngStream, size=None) -> np.ndarray:
     return u / np.abs(z[..., 1, :]) ** (1.0 / LEVY_BETA)
 
 
-def clamp(x: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Project onto the box; idempotent and the single bound-repair rule."""
-    return np.minimum(np.maximum(x, bounds.lower), bounds.upper)
+def clamp(x: np.ndarray, bounds: Bounds, out=None) -> np.ndarray:
+    """Project onto the box; idempotent and the single bound-repair rule.
+    ``out=x`` projects ``x`` in place."""
+    return np.minimum(np.maximum(x, bounds.lower, out=out), bounds.upper, out=out)

@@ -275,7 +275,9 @@ def step(pop: Population, variant, iteration: int,
     n, d = X.shape
     fractions, operators = variant
     k = school_count(fractions[i], n)
-    assign = closest_school(X[k:], X[:k])
+    # close() is read by the primary school rule and the primary and middle
+    # student rules only; the high stage's rules take None
+    assign = closest_school(X[k:], X[:k]) if i < 2 else None
 
     # The rules are looked up here, by name, so that rebinding a name (as
     # perfbench's tracer does) reaches every call.
@@ -290,13 +292,13 @@ def step(pop: Population, variant, iteration: int,
                     high_student_update)[i]
     proposals[k:] = student_rule(X, k, assign, ctx, rng)
     child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(
-        clamp(proposals, evaluator.spec.bounds))
+        clamp(proposals, evaluator.spec.bounds, out=proposals))
 
     improved = child_fit < pop.fitness
-    pop.positions[improved] = child_pos[improved]
-    pop.fitness[improved] = child_fit[improved]
-    pop.objective[improved] = child_obj[improved]
-    pop.violation[improved] = child_vio[improved]
+    np.copyto(pop.positions, child_pos, where=improved[:, None])
+    np.copyto(pop.fitness, child_fit, where=improved)
+    np.copyto(pop.objective, child_obj, where=improved)
+    np.copyto(pop.violation, child_vio, where=improved)
     pop.sort()
 
     if archive is not None:

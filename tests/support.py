@@ -203,3 +203,67 @@ def reference_elite_indices(fitnesses, positions, best_position, k):
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)
     scores = ELITE_WEIGHT * fitness_norm + (1.0 - ELITE_WEIGHT) * distance_norm
     return np.argsort(-scores, kind="stable")[:k]
+
+
+def _reference_bases():
+    """The base functions, with the three that take constants building them
+    again on every call."""
+    from ieco_mco.problems.benchmarks import BASE_FUNCTIONS
+
+    def zakharov(Z):
+        s = Z @ (0.5 * np.arange(1, Z.shape[1] + 1))
+        return (Z ** 2).sum(axis=1) + s ** 2 + s ** 4
+
+    def griewank(Z):
+        idx = np.sqrt(np.arange(1, Z.shape[1] + 1))
+        return 1.0 + (Z ** 2).sum(axis=1) / 4000.0 - np.cos(Z / idx).prod(axis=1)
+
+    def elliptic(Z):
+        d = Z.shape[1]
+        expo = np.zeros(d) if d == 1 else 6.0 * np.arange(d) / (d - 1)
+        return (10.0 ** expo * Z ** 2).sum(axis=1)
+
+    return dict(BASE_FUNCTIONS, zakharov=zakharov, griewank=griewank,
+                elliptic=elliptic)
+
+
+def reference_composition(family, transform):
+    """Reference composition objective: each component shifts, measures,
+    rotates and weighs the block in numpy calls of its own."""
+    from ieco_mco.problems.benchmarks import (COMPOSITION_FAMILIES,
+                                              _component_shifts)
+    parts = COMPOSITION_FAMILIES[family]
+    bases = _reference_bases()
+    d = transform.dimension
+    funcs = [bases[p[0]] for p in parts]
+    sigmas = np.array([p[1] for p in parts])
+    lams = np.array([p[2] for p in parts])
+    biases = np.array([p[3] for p in parts])
+    shifts = _component_shifts(family, transform, len(parts))
+    rot_t = transform.rotation.T
+    norms = np.array([float(fn(np.zeros((1, d)))[0]) for fn in funcs])
+
+    def batch(X):
+        n = X.shape[0]
+        vals = np.empty((n, len(funcs)))
+        d2 = np.empty((n, len(funcs)))
+        for k, fn in enumerate(funcs):
+            diff = X - shifts[k]
+            d2[:, k] = (diff ** 2).sum(axis=1)
+            Z = diff @ rot_t
+            vals[:, k] = lams[k] * (fn(Z) - norms[k]) + biases[k]
+        with np.errstate(divide="ignore"):
+            w = np.exp(-d2 / (2.0 * d * sigmas ** 2)) / np.sqrt(d2)
+        exact = d2 <= 1e-24
+        for i in np.flatnonzero(exact.any(axis=1)):
+            hit = np.flatnonzero(exact[i])
+            w[i] = 0.0
+            w[i, hit[0]] = 1.0
+        wsum = w.sum(axis=1, keepdims=True)
+        flat = wsum[:, 0] <= 0
+        if flat.any():
+            w[flat] = 1.0 / len(funcs)
+            wsum[flat] = 1.0
+        return (w / wsum * vals).sum(axis=1) + transform.f_bias
+
+    return batch

@@ -4,7 +4,7 @@ import csv
 import json
 import re
 import shutil
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,31 @@ def test_evaluator_charges_one_per_candidate():
     assert np.array_equal(fit, np.full(4, 3.0))
     assert not vio.any()
     assert np.array_equal(pos, X)
+
+
+def test_evaluator_reads_an_unconstrained_block_without_the_constraint_pass(monkeypatch):
+    """With no constraints every violation is +0.0, so the fitness is a copy
+    of the objective, bit for bit, and no penalty or resampling pass runs."""
+    calls = []
+    penalize = harness.penalized_fitness
+    monkeypatch.setattr(harness, "penalized_fitness",
+                        lambda *a: calls.append(a) or penalize(*a))
+    values = np.array([-0.0, np.nan, 1.5, -np.inf])
+    spec = ProblemSpec(name="plain", bounds=Bounds.cube(-1.0, 1.0, 2),
+                       objective=lambda X: values[:len(X)], category="basic")
+    ev = Evaluator(spec, fes_max=10, rng=RngStream(3))
+    X = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
+    fit, obj, vio, pos = ev.evaluate(X)
+    assert calls == []
+    assert ev.used == 4
+    assert fit is not obj
+    assert np.array_equal(fit.view(np.int64), obj.view(np.int64))
+    assert np.array_equal(obj, [-0.0, np.inf, 1.5, -np.inf])
+    assert np.array_equal(vio.view(np.int64), np.zeros(4, dtype=np.int64))
+    assert np.array_equal(pos, np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+    constrained = _never_feasible_spec()
+    Evaluator(constrained, fes_max=3, rng=RngStream(3)).evaluate(np.full((1, 1), 0.5))
+    assert len(calls) == 1
 
 
 def test_evaluator_refuses_to_exceed_budget():
@@ -924,7 +949,7 @@ def test_summary_of_a_non_finite_best_has_nan_std_and_no_warning(tmp_path, bests
     rs = _tiny_batch()
     keys = sorted(rs.records)
     for key, best in zip(keys, bests):
-        rs.records[key].best_fitness = best
+        rs.records[key] = replace(rs.records[key], best_fitness=best)
     row = next(r for r in rs.summary()
                if (r["algorithm"], r["problem"]) == keys[0][:2])
     assert np.array_equal(row["mean"], mean, equal_nan=True)
@@ -940,7 +965,7 @@ def test_summary_of_bests_near_the_float_limit_warns_nothing(tmp_path, bests):
     rs = _tiny_batch(runs=2)
     keys = sorted(rs.records)
     for key, best in zip(keys, bests):
-        rs.records[key].best_fitness = best
+        rs.records[key] = replace(rs.records[key], best_fitness=best)
     rows = rs.summary()
     assert len(rows) == 4
     expected = {(1.7e308, 1.7e308): (1.7e308, 0.0),
@@ -967,20 +992,20 @@ def test_persist_refuses_a_nul_in_an_algorithm_label_before_writing(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
-def test_persist_refuses_a_trace_that_is_not_an_array_before_writing(tmp_path):
-    """A trace assigned a list after construction is refused with the
-    cell's name, before any file of the set there is touched."""
-    out = persist(_tiny_batch(), tmp_path / "out")
-    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+def test_a_record_is_read_only_and_its_trace_a_1d_array(tmp_path):
+    """A trace cannot be replaced after construction, so each record that
+    reaches persist or export_trace holds the array its constructor made."""
     rs = _tiny_batch(problems=("f03", "f04"))
     key = ("IECO-MCO", rs.problems[1], 2)
-    rs.records[key].trace = rs.records[key].trace.tolist()
-    cell = re.escape("cell (IECO-MCO, %s, run 2)" % rs.problems[1])
-    for where in (out, tmp_path / "new"):
-        with pytest.raises(ValueError, match=cell):
-            persist(rs, where)
-    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
-    assert not (tmp_path / "new").exists()
+    rec = rs.records[key]
+    trace = rec.trace
+    with pytest.raises(FrozenInstanceError):
+        rec.trace = trace.tolist()
+    assert rec.trace is trace
+    assert replace(rec, trace=trace.tolist()) == rec
+    with pytest.raises(ValueError, match=re.escape("not of shape (1, %d)" % len(trace))):
+        replace(rec, trace=trace[None])
+    assert load(persist(rs, tmp_path / "out")) == rs
 
 
 def test_persisted_bytes_are_reproducible(tmp_path):

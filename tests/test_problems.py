@@ -27,13 +27,18 @@ from ieco_mco.problems import (
 )
 from ieco_mco.problems.benchmarks import (
     BASE_FUNCTIONS,
+    COMPOSITION_FAMILIES,
+    _component_shifts,
+    _elliptic_scale,
+    _griewank_idx,
+    _zakharov_idx,
     rosenbrock,
     schwefel,
     sphere,
 )
 from ieco_mco.rng import Bounds, RngStream
 
-from support import ScriptedRng
+from support import ScriptedRng, reference_composition
 
 
 # ---------------------------------------------------------------- transforms
@@ -230,6 +235,37 @@ def test_composition_value_at_secondary_components_stays_above_bias():
     vals, _ = spec.batch(X)
     assert np.all(np.isfinite(vals))
     assert vals.min() >= 2300.0
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+@pytest.mark.parametrize("label", ["f09", "f10", "f11", "f12"])
+def test_composition_reads_the_bits_of_the_per_component_reference(label, dim):
+    """The stacked components give every bit the per-component reading
+    gives, on random blocks and on rows sitting exactly on a shift."""
+    family, bias = DESK_SUITE[label]
+    ts = generate_transform(dim, stable_seed("desk", label, dim, 0), f_bias=bias)
+    objective = desk_problem(label, dim).objective
+    reference = reference_composition(family, ts)
+    shifts = _component_shifts(family, ts, len(COMPOSITION_FAMILIES[family]))
+    gen = np.random.default_rng(dim)
+    blocks = [gen.uniform(-100.0, 100.0, size=(n, dim)) for n in (1, 2, 13, 30, 60)]
+    for c, shift in enumerate(shifts):
+        block = gen.uniform(-100.0, 100.0, size=(13, dim))
+        block[c] = shift
+        blocks += [shift[None], block]
+    for X in blocks:
+        got, want = objective(X), reference(X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), X.shape
+
+
+def test_base_function_constants_are_cached_read_only():
+    for cached in (_zakharov_idx, _griewank_idx, _elliptic_scale):
+        for d in (1, 2, 10):
+            arr = cached(d)
+            assert arr is cached(d) and arr.shape == (d,)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 # ------------------------------------------------------ engineering problems

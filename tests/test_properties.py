@@ -347,8 +347,8 @@ def test_persist_then_load_gives_equal_records(rs):
         for key, rec in rs.records.items():
             assert repr(back.records[key].best_fitness) == repr(rec.best_fitness)
             assert back.records[key].best_position.tobytes() == rec.best_position.tobytes()
-        for rec in back.records.values():
-            rec.wall_time += 1.0
+        for key, rec in back.records.items():
+            back.records[key] = dataclasses.replace(rec, wall_time=rec.wall_time + 1.0)
         again = persist(back, Path(tmp) / "again")
         assert traces_bytes(again) == traces_bytes(first)
         assert _without_wall_time(again / "results.csv") == \

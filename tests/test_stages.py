@@ -453,6 +453,47 @@ def test_step_calls_every_rule_and_operator_through_its_name(label, monkeypatch)
     assert seen == {(stage, modelled) for stage in range(3) for modelled in both}
 
 
+@pytest.mark.parametrize("label", ["ECO", "IECO-MCO"])
+def test_step_reads_close_only_in_the_stages_whose_rules_use_it(label, monkeypatch):
+    """close() makes no draws and is read by the primary school rule and the
+    primary and middle student rules only: step computes it in stages 0 and
+    1, and the high stage's two rules get None."""
+    closest, seen = [], {}
+    find = st.closest_school
+    monkeypatch.setattr(st, "closest_school",
+                        lambda *a: closest.append(1) or find(*a))
+    for stage in STAGES:
+        for who in ("school", "student"):
+            name = "%s_%s_update" % (stage, who)
+
+            def spy(X, k, assign, ctx, rng, name=name, rule=getattr(st, name)):
+                seen.setdefault(name, []).append(assign)
+                return rule(X, k, assign, ctx, rng)
+
+            monkeypatch.setattr(st, name, spy)
+    bounds = Bounds.cube(-100.0, 100.0, 2)
+    ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5)
+    pop = make_pop(ev, 10)
+    archive = archive_for(label, 2)
+    for it in range(1, 10):
+        closest.clear()
+        pop = step(pop, variant_of(label), it, archive, ev)
+        assert len(closest) == (stage_of(it) < 2), it
+    # a variant with a model runs its operator in place of the school rule
+    high = seen.get("high_school_update", []) + seen["high_student_update"]
+    assert high and all(a is None for a in high)
+    assert all(isinstance(a, np.ndarray) for name, args in seen.items()
+               if not name.startswith("high") for a in args)
+
+
+@pytest.mark.parametrize("rule", [high_school_update, high_student_update])
+def test_high_stage_rules_ignore_the_assignment(rule):
+    X = -5.0 + 10.0 * RngStream(7).uniform(size=(10, 3))
+    ctx = ctx_with(stage=2, fes=300, omega_val=0.05, p=1.3)
+    given = rule(X, 4, np.arange(6) % 4, ctx, RngStream(11))
+    assert np.array_equal(rule(X, 4, None, ctx, RngStream(11)), given)
+
+
 def test_school_partition_after_sort():
     rng = RngStream(31)
     pos = -5.0 + 10.0 * rng.uniform(size=(20, 3))
