@@ -176,12 +176,13 @@ class CovModel:
         self.factor = np.diag(np.sqrt(np.maximum(np.diag(self.cov), 0.0) + eps))
 
     def sample(self, z, mean=None):
-        """Map a (k, D) block of standard normals to draws from N(mean, C).
+        """Map a (k, D) block of standard normals to draws from N(mean, C),
+        ``mean`` a float (D,) or (k, D) array, ``mean_better`` by default.
 
         The stacked vector-matrix product gives each row the bits of its own
         ``z_i @ L.T``; a plain ``z @ L.T`` can differ in the last bits.
         """
-        center = self.mean_better if mean is None else np.asarray(mean, dtype=float)
+        center = self.mean_better if mean is None else mean
         return center + np.matmul(z[:, None, :], self.factor.T)[:, 0]
 
 
@@ -205,8 +206,9 @@ def estimate(archive: EliteArchive) -> CovModel:
     return CovModel(mean_better=mean, cov=cov)
 
 
-def elite_indices(fitnesses, positions, best_position, k):
-    """Indices of the k highest elite scores, ties to the lower index.
+def elite_indices(f, positions, best_position, k):
+    """Indices of the k highest elite scores of the float fitnesses ``f`` of
+    the (n, D) ``positions``, ties to the lower index.
 
     The score is ELITE_WEIGHT * fitness_norm + (1 - ELITE_WEIGHT) *
     distance_norm. fitness_norm rescales the finite fitnesses so the best
@@ -214,11 +216,8 @@ def elite_indices(fitnesses, positions, best_position, k):
     fitness gets 0. distance_norm is the distance from the current best
     position rescaled to [0, 1] (all 0 when every agent sits on the best).
     """
-    f = np.asarray(fitnesses, dtype=float)
     if not 1 <= k <= f.shape[0]:
         raise ValueError("k must lie in [1, population size]")
-    pos = np.asarray(positions, dtype=float)
-    best = np.asarray(best_position, dtype=float)
     f_min, f_max = f.min(), f.max()
     all_finite = math.isfinite(f_min) and math.isfinite(f_max)  # NaN and inf show here
     if not all_finite:
@@ -230,8 +229,8 @@ def elite_indices(fitnesses, positions, best_position, k):
         fitness_norm = np.ones_like(f)
     if not all_finite:
         fitness_norm[~np.isfinite(f)] = 0.0
-    # the row norms as np.linalg.norm(pos - best, axis=1) computes them
-    diff = pos - best
+    # the row norms as np.linalg.norm(diff, axis=1) computes them
+    diff = positions - best_position
     d = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
     d_max = d.max()
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)
@@ -257,7 +256,7 @@ def gaussian_operator(X, k, model: CovModel, rng: RngStream):
     school X[i], i < k, of the sorted (n, D) population ``X``. Draw order,
     school by school: the Gaussian vector, then the uniform scalar.
     """
-    schools = np.asarray(X, dtype=float)[:k]
+    schools = X[:k]
     z, r = _school_draws(rng, *schools.shape)
     return model.sample(z) + r * (model.mean_better - schools)
 
@@ -270,7 +269,6 @@ def shift_operator(X, k, model: CovModel, rng: RngStream):
     X[0]. Draw order, school by school: the Gaussian vector, then the
     uniform scalar.
     """
-    X = np.asarray(X, dtype=float)
     schools = X[:k]
     z, r = _school_draws(rng, *schools.shape)
     center = (model.mean_better + X[0] + schools) / 3.0
@@ -288,7 +286,6 @@ def differential_operator(X, k, model: CovModel, rng: RngStream):
     j + (j >= i). Draw order, school by school: the Gaussian vector, the
     distinct index pair, then r1 and r2.
     """
-    X = np.asarray(X, dtype=float)
     n, d = X.shape
     if n < 3:
         raise ValueError("differencing needs at least 2 other agents (population of 3)")

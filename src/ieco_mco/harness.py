@@ -125,9 +125,9 @@ _CELL_FIELDS = ("algorithm", "problem", "seed")
 class Evaluator:
     """Budget-charging objective evaluator with constraint handling.
 
-    ``evaluate(X)`` reads the whole block in one ``spec.batch`` call and
-    returns (fitness, objective, violation, positions): the ranking value
-    and the readings it was computed from. On a problem without
+    ``evaluate(X)`` reads the whole (n, D) float block in one ``spec.batch``
+    call and returns (fitness, objective, violation, positions): the ranking
+    value and the readings it was computed from. On a problem without
     constraints every violation is +0.0, so the fitness is a copy of the
     objective and no penalty or resampling pass runs. Otherwise infeasible
     rows are first resampled inside the box, in row order, on a copy of
@@ -156,7 +156,6 @@ class Evaluator:
         return self.fes_max - self.used
 
     def evaluate(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
         if self.used + n > self.fes_max:
             raise BudgetExhaustedError(

@@ -98,22 +98,15 @@ class ProblemSpec:
     def dimension(self):
         return self.bounds.dimension
 
-    def batch(self, X):
-        """(objective, violation) of an (n, D) block, each (n,)."""
-        return self._read(np.atleast_2d(np.asarray(X, dtype=float)))
-
-    def evaluate(self, x):
-        """(objective, violation) of one (D,) point."""
-        f, v = self._read(np.asarray(x, dtype=float)[None])
-        return float(f[0]), float(v[0])
-
     @np.errstate(all="ignore")
-    def _read(self, X):
-        """The single reading rule. Floating-point warnings are silenced and
-        NaN reads as +inf (fmin returns the operand that is not NaN), so an
-        undefined value ranks worst and never survives greedy selection. The
-        violation is the worst constraint value clipped at +0.0, and 0.0 for
-        an unconstrained problem."""
+    def batch(self, X):
+        """(objective, violation) of an (n, D) block, each (n,): the single
+        reading rule. Floating-point warnings are silenced and NaN reads as
+        +inf (fmin returns the operand that is not NaN), so an undefined
+        value ranks worst and never survives greedy selection. The violation
+        is the worst constraint value clipped at +0.0, and 0.0 for an
+        unconstrained problem."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         f = np.fmin(self.objective(X), np.inf, dtype=float)
         # a row-by-row formula returns an empty block without its (0, m) shape
         if self.constraints is None or X.shape[0] == 0:
@@ -122,3 +115,8 @@ class ProblemSpec:
         # maximum(worst, 0.0), not maximum(0.0, worst): a worst value of -0.0
         # must read as +0.0
         return f, np.maximum(np.maximum.reduce(g, axis=1), 0.0)
+
+    def evaluate(self, x):
+        """(objective, violation) of one (D,) point, read as a block of one."""
+        f, v = self.batch(np.asarray(x)[None])
+        return float(f[0]), float(v[0])

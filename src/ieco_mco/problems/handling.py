@@ -48,7 +48,8 @@ def penalized_fitness(objective, violation):
 
 @dataclass
 class HandledPoint:
-    """Outcome of evaluating one candidate under the resampling rule."""
+    """Outcome of evaluating one candidate under the resampling rule, built
+    once, after the candidate's last trial."""
 
     position: np.ndarray
     objective: float
@@ -121,19 +122,18 @@ def constrained_evaluate(x: np.ndarray, objective: float, violation: float,
     ``objective`` and ``violation`` are the reading of ``x`` itself, already
     taken by the caller; it counts as the first evaluation. Trials come from
     ``stream``, shared by the rows of one block reading, which also caps how
-    many of them this row may spend. Inside the loop ``best`` is infeasible,
-    so a feasible trial always violates less than it.
+    many of them this row may spend. The best reading so far is kept in
+    ``x``, ``objective`` and ``violation``; inside the loop it is infeasible,
+    so a feasible trial always violates less than it. The row's one
+    :class:`HandledPoint` is built from it after the loop.
     """
     spent = 1
-    best = HandledPoint(np.array(x, dtype=float), float(objective),
+    if violation > VIOLATION_TOL:
+        for trial, obj, vio in stream.trials():
+            spent += 1
+            if vio < violation:
+                x, objective, violation = trial, obj, vio
+                if vio <= VIOLATION_TOL:
+                    break
+    return HandledPoint(np.array(x, dtype=float), float(objective),
                         float(violation), spent)
-    if best.feasible:
-        return best
-    for trial, obj, vio in stream.trials():
-        spent += 1
-        if vio < best.violation:
-            best = HandledPoint(trial, obj, vio, spent)
-            if best.feasible:
-                break
-    best.evaluations = spent
-    return best

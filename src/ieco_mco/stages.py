@@ -14,14 +14,16 @@ update rule for schools and one for students:
 
 with w = 0.1 * ln(2 - fes/fes_max), P = 4 * randn * (1 - fes/fes_max) drawn
 once per iteration, and the per-student gain E = (pi/P) * (fes/fes_max) when
-the student's talent draw exceeds the threshold Th = 0.5, else 1. close(X) is
-the school position nearest to the student (ties to the lowest index) and
-Xmean_i the mean of the students whose nearest school is i. Every rule
-takes the whole population, sorted by fitness, and the school count k, and
-reads its operands from it: schools X[:k], students X[k:], best X[0], worst
-X[-1], the population mean and close(X). It proposes its whole block of
-schools or students at once. New positions are clamped to the box and
-survive per agent only when they improve on the parent.
+the student's talent draw exceeds the threshold Th = 0.5, else 1. w, P and
+the progress fes/fes_max are the iteration's :class:`StageContext`, the only
+scalars the rules read. close(X) is the school position nearest to the
+student (ties to the lowest index) and Xmean_i the mean of the students
+whose nearest school is i. Every rule takes the whole population, sorted by
+fitness, and the school count k, and reads its operands from it: schools
+X[:k], students X[k:], best X[0], worst X[-1], the population mean and
+close(X). It proposes its whole block of schools or students at once. New
+positions are clamped to the box and survive per agent only when they
+improve on the parent.
 
 Variants swap the school rule for a covariance operator estimated from the
 elite archive: the full variant uses the Gaussian operator in the primary
@@ -95,23 +97,20 @@ def omega(fes: float, fes_max: float) -> float:
 
 @dataclass(frozen=True)
 class StageContext:
-    """Per-iteration scalars shared by the update rules."""
+    """The iteration's scalars the update rules read: w, P and the
+    progress fes/fes_max that both are made from."""
 
-    stage: int
-    fes: int
-    fes_max: int
     omega: float
     p: float
+    progress: float
 
     @classmethod
-    def draw(cls, stage: int, fes: int, fes_max: int, rng: RngStream):
+    def draw(cls, fes: int, fes_max: int, rng: RngStream):
         """Build the context, consuming the single per-iteration randn for P."""
-        return cls(stage=stage, fes=fes, fes_max=fes_max,
-                   omega=omega(fes, fes_max),
-                   p=4.0 * float(rng.normal()) * (1.0 - fes / fes_max))
-
-    def progress(self) -> float:
-        return self.fes / self.fes_max
+        w = omega(fes, fes_max)  # refuses a bad budget before the division
+        progress = fes / fes_max
+        return cls(omega=w, p=4.0 * float(rng.normal()) * (1.0 - progress),
+                   progress=progress)
 
 
 def talent_gain(ctx: StageContext, talent_draws) -> np.ndarray:
@@ -119,8 +118,7 @@ def talent_gain(ctx: StageContext, talent_draws) -> np.ndarray:
     p = ctx.p
     if abs(p) < TALENT_GAIN_P_FLOOR:
         p = math.copysign(TALENT_GAIN_P_FLOOR, p if p != 0.0 else 1.0)
-    return np.where(np.asarray(talent_draws) <= TALENT_THRESHOLD, 1.0,
-                    (math.pi / p) * ctx.progress())
+    return np.where(talent_draws <= TALENT_THRESHOLD, 1.0, (math.pi / p) * ctx.progress)
 
 
 class Population:
@@ -129,16 +127,17 @@ class Population:
     ``fitness`` is the scalar the algorithm ranks on; for constrained
     problems it is the penalized value, and ``objective``/``violation``
     keep the readings it was ranked from. For unconstrained problems the
-    three arrays are fitness, fitness, all zero.
+    three arrays are fitness, fitness, all zero. Sorting gathers new arrays,
+    so a population never shares the arrays it was built from.
     """
 
     def __init__(self, positions, fitness, objective, violation):
-        self.positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
-        self.fitness = np.asarray(fitness, dtype=float).copy()
+        self.positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        self.fitness = np.asarray(fitness, dtype=float)
         if self.positions.shape[0] != self.fitness.shape[0]:
             raise ValueError("positions and fitness lengths differ")
-        self.objective = np.asarray(objective, dtype=float).copy()
-        self.violation = np.asarray(violation, dtype=float).copy()
+        self.objective = np.asarray(objective, dtype=float)
+        self.violation = np.asarray(violation, dtype=float)
         self.sort()
 
     def sort(self):
@@ -191,7 +190,7 @@ def primary_student_update(X, k, assign, ctx, rng):
 
 def middle_school_update(X, k, assign, ctx, rng):
     """X + (Xbest - Xmean) * exp(fes/fes_max - 1) .* Levy(D) for each school X."""
-    decay = math.exp(ctx.progress() - 1.0)
+    decay = math.exp(ctx.progress - 1.0)
     return X[:k] + (X[0] - X.mean(axis=0)) * decay * levy_sample(X.shape[1], rng, size=k)
 
 
@@ -270,7 +269,7 @@ def step(pop: Population, variant, iteration: int,
     """
     rng = evaluator.rng
     i = stage_of(iteration)
-    ctx = StageContext.draw(i, evaluator.used, evaluator.fes_max, rng)
+    ctx = StageContext.draw(evaluator.used, evaluator.fes_max, rng)
     X = pop.positions
     n, d = X.shape
     fractions, operators = variant

@@ -27,8 +27,8 @@ from ieco_mco.harness import (
     run_batch,
     run_single,
 )
-from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, penalized_fitness,
-                               stable_seed)
+from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, handling, make_problem,
+                               penalized_fitness, stable_seed)
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
 from ieco_mco.rng import init_population
@@ -230,6 +230,30 @@ def test_evaluator_constrained_reports_penalised_fitness():
     assert vio[0] == 1.0
     assert fit[0] == penalized_fitness(obj[0], vio[0]) > 1e14
     assert obj[0] <= 1.0
+
+
+@pytest.mark.parametrize("problem", ["rw05", "rw08"])
+def test_evaluator_builds_one_handled_point_per_resampled_row(monkeypatch, problem):
+    """A resampled row keeps its best trial in locals and builds its record
+    once, after its last trial, however many trials improved on the best."""
+    built = []
+
+    class Spy(handling.HandledPoint):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(handling, "HandledPoint", Spy)
+    spec = make_problem(problem)
+    bounds = spec.bounds
+    X = bounds.lower + bounds.span * RngStream(7).uniform(size=(30, bounds.dimension))
+    rows = np.count_nonzero(spec.batch(X)[1] > VIOLATION_TOL)
+    ev = Evaluator(spec, fes_max=30 + 30 * MAX_RESAMPLES, rng=RngStream(11))
+    ev.evaluate(X)
+    assert rows > 0
+    assert len(built) == rows
+    # the records carry every resample the evaluator charged
+    assert ev.used == 30 + sum(args[3] - 1 for args in built)
 
 
 @pytest.mark.parametrize("problem", ["f01", "rw03", "rw05"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import re
@@ -42,8 +43,8 @@ from ieco_mco.stages import (
 WIDE = Bounds.cube(-1e9, 1e9, 1)
 
 
-def ctx_with(stage=0, fes=0, fes_max=1000, omega_val=0.0, p=0.0):
-    return StageContext(stage=stage, fes=fes, fes_max=fes_max, omega=omega_val, p=p)
+def ctx_with(fes=0, fes_max=1000, omega_val=0.0, p=0.0):
+    return StageContext(omega=omega_val, p=p, progress=fes / fes_max)
 
 
 # ---------------------------------------------------------------- scheduling
@@ -116,12 +117,21 @@ def test_variant_labels_parse_case_insensitively():
 
 
 def test_context_draw_uses_one_normal_and_scales_p():
-    ctx = StageContext.draw(1, 0, 1000, ScriptedRng(normals=[0.25]))
+    ctx = StageContext.draw(0, 1000, ScriptedRng(normals=[0.25]))
     assert ctx.p == pytest.approx(1.0, abs=1e-15)
     assert ctx.omega == pytest.approx(0.1 * math.log(2.0), abs=1e-15)
-    ctx_end = StageContext.draw(1, 1000, 1000, ScriptedRng(normals=[3.7]))
+    ctx_end = StageContext.draw(1000, 1000, ScriptedRng(normals=[3.7]))
     assert ctx_end.p == 0.0
-    assert ctx_end.progress() == 1.0
+    assert ctx_end.progress == 1.0
+
+
+def test_context_holds_exactly_the_three_scalars_the_rules_read():
+    for fes, fes_max in ((0, 1000), (1, 3), (333, 1000), (29999, 30000), (7, 7)):
+        ctx = StageContext.draw(fes, fes_max, ScriptedRng(normals=[-0.75]))
+        assert [f.name for f in dataclasses.fields(ctx)] == ["omega", "p", "progress"]
+        assert ctx.progress.hex() == (fes / fes_max).hex()
+        assert ctx.omega.hex() == omega(fes, fes_max).hex()
+        assert ctx.p.hex() == (4.0 * -0.75 * (1.0 - fes / fes_max)).hex()
 
 
 def test_talent_gain_branches_and_floor():
@@ -198,7 +208,7 @@ def test_primary_student_fixed_point_at_school():
 def test_middle_school_hand_example():
     # D=1, X=1, best=5, mean=3, progress=0.5, Levy=0.5 -> 1 + 2*exp(-0.5)*0.5
     # (X is the second of k=2 schools; the best is the first)
-    ctx = ctx_with(stage=1, fes=500, fes_max=1000)
+    ctx = ctx_with(fes=500, fes_max=1000)
     out = middle_school_update(col(5.0, 1.0, 3.0), 2, None, ctx,
                                ScriptedRng(normals=levy_script([0.5]) * 2))
     assert out[1, 0] == pytest.approx(1.0 + 2.0 * math.exp(-0.5) * 0.5, abs=1e-9)
@@ -206,12 +216,12 @@ def test_middle_school_hand_example():
 
 
 def test_middle_school_fixed_point_and_endpoint():
-    ctx = ctx_with(stage=1, fes=250, fes_max=1000)
+    ctx = ctx_with(fes=250, fes_max=1000)
     out = middle_school_update(col(3.0, 1.0, 5.0), 2, None, ctx,
                                ScriptedRng(normals=levy_script([2.2]) * 2))
     assert out[1, 0] == 1.0  # best == mean annihilates the step
     # fes = fes_max -> decay factor e^0 = 1
-    ctx_end = ctx_with(stage=1, fes=1000, fes_max=1000)
+    ctx_end = ctx_with(fes=1000, fes_max=1000)
     out = middle_school_update(col(4.0, 1.0, 4.0), 2, None, ctx_end,
                                ScriptedRng(normals=levy_script([1.0]) * 2))
     assert out[1, 0] == pytest.approx(2.0, abs=1e-9)  # 1 + (4-3)*1*1
@@ -219,7 +229,7 @@ def test_middle_school_fixed_point_and_endpoint():
 
 def test_middle_student_hand_example():
     # D=1, X=2, close=1, w=0.05, P=1, E=1 -> 2 - 0.05 - (0.05 - 2) = 3.90
-    ctx = ctx_with(stage=1, omega_val=0.05, p=1.0)
+    ctx = ctx_with(omega_val=0.05, p=1.0)
     out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.3]))  # R_m <= Th -> E=1
     assert out[0, 0] == pytest.approx(3.90, abs=1e-12)
@@ -227,7 +237,7 @@ def test_middle_student_hand_example():
 
 def test_middle_student_terminal_budget_fixed_point():
     # P=0 and w=0 at fes=fes_max: X stays put.
-    ctx = ctx_with(stage=1, fes=1000, fes_max=1000,
+    ctx = ctx_with(fes=1000, fes_max=1000,
                    omega_val=omega(1000, 1000), p=0.0)
     out = middle_student_update(*one_school(1.0, 2.0), ctx,
                                 ScriptedRng(uniforms=[0.4]))
@@ -237,14 +247,14 @@ def test_middle_student_terminal_budget_fixed_point():
 def test_high_school_hand_example():
     # D=1, X=0, best=2, mean=1, worst=5, r1=1, r2=0.5 -> 0 + 1 - 2 = -1
     # (X is the second of k=2 schools; the best is the first)
-    ctx = ctx_with(stage=2)
+    ctx = ctx_with()
     out = high_school_update(col(2.0, 0.0, -3.0, 5.0), 2, None, ctx,
                              ScriptedRng(normals=[1.0, 0.5] * 2))
     assert out[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_high_school_fixed_points():
-    ctx = ctx_with(stage=2)
+    ctx = ctx_with()
     # best = worst = mean = 1
     out = high_school_update(col(1.0, 7.0, -5.0, 1.0), 2, None, ctx,
                              ScriptedRng(normals=[2.3, -1.1] * 2))
@@ -257,7 +267,7 @@ def test_high_school_fixed_points():
 
 def test_high_student_hand_example():
     # D=1, X=1, best=3, P=0.5, E=1 -> 1 - 0.5*(3-1) = 0
-    ctx = ctx_with(stage=2, p=0.5)
+    ctx = ctx_with(p=0.5)
     out = high_student_update(*one_school(3.0, 1.0), ctx,
                               ScriptedRng(uniforms=[0.2]))  # E = 1
     assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -265,10 +275,10 @@ def test_high_student_hand_example():
 
 def test_high_student_fixed_points():
     # best = 3
-    out = high_student_update(*one_school(3.0, 1.0), ctx_with(stage=2, p=0.0),
+    out = high_student_update(*one_school(3.0, 1.0), ctx_with(p=0.0),
                               ScriptedRng(uniforms=[0.9]))
     assert out[0, 0] == 1.0
-    out = high_student_update(*one_school(3.0, 3.0), ctx_with(stage=2, p=0.7),
+    out = high_student_update(*one_school(3.0, 3.0), ctx_with(p=0.7),
                               ScriptedRng(uniforms=[0.2]))
     assert out[0, 0] == 3.0  # E=1 and X=best: fixed point at the best school
 
@@ -313,7 +323,7 @@ def ref_gain(ctx, draw):
     if draw <= 0.5:
         return 1.0
     p = ctx.p if abs(ctx.p) >= 1e-12 else math.copysign(1e-12, ctx.p or 1.0)
-    return (math.pi / p) * ctx.progress()
+    return (math.pi / p) * ctx.progress
 
 
 def ref_primary_school(x, mean_i, ctx, rng):
@@ -325,7 +335,7 @@ def ref_primary_student(x, close, ctx, rng):
 
 
 def ref_middle_school(x, best, mean, ctx, rng):
-    return x + (best - mean) * math.exp(ctx.progress() - 1.0) * ref_levy(x.shape[0], rng)
+    return x + (best - mean) * math.exp(ctx.progress - 1.0) * ref_levy(x.shape[0], rng)
 
 
 def ref_middle_student(x, close, ctx, rng):
@@ -489,7 +499,7 @@ def test_step_reads_close_only_in_the_stages_whose_rules_use_it(label, monkeypat
 @pytest.mark.parametrize("rule", [high_school_update, high_student_update])
 def test_high_stage_rules_ignore_the_assignment(rule):
     X = -5.0 + 10.0 * RngStream(7).uniform(size=(10, 3))
-    ctx = ctx_with(stage=2, fes=300, omega_val=0.05, p=1.3)
+    ctx = ctx_with(fes=300, omega_val=0.05, p=1.3)
     given = rule(X, 4, np.arange(6) % 4, ctx, RngStream(11))
     assert np.array_equal(rule(X, 4, None, ctx, RngStream(11)), given)
 
@@ -540,6 +550,20 @@ def test_population_sort_is_stable_and_stats_correct():
     assert pop.fitness[0] == 0.5 and pop.positions[0, 0] == 4.0
     assert pop.fitness[-1] == 3.0 and pop.positions[-1, 0] == 3.0
     assert pop.positions.mean(axis=0)[0] == pytest.approx(3.0)
+
+
+def test_population_shares_no_array_it_was_built_from():
+    rng = RngStream(37)
+    for fit in (rng.uniform(size=6), np.arange(6.0)):  # shuffled and presorted
+        pos, obj, vio = rng.uniform(size=(6, 2)), fit + 1.0, rng.uniform(size=6)
+        pop = Population(pos, fit, obj, vio)
+        kept = [a.copy() for a in (pop.positions, pop.fitness, pop.objective,
+                                   pop.violation)]
+        for given in (pos, fit, obj, vio):
+            given[...] = np.nan
+        for a, b in zip((pop.positions, pop.fitness, pop.objective,
+                         pop.violation), kept):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------- step
