@@ -206,15 +206,15 @@ def estimate(archive: EliteArchive) -> CovModel:
     return CovModel(mean_better=mean, cov=cov)
 
 
-def elite_indices(f, positions, best_position, k):
+def elite_indices(f, positions, k):
     """Indices of the k highest elite scores of the float fitnesses ``f`` of
-    the (n, D) ``positions``, ties to the lower index.
+    the (n, D) fitness-sorted ``positions``, ties to the lower index.
 
     The score is ELITE_WEIGHT * fitness_norm + (1 - ELITE_WEIGHT) *
     distance_norm. fitness_norm rescales the finite fitnesses so the best
     maps to 1 and the worst to 0 (all 1 when they are flat); a non-finite
-    fitness gets 0. distance_norm is the distance from the current best
-    position rescaled to [0, 1] (all 0 when every agent sits on the best).
+    fitness gets 0. distance_norm is the distance from the best, ``positions[0]``
+    as the operators read X[0], rescaled to [0, 1] (all 0 when all sit on it).
     """
     if not 1 <= k <= f.shape[0]:
         raise ValueError("k must lie in [1, population size]")
@@ -230,7 +230,7 @@ def elite_indices(f, positions, best_position, k):
     if not all_finite:
         fitness_norm[~np.isfinite(f)] = 0.0
     # the row norms as np.linalg.norm(diff, axis=1) computes them
-    diff = positions - best_position
+    diff = positions - positions[0]
     d = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
     d_max = d.max()
     distance_norm = d / d_max if d_max > 0 else np.zeros_like(d)

@@ -151,10 +151,6 @@ class Evaluator:
         self.rng = rng
         self.used = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.fes_max - self.used
-
     def evaluate(self, X: np.ndarray):
         n = X.shape[0]
         if self.used + n > self.fes_max:
@@ -169,7 +165,7 @@ class Evaluator:
         if infeasible.size:
             X = X.copy()
             stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
-                                 budget=self.remaining)
+                                 budget=self.fes_max - self.used)
             for i in infeasible:
                 out = constrained_evaluate(X[i], objective[i], violation[i], stream)
                 self.used += out.evaluations - 1
@@ -468,7 +464,9 @@ def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path.
 
     Raises ValueError, before writing anything, for an algorithm label that
-    holds a NUL character (a traces file's str array drops trailing NULs).
+    holds a NUL character (a traces file's str array drops trailing NULs),
+    and NotADirectoryError when ``<out_dir>/traces`` is a file or a symbolic
+    link, which persist could not replace.
     """
     records = [results.records[key] for key in sorted(results.records)]
     cells: Dict[str, List[RunRecord]] = {}
@@ -477,15 +475,19 @@ def persist(results: ResultSet, out_dir) -> Path:
             raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
         cells.setdefault(r.problem, []).append(r)
     out = Path(out_dir)
+    folder = out / "traces"
+    if folder.is_symlink() or folder.exists() and not folder.is_dir():
+        raise NotADirectoryError("cannot write results to %s: %s is not a plain directory"
+                                 % (out, folder))
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
-    shutil.rmtree(out / "traces", ignore_errors=True)
+    shutil.rmtree(folder, ignore_errors=True)
     for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
         (out / stale).unlink(missing_ok=True)
-    (out / "traces").mkdir()
-    for problem, path in _trace_paths(out / "traces", cells).items():
+    folder.mkdir()
+    for problem, path in _trace_paths(folder, cells).items():
         rows = cells[problem]
         points = np.concatenate([r.trace for r in rows])
         np.savez(path, algorithm=np.array([r.algorithm for r in rows], dtype=str),
@@ -591,7 +593,8 @@ def load(out_dir) -> ResultSet:
     ``meta.json`` that cannot be opened raises the ``OSError``. Past that, a
     file that is missing or not one :func:`persist` writes raises
     :class:`BrokenResultsError` naming it, with the line or entry and the
-    cell where there is one.
+    cell where there is one; so does a traces file, or an entry of one,
+    that no row of ``results.csv`` accounts for.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -609,10 +612,20 @@ def load(out_dir) -> ResultSet:
 
     traces = {}
     try:
-        rows = _read_results(out / "results.csv")
+        results = out / "results.csv"
+        rows = _read_results(results)
         paths = _trace_paths(out / "traces", (key[1] for key in rows))
         for problem, path in paths.items():
-            traces.update(_read_traces(path, problem))
+            held = _read_traces(path, problem)
+            for entry, cell in enumerate(held):  # in entry order
+                if cell not in rows:
+                    raise BrokenResultsError("%s entry %d, cell (%s, %s, run %d): no row "
+                                             "in %s" % (path, entry, *cell, results))
+            traces.update(held)
+        stray = sorted(set((out / "traces").iterdir()) - set(paths.values()))
+        if stray:
+            raise BrokenResultsError("%s is the traces file of no problem in %s"
+                                     % (stray[0], results))
     except (FileNotFoundError, NotADirectoryError) as exc:
         missing = Path(exc.filename)
         raise BrokenResultsError("%s is missing" % (

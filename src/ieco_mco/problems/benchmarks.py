@@ -249,13 +249,11 @@ def _composition_evaluator(family: str, parts, transform: TransformSpec):
     return batch
 
 
-def make_benchmark(family: str, dim: int, transform: TransformSpec,
+def make_benchmark(family: str, transform: TransformSpec,
                    name: str = None) -> ProblemSpec:
-    """Instantiate a benchmark family at a given dimension and transform, on
-    the benchmark box [BENCHMARK_LOW, BENCHMARK_HIGH]^dim."""
-    if transform.dimension != dim:
-        raise ValueError("transform dimension %d does not match %d"
-                         % (transform.dimension, dim))
+    """Instantiate a benchmark family under a transform, at the transform's
+    dimension D, on the benchmark box [BENCHMARK_LOW, BENCHMARK_HIGH]^D."""
+    dim = transform.dimension
     if family in COMPOSITION_FAMILIES:
         batch = _composition_evaluator(family, COMPOSITION_FAMILIES[family],
                                        transform)
@@ -312,4 +310,4 @@ def desk_problem(label: str, dim: int) -> ProblemSpec:
     # The trailing 0 is the instance the golden digests pin; hashing anything
     # else would move every desk shift and rotation.
     ts = generate_transform(dim, stable_seed("desk", label, dim, 0), f_bias=bias)
-    return make_benchmark(family, dim, ts, name="%s-%s-d%d" % (label, family, dim))
+    return make_benchmark(family, ts, name="%s-%s-d%d" % (label, family, dim))

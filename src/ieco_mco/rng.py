@@ -5,7 +5,8 @@ thin wrapper around numpy's PCG64 generator seeded through ``SeedSequence``.
 The same seed always reproduces the same draw sequence on every platform.
 
 The initial population comes from one logistic-map chain with alpha = 4,
-x_i = 4 x_{i-1} (1 - x_{i-1}), whose seed is drawn from the run's stream.
+x_i = 4 x_{i-1} (1 - x_{i-1}), whose seed is one uniform draw from the run's
+stream. A seed the chain rejects is redrawn, at most 64 draws in all.
 """
 
 from __future__ import annotations
@@ -124,16 +125,6 @@ class Bounds:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-def _check_chaos_seed(x0):
-    if not 0.0 < x0 < 1.0:
-        raise ChaoticOrbitError("logistic seed %r outside the open interval (0, 1)" % (x0,))
-    for bad in DEGENERATE_CHAOS_SEEDS:
-        if abs(x0 - bad) <= _SEED_GUARD:
-            raise ChaoticOrbitError(
-                "logistic seed %r collapses the orbit (degenerate point %r)" % (x0, bad)
-            )
-
-
 def logistic_chain(x0: float, count: int) -> np.ndarray:
     """Iterate x_{i} = 4 * x_{i-1} * (1 - x_{i-1}) for ``count`` steps from ``x0``.
 
@@ -143,7 +134,13 @@ def logistic_chain(x0: float, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    _check_chaos_seed(x0)
+    if not 0.0 < x0 < 1.0:
+        raise ChaoticOrbitError("logistic seed %r outside the open interval (0, 1)" % (x0,))
+    for bad in DEGENERATE_CHAOS_SEEDS:
+        if abs(x0 - bad) <= _SEED_GUARD:
+            raise ChaoticOrbitError(
+                "logistic seed %r collapses the orbit (degenerate point %r)" % (x0, bad)
+            )
     out = np.empty(count, dtype=float)
     x = float(x0)
     for i in range(count):
@@ -156,36 +153,24 @@ def logistic_chain(x0: float, count: int) -> np.ndarray:
     return out
 
 
-def draw_chaos_seed(rng: RngStream) -> float:
-    """Uniform seed on (0, 1) with the degenerate set rejected."""
-    while True:
-        u = float(rng.uniform())
-        try:
-            _check_chaos_seed(u)
-        except ChaoticOrbitError:
-            continue
-        return u
-
-
 def init_population(n: int, bounds: Bounds, rng: RngStream) -> np.ndarray:
     """Chaotic population initialization.
 
-    A single logistic chain of length ``n * dimension`` is generated from a
-    seed drawn from ``rng`` and mapped through ``X = lower + (upper - lower)
-    * x``; the chain fills the population row-major (agent 0 takes the first
-    ``dimension`` values). In the rare event the orbit collapses mid-chain, a
-    new seed is drawn.
+    A single logistic chain of length ``n * dimension`` is generated from one
+    uniform seed drawn from ``rng`` and mapped through ``X = lower + (upper -
+    lower) * x``; the chain fills the population row-major (agent 0 takes the
+    first ``dimension`` values). A seed :func:`logistic_chain` rejects, being
+    degenerate or collapsing its orbit mid-chain, is redrawn; the 64th
+    rejected draw raises :class:`ChaoticOrbitError`.
     """
     count = n * bounds.dimension
     for _ in range(64):
         try:
-            chain = logistic_chain(draw_chaos_seed(rng), count)
-            break
+            chain = logistic_chain(float(rng.uniform()), count)
         except ChaoticOrbitError:
             continue
-    else:  # pragma: no cover - probability ~0
-        raise ChaoticOrbitError("no usable logistic seed found after 64 draws")
-    return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
+        return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
+    raise ChaoticOrbitError("no usable logistic seed found after 64 draws")
 
 
 @lru_cache(maxsize=None)

@@ -148,9 +148,10 @@ class Population:
         self.violation = self.violation[order]
 
 
-def closest_school(positions, school_positions) -> np.ndarray:
-    """Index of each row's nearest school by Euclidean distance (ties: lowest)."""
-    diff = positions[:, None, :] - school_positions[None, :, :]
+def closest_school(X, k) -> np.ndarray:
+    """Index of each student X[k:]'s nearest school X[:k] by Euclidean distance
+    (ties: lowest)."""
+    diff = X[k:, None, :] - X[None, :k, :]
     return np.argmin((diff * diff).sum(axis=2), axis=1)
 
 
@@ -276,7 +277,7 @@ def step(pop: Population, variant, iteration: int,
     k = school_count(fractions[i], n)
     # close() is read by the primary school rule and the primary and middle
     # student rules only; the high stage's rules take None
-    assign = closest_school(X[k:], X[:k]) if i < 2 else None
+    assign = closest_school(X, k) if i < 2 else None
 
     # The rules are looked up here, by name, so that rebinding a name (as
     # perfbench's tracer does) reaches every call.
@@ -301,7 +302,7 @@ def step(pop: Population, variant, iteration: int,
     pop.sort()
 
     if archive is not None:
-        idx = cov.elite_indices(pop.fitness, pop.positions, pop.positions[0], k)
+        idx = cov.elite_indices(pop.fitness, pop.positions, k)
         idx = idx[np.isfinite(pop.fitness[idx])]
         archive.push(pop.positions[idx], pop.fitness[idx])
     return pop

@@ -46,7 +46,7 @@ def test_elite_hand_scored_example():
     # f=(0,1,2), distances from best (0,4,2): combined = (0.5, 0.75, 0.25).
     positions = np.array([[0.0], [4.0], [2.0]])
     fitness = np.array([0.0, 1.0, 2.0])
-    idx = elite_indices(fitness, positions, positions[0], k=1)
+    idx = elite_indices(fitness, positions, k=1)
     assert idx.tolist() == [1]
     chosen = positions[idx]
     assert chosen.shape == (1, 1) and chosen[0, 0] == 4.0
@@ -55,7 +55,7 @@ def test_elite_hand_scored_example():
 def test_elite_degenerate_population_selects_by_index():
     positions = np.tile(np.array([[1.5, -2.0]]), (5, 1))
     fitness = np.full(5, 3.0)
-    idx = elite_indices(fitness, positions, positions[0], k=3)
+    idx = elite_indices(fitness, positions, k=3)
     assert idx.tolist() == [0, 1, 2]
 
 
@@ -63,7 +63,7 @@ def test_elite_dominant_agent_wins():
     # One agent best-fitness-and-far, the other worst-and-near: k=1 picks it.
     positions = np.array([[0.0], [10.0], [1.0]])
     fitness = np.array([0.0, 1.0, 5.0])
-    idx = elite_indices(fitness, positions, positions[0], k=1)
+    idx = elite_indices(fitness, positions, k=1)
     assert idx.tolist() == [1]
 
 
@@ -73,7 +73,7 @@ def test_elite_non_finite_fitness_scores_zero_and_keeps_the_rest(bad):
     # finite fitnesses 0 and 2 normalize to 1 and 0; the distance half stays
     positions = np.array([[0.0], [1.0], [2.0], [3.0]])
     fitness = np.array([0.0, bad, 2.0, bad])
-    idx = elite_indices(fitness, positions, positions[0], k=4)
+    idx = elite_indices(fitness, positions, k=4)
     assert idx.tolist() == [0, 3, 2, 1]
 
 
@@ -81,9 +81,9 @@ def test_elite_k_validation():
     positions = np.array([[0.0], [1.0]])
     fitness = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
-        elite_indices(fitness, positions, positions[0], k=0)
+        elite_indices(fitness, positions, k=0)
     with pytest.raises(ValueError):
-        elite_indices(fitness, positions, positions[0], k=3)
+        elite_indices(fitness, positions, k=3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +103,7 @@ def test_elite_indices_match_the_reference(n, d, seed, data):
     gen = np.random.default_rng(seed)
     pos = gen.uniform(-5.0, 5.0, size=(n, d))
     pos[gen.random(n) < 0.3] = pos[0]  # agents that sit on the best
-    assert np.array_equal(elite_indices(f, pos, pos[0], k),
+    assert np.array_equal(elite_indices(f, pos, k),
                           reference_elite_indices(f, pos, pos[0], k))
 
 

@@ -199,8 +199,7 @@ def test_evaluator_refuses_to_exceed_budget():
         ev.evaluate(np.zeros((3, 2)))
     assert ev.used == 3      # the refused call charged nothing
     ev.evaluate(np.zeros((2, 2)))
-    assert ev.used == 5
-    assert ev.remaining == 0
+    assert ev.used == ev.fes_max == 5
 
 
 def _never_feasible_spec():
@@ -882,6 +881,42 @@ def test_a_file_missing_after_meta_json_is_a_broken_set(tmp_path, capsys, missin
         assert capsys.readouterr().err == "failed: %s is missing\n" % path
 
 
+def _cut_last_row(lines):
+    return lines[:-1]
+
+
+def _cut_every_f01_row(lines):
+    return [line for line in lines if ",f01-zakharov-d5," not in line]
+
+
+# A results.csv cut short and what load then says about the traces file
+# that still holds the cut cells. Without its f01 rows the set has one
+# problem, f02, whose traces file would be 0.npz: f01's traces, which the
+# f02 rows would otherwise read without an error.
+_CUT_RESULTS = {
+    "last row": (_cut_last_row, " entry 5, cell (IECO-MCO, f02-rosenbrock-d5, "
+                                "run 2): no row in "),
+    "a problem's rows": (_cut_every_f01_row, " is the traces file of no problem in "),
+}
+
+
+@pytest.mark.parametrize("cut", _CUT_RESULTS)
+def test_a_traces_entry_without_a_results_row_is_a_broken_set(tmp_path, capsys, cut):
+    keep, message = _CUT_RESULTS[cut]
+    out = persist(_tiny_batch(), tmp_path / "out")
+    results = out / "results.csv"
+    results.write_text("".join(keep(results.read_text().splitlines(keepends=True))))
+    path = out / "traces" / "1.npz"
+    with pytest.raises(BrokenResultsError) as err:
+        load(out)
+    assert str(err.value) == "%s%s%s" % (path, message, results)
+    for argv in (["compare"], ["stats", "--test", "kw"],
+                 ["export-trace", "--problem", "f02"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--results", str(out)]) == 1
+        assert capsys.readouterr().err == "failed: %s\n" % err.value
+
+
 @pytest.mark.parametrize("text, problem", [
     ("{not json", "is not JSON: Expecting property name"),
     ("", "is not JSON: Expecting value"),
@@ -1014,6 +1049,29 @@ def test_persist_refuses_a_nul_in_an_algorithm_label_before_writing(tmp_path):
             persist(rs, where)
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("blocker", ["file", "symlink"])
+def test_persist_refuses_a_traces_path_it_cannot_replace_before_writing(
+        tmp_path, capsys, blocker):
+    """A regular file or a symbolic link named traces would stop persist
+    after it wrote results.csv; the set there before stays whole."""
+    out = persist(_tiny_batch(), tmp_path / "out")
+    shutil.rmtree(out / "traces")
+    if blocker == "file":
+        (out / "traces").write_text("keep\n")
+    else:
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "mine.txt").write_text("keep\n")
+        (out / "traces").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    expected = "%s is not a plain directory" % (out / "traces")
+    with pytest.raises(NotADirectoryError, match=re.escape(expected)):
+        persist(_tiny_batch(problems=("f03",)), out)
+    assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
+                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 1
+    assert expected in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_a_record_is_read_only_and_its_trace_a_1d_array(tmp_path):

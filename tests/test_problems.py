@@ -113,15 +113,16 @@ def test_sphere_at_origin_is_zero():
 
 
 def test_sphere_benchmark_optimum_identity():
-    spec = make_benchmark("sphere", 3, TransformSpec(np.zeros(3), np.eye(3)))
+    spec = make_benchmark("sphere", TransformSpec(np.zeros(3), np.eye(3)))
     assert spec.evaluate(np.zeros(3))[0] == 0.0
+    assert (spec.name, spec.bounds.dimension) == ("sphere-d3", 3)  # D of the transform
 
 
 def test_rosenbrock_standard_formula_values():
     # the classical formulation: minimum 0 at the all-ones point and
     # value 1 at the origin; an all-ones shift reproduces it exactly
     ts = TransformSpec(np.ones(2), np.eye(2), 0.0)
-    spec = make_benchmark("rosenbrock", 2, ts)
+    spec = make_benchmark("rosenbrock", ts)
     assert spec.evaluate(np.array([1.0, 1.0]))[0] == 0.0
     assert spec.evaluate(np.array([0.0, 0.0]))[0] == 1.0
 
@@ -137,7 +138,7 @@ def test_rosenbrock_base_matches_classical_formula():
 
 def test_rastrigin_at_shift_equals_bias_exactly():
     ts = generate_transform(2, seed=55, f_bias=7.5)
-    spec = make_benchmark("rastrigin", 2, ts)
+    spec = make_benchmark("rastrigin", ts)
     assert spec.evaluate(ts.shift)[0] == 7.5
 
 
@@ -158,8 +159,8 @@ def test_schwefel_nonnegative_even_far_outside_classical_domain():
 def test_sphere_rotation_invariance():
     ts_rot = generate_transform(6, seed=77, f_bias=0.0)
     ts_id = TransformSpec(ts_rot.shift, np.eye(6), 0.0)
-    rotated = make_benchmark("sphere", 6, ts_rot)
-    plain = make_benchmark("sphere", 6, ts_id)
+    rotated = make_benchmark("sphere", ts_rot)
+    plain = make_benchmark("sphere", ts_id)
     gen = np.random.default_rng(78)
     X = gen.uniform(-100.0, 100.0, size=(200, 6))
     assert np.allclose(rotated.batch(X)[0], plain.batch(X)[0], rtol=1e-12, atol=1e-8)
@@ -170,22 +171,17 @@ def test_sphere_rotation_invariance():
 
 def test_make_benchmark_unknown_family():
     with pytest.raises(KeyError):
-        make_benchmark("nosuch", 3, TransformSpec(np.zeros(3), np.eye(3)))
-
-
-def test_make_benchmark_dimension_mismatch():
-    with pytest.raises(ValueError):
-        make_benchmark("sphere", 4, TransformSpec(np.zeros(3), np.eye(3)))
+        make_benchmark("nosuch", TransformSpec(np.zeros(3), np.eye(3)))
 
 
 def test_hybrid_rejects_dimension_below_block_count():
     # hybrid3 splits across five base functions
     with pytest.raises(ValueError):
-        make_benchmark("hybrid3", 4, TransformSpec(np.zeros(4), np.eye(4)))
+        make_benchmark("hybrid3", TransformSpec(np.zeros(4), np.eye(4)))
 
 
 def test_hybrid_blocks_cover_all_coordinates():
-    spec = make_benchmark("hybrid2", 10, TransformSpec(np.zeros(10), np.eye(10)))
+    spec = make_benchmark("hybrid2", TransformSpec(np.zeros(10), np.eye(10)))
     assert spec.evaluate(np.zeros(10))[0] == 0.0
     # moving any single coordinate off the optimum must change the value
     for j in range(10):

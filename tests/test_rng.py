@@ -15,7 +15,6 @@ from ieco_mco.rng import (
     ChaoticOrbitError,
     RngStream,
     clamp,
-    draw_chaos_seed,
     init_population,
     levy_sample,
     logistic_chain,
@@ -142,7 +141,7 @@ def test_population_shape_and_range():
 def test_population_fills_row_major_from_one_chain():
     bounds = Bounds.cube(-5.0, 5.0, 4)
     pos = init_population(6, bounds, RngStream(2))
-    chain = logistic_chain(draw_chaos_seed(RngStream(2)), 24)
+    chain = logistic_chain(RngStream(2).uniform(), 24)
     expect = -5.0 + 10.0 * chain.reshape(6, 4)
     assert np.array_equal(pos, expect)
 
@@ -156,12 +155,25 @@ def test_population_draws_seed_when_unset():
     assert not np.array_equal(a, c)
 
 
-def test_draw_chaos_seed_avoids_degenerate_points():
-    rng = RngStream(3)
-    for _ in range(200):
-        u = draw_chaos_seed(rng)
-        assert 0.0 < u < 1.0
-        assert min(abs(u - d) for d in (0.0, 0.25, 0.5, 0.75, 1.0)) > 1e-9
+@pytest.mark.parametrize("bad", [0.0, 0.25, 0.5, 0.5 + 1e-10, 0.75])
+def test_init_population_redraws_a_degenerate_seed(bad):
+    bounds = Bounds.cube(-5.0, 5.0, 3)
+    rng = ScriptedRng(uniforms=[bad, 0.3])
+    pos = init_population(4, bounds, rng)
+    assert np.array_equal(pos, -5.0 + 10.0 * logistic_chain(0.3, 12).reshape(4, 3))
+    assert not rng._uniforms  # both draws used
+
+
+def test_init_population_gives_up_on_the_64th_rejected_seed():
+    """Degenerate seeds count toward the cap, as orbits that collapse do."""
+    bounds = Bounds.cube(-5.0, 5.0, 3)
+    rng = ScriptedRng(uniforms=[0.5] * 63 + [0.3])
+    assert np.array_equal(init_population(4, bounds, rng),
+                          init_population(4, bounds, ScriptedRng(uniforms=[0.3])))
+    rng = ScriptedRng(uniforms=[0.5] * 64 + [0.3])
+    with pytest.raises(ChaoticOrbitError, match="after 64 draws"):
+        init_population(4, bounds, rng)
+    assert rng._uniforms == [0.3]
 
 
 # ------------------------------------------------------------- random stream

@@ -184,10 +184,10 @@ def test_primary_school_fixed_points():
 
 
 def test_closest_school_picks_nearest_and_breaks_ties_low():
-    schools = col(0.0, 10.0)
-    assert closest_school(col(3.0, 8.0), schools).tolist() == [0, 1]
-    assert closest_school(col(3.0), col(0.0, 6.0)).tolist() == [0]  # tie -> lowest
-    assert closest_school(col(5.0), col(0.0, 10.0, 0.0)).tolist() == [0]
+    # schools X[:k], then the students X[k:]
+    assert closest_school(col(0.0, 10.0, 3.0, 8.0), 2).tolist() == [0, 1]
+    assert closest_school(col(0.0, 6.0, 3.0), 2).tolist() == [0]  # tie -> lowest
+    assert closest_school(col(0.0, 10.0, 0.0, 5.0), 3).tolist() == [0]
 
 
 def test_primary_student_hand_example():
@@ -303,7 +303,7 @@ def test_updates_are_translation_equivariant():
     for shift in (0.0, t):
         rng = ScriptedRng(normals=[-0.4])
         X = col(0.0, 10.0, 3.0) + shift
-        assign = closest_school(X[2:], X[:2])
+        assign = closest_school(X, 2)
         cases.append(primary_student_update(X, 2, assign, ctx, rng)[0, 0])
     assert cases[1] - cases[0] == pytest.approx(t, abs=1e-9)
 
@@ -378,7 +378,7 @@ def test_levy_block_equals_sequential_calls(size):
 ])
 def test_block_rule_equals_per_agent_loop(rule, ref, n_rows, n_shared, p):
     X = -5.0 + 10.0 * RngStream(101).uniform(size=(2 * K, D))
-    assign = closest_school(X[K:], X[:K])
+    assign = closest_school(X, K)
     # The operands a reference names after x, read off X as the rules read
     # them: n_rows with one row per agent of the block, then n_shared rows.
     operands = {"mean_i": _school_means(X, K, assign), "close": X[assign],
@@ -518,7 +518,7 @@ def test_school_means_fallback_to_population_mean():
     pos = np.array([[0.0, 0.0], [100.0, 100.0], [1.0, 0.0], [0.0, 1.0]])
     fit = np.array([0.0, 1.0, 2.0, 3.0])
     pop = Population(pos, fit, fit, np.zeros(4))
-    assign = closest_school(pop.positions[2:], pop.positions[:2])
+    assign = closest_school(pop.positions, 2)
     assert assign.tolist() == [0, 0]
     means = _school_means(pop.positions, 2, assign)
     assert np.allclose(means[0], pos[2:].mean(axis=0))
@@ -531,7 +531,7 @@ def test_school_means_at_d1_are_the_mean_of_each_contiguous_column():
     # there in the last bits. 27 students in 3 schools: one holds 9 or more.
     for seed in range(200):
         X = -5.0 + 10.0 * RngStream(seed).uniform(size=(30, 1))
-        assign = closest_school(X[3:], X[:3])
+        assign = closest_school(X, 3)
         assert np.bincount(assign, minlength=3).max() >= 9
         means = _school_means(X, 3, assign)
         for i in range(3):
