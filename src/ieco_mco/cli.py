@@ -141,6 +141,10 @@ def cmd_run(values) -> int:
     if not out:
         raise UsageError("no output directory; use --out")
     _out_path(out, directory=True)
+    try:
+        harness.check_out_dir(out)
+    except OSError as exc:
+        raise UsageError(str(exc))
     # run_batch checks every argument before its first run and raises
     # ValueError or KeyError; a failure inside a run is a RuntimeError (exit 1).
     try:

@@ -135,14 +135,15 @@ class Evaluator:
     from ``rng``, the run's single stream, after the iteration's update
     draws.
 
-    The infeasible rows share one :class:`TrialStream`, which reads trials
-    ahead in blocks (one ``spec.batch`` per block) and consumes only the
-    draws the rows used. Draws and results therefore equal resampling one
-    trial at a time whenever the problem's block reading equals its point
-    reading, as it does for every registry problem with constraints. A
-    custom problem whose block reading differs in the last bit, such as one
-    that rotates with a BLAS matrix product, can give results that depend on
-    the block size.
+    The infeasible rows share one :class:`TrialStream` over this evaluator,
+    which adds each trial it hands out to ``used`` (so ``used`` counts the
+    resamples too), reads trials ahead in blocks (one ``spec.batch`` per
+    block) and consumes only the draws the rows used. Draws and results
+    therefore equal resampling one trial at a time whenever the problem's
+    block reading equals its point reading, as it does for every registry
+    problem with constraints. A custom problem whose block reading differs
+    in the last bit, such as one that rotates with a BLAS matrix product,
+    can give results that depend on the block size.
     """
 
     def __init__(self, spec: ProblemSpec, fes_max: int, rng: RngStream):
@@ -164,11 +165,9 @@ class Evaluator:
         infeasible = np.flatnonzero(violation > VIOLATION_TOL)
         if infeasible.size:
             X = X.copy()
-            stream = TrialStream(self.spec, self.rng, rows=infeasible.size,
-                                 budget=self.fes_max - self.used)
+            stream = TrialStream(self, rows=infeasible.size)
             for i in infeasible:
                 out = constrained_evaluate(X[i], objective[i], violation[i], stream)
-                self.used += out.evaluations - 1
                 X[i], objective[i], violation[i] = out.position, out.objective, out.violation
             stream.close()
         return penalized_fitness(objective, violation), objective, violation, X
@@ -445,6 +444,8 @@ _RESULTS_HEADER = [name for name, _, _ in _COLUMNS]
 # length.
 _TRACE_ARRAYS = {"algorithm": "U", "run": "<i8", "length": "<i8",
                  "fes": "<i8", "best": "<f8"}
+# The traces files of schemas 2 and 1, which persist deletes.
+_STALE_FILES = ("traces.csv", "solutions.csv")
 
 
 def _write_rows(path: Path, header: List[str], rows):
@@ -460,13 +461,36 @@ def _trace_paths(folder: Path, problems) -> Dict[str, Path]:
     return {p: folder / ("%d.npz" % i) for i, p in enumerate(sorted(set(problems)))}
 
 
+def check_out_dir(out_dir) -> Path:
+    """The path of ``out_dir``, once nothing there would stop :func:`persist`
+    part way.
+
+    Raises NotADirectoryError when ``<out_dir>/traces`` is a file or a
+    symbolic link, which persist could not replace, and FileExistsError when
+    a file it writes or deletes there (``results.csv``, ``summary.csv``,
+    ``meta.json``, or the ``traces.csv`` and ``solutions.csv`` of older
+    schemas) exists and is not a regular file.
+    """
+    out = Path(out_dir)
+    folder = out / "traces"
+    if folder.is_symlink() or folder.exists() and not folder.is_dir():
+        raise NotADirectoryError("cannot write results to %s: %s is not a plain directory"
+                                 % (out, folder))
+    for name in ("results.csv", "summary.csv", "meta.json", *_STALE_FILES):
+        path = out / name
+        if path.exists() and not path.is_file():
+            raise FileExistsError("cannot write results to %s: %s is not a regular file"
+                                  % (out, path))
+    return out
+
+
 def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path.
 
-    Raises ValueError, before writing anything, for an algorithm label that
+    Raises, before writing anything, ValueError for an algorithm label that
     holds a NUL character (a traces file's str array drops trailing NULs),
-    and NotADirectoryError when ``<out_dir>/traces`` is a file or a symbolic
-    link, which persist could not replace.
+    and what :func:`check_out_dir` raises for a path there that persist
+    could not replace, so the set there before stays whole.
     """
     records = [results.records[key] for key in sorted(results.records)]
     cells: Dict[str, List[RunRecord]] = {}
@@ -474,17 +498,14 @@ def persist(results: ResultSet, out_dir) -> Path:
         if "\0" in r.algorithm:
             raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
         cells.setdefault(r.problem, []).append(r)
-    out = Path(out_dir)
+    out = check_out_dir(out_dir)
     folder = out / "traces"
-    if folder.is_symlink() or folder.exists() and not folder.is_dir():
-        raise NotADirectoryError("cannot write results to %s: %s is not a plain directory"
-                                 % (out, folder))
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "results.csv", _RESULTS_HEADER,
                 ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
                  for r in records))
     shutil.rmtree(folder, ignore_errors=True)
-    for stale in ("traces.csv", "solutions.csv"):  # schemas 2 and 1
+    for stale in _STALE_FILES:
         (out / stale).unlink(missing_ok=True)
     folder.mkdir()
     for problem, path in _trace_paths(folder, cells).items():
@@ -594,7 +615,8 @@ def load(out_dir) -> ResultSet:
     file that is missing or not one :func:`persist` writes raises
     :class:`BrokenResultsError` naming it, with the line or entry and the
     cell where there is one; so does a traces file, or an entry of one,
-    that no row of ``results.csv`` accounts for.
+    that no row of ``results.csv`` accounts for, and a ``meta.json`` that
+    lists algorithms or problems other than those its rows hold.
     """
     out = Path(out_dir)
     with open(out / "meta.json") as fh:
@@ -630,6 +652,11 @@ def load(out_dir) -> ResultSet:
         missing = Path(exc.filename)
         raise BrokenResultsError("%s is missing" % (
             missing if missing.parent.is_dir() else missing.parent)) from None
+    for what, column in (("algorithms", 0), ("problems", 1)):
+        listed, named = metadata.get(what), sorted({key[column] for key in rows})
+        if listed and (not isinstance(listed, list) or sorted(listed, key=str) != named):
+            raise BrokenResultsError("%s lists the %s %s; the rows of %s hold %s"
+                                     % (fh.name, what, listed, results, named))
     records = {}
     for key, values in rows.items():
         if key not in traces:

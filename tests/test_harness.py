@@ -806,8 +806,10 @@ def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
     opens nothing."""
     labels = {"f01-zakharov-d5": 'f01 "a,\r\nb"', "f02-rosenbrock-d5": "f02"}
     rs = _tiny_batch()
+    meta = {k: v for k, v in rs.metadata.items() if k != "config_hash"}
+    meta["problems"] = [labels[p] for p in meta["problems"]]
     rs = ResultSet({(a, labels[p], r): replace(rec, problem=labels[p])
-                    for (a, p, r), rec in rs.records.items()}, rs.metadata)
+                    for (a, p, r), rec in rs.records.items()}, meta)
     out = persist(rs, tmp_path / "out")
     opened = []
 
@@ -1069,9 +1071,74 @@ def test_persist_refuses_a_traces_path_it_cannot_replace_before_writing(
     with pytest.raises(NotADirectoryError, match=re.escape(expected)):
         persist(_tiny_batch(problems=("f03",)), out)
     assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
-                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 1
+                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 2
     assert expected in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("name", ["results.csv", "summary.csv", "meta.json",
+                                  "traces.csv"])
+def test_persist_refuses_a_file_path_it_cannot_replace_before_writing(
+        tmp_path, capsys, monkeypatch, name):
+    """A directory where persist writes or deletes a file would stop it part
+    way: with summary.csv, after the new results.csv and traces/ were
+    written under the old meta.json. Neither persist nor ``mco run`` writes
+    anything, and ``mco run`` exits 2 before its first run."""
+    out = persist(_tiny_batch(), tmp_path / "out")
+    (out / name).unlink(missing_ok=True)
+    (out / name).mkdir()
+    (out / name / "mine.txt").write_text("keep\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    expected = "cannot write results to %s: %s is not a regular file" % (out, out / name)
+    with pytest.raises(FileExistsError, match="^%s$" % re.escape(expected)):
+        persist(_tiny_batch(problems=("f03",)), out)
+    monkeypatch.setattr(harness, "run_single", None)   # no run may start
+    capsys.readouterr()
+    assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
+                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % expected)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _meta_listing(out, **lists):
+    """Rewrite ``out``'s meta.json with ``lists`` in place of its own."""
+    path = out / "meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **lists}))
+    return path
+
+
+# meta.json lists that do not name the cells of results.csv, by the list
+# that load then names.
+_OTHER_LISTS = {
+    "a problem no row holds": ("problems", ["f01-zakharov-d5", "f02-rosenbrock-d5",
+                                            "f03-rastrigin-d5"]),
+    "a problem short": ("problems", ["f02-rosenbrock-d5"]),
+    "a problem twice": ("problems", ["f01-zakharov-d5", "f02-rosenbrock-d5",
+                                     "f02-rosenbrock-d5"]),
+    "another algorithm": ("algorithms", ["ECO", "GECO"]),
+    "a label, not a list": ("algorithms", "ECO"),
+}
+
+
+@pytest.mark.parametrize("other", _OTHER_LISTS)
+def test_a_meta_json_listing_other_cells_than_the_rows_is_a_broken_set(
+        tmp_path, capsys, other):
+    what, listed = _OTHER_LISTS[other]
+    out = persist(_tiny_batch(), tmp_path / "out")
+    path = _meta_listing(out, **{what: listed})
+    named = {"algorithms": ["ECO", "IECO-MCO"],
+             "problems": ["f01-zakharov-d5", "f02-rosenbrock-d5"]}[what]
+    expected = "%s lists the %s %s; the rows of %s hold %s" % (
+        path, what, listed, out / "results.csv", named)
+    with pytest.raises(BrokenResultsError, match="^%s$" % re.escape(expected)):
+        load(out)
+    for argv in (["compare"], ["stats"], ["export-trace", "--problem", "f01"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--results", str(out)]) == 1
+        assert capsys.readouterr() == ("", "failed: %s\n" % expected)
+    # the cells of the rows, in any order, load
+    _meta_listing(out, **{what: named[::-1]})
+    assert getattr(load(out), what) == named[::-1]
 
 
 def test_a_record_is_read_only_and_its_trace_a_1d_array(tmp_path):

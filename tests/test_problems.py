@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from ieco_mco.harness import Evaluator
 from ieco_mco.problems import (
     DESK_SUITE,
     ENGINEERING,
@@ -380,12 +381,51 @@ def _line_spec():
 
 def _handle(spec, x, rng, budget=MAX_RESAMPLES):
     """constrained_evaluate fed with the start point's own reading and a
-    one-row stream that may spend ``budget`` trials (at most MAX_RESAMPLES
-    are used), closed afterwards."""
-    stream = TrialStream(spec, rng, rows=1, budget=budget)
+    one-row stream over an evaluator with ``budget`` evaluations left (at
+    most MAX_RESAMPLES are used), closed afterwards; the evaluator is
+    charged the row's resamples."""
+    ev = Evaluator(spec, fes_max=budget, rng=rng)
+    stream = TrialStream(ev, rows=1)
     out = constrained_evaluate(x, *spec.evaluate(x), stream)
     stream.close()
+    assert ev.used == out.evaluations - 1
     return out
+
+
+def _never_feasible():
+    """1-D toy problem on [0, 1] that violates by 1 everywhere."""
+    return ProblemSpec(
+        name="never", bounds=Bounds.cube(0.0, 1.0, 1),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.ones((len(X), 1)),
+    )
+
+
+def test_a_stream_charges_the_evaluator_one_evaluation_per_trial():
+    """Driven by hand, each trial a stream hands out adds one to the
+    evaluator's ``used``, and a row's cap is min(MAX_RESAMPLES, fes_max -
+    used) when the row starts, whatever the rows before it spent."""
+    ev = Evaluator(_never_feasible(), fes_max=150, rng=RngStream(5))
+    ev.used = 40
+    stream = TrialStream(ev, rows=3)
+    positions, spent = [], []
+    for stop in (5, None, None):
+        start, cap = ev.used, min(MAX_RESAMPLES, ev.fes_max - ev.used)
+        handed = 0
+        for position, _, _ in stream.trials():
+            handed += 1
+            assert ev.used == start + handed
+            positions.append(position[0])
+            if handed == stop:
+                break
+        assert handed == (stop or cap)
+        spent.append(handed)
+    stream.close()
+    assert spent == [5, 100, 5] and ev.used == ev.fes_max
+    # the trials are the stream's next 110 uniforms, and only those are consumed
+    fresh = RngStream(5)
+    assert positions == fresh.uniform(size=(110, 1))[:, 0].tolist()
+    assert ev.rng.uniform(size=3).tolist() == fresh.uniform(size=3).tolist()
 
 
 def test_constrained_evaluate_takes_the_start_reading_as_given():
@@ -395,11 +435,12 @@ def test_constrained_evaluate_takes_the_start_reading_as_given():
         objective=lambda X: calls.append(len(X)) or X[:, 0], category="test",
         constraints=lambda X: X[:, :1] - 2.0,
     )
-    stream = TrialStream(spec, RngStream(3), rows=1, budget=100)
+    stream = TrialStream(Evaluator(spec, fes_max=100, rng=RngStream(3)), rows=1)
     out = constrained_evaluate(np.array([1.0]), 7.0, 0.0, stream)
     assert calls == []          # the start point is not read again
     assert out.objective == 7.0 and out.feasible and out.evaluations == 1
-    stream = TrialStream(spec, ScriptedRng(uniforms=[0.05]), rows=1, budget=100)
+    stream = TrialStream(Evaluator(spec, fes_max=100, rng=ScriptedRng(uniforms=[0.05])),
+                         rows=1)
     out = constrained_evaluate(np.array([9.0]), 9.0, 7.0, stream)
     assert calls == [1]         # one reading per resample
     assert out.objective == 0.5 and out.evaluations == 2
@@ -448,11 +489,7 @@ def test_constrained_evaluate_extra_cap_zero_spends_one_evaluation():
 
 
 def test_constrained_evaluate_counts_one_evaluation_per_resample():
-    spec = ProblemSpec(
-        name="never", bounds=Bounds.cube(0.0, 1.0, 1),
-        objective=lambda X: X[:, 0], category="engineering",
-        constraints=lambda X: np.ones((len(X), 1)),   # constant violation
-    )
+    spec = _never_feasible()
     out = _handle(spec, np.array([0.5]), RngStream(5), budget=7)
     assert out.evaluations == 1 + 7
     assert not out.feasible
@@ -485,7 +522,8 @@ def test_on_a_violation_tie_the_earlier_trial_wins():
         constraints=lambda X: np.full((len(X), 1), 0.5),
     )
     # trials at x = 3 and x = 7 both violate by 0.5, less than the start's 1.0
-    stream = TrialStream(spec, ScriptedRng(uniforms=[0.3, 0.7]), rows=1, budget=2)
+    stream = TrialStream(Evaluator(spec, fes_max=2, rng=ScriptedRng(uniforms=[0.3, 0.7])),
+                         rows=1)
     out = constrained_evaluate(np.array([9.0]), 9.0, 1.0, stream)
     stream.close()
     assert out.violation == 0.5 and out.evaluations == 3
