@@ -12,22 +12,21 @@ iteration, the last at the evaluations the run used.
 
 Persisted layout under an output directory:
 
-- ``results.csv``: one row per run, one column per :class:`RunRecord` field
-  except ``trace``, named as the field and in field order (``wall_time``
-  last)
-- ``traces/<i>.npz``: one uncompressed numpy archive per problem, ``i``
-  being the problem's index among the set's distinct problem labels,
-  sorted. It holds five 1-D arrays, one entry per run of that problem in
-  sorted key order for the first three: ``algorithm`` (str), ``run``
-  (int64), ``length`` (int64, the trace's point count), then ``fes``
-  (int64) and ``best`` (float64), every trace's evaluation counts and
-  best-so-far values concatenated in the same order. Read one with
-  ``numpy.load(path, allow_pickle=False)``; ``mco export-trace`` gives the
-  CSV view
-- ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem)
-- ``meta.json``: the batch (algorithms, problems, runs, base_seed), every
-  :class:`RunConfig` setting, the dimension of each problem, schema version,
-  config hash (of all the above) and creation date
+- ``results.npz``: one uncompressed numpy archive, written whole to
+  ``results.npz.part`` and moved into place with ``os.replace``. Rows are
+  runs in sorted key order. It holds ``meta``, a 0-d str array of the
+  metadata JSON: the batch (algorithms, problems, runs, base_seed), every
+  :class:`RunConfig` setting, the dimension of each problem, schema
+  version, config hash (of all the above) and creation date. Then one 1-D
+  array per :class:`RunRecord` field but the two arrays, named as the
+  field: str labels, ``seed`` uint64, the other integers int64, floats
+  float64 and ``feasible`` bool. Then ``position_length`` (int64) and
+  ``best_position`` (float64), every row's position concatenated, and
+  ``length`` (int64) and ``trace`` (:data:`TRACE_DTYPE`), every row's
+  trace concatenated. Read it with ``numpy.load(path,
+  allow_pickle=False)``; ``mco export-trace`` gives a CSV view of traces
+- ``summary.csv``: best/mean/std of best_fitness per (algorithm, problem),
+  a view that :func:`load` never reads
 
 Record equality ignores wall_time (the only non-deterministic field).
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import shutil
+import os
 import time
 import zipfile
 from dataclasses import dataclass, fields
@@ -59,10 +58,10 @@ from .problems.core import ProblemSpec
 from .rng import BudgetExhaustedError, RngStream, init_population
 from .stages import Population, algorithm_label, elite_archive, step, variant_of
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 _MASK64 = (1 << 64) - 1
-# A trace's points: evaluations used and best-so-far fitness, the dtypes a
-# traces file holds them in.
+# A trace's points: evaluations used and best-so-far fitness, the dtypes the
+# results file holds them in.
 TRACE_DTYPE = np.dtype([("fes", "<i8"), ("best", "<f8")])
 
 
@@ -71,8 +70,8 @@ class SchemaMismatchError(ValueError):
 
 
 class BrokenResultsError(RuntimeError):
-    """A persisted set lacks a file, or holds one that :func:`persist` does
-    not write."""
+    """A persisted set lacks its results file, or holds one that
+    :func:`persist` does not write."""
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -427,56 +426,39 @@ def run_batch(algorithms: Sequence[str], problems: Sequence[str], runs: int,
 
 # ------------------------------------------------------------- persistence
 
-# How a value of each RunRecord field type is written to and read from one
-# CSV field: floats as repr, so they read back bit for bit.
-_CODECS = {
-    "str": (str, str),
-    "int": (int, int),
-    "float": (lambda v: repr(float(v)), float),
-    "bool": (int, lambda text: bool(int(text))),
-    "np.ndarray": (lambda v: " ".join(repr(float(x)) for x in v),
-                   lambda text: np.array([float(x) for x in text.split()])),
-}
-_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(RunRecord)
-            if f.name != "trace"]
-_RESULTS_HEADER = [name for name, _, _ in _COLUMNS]
-# The arrays of a traces file and their dtypes; "U" is a str dtype of any
-# length.
-_TRACE_ARRAYS = {"algorithm": "U", "run": "<i8", "length": "<i8",
-                 "fes": "<i8", "best": "<f8"}
-# The traces files of schemas 2 and 1, which persist deletes.
-_STALE_FILES = ("traces.csv", "solutions.csv")
-
-
-def _write_rows(path: Path, header: List[str], rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _trace_paths(folder: Path, problems) -> Dict[str, Path]:
-    """The traces file of each problem: ``<i>.npz`` under ``folder``, ``i``
-    being the problem's index among the distinct labels, sorted."""
-    return {p: folder / ("%d.npz" % i) for i, p in enumerate(sorted(set(problems)))}
+_RESULTS_FILE = "results.npz"
+# The files of schemas 1 to 4, which persist never writes over.
+_OLD_FILES = ("meta.json", "results.csv", "traces", "traces.csv", "solutions.csv")
+# The arrays of the results file besides ``meta``, with their dtypes: one per
+# scalar RunRecord field ("U" being a str dtype of any length; seeds span 64
+# bits), then the positions and traces, each concatenated after its rows'
+# lengths.
+_SCALAR_DTYPES = {"str": "U", "int": "<i8", "float": "<f8", "bool": "|b1"}
+_COLUMNS = {f.name: "<u8" if f.name == "seed" else _SCALAR_DTYPES[f.type]
+            for f in fields(RunRecord) if f.type != "np.ndarray"}
+_ARRAYS = {**_COLUMNS, "position_length": "<i8", "best_position": "<f8",
+           "length": "<i8", "trace": TRACE_DTYPE}
+# Each length array and the concatenated array whose rows it gives.
+_SPLITS = (("position_length", "best_position"), ("length", "trace"))
 
 
 def check_out_dir(out_dir) -> Path:
     """The path of ``out_dir``, once nothing there would stop :func:`persist`
-    part way.
+    part way or be left beside its set.
 
-    Raises NotADirectoryError when ``<out_dir>/traces`` is a file or a
-    symbolic link, which persist could not replace, and FileExistsError when
-    a file it writes or deletes there (``results.csv``, ``summary.csv``,
-    ``meta.json``, or the ``traces.csv`` and ``solutions.csv`` of older
-    schemas) exists and is not a regular file.
+    Raises FileExistsError, deleting nothing, when the folder holds a file of
+    schema 4 or older (``meta.json``, ``results.csv``, ``traces``, or the
+    ``traces.csv`` and ``solutions.csv`` of schemas 2 and 1), or a
+    ``results.npz``, ``results.npz.part`` or ``summary.csv`` that is not a
+    regular file.
     """
     out = Path(out_dir)
-    folder = out / "traces"
-    if folder.is_symlink() or folder.exists() and not folder.is_dir():
-        raise NotADirectoryError("cannot write results to %s: %s is not a plain directory"
-                                 % (out, folder))
-    for name in ("results.csv", "summary.csv", "meta.json", *_STALE_FILES):
+    old = [name for name in _OLD_FILES if (out / name).exists()]
+    if old:
+        raise FileExistsError("cannot write results to %s: it holds %s, written under "
+                              "schema 4 or older; move them away first"
+                              % (out, ", ".join(old)))
+    for name in (_RESULTS_FILE, _RESULTS_FILE + ".part", "summary.csv"):
         path = out / name
         if path.exists() and not path.is_file():
             raise FileExistsError("cannot write results to %s: %s is not a regular file"
@@ -487,182 +469,144 @@ def check_out_dir(out_dir) -> Path:
 def persist(results: ResultSet, out_dir) -> Path:
     """Write the result set under ``out_dir``; returns the directory path.
 
-    Raises, before writing anything, ValueError for an algorithm label that
-    holds a NUL character (a traces file's str array drops trailing NULs),
-    and what :func:`check_out_dir` raises for a path there that persist
-    could not replace, so the set there before stays whole.
+    The set goes to ``results.npz.part``, which ``os.replace`` then makes
+    ``results.npz``, so the file there before stays whole until the new one
+    is complete; ``summary.csv``, a view that :func:`load` never reads, is
+    written last. Raises, before writing anything, ValueError for a label
+    holding a NUL character (a str array drops trailing NULs), and what
+    :func:`check_out_dir` raises.
     """
     records = [results.records[key] for key in sorted(results.records)]
-    cells: Dict[str, List[RunRecord]] = {}
     for r in records:
-        if "\0" in r.algorithm:
-            raise ValueError("algorithm label %r holds a NUL character" % r.algorithm)
-        cells.setdefault(r.problem, []).append(r)
-    out = check_out_dir(out_dir)
-    folder = out / "traces"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / "results.csv", _RESULTS_HEADER,
-                ([encode(getattr(r, name)) for name, encode, _ in _COLUMNS]
-                 for r in records))
-    shutil.rmtree(folder, ignore_errors=True)
-    for stale in _STALE_FILES:
-        (out / stale).unlink(missing_ok=True)
-    folder.mkdir()
-    for problem, path in _trace_paths(folder, cells).items():
-        rows = cells[problem]
-        points = np.concatenate([r.trace for r in rows])
-        np.savez(path, algorithm=np.array([r.algorithm for r in rows], dtype=str),
-                 run=np.array([r.run for r in rows], dtype="<i8"),
-                 length=np.array([len(r.trace) for r in rows], dtype="<i8"),
-                 fes=points["fes"], best=points["best"])
-    _write_rows(out / "summary.csv", ["algorithm", "problem", "best", "mean", "std"],
-                ([row["algorithm"], row["problem"], repr(row["best"]),
-                  repr(row["mean"]), repr(row["std"])]
-                 for row in results.summary()))
-
+        for what, label in (("algorithm", r.algorithm), ("problem", r.problem)):
+            if "\0" in label:
+                raise ValueError("%s label %r holds a NUL character" % (what, label))
     meta = dict(results.metadata)
     meta["schema_version"] = SCHEMA_VERSION
     if "config_hash" in meta:
         meta["config_hash"] = config_hash(
             {k: v for k, v in meta.items() if k not in ("config_hash", "created_at")})
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True))}
+    for name, dtype in _COLUMNS.items():
+        arrays[name] = np.array([getattr(r, name) for r in records], dtype=dtype)
+    arrays["position_length"] = np.array([len(r.best_position) for r in records],
+                                         dtype="<i8")
+    arrays["best_position"] = np.concatenate(
+        [np.empty(0), *(r.best_position for r in records)], dtype="<f8")
+    arrays["length"] = np.array([len(r.trace) for r in records], dtype="<i8")
+    out = check_out_dir(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    part = out / (_RESULTS_FILE + ".part")
+    with zipfile.ZipFile(part, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+        # one record at a time, so no copy of every trace is made
+        with zf.open("trace.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(TRACE_DTYPE),
+                "fortran_order": False, "shape": (int(arrays["length"].sum()),)})
+            for r in records:
+                fh.write(np.ascontiguousarray(r.trace))
+    os.replace(part, out / _RESULTS_FILE)
+    with open(out / "summary.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algorithm", "problem", "best", "mean", "std"])
+        w.writerows([row["algorithm"], row["problem"], repr(row["best"]),
+                     repr(row["mean"]), repr(row["std"])] for row in results.summary())
     return out
 
 
-def _read_results(path: Path) -> Dict[Tuple[str, str, int], dict]:
-    """The decoded fields of each row of ``results.csv``, by cell.
+def load(out_dir) -> ResultSet:
+    """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
-    A wrong header, a value that does not parse or a cell an earlier row
-    holds raises :class:`BrokenResultsError` naming the file, the line and
-    the cell.
+    Reads ``results.npz`` once; each record's position and trace are slices
+    of its arrays. A folder that cannot be opened raises the ``OSError``.
+    A folder holding files of schema 4 or older and no ``results.npz``, or
+    a file of another schema, raises :class:`SchemaMismatchError`. A
+    ``results.npz`` that is missing or not one :func:`persist` writes (not
+    an archive, ``meta`` not a JSON object, an array missing or not 1-D of
+    its dtype, lengths that do not add up (naming the first row they miss),
+    a cell listed twice, ``meta`` lists other than the rows) raises
+    :class:`BrokenResultsError` naming it.
     """
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _RESULTS_HEADER:
-            raise BrokenResultsError("%s line 1: expected the header %s"
-                                     % (path, ",".join(_RESULTS_HEADER)))
-        for row in reader:
-            try:
-                values = {name: decode(text)
-                          for (name, _, decode), text in zip(_COLUMNS, row, strict=True)}
-                cell = (values["algorithm"], values["problem"], values["run"])
-                if cell in rows:
-                    raise ValueError("listed twice")
-            except ValueError as exc:
-                named = dict(zip(_RESULTS_HEADER, row))
-                cell = tuple(named.get(c, "?") for c in ("algorithm", "problem", "run"))
-                raise BrokenResultsError("%s line %d, cell (%s, %s, run %s): %s"
-                                         % (path, reader.line_num, *cell, exc)) from None
-            rows[cell] = values
-    return rows
-
-
-def _read_traces(path: Path, problem: str) -> Dict[Tuple[str, str, int], np.ndarray]:
-    """The traces of ``problem``'s file, by cell, each a slice of one
-    :data:`TRACE_DTYPE` array.
-
-    Raises :class:`BrokenResultsError` naming the file when it is not one
-    :func:`persist` writes, with the entry and the cell when it lists a
-    cell twice.
-    """
+    out = Path(out_dir)
+    path = out / _RESULTS_FILE
     try:
         with open(path, "rb") as fh:
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("it holds one array, not an archive")
             with npz:
-                arrays = {name: npz[name] for name in _TRACE_ARRAYS}
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise BrokenResultsError("%s is not a traces file: %s" % (path, exc)) from None
-    for name, dtype in _TRACE_ARRAYS.items():
-        a = arrays[name]
-        if a.ndim != 1 or (a.dtype.kind if dtype == "U" else a.dtype.str) != dtype:
-            raise BrokenResultsError("%s: array %r is %d-D %s; expected 1-D %s"
-                                     % (path, name, a.ndim, a.dtype.str, dtype))
-    lengths = arrays["length"].tolist()
-    if (not len(arrays["algorithm"]) == len(arrays["run"]) == len(lengths)
-            or min(lengths, default=0) < 0
-            or not sum(lengths) == len(arrays["fes"]) == len(arrays["best"])):
-        raise BrokenResultsError(
-            "%s: %d algorithms, %d runs and %d lengths summing to %d do not "
-            "split %d evaluation counts and %d best values"
-            % (path, len(arrays["algorithm"]), len(arrays["run"]), len(lengths),
-               sum(lengths), len(arrays["fes"]), len(arrays["best"])))
-    points = np.empty(len(arrays["fes"]), dtype=TRACE_DTYPE)
-    points["fes"], points["best"] = arrays["fes"], arrays["best"]
-    traces = {}
-    end = 0
-    for entry, (algorithm, run) in enumerate(zip(arrays["algorithm"].tolist(),
-                                                 arrays["run"].tolist())):
-        cell = (algorithm, problem, run)
-        if cell in traces:
-            raise BrokenResultsError("%s entry %d, cell (%s, %s, run %d): listed twice"
-                                     % (path, entry, *cell))
-        start, end = end, end + lengths[entry]
-        traces[cell] = points[start:end]
-    return traces
-
-
-def load(out_dir) -> ResultSet:
-    """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
-
-    Reads ``meta.json``, ``results.csv`` and every problem's traces file;
-    each record's trace is a slice of its file's arrays. A folder or
-    ``meta.json`` that cannot be opened raises the ``OSError``. Past that, a
-    file that is missing or not one :func:`persist` writes raises
-    :class:`BrokenResultsError` naming it, with the line or entry and the
-    cell where there is one; so does a traces file, or an entry of one,
-    that no row of ``results.csv`` accounts for, and a ``meta.json`` that
-    lists algorithms or problems other than those its rows hold.
-    """
-    out = Path(out_dir)
-    with open(out / "meta.json") as fh:
-        try:
-            metadata = json.load(fh)
-        except ValueError as exc:
-            raise BrokenResultsError("%s is not JSON: %s" % (fh.name, exc)) from None
+                arrays = {name: npz[name] for name in npz.files
+                          if name == "meta" or name in _ARRAYS}
+    except FileNotFoundError:
+        if not out.is_dir():
+            raise
+        old = [name for name in _OLD_FILES if (out / name).exists()]
+        if old:
+            raise SchemaMismatchError("%s holds %s, results written with schema 4 or "
+                                      "older; this build reads %d"
+                                      % (out, ", ".join(old), SCHEMA_VERSION)) from None
+        raise BrokenResultsError("%s is missing" % path) from None
+    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise BrokenResultsError("%s is not a results file: %s" % (path, exc)) from None
+    text = arrays.get("meta")
+    if text is None or text.ndim or text.dtype.kind != "U":
+        raise BrokenResultsError("%s: array 'meta' is missing or not 0-d str" % path)
+    try:
+        metadata = json.loads(text.item())
+    except ValueError as exc:
+        raise BrokenResultsError("%s: meta is not JSON: %s" % (path, exc)) from None
     if not isinstance(metadata, dict):
-        raise BrokenResultsError("%s is not a JSON object" % fh.name)
+        raise BrokenResultsError("%s: meta is not a JSON object" % path)
     version = metadata.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            "results were written with schema %r; this build reads %d"
-            % (version, SCHEMA_VERSION))
-
-    traces = {}
-    try:
-        results = out / "results.csv"
-        rows = _read_results(results)
-        paths = _trace_paths(out / "traces", (key[1] for key in rows))
-        for problem, path in paths.items():
-            held = _read_traces(path, problem)
-            for entry, cell in enumerate(held):  # in entry order
-                if cell not in rows:
-                    raise BrokenResultsError("%s entry %d, cell (%s, %s, run %d): no row "
-                                             "in %s" % (path, entry, *cell, results))
-            traces.update(held)
-        stray = sorted(set((out / "traces").iterdir()) - set(paths.values()))
-        if stray:
-            raise BrokenResultsError("%s is the traces file of no problem in %s"
-                                     % (stray[0], results))
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        missing = Path(exc.filename)
-        raise BrokenResultsError("%s is missing" % (
-            missing if missing.parent.is_dir() else missing.parent)) from None
+        raise SchemaMismatchError("results were written with schema %r; this build reads %d"
+                                  % (version, SCHEMA_VERSION))
+    for name, dtype in _ARRAYS.items():
+        a = arrays.get(name)
+        if a is None:
+            raise BrokenResultsError("%s: array %r is missing" % (path, name))
+        if a.ndim != 1 or not (a.dtype.kind == "U" if dtype == "U" else a.dtype == dtype):
+            raise BrokenResultsError("%s: array %r is %d-D %s; expected 1-D %s" % (
+                path, name, a.ndim, a.dtype, "str" if dtype == "U" else np.dtype(dtype)))
+    rows = len(arrays["algorithm"])
+    for name in (*_COLUMNS, *(lengths for lengths, _ in _SPLITS)):
+        if len(arrays[name]) != rows:
+            raise BrokenResultsError("%s: array %r holds %d rows; array 'algorithm' %d"
+                                     % (path, name, len(arrays[name]), rows))
+    for lengths, joined in _SPLITS:
+        counts, size = arrays[lengths], len(arrays[joined])
+        if (counts < 0).any() or counts.sum() != size:
+            # the first row whose length is negative or runs past the end
+            bad = np.flatnonzero((counts < 0) | (np.cumsum(counts) > size))
+            cell = (", first at cell (%s, %s, run %d)" % tuple(
+                arrays[name][bad[0]] for name in ("algorithm", "problem", "run"))
+                if bad.size else "")
+            raise BrokenResultsError("%s: the lengths in array %r do not split the %d "
+                                     "entries of array %r%s"
+                                     % (path, lengths, size, joined, cell))
+    columns = {name: arrays[name].tolist() for name in _COLUMNS}
+    keys = list(zip(columns["algorithm"], columns["problem"], columns["run"]))
+    if len(set(keys)) != rows:
+        seen = set()
+        twice = next(key for key in keys if key in seen or seen.add(key))
+        raise BrokenResultsError("%s: cell (%s, %s, run %d) is listed twice"
+                                 % (path, *twice))
     for what, column in (("algorithms", 0), ("problems", 1)):
-        listed, named = metadata.get(what), sorted({key[column] for key in rows})
+        listed, named = metadata.get(what), sorted({key[column] for key in keys})
         if listed and (not isinstance(listed, list) or sorted(listed, key=str) != named):
-            raise BrokenResultsError("%s lists the %s %s; the rows of %s hold %s"
-                                     % (fh.name, what, listed, results, named))
+            raise BrokenResultsError("%s: meta lists the %s %s; the rows hold %s"
+                                     % (path, what, listed, named))
+    # row i's position and trace start at entry i and end at entry i + 1
+    positions, points = ([0, *np.cumsum(arrays[lengths]).tolist()] for lengths, _ in _SPLITS)
     records = {}
-    for key, values in rows.items():
-        if key not in traces:
-            raise BrokenResultsError("%s has no trace for cell (%s, %s, run %d)"
-                                     % (paths[key[1]], *key))
-        records[key] = RunRecord(trace=traces[key], **values)
+    for i, values in enumerate(zip(*columns.values())):
+        records[keys[i]] = RunRecord(
+            **dict(zip(columns, values)),
+            best_position=arrays["best_position"][positions[i]:positions[i + 1]],
+            trace=arrays["trace"][points[i]:points[i + 1]])
     return ResultSet(records, metadata)
 
 

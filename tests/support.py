@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: scripted RNG playback, tiny specs, the
-one-draw-at-a-time resampling rule kept as a reference, and the covariance
-model and elite scores derived from scratch on every call, as they were
-before the archive kept its window and rank order."""
+one-draw-at-a-time resampling rule kept as a reference, reading and
+rewriting a persisted set's results file, and the covariance model and
+elite scores derived from scratch on every call, as they were before the
+archive kept its window and rank order."""
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,27 +143,39 @@ def sequential_evaluate(spec, X, rng, fes_max, used=0):
     return fitness, objective, violation, positions, used, handled
 
 
-def traces_bytes(out):
-    """The bytes of each file under a persisted set's traces folder, by name."""
-    return {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+def results_arrays(out):
+    """The arrays of the results file of the set under ``out``, by name."""
+    with np.load(out / "results.npz", allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
-def rewrite_traces(path, change):
-    """Write ``change(arrays)`` over the traces file at ``path``, ``arrays``
-    being its arrays by name."""
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    np.savez(path, **change(arrays))
+def stable_arrays(out):
+    """The arrays of the set under ``out`` that a rerun writes again: every
+    array but ``wall_time`` as bytes, and ``meta`` without ``created_at``."""
+    arrays = results_arrays(out)
+    meta = json.loads(arrays.pop("meta").item())
+    meta.pop("created_at", None)
+    del arrays["wall_time"]
+    return {name: (a.dtype.str, a.tobytes()) for name, a in arrays.items()}, meta
 
 
-def drop_last_trace(path):
-    """Rewrite the traces file at ``path`` without its last trace."""
-    def drop(a):
-        end = len(a["fes"]) - a["length"][-1]
-        return {"algorithm": a["algorithm"][:-1], "run": a["run"][:-1],
-                "length": a["length"][:-1], "fes": a["fes"][:end],
-                "best": a["best"][:end]}
-    rewrite_traces(path, drop)
+def rewrite_results(out, change):
+    """Write ``change(arrays)`` over the results file under ``out``,
+    ``arrays`` being its arrays by name."""
+    np.savez(out / "results.npz", **change(results_arrays(out)))
+
+
+def rewrite_meta(out, change):
+    """Write ``change(meta)`` over the metadata of the set under ``out``."""
+    rewrite_results(out, lambda a: {**a, "meta": np.array(json.dumps(
+        change(json.loads(a["meta"].item()))))})
+
+
+def drop_last_trace(out):
+    """Rewrite the results file under ``out`` without its last row's trace:
+    its length and its points."""
+    rewrite_results(out, lambda a: {**a, "length": a["length"][:-1],
+                                    "trace": a["trace"][:len(a["trace"]) - a["length"][-1]]})
 
 
 def reference_estimate(X, f):

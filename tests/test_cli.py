@@ -1,6 +1,5 @@
 """Command-line interface tests: exit codes, precedence, reports, exports."""
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ from ieco_mco import cli, covariance, harness
 from ieco_mco.harness import ResultSet, RunRecord, export_trace, load, persist
 from ieco_mco.problems import make_problem
 
-from support import drop_last_trace, rewrite_traces, traces_bytes
+from support import drop_last_trace, rewrite_results, stable_arrays
 
 TINY = ["--runs", "1", "--dim", "5", "--n", "6", "--fes-max", "60"]
 
@@ -37,7 +36,8 @@ def test_run_succeeds_with_minimal_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "persisted 1 records" in out
     assert "f01-zakharov-d5" in out
-    assert (tmp_path / "r" / "results.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+        "results.npz", "summary.csv"]
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -166,8 +166,8 @@ def test_no_jobs_or_a_negative_seed_is_refused_before_any_run(
 @pytest.mark.parametrize("source", ["flag", "variable"])
 def test_empty_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
                                                source):
-    """An empty output directory would persist into the working directory
-    and replace its traces/; it is refused before anything is written."""
+    """An empty output directory would persist into the working directory,
+    beside what it holds; it is refused before anything is written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "traces").mkdir()
     (tmp_path / "traces" / "mine.txt").write_text("keep me\n")
@@ -294,18 +294,12 @@ def test_run_cardinality_two_algorithms_ten_runs(tmp_path, capsys):
                    "--out", str(tmp_path / "r"))
     assert code == 0
     assert "persisted 20 records" in capsys.readouterr().out
-    rows = (tmp_path / "r" / "results.csv").read_text().strip().splitlines()
-    assert len(rows) == 1 + 20
+    assert len(load(tmp_path / "r")) == 20
 
 
 def _strip_volatile(out_dir):
     """Result files with wall_time and timestamps removed."""
-    rows = (out_dir / "results.csv").read_text().splitlines()
-    results = [r.rsplit(",", 1)[0] for r in rows]
-    meta = json.loads((out_dir / "meta.json").read_text())
-    meta.pop("created_at")
-    return (results, traces_bytes(out_dir), (out_dir / "summary.csv").read_bytes(),
-            meta)
+    return stable_arrays(out_dir), (out_dir / "summary.csv").read_bytes()
 
 
 def test_run_twice_with_config_produces_identical_outputs(tmp_path, capsys):
@@ -396,7 +390,7 @@ def test_each_documented_variable_is_honoured(tmp_path, capsys, monkeypatch,
         monkeypatch.setenv(cli.ENV_PREFIX + variable, raw)
         assert run_cli("run") == 0
         if keyword is None:
-            assert (tmp_path / raw / "meta.json").exists()
+            assert (tmp_path / raw / "results.npz").exists()
         else:
             assert seen[keyword] == want
         return
@@ -544,27 +538,24 @@ def test_results_too_small_to_compare_are_usage_errors(tmp_path, capsys, shape,
                                     "position value"])
 def test_unreadable_cell_is_a_runtime_failure(tmp_path, capsys, broken):
     out = _synthetic_results(tmp_path, tie=True)
-    # p3's traces are the third problem's file; its last trace is beta's run 2
-    path = out / "traces" / "2.npz"
+    path = out / "results.npz"
+    # the last row is beta's run 2 on p3
     if broken == "traces row":
-        drop_last_trace(path)
-        expected = ["%s has no trace for cell (beta, p3, run 2)" % path]
+        drop_last_trace(out)
+        expected = "array 'length' holds 17 rows; array 'algorithm' 18"
     elif broken == "trace value":
-        rewrite_traces(path, lambda a: {**a, "fes": np.append(a["fes"], 120)})
-        expected = ["%s: " % path, "do not split 13 evaluation counts"]
+        rewrite_results(out, lambda a: {**a, "trace": np.append(a["trace"], a["trace"][-1])})
+        expected = "the lengths in array 'length' do not split the 37 entries"
     else:
-        path = out / "results.csv"
-        rows = path.read_text().splitlines()
-        rows[-1] = rows[-1].replace("0.0 0.0", "0.0 nan-ish")
-        path.write_text("\n".join(rows) + "\n")
-        expected = ["%s line %d, cell (beta, p3, run 2)" % (path, len(rows))]
-    # every command loads the whole set: results.csv and each traces file
+        rewrite_results(out, lambda a: {**a, "best_position": a["best_position"].astype("U8")})
+        expected = "array 'best_position' is 1-D <U8; expected 1-D float64"
+    # every command loads the whole set
     for argv in (("compare",), ("export-trace", "--problem", "p1")):
         capsys.readouterr()
         assert run_cli(*argv, "--results", str(out)) == 1
         err = capsys.readouterr().err
-        for text in expected:
-            assert text in err
+        assert err.startswith("failed: %s: " % path)
+        assert expected in err
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
@@ -581,7 +572,7 @@ def test_compare_and_stats_open_each_file_of_the_set_once(tmp_path, capsys,
 
     monkeypatch.setattr(harness, "open", spy, raising=False)
     assert run_cli(*argv, "--results", str(out)) == 0
-    assert sorted(opened) == ["0.npz", "1.npz", "2.npz", "meta.json", "results.csv"]
+    assert opened == ["results.npz"]
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["stats", "--test", "friedman"],
@@ -603,25 +594,25 @@ def test_reports_walk_the_result_grid_once(tmp_path, capsys, monkeypatch, argv):
 
 def test_export_trace_decodes_each_traces_file_once(tmp_path, capsys,
                                                    monkeypatch):
+    """Every problem's traces are in the one results file, which export-trace
+    decodes once."""
     out = _synthetic_results(tmp_path, tie=False)
     decoded = []
-    read = harness._read_traces
+    read = np.load
 
-    def spy(path, problem):
-        traces = read(path, problem)
-        decoded.append((path.name, sorted(traces)))
-        return traces
+    def spy(fh, **kwargs):
+        decoded.append(Path(fh.name).name)
+        return read(fh, **kwargs)
 
-    monkeypatch.setattr(harness, "_read_traces", spy)
+    monkeypatch.setattr(harness.np, "load", spy)
     assert run_cli("export-trace", "--results", str(out), "--problem", "p3") == 0
-    assert decoded == [("%d.npz" % i, [(a, p, r) for a in ("alpha", "beta")
-                                       for r in range(3)])
-                       for i, p in enumerate(("p1", "p2", "p3"))]
+    assert decoded == ["results.npz"]
 
 
 def _drop_record(out, key):
     """Persist the set at ``out`` again without the record of cell ``key``;
-    a results.csv cut short is a broken set instead (test_harness)."""
+    a results file with a row cut short is a broken set instead
+    (test_harness)."""
     rs = load(out)
     del rs.records[key]
     persist(rs, out)
@@ -777,7 +768,7 @@ def test_export_trace_without_problem_is_usage_error(tmp_path, capsys):
 
 def test_export_trace_without_problem_reads_no_set(tmp_path, capsys):
     out = _synthetic_results(tmp_path, tie=False)
-    (out / "results.csv").unlink()
+    (out / "results.npz").unlink()
     capsys.readouterr()
     assert run_cli("export-trace", "--results", str(out)) == 2
     assert capsys.readouterr() == ("", "error: no problem given; use --problem\n")

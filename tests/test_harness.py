@@ -1,9 +1,8 @@
 """Run execution, budgets, batch determinism, and persistence tests."""
 
-import csv
 import json
 import re
-import shutil
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import pytest
 from ieco_mco import cli, covariance, harness, stages
 from ieco_mco.harness import (
     SCHEMA_VERSION,
+    TRACE_DTYPE,
     BrokenResultsError,
     Evaluator,
     ResultSet,
@@ -34,7 +34,8 @@ from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
 from ieco_mco.rng import init_population
 from ieco_mco.stages import Population, elite_archive, step, variant_of
 
-from support import drop_last_trace, rewrite_traces, sphere_spec, traces_bytes
+from support import (results_arrays, rewrite_meta, rewrite_results, sphere_spec,
+                     stable_arrays)
 
 DESK = ["f%02d" % i for i in range(1, 13)]
 
@@ -285,8 +286,7 @@ def test_worst_constraint_of_minus_zero_reads_as_plus_zero(tmp_path):
     rec = run_single(cfg, spec)
     assert rec.feasible and repr(rec.best_violation) == "0.0"
     persist(ResultSet({("ECO", spec.name, 0): rec}), tmp_path)
-    with open(tmp_path / "results.csv", newline="") as fh:
-        assert next(csv.DictReader(fh))["best_violation"] == "0.0"
+    assert not np.signbit(results_arrays(tmp_path)["best_violation"]).any()
     assert repr(load(tmp_path).records[("ECO", spec.name, 0)].best_violation) == "0.0"
 
 
@@ -608,9 +608,7 @@ def test_persist_labels_what_it_writes_with_the_current_schema(tmp_path):
 
 def _schema_999_directory(out):
     persist(_tiny_batch(), out)
-    meta = json.loads((out / "meta.json").read_text())
-    meta["schema_version"] = 999
-    (out / "meta.json").write_text(json.dumps(meta))
+    rewrite_meta(out, lambda meta: {**meta, "schema_version": 999})
     return out
 
 
@@ -664,48 +662,88 @@ def _schema_3_directory(out):
     return out
 
 
-@pytest.mark.parametrize("make", [_schema_999_directory, _schema_1_directory,
-                                  _schema_2_directory, _schema_3_directory])
+def _schema_4_directory(out):
+    """One run as schema 4 laid it out: results.csv, meta.json and each
+    problem's traces in a numpy archive."""
+    (out / "traces").mkdir(parents=True)
+    (out / "meta.json").write_text(json.dumps(
+        {"schema_version": 4, "algorithms": ["ECO"], "problems": ["f01"],
+         "runs": 1}))
+    (out / "results.csv").write_text(
+        ",".join(f.name for f in fields(RunRecord) if f.name != "trace")
+        + "\nECO,f01,2,0,7,0.5 0.5,0.5,0.5,0.0,1,12,0.01\n")
+    np.savez(out / "traces" / "0.npz", algorithm=np.array(["ECO"]), run=np.array([0]),
+             length=np.array([2]), fes=np.array([6, 12]), best=np.array([1.5, 0.5]))
+    (out / "summary.csv").write_text(
+        "algorithm,problem,best,mean,std\nECO,f01,0.5,0.5,0.0\n")
+    return out
+
+
+# Each folder of an older schema and the files of it that load and persist
+# name.
+_OLDER_SCHEMAS = {
+    _schema_1_directory: "meta.json, results.csv, traces, solutions.csv",
+    _schema_2_directory: "meta.json, results.csv, traces.csv",
+    _schema_3_directory: "meta.json, results.csv, traces",
+    _schema_4_directory: "meta.json, results.csv, traces",
+}
+
+
+@pytest.mark.parametrize("make", [_schema_999_directory, *_OLDER_SCHEMAS])
 def test_load_rejects_schema_mismatch(tmp_path, capsys, make):
     out = make(tmp_path / "out")
-    version = json.loads((out / "meta.json").read_text())["schema_version"]
-    message = "schema %d; this build reads %d" % (version, SCHEMA_VERSION)
-    with pytest.raises(SchemaMismatchError, match=message):
+    if make in _OLDER_SCHEMAS:
+        message = "%s holds %s, results written with schema 4 or older; this build reads %d" % (
+            out, _OLDER_SCHEMAS[make], SCHEMA_VERSION)
+    else:
+        message = "schema 999; this build reads %d" % SCHEMA_VERSION
+    with pytest.raises(SchemaMismatchError, match=re.escape(message)):
         load(out)
     assert cli.main(["compare", "--results", str(out)]) == 2
     assert message in capsys.readouterr().err
 
 
-def _rewrite_last_row(path, change):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    change(rows[0], rows[-1])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    return "%s line %d" % (path, len(rows))
+@pytest.mark.parametrize("make", _OLDER_SCHEMAS)
+def test_persist_refuses_a_folder_of_an_older_schema_and_deletes_nothing(
+        tmp_path, capsys, monkeypatch, make):
+    out = make(tmp_path / "out")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    expected = ("cannot write results to %s: it holds %s, written under schema 4 or "
+                "older; move them away first" % (out, _OLDER_SCHEMAS[make]))
+    with pytest.raises(FileExistsError, match="^%s$" % re.escape(expected)):
+        persist(_tiny_batch(), out)
+    monkeypatch.setattr(harness, "run_single", None)   # no run may start
+    capsys.readouterr()
+    assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
+                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % expected)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-# The traces files of _tiny_batch: f01-zakharov-d5 is 0.npz, f02-rosenbrock-d5
-# is 1.npz; each file's last trace is IECO-MCO's run 2.
+# The last row of _tiny_batch's results file.
 LAST_CELL = "cell (IECO-MCO, f02-rosenbrock-d5, run 2)"
 
 
 def _drop_last_trace(out):
-    path = out / "traces" / "1.npz"
-    drop_last_trace(path)
-    return ["%s has no trace for %s" % (path, LAST_CELL)]
+    """The last row keeps its length but loses its points."""
+    kept = 120 - results_arrays(out)["length"][-1]
+    rewrite_results(out, lambda a: {**a, "trace": a["trace"][:kept]})
+    return ["%s: " % (out / "results.npz"), "do not split the %d entries of array "
+            "'trace', first at %s" % (kept, LAST_CELL)]
 
 
 def _add_a_trace_value(out):
-    path = out / "traces" / "1.npz"
-    rewrite_traces(path, lambda a: {**a, "fes": np.append(a["fes"], 120)})
-    return ["%s: " % path, "do not split 61 evaluation counts and 60 best values"]
+    """A point after the last row's, which no row holds."""
+    rewrite_results(out, lambda a: {**a, "trace": np.append(a["trace"], a["trace"][-1])})
+    return ["%s: " % (out / "results.npz"), "do not split the 121 entries of array "
+            "'trace'"]
 
 
 def _bad_position(out):
-    def change(header, row):
-        row[header.index("best_position")] = "nan-ish 1.0"
-    return [_rewrite_last_row(out / "results.csv", change), LAST_CELL]
+    """The last row's position is one coordinate short."""
+    rewrite_results(out, lambda a: {**a, "best_position": a["best_position"][:-1]})
+    return ["%s: " % (out / "results.npz"), "do not split the 59 entries of array "
+            "'best_position', first at %s" % LAST_CELL]
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_trace, _add_a_trace_value,
@@ -720,67 +758,87 @@ def test_load_names_the_file_and_cell_it_cannot_read(tmp_path, corrupt):
         assert text in str(err.value)
 
 
-def _truncate(path):
+def _truncate(out):
+    path = out / "results.npz"
     path.write_bytes(path.read_bytes()[:-100])
 
 
-def _save_one_array(path):
-    with open(path, "wb") as fh:
+def _save_one_array(out):
+    with open(out / "results.npz", "wb") as fh:
         np.save(fh, np.arange(3))
 
 
-def _flip_a_byte(path):
+def _flip_a_byte(out):
+    path = out / "results.npz"
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
 
 
-# Each way a traces file can be broken, and what the error says about it.
+def _change(**changes):
+    """Rewrite the results file with each named array replaced by
+    ``change(old array)``, or dropped where ``change`` is None."""
+    def corrupt(out):
+        rewrite_results(out, lambda a: {
+            name: changes[name](old) if name in changes else old
+            for name, old in a.items() if changes.get(name, True) is not None})
+    return corrupt
+
+
+# Each way the results file can be broken, and what the error says about it.
 _BROKEN_TRACES = {
-    "truncated": (_truncate, "is not a traces file"),
-    "empty": (lambda path: path.write_bytes(b""), "is not a traces file"),
-    "csv text": (lambda path: path.write_text("algorithm,problem,run\n"),
-                 "is not a traces file"),
+    "truncated": (_truncate, "is not a results file"),
+    "empty": (lambda out: (out / "results.npz").write_bytes(b""),
+              "is not a results file"),
+    "csv text": (lambda out: (out / "results.npz").write_text("algorithm,problem,run\n"),
+                 "is not a results file"),
     "one array": (_save_one_array, "not an archive"),
-    "flipped byte": (_flip_a_byte, "is not a traces file"),
-    "missing array": (lambda path: rewrite_traces(path, lambda a: {
-        k: v for k, v in a.items() if k != "length"}), "length"),
-    "object array": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "algorithm": a["algorithm"].astype(object)}), "is not a traces file"),
-    "int32 runs": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "run": a["run"].astype(np.int32)}), "array 'run' is 1-D <i4"),
-    "float counts": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "fes": a["fes"].astype(float)}), "array 'fes' is 1-D <f8"),
-    "2-D best": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "best": a["best"].reshape(2, -1)}), "array 'best' is 2-D"),
-    "bytes labels": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "algorithm": a["algorithm"].astype("S")}), "array 'algorithm'"),
-    "lengths short": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "length": a["length"] - 1}), "do not split"),
-    "a run too many": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "run": np.append(a["run"], 7)}), "do not split"),
-    "negative length": (lambda path: rewrite_traces(path, lambda a: {
-        **a, "length": a["length"] * np.array([-1, 1, 1, 1, 1, 3])}),
-        "do not split"),
+    "flipped byte": (_flip_a_byte, "is not a results file"),
+    "missing array": (_change(length=None), "array 'length' is missing"),
+    "missing meta": (_change(meta=None), "array 'meta' is missing or not 0-d str"),
+    "object array": (_change(algorithm=lambda a: a.astype(object)),
+                     "is not a results file"),
+    "int32 runs": (_change(run=lambda a: a.astype(np.int32)),
+                   "array 'run' is 1-D int32; expected 1-D int64"),
+    "int64 seeds": (_change(seed=lambda a: a.astype(np.int64)),
+                    "array 'seed' is 1-D int64; expected 1-D uint64"),
+    "float counts": (_change(length=lambda a: a.astype(float)),
+                     "array 'length' is 1-D float64; expected 1-D int64"),
+    "float trace": (_change(trace=lambda a: a["best"]),
+                    "array 'trace' is 1-D float64; expected 1-D [('fes', '<i8')"),
+    "2-D best": (_change(best_fitness=lambda a: a.reshape(2, -1)),
+                 "array 'best_fitness' is 2-D"),
+    "bytes labels": (_change(algorithm=lambda a: a.astype("S")),
+                     "array 'algorithm' is 1-D |S8; expected 1-D str"),
+    "1-D meta": (_change(meta=lambda a: a.reshape(1)),
+                 "array 'meta' is missing or not 0-d str"),
+    "lengths short": (_change(length=lambda a: a - 1),
+                      "the lengths in array 'length' do not split the 120 entries"),
+    "positions short": (_change(best_position=lambda a: a[:-1]),
+                        "the lengths in array 'position_length' do not split the 59"),
+    "a run too many": (_change(run=lambda a: np.append(a, 7)),
+                       "array 'run' holds 13 rows; array 'algorithm' 12"),
+    "negative length": (_change(length=lambda a: a * np.r_[-1, 1, 1, 1, 1, 3, [1] * 6]),
+                        "the lengths in array 'length' do not split"),
 }
 
 
 @pytest.mark.parametrize("broken", _BROKEN_TRACES)
 def test_a_broken_traces_file_is_named_and_fails_the_cli(tmp_path, capsys,
                                                          broken):
+    """The results file holds every trace, so a broken one fails every
+    command that reads the set, whichever problem it reports on."""
     corrupt, message = _BROKEN_TRACES[broken]
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / "traces" / "1.npz"
-    corrupt(path)
+    path = out / "results.npz"
+    corrupt(out)
     with pytest.raises(BrokenResultsError, match="^%s" % re.escape(str(path))) as err:
         load(out)
     assert message in str(err.value)
-    # load reads every traces file, so each command fails on this one, also
-    # when it exports the other problem's traces.
     for argv in (["export-trace", "--problem", "f01"], ["compare"], ["stats"]):
         capsys.readouterr()
         assert cli.main(argv + ["--results", str(out)]) == 1
-        assert str(path) in capsys.readouterr().err
+        assert capsys.readouterr().err == "failed: %s\n" % err.value
 
 
 @pytest.mark.parametrize("change", ["append a row", "delete"])
@@ -788,22 +846,23 @@ def test_a_loaded_set_does_not_read_its_traces_files_again(tmp_path, change):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
     back = load(out)
-    path = out / "traces" / "0.npz"
     if change == "delete":
-        path.unlink()
+        (out / "results.npz").unlink()
     else:
-        rewrite_traces(path, lambda a: {
-            "algorithm": np.append(a["algorithm"], "ECO"),
-            "run": np.append(a["run"], 9), "length": np.append(a["length"], 1),
-            "fes": np.append(a["fes"], 6), "best": np.append(a["best"], 1.5)})
+        rewrite_results(out, lambda a: {
+            **a, **{name: np.append(a[name], a[name][-1]) for name in (
+                *(f.name for f in fields(RunRecord) if f.type != "np.ndarray"),
+                "position_length", "length")},
+            "best_position": np.append(a["best_position"], np.zeros(5)),
+            "trace": np.append(a["trace"], a["trace"][-a["length"][-1]:])})
     assert back == rs
     assert export_trace(back, "f01-zakharov-d5")[0][0] == 6
 
 
 def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
-    """Loading a set opens each problem's traces file once, also when the
-    labels hold a quote, a comma or a line break; comparing its traces
-    opens nothing."""
+    """Loading a set opens the one file that holds every problem's traces
+    once, also when the labels hold a quote, a comma or a line break;
+    comparing its traces opens nothing."""
     labels = {"f01-zakharov-d5": 'f01 "a,\r\nb"', "f02-rosenbrock-d5": "f02"}
     rs = _tiny_batch()
     meta = {k: v for k, v in rs.metadata.items() if k != "config_hash"}
@@ -821,29 +880,42 @@ def test_each_problems_traces_file_is_opened_once(tmp_path, monkeypatch):
     back = load(out)
     assert back == rs
     assert back == rs
-    # sorted labels: 'f01 "a,\r\nb"' is 0.npz, "f02" is 1.npz
-    assert sorted(opened) == [out / name for name in (
-        "meta.json", "results.csv", "traces/0.npz", "traces/1.npz")]
+    assert opened == [out / "results.npz"]
 
 
 def test_results_file_with_a_wrong_header_is_a_runtime_failure(tmp_path,
                                                                 capsys):
+    """The first bytes are the header of the archive's first member."""
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / "results.csv"
-    path.write_text(path.read_text().replace("best_fitness", "fitness", 1))
-    with pytest.raises(BrokenResultsError, match="line 1: expected the header"):
+    path = out / "results.npz"
+    blob = bytearray(path.read_bytes())
+    blob[0:4] = b"PK\x05\x09"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BrokenResultsError, match="is not a results file"):
         load(out)
     assert cli.main(["compare", "--results", str(out)]) == 1
-    assert "%s line 1: expected the header" % path in capsys.readouterr().err
+    assert "failed: %s is not a results file: " % path in capsys.readouterr().err
 
 
 def test_a_cell_listed_twice_in_results_csv_is_named(tmp_path, capsys):
+    """Row 1 of the results file repeats row 0 whole, position and trace
+    included, as a repeated line of results.csv did before schema 5; run 1
+    of ECO on f01 is lost."""
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / "results.csv"
-    lines = path.read_text().splitlines()
-    lines[2] = lines[1]   # line 3 repeats line 2; run 1 of ECO on f01 is lost
-    path.write_text("\n".join(lines) + "\n")
-    expected = "%s line 3, cell (ECO, f01-zakharov-d5, run 0): listed twice" % path
+
+    def repeat_row_0(a):
+        rows = np.r_[0, 0, 2:len(a["run"])]
+        changed = {name: a[name][rows] for name in a
+                   if name not in ("meta", "best_position", "trace")}
+        for lengths, joined in (("position_length", "best_position"), ("length", "trace")):
+            starts = np.r_[0, np.cumsum(a[lengths])]
+            changed[joined] = np.concatenate([a[joined][starts[i]:starts[i + 1]]
+                                              for i in rows])
+        return {**a, **changed}
+
+    rewrite_results(out, repeat_row_0)
+    expected = "%s: cell (ECO, f01-zakharov-d5, run 0) is listed twice" % (
+        out / "results.npz")
     with pytest.raises(BrokenResultsError) as err:
         load(out)
     assert str(err.value) == expected
@@ -852,14 +924,11 @@ def test_a_cell_listed_twice_in_results_csv_is_named(tmp_path, capsys):
 
 
 def test_a_cell_listed_twice_in_a_traces_file_is_named(tmp_path, capsys):
+    """Row 2 repeats row 1, so run 1 of ECO on f01 is lost."""
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / "traces" / "1.npz"
-    # a seventh entry, after the six runs, holds ECO's run 0 again
-    rewrite_traces(path, lambda a: {
-        "algorithm": np.append(a["algorithm"], "ECO"),
-        "run": np.append(a["run"], 0), "length": np.append(a["length"], 1),
-        "fes": np.append(a["fes"], 6), "best": np.append(a["best"], 1.5)})
-    expected = "%s entry 6, cell (ECO, f02-rosenbrock-d5, run 0): listed twice" % path
+    rewrite_results(out, lambda a: {**a, "run": np.r_[0, 0, a["run"][2:]]})
+    expected = "%s: cell (ECO, f01-zakharov-d5, run 0) is listed twice" % (
+        out / "results.npz")
     with pytest.raises(BrokenResultsError) as err:
         load(out)
     assert str(err.value) == expected
@@ -867,38 +936,65 @@ def test_a_cell_listed_twice_in_a_traces_file_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "failed: %s\n" % expected
 
 
-@pytest.mark.parametrize("missing", ["results.csv", "traces", "traces/1.npz"])
-def test_a_file_missing_after_meta_json_is_a_broken_set(tmp_path, capsys, missing):
+@pytest.mark.parametrize("blocker", ["missing", "a directory"])
+def test_a_missing_results_file_is_a_broken_set(tmp_path, capsys, blocker):
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / missing
-    if path.is_dir():
-        shutil.rmtree(path)
+    path = out / "results.npz"
+    path.unlink()
+    if blocker == "missing":
+        expected = "%s is missing" % path
     else:
-        path.unlink()
-    with pytest.raises(BrokenResultsError, match="^%s is missing$" % re.escape(str(path))):
+        path.mkdir()
+        expected = "%s is not a results file: [Errno 21] Is a directory: %r" % (
+            path, str(path))
+    with pytest.raises(BrokenResultsError, match="^%s$" % re.escape(expected)):
         load(out)
     for argv in (["compare"], ["stats"], ["export-trace", "--problem", "f01"]):
         capsys.readouterr()
         assert cli.main(argv + ["--results", str(out)]) == 1
-        assert capsys.readouterr().err == "failed: %s is missing\n" % path
+        assert capsys.readouterr().err == "failed: %s\n" % expected
 
 
-def _cut_last_row(lines):
-    return lines[:-1]
+# The arrays of the results file that hold what results.csv and traces/
+# held before schema 5.
+_MEMBERS_OF = {
+    "results.csv": (*(f.name for f in fields(RunRecord) if f.type != "np.ndarray"),
+                    "position_length", "best_position"),
+    "traces": ("length", "trace"),
+}
 
 
-def _cut_every_f01_row(lines):
-    return [line for line in lines if ",f01-zakharov-d5," not in line]
+@pytest.mark.parametrize("missing", _MEMBERS_OF)
+def test_a_file_missing_after_meta_json_is_a_broken_set(tmp_path, capsys, missing):
+    """A results file holding its ``meta`` but not the arrays of one former
+    file is a broken set, not one of another schema."""
+    out = persist(_tiny_batch(), tmp_path / "out")
+    rewrite_results(out, lambda a: {name: v for name, v in a.items()
+                                    if name not in _MEMBERS_OF[missing]})
+    expected = "%s: array %r is missing" % (out / "results.npz", _MEMBERS_OF[missing][0])
+    with pytest.raises(BrokenResultsError, match="^%s$" % re.escape(expected)):
+        load(out)
+    for argv in (["compare"], ["stats"], ["export-trace", "--problem", "f01"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--results", str(out)]) == 1
+        assert capsys.readouterr().err == "failed: %s\n" % expected
 
 
-# A results.csv cut short and what load then says about the traces file
-# that still holds the cut cells. Without its f01 rows the set has one
-# problem, f02, whose traces file would be 0.npz: f01's traces, which the
-# f02 rows would otherwise read without an error.
+def _cut_last_row(a):
+    return {name: a[name][:-1] for name in ("algorithm", "problem", "run")}
+
+
+def _cut_every_f01_row(a):
+    keep = a["problem"] != "f01-zakharov-d5"
+    return {name: a[name][keep] for name in ("algorithm", "problem", "run")}
+
+
+# Rows cut from the label and run arrays but not from the rest, and what load
+# then says about the arrays that still hold the cut cells' values.
 _CUT_RESULTS = {
-    "last row": (_cut_last_row, " entry 5, cell (IECO-MCO, f02-rosenbrock-d5, "
-                                "run 2): no row in "),
-    "a problem's rows": (_cut_every_f01_row, " is the traces file of no problem in "),
+    "last row": (_cut_last_row, "array 'dimension' holds 12 rows; array 'algorithm' 11"),
+    "a problem's rows": (_cut_every_f01_row,
+                         "array 'dimension' holds 12 rows; array 'algorithm' 6"),
 }
 
 
@@ -906,12 +1002,10 @@ _CUT_RESULTS = {
 def test_a_traces_entry_without_a_results_row_is_a_broken_set(tmp_path, capsys, cut):
     keep, message = _CUT_RESULTS[cut]
     out = persist(_tiny_batch(), tmp_path / "out")
-    results = out / "results.csv"
-    results.write_text("".join(keep(results.read_text().splitlines(keepends=True))))
-    path = out / "traces" / "1.npz"
+    rewrite_results(out, lambda a: {**a, **keep(a)})
     with pytest.raises(BrokenResultsError) as err:
         load(out)
-    assert str(err.value) == "%s%s%s" % (path, message, results)
+    assert str(err.value) == "%s: %s" % (out / "results.npz", message)
     for argv in (["compare"], ["stats", "--test", "kw"],
                  ["export-trace", "--problem", "f02"]):
         capsys.readouterr()
@@ -927,22 +1021,20 @@ def test_a_traces_entry_without_a_results_row_is_a_broken_set(tmp_path, capsys, 
 ])
 def test_a_broken_meta_json_names_itself(tmp_path, capsys, text, problem):
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = out / "meta.json"
-    path.write_text(text)
-    with pytest.raises(BrokenResultsError, match="^%s %s" % (re.escape(str(path)), problem)):
+    path = out / "results.npz"
+    rewrite_results(out, lambda a: {**a, "meta": np.array(text)})
+    with pytest.raises(BrokenResultsError, match="^%s: meta %s" % (re.escape(str(path)),
+                                                                    problem)):
         load(out)
     assert cli.main(["stats", "--results", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("failed: %s %s" % (path, problem))
+    assert capsys.readouterr().err.startswith("failed: %s: meta %s" % (path, problem))
 
 
 def test_a_results_path_that_is_no_set_directory_is_a_usage_error(tmp_path, capsys):
     out = persist(_tiny_batch(), tmp_path / "out")
-    for where in (out / "results.csv", out / "results.csv" / "deeper"):
+    for where in (out / "results.npz", out / "results.npz" / "deeper", tmp_path / "none"):
         assert cli.main(["compare", "--results", str(where)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read results: ")
-    (out / "meta.json").unlink()
-    assert cli.main(["compare", "--results", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read results: ")
 
 
 def test_two_loaded_sets_compare_equal_trace_by_trace(tmp_path):
@@ -958,28 +1050,72 @@ def test_two_loaded_sets_compare_equal_trace_by_trace(tmp_path):
 def test_persist_over_the_set_it_loaded_gives_it_back(tmp_path):
     rs = _tiny_batch()
     out = persist(rs, tmp_path / "out")
-    written = traces_bytes(out)
+    written = stable_arrays(out)
     persist(load(out), out)
     assert load(out) == rs
-    assert traces_bytes(out) == written
+    assert stable_arrays(out) == written
 
 
 def test_persist_replaces_the_traces_of_the_set_there_before(tmp_path):
     out = persist(_tiny_batch(problems=("f01", "f02", "f03")), tmp_path / "out")
     rs = _tiny_batch(problems=("f04",))
     persist(rs, out)
-    assert sorted(traces_bytes(out)) == ["0.npz"]
+    assert sorted(p.name for p in out.iterdir()) == ["results.npz", "summary.csv"]
     assert load(out) == rs
 
 
-def test_persist_deletes_the_traces_and_solutions_files_of_older_schemas(tmp_path):
-    out = _schema_2_directory(tmp_path / "out")  # plants traces.csv
-    (out / "solutions.csv").write_text((tmp_path / "out" / "traces.csv").read_text())
+def test_a_persist_that_fails_part_way_leaves_the_set_there_before(tmp_path,
+                                                                     monkeypatch):
+    """The new set is written to results.npz.part and moved into place only
+    once whole; load ignores the .part a failed persist leaves, and the next
+    persist writes over it."""
     rs = _tiny_batch()
-    persist(rs, out)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "meta.json", "results.csv", "summary.csv", "traces"]
+    out = persist(rs, tmp_path / "out")
+    before = (out / "results.npz").read_bytes()
+
+    def fail(*args):
+        raise OSError("No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.lib.format, "write_array_header_1_0", fail)
+        with pytest.raises(OSError, match="No space left"):
+            persist(_tiny_batch(problems=("f03",)), out)
+    assert (out / "results.npz").read_bytes() == before
+    assert (out / "results.npz.part").stat().st_size > 0
     assert load(out) == rs
+    other = _tiny_batch(problems=("f03",))
+    persist(other, out)
+    assert sorted(p.name for p in out.iterdir()) == ["results.npz", "summary.csv"]
+    assert load(out) == other
+
+
+def test_persist_and_load_keep_no_second_copy_of_the_traces(tmp_path):
+    """persist streams each record's trace into the file, and load makes
+    each record's trace a slice of the one array it reads."""
+    fes = np.arange(1001, dtype=np.int64) * 30
+    records = {}
+    for i in range(600):
+        trace = np.empty(1001, dtype=TRACE_DTYPE)
+        trace["fes"], trace["best"] = fes, np.linspace(1.0, 0.0, 1001) + i
+        records[("A%d" % (i % 5), "p%02d" % (i // 50), i % 50 // 5)] = RunRecord(
+            algorithm="A%d" % (i % 5), problem="p%02d" % (i // 50), dimension=10,
+            run=i % 50 // 5, seed=i, best_position=np.zeros(10), best_fitness=float(i),
+            best_objective=float(i), best_violation=0.0, feasible=True, trace=trace,
+            evaluations_used=30000, wall_time=1.0)
+    rs = ResultSet(records, {"schema_version": SCHEMA_VERSION})
+    nbytes = sum(rec.trace.nbytes for rec in records.values())
+    tracemalloc.start()
+    try:
+        persist(rs, tmp_path / "out")
+        persist_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load(tmp_path / "out")
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == rs
+    assert persist_peak < 0.25 * nbytes
+    assert load_peak < 1.5 * nbytes
 
 
 def test_persist_writes_the_hash_of_the_written_payload(tmp_path):
@@ -988,7 +1124,7 @@ def test_persist_writes_the_hash_of_the_written_payload(tmp_path):
     rs.metadata["schema_version"] = 1
     rs.metadata["config_hash"] = config_hash(
         {k: v for k, v in rs.metadata.items() if k not in ("config_hash", "created_at")})
-    meta = json.loads((persist(rs, tmp_path / "out") / "meta.json").read_text())
+    meta = json.loads(results_arrays(persist(rs, tmp_path / "out"))["meta"].item())
     assert meta["schema_version"] == SCHEMA_VERSION
     assert meta["config_hash"] == config_hash(
         {k: v for k, v in meta.items() if k not in ("config_hash", "created_at")})
@@ -1038,28 +1174,41 @@ def test_summary_of_bests_near_the_float_limit_warns_nothing(tmp_path, bests):
         out / "summary.csv").read_text()
 
 
-def test_persist_refuses_a_nul_in_an_algorithm_label_before_writing(tmp_path):
-    """A traces file's str array would drop a trailing NUL, so the label
-    would not load back."""
+def _assert_nul_label_refused(tmp_path, field):
+    """A str array drops a trailing NUL, so the label would not load back;
+    persist refuses it before it writes anything."""
     out = persist(_tiny_batch(), tmp_path / "out")
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     rs = _tiny_batch(problems=("f03",))
     key = ("ECO", rs.problems[0], 1)
-    rs.records[key] = replace(rs.records[key], algorithm="ECO\0")
+    label = getattr(rs.records[key], field) + "\0"
+    rs.records[key] = replace(rs.records[key], **{field: label})
     for where in (out, tmp_path / "new"):
-        with pytest.raises(ValueError, match=re.escape(repr("ECO\0"))):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
             persist(rs, where)
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert not (tmp_path / "new").exists()
 
 
+def test_persist_refuses_a_nul_in_an_algorithm_label_before_writing(tmp_path):
+    _assert_nul_label_refused(tmp_path, "algorithm")
+
+
+def test_persist_refuses_a_nul_in_a_problem_label_before_writing(tmp_path):
+    _assert_nul_label_refused(tmp_path, "problem")
+
+
+def _run_into(out):
+    return cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
+                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)])
+
+
 @pytest.mark.parametrize("blocker", ["file", "symlink"])
 def test_persist_refuses_a_traces_path_it_cannot_replace_before_writing(
         tmp_path, capsys, blocker):
-    """A regular file or a symbolic link named traces would stop persist
-    after it wrote results.csv; the set there before stays whole."""
+    """A traces folder, file or symbolic link is what schema 4 left there;
+    persist and ``mco run`` leave it and the set beside it alone."""
     out = persist(_tiny_batch(), tmp_path / "out")
-    shutil.rmtree(out / "traces")
     if blocker == "file":
         (out / "traces").write_text("keep\n")
     else:
@@ -1067,48 +1216,43 @@ def test_persist_refuses_a_traces_path_it_cannot_replace_before_writing(
         (tmp_path / "elsewhere" / "mine.txt").write_text("keep\n")
         (out / "traces").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    expected = "%s is not a plain directory" % (out / "traces")
-    with pytest.raises(NotADirectoryError, match=re.escape(expected)):
+    expected = "it holds traces, written under schema 4 or older"
+    with pytest.raises(FileExistsError, match=re.escape(expected)):
         persist(_tiny_batch(problems=("f03",)), out)
-    assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
-                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 2
+    assert _run_into(out) == 2
     assert expected in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("name", ["results.csv", "summary.csv", "meta.json",
-                                  "traces.csv"])
+@pytest.mark.parametrize("name", ["results.npz", "results.npz.part", "summary.csv",
+                                  "results.csv", "meta.json", "traces.csv"])
 def test_persist_refuses_a_file_path_it_cannot_replace_before_writing(
         tmp_path, capsys, monkeypatch, name):
-    """A directory where persist writes or deletes a file would stop it part
-    way: with summary.csv, after the new results.csv and traces/ were
-    written under the old meta.json. Neither persist nor ``mco run`` writes
-    anything, and ``mco run`` exits 2 before its first run."""
+    """A directory where persist writes a file would stop it part way, and
+    one named as a file of an older schema would be left beside the set.
+    Neither persist nor ``mco run`` writes anything, and ``mco run`` exits
+    2 before its first run."""
     out = persist(_tiny_batch(), tmp_path / "out")
     (out / name).unlink(missing_ok=True)
     (out / name).mkdir()
     (out / name / "mine.txt").write_text("keep\n")
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    expected = "cannot write results to %s: %s is not a regular file" % (out, out / name)
+    if name.startswith(("results.npz", "summary")):
+        reason = "%s is not a regular file" % (out / name)
+    else:
+        reason = "it holds %s, written under schema 4 or older; move them away first" % name
+    expected = "cannot write results to %s: %s" % (out, reason)
     with pytest.raises(FileExistsError, match="^%s$" % re.escape(expected)):
         persist(_tiny_batch(problems=("f03",)), out)
     monkeypatch.setattr(harness, "run_single", None)   # no run may start
     capsys.readouterr()
-    assert cli.main(["run", "--algorithms", "ECO", "--problems", "f01", "--runs", "1",
-                     "--n", "6", "--fes-max", "60", "--dim", "5", "--out", str(out)]) == 2
+    assert _run_into(out) == 2
     assert capsys.readouterr() == ("", "error: %s\n" % expected)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-def _meta_listing(out, **lists):
-    """Rewrite ``out``'s meta.json with ``lists`` in place of its own."""
-    path = out / "meta.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), **lists}))
-    return path
-
-
-# meta.json lists that do not name the cells of results.csv, by the list
-# that load then names.
+# meta lists that do not name the cells of the rows, by the list that load
+# then names.
 _OTHER_LISTS = {
     "a problem no row holds": ("problems", ["f01-zakharov-d5", "f02-rosenbrock-d5",
                                             "f03-rastrigin-d5"]),
@@ -1125,11 +1269,11 @@ def test_a_meta_json_listing_other_cells_than_the_rows_is_a_broken_set(
         tmp_path, capsys, other):
     what, listed = _OTHER_LISTS[other]
     out = persist(_tiny_batch(), tmp_path / "out")
-    path = _meta_listing(out, **{what: listed})
+    rewrite_meta(out, lambda meta: {**meta, what: listed})
     named = {"algorithms": ["ECO", "IECO-MCO"],
              "problems": ["f01-zakharov-d5", "f02-rosenbrock-d5"]}[what]
-    expected = "%s lists the %s %s; the rows of %s hold %s" % (
-        path, what, listed, out / "results.csv", named)
+    expected = "%s: meta lists the %s %s; the rows hold %s" % (
+        out / "results.npz", what, listed, named)
     with pytest.raises(BrokenResultsError, match="^%s$" % re.escape(expected)):
         load(out)
     for argv in (["compare"], ["stats"], ["export-trace", "--problem", "f01"]):
@@ -1137,7 +1281,7 @@ def test_a_meta_json_listing_other_cells_than_the_rows_is_a_broken_set(
         assert cli.main(argv + ["--results", str(out)]) == 1
         assert capsys.readouterr() == ("", "failed: %s\n" % expected)
     # the cells of the rows, in any order, load
-    _meta_listing(out, **{what: named[::-1]})
+    rewrite_meta(out, lambda meta: {**meta, what: named[::-1]})
     assert getattr(load(out), what) == named[::-1]
 
 
@@ -1158,26 +1302,13 @@ def test_a_record_is_read_only_and_its_trace_a_1d_array(tmp_path):
 
 
 def test_persisted_bytes_are_reproducible(tmp_path):
+    """Two writes of one batch hold equal arrays apart from wall_time, and
+    metadata apart from the timestamp."""
     a = persist(_tiny_batch(), tmp_path / "a")
     b = persist(_tiny_batch(), tmp_path / "b")
-
-    # identical apart from the wall_time column
-    rows_a = (a / "results.csv").read_text().splitlines()
-    rows_b = (b / "results.csv").read_text().splitlines()
-    assert [r.rsplit(",", 1)[0] for r in rows_a] == \
-           [r.rsplit(",", 1)[0] for r in rows_b]
-
-    assert traces_bytes(a) == traces_bytes(b)
+    assert stable_arrays(a) == stable_arrays(b)
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-    assert sorted(p.name for p in a.iterdir()) == [
-        "meta.json", "results.csv", "summary.csv", "traces"]
-    assert sorted(traces_bytes(a)) == ["0.npz", "1.npz"]
-
-    # metadata differs only in the timestamp
-    meta_a = json.loads((a / "meta.json").read_text())
-    meta_b = json.loads((b / "meta.json").read_text())
-    meta_a.pop("created_at"), meta_b.pop("created_at")
-    assert meta_a == meta_b
+    assert sorted(p.name for p in a.iterdir()) == ["results.npz", "summary.csv"]
 
 
 def test_config_hash_sensitivity():

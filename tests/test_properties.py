@@ -26,10 +26,10 @@ where that rule leaves it.
 
 Persisting a result set and loading it back gives equal records, whatever
 the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
-best), however long the traces (up to 20,000 points) and whatever commas,
-quotes and line breaks the labels hold. The arrays of each problem's traces
-file hold its records' traces bit for bit, read by ``numpy.load`` with
-pickles refused.
+best), however long the traces (up to 20,000 points), whatever seed up to
+2**64 - 1 and whatever commas, quotes and line breaks the labels hold. The
+arrays of the results file hold the records' fields, positions and traces
+bit for bit, read by ``numpy.load`` with pickles refused.
 
 A whole run, drawn over variant, population size, dimension, budget,
 registry problem, seed and a share of the box that reads as inf or NaN,
@@ -64,7 +64,7 @@ from ieco_mco.problems import engineering
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
 from ieco_mco.stages import _VARIANTS
-from support import sequential_evaluate, traces_bytes
+from support import results_arrays, sequential_evaluate, stable_arrays
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
 ENGINEERING_CASES = [(pid, 10) for pid in ENGINEERING]
@@ -333,10 +333,6 @@ def result_sets(draw):
                       "algorithms": sorted({a for a, _, _ in cells})})
 
 
-def _without_wall_time(path):
-    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-
-
 @settings(max_examples=40, deadline=None)
 @given(result_sets())
 def test_persist_then_load_gives_equal_records(rs):
@@ -350,36 +346,36 @@ def test_persist_then_load_gives_equal_records(rs):
         for key, rec in back.records.items():
             back.records[key] = dataclasses.replace(rec, wall_time=rec.wall_time + 1.0)
         again = persist(back, Path(tmp) / "again")
-        assert traces_bytes(again) == traces_bytes(first)
-        assert _without_wall_time(again / "results.csv") == \
-            _without_wall_time(first / "results.csv")
+        assert stable_arrays(again) == stable_arrays(first)
 
 
 @settings(max_examples=40, deadline=None)
 @given(result_sets())
 def test_traces_file_arrays_hold_the_records_traces_bit_for_bit(rs):
-    problems = sorted({rec.problem for rec in rs.records.values()})
+    """The results file holds every record's traces, fields and position,
+    one row per record in sorted key order."""
+    records = [rs.records[key] for key in sorted(rs.records)]
+    scalars = [f for f in dataclasses.fields(RunRecord) if f.type != "np.ndarray"]
     with tempfile.TemporaryDirectory() as tmp:
-        folder = persist(rs, Path(tmp)) / "traces"
-        assert sorted(p.name for p in folder.iterdir()) == sorted(
-            "%d.npz" % i for i in range(len(problems)))
-        for i, problem in enumerate(problems):
-            records = [rs.records[key] for key in sorted(rs.records)
-                       if key[1] == problem]
-            with np.load(folder / ("%d.npz" % i), allow_pickle=False) as npz:
-                assert npz.files == ["algorithm", "run", "length", "fes", "best"]
-                arrays = {name: npz[name] for name in npz.files}
-            assert arrays["algorithm"].dtype.kind == "U"
-            assert arrays["algorithm"].tolist() == [r.algorithm for r in records]
-            for name, expected in (
-                    ("run", [r.run for r in records]),
-                    ("length", [len(r.trace) for r in records]),
-                    ("fes", [f for r in records for f, _ in r.trace])):
-                assert arrays[name].dtype == np.dtype("<i8")
-                assert arrays[name].tolist() == expected
-            best = np.array([b for r in records for _, b in r.trace], dtype="<f8")
-            assert arrays["best"].dtype == np.dtype("<f8")
-            assert arrays["best"].tobytes() == best.tobytes()
+        arrays = results_arrays(persist(rs, Path(tmp)))
+    assert list(arrays) == ["meta", *(f.name for f in scalars), "position_length",
+                            "best_position", "length", "trace"]
+    for f in scalars:
+        assert arrays[f.name].ndim == 1
+        assert arrays[f.name].tolist() == [getattr(r, f.name) for r in records]
+    assert arrays["algorithm"].dtype.kind == arrays["problem"].dtype.kind == "U"
+    assert arrays["seed"].dtype == np.dtype("<u8")
+    assert arrays["feasible"].dtype == np.dtype("?")
+    for name in ("best_fitness", "best_objective", "best_violation", "wall_time"):
+        assert arrays[name].dtype == np.dtype("<f8")
+        assert arrays[name].tobytes() == np.array(
+            [getattr(r, name) for r in records], dtype="<f8").tobytes()
+    assert arrays["length"].tolist() == [len(r.trace) for r in records]
+    assert arrays["trace"].dtype == harness.TRACE_DTYPE
+    assert arrays["trace"].tobytes() == b"".join(r.trace.tobytes() for r in records)
+    assert arrays["position_length"].tolist() == [len(r.best_position) for r in records]
+    assert arrays["best_position"].tobytes() == np.concatenate(
+        [np.empty(0), *(r.best_position for r in records)]).tobytes()
 
 
 # ------------------------------------------------------------------ whole runs
