@@ -135,9 +135,10 @@ class Evaluator:
     draws.
 
     The infeasible rows share one :class:`TrialStream` over this evaluator,
-    which adds each trial it hands out to ``used`` (so ``used`` counts the
-    resamples too), reads trials ahead in blocks (one ``spec.batch`` per
-    block) and consumes only the draws the rows used. Draws and results
+    which scans each row's trials on a block read ahead (one ``spec.batch``
+    per block, sized from the feasible yield seen so far), adds the trials
+    of each row to ``used`` (so ``used`` counts the resamples too) and
+    consumes only the draws the rows used. Draws and results
     therefore equal resampling one trial at a time whenever the problem's
     block reading equals its point reading, as it does for every registry
     problem with constraints. A custom problem whose block reading differs
@@ -471,9 +472,10 @@ def persist(results: ResultSet, out_dir) -> Path:
 
     The set goes to ``results.npz.part``, which ``os.replace`` then makes
     ``results.npz``, so the file there before stays whole until the new one
-    is complete; ``summary.csv``, a view that :func:`load` never reads, is
-    written last. Raises, before writing anything, ValueError for a label
-    holding a NUL character (a str array drops trailing NULs), and what
+    is complete, and a write that fails removes the ``.part`` and re-raises;
+    ``summary.csv``, a view that :func:`load` never reads, is written last.
+    Raises, before writing anything, ValueError for a label holding a NUL
+    character (a str array drops trailing NULs), and what
     :func:`check_out_dir` raises.
     """
     records = [results.records[key] for key in sorted(results.records)]
@@ -497,18 +499,22 @@ def persist(results: ResultSet, out_dir) -> Path:
     out = check_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     part = out / (_RESULTS_FILE + ".part")
-    with zipfile.ZipFile(part, "w") as zf:
-        for name, array in arrays.items():
-            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-        # one record at a time, so no copy of every trace is made
-        with zf.open("trace.npy", "w", force_zip64=True) as fh:
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": np.lib.format.dtype_to_descr(TRACE_DTYPE),
-                "fortran_order": False, "shape": (int(arrays["length"].sum()),)})
-            for r in records:
-                fh.write(np.ascontiguousarray(r.trace))
-    os.replace(part, out / _RESULTS_FILE)
+    try:
+        with zipfile.ZipFile(part, "w") as zf:
+            for name, array in arrays.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
+            # one record at a time, so no copy of every trace is made
+            with zf.open("trace.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(TRACE_DTYPE),
+                    "fortran_order": False, "shape": (int(arrays["length"].sum()),)})
+                for r in records:
+                    fh.write(np.ascontiguousarray(r.trace))
+        os.replace(part, out / _RESULTS_FILE)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["algorithm", "problem", "best", "mean", "std"])

@@ -40,15 +40,19 @@ _FLOAT_ROWS = 256
 
 def _rows(fn):
     """A per-point formula applied to each row of an (n, D) block, on Python
-    floats; a row on which they raise or turn complex is read again as
-    numpy scalars, which give inf or NaN there."""
+    floats, with one ``map``; a row on which they raise or turn complex is
+    read again as numpy scalars, which give inf or NaN there."""
     def read_floats(X):
-        values = []
-        for i, x in enumerate(X.tolist()):
-            try:
-                values.append(fn(x))
-            except ArithmeticError:
-                values.append(fn(X[i]))
+        rows = X.tolist()
+        try:
+            values = list(map(fn, rows))
+        except ArithmeticError:
+            values = []
+            for i, x in enumerate(rows):
+                try:
+                    values.append(fn(x))
+                except ArithmeticError:
+                    values.append(fn(X[i]))
         out = np.array(values)
         if out.dtype.kind == "c":
             out = np.array([fn(x) if np.iscomplexobj(v) else v

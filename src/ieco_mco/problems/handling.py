@@ -4,15 +4,17 @@ A candidate is feasible when its worst constraint value is at or below
 ``VIOLATION_TOL``. Infeasible candidates are replaced by fresh uniform
 samples from the box, up to ``MAX_RESAMPLES`` attempts, stopping at the first
 feasible draw; if none is found the least-violating draw seen (including the
-original point) is kept. Every resample costs one objective evaluation, which
-the stream charges to the run's evaluator as it hands the trial out: a row
+original point) is kept, the earliest of equal ones. Every resample costs one
+objective evaluation, which the stream charges to the run's evaluator: a row
 may spend at most ``min(MAX_RESAMPLES, budget left)`` resamples. Both are
 fixed constants of the method, not settings.
 
 Trials are drawn and read ahead in blocks (:class:`TrialStream`): a block of
-uniforms is peeked from the run's stream and read with one ``spec.batch``, the
-rule above is applied to its rows one at a time, and only the uniforms of
-the trials actually used are consumed. The draws and the results therefore
+uniforms is peeked from the run's stream and read with one ``spec.batch``,
+each row's trials are scanned on the block's violations in order, a row
+running past the block goes on in the next one, and only the uniforms of
+the trials actually used are consumed. Blocks are sized from the feasible
+yield seen so far, and any size gives the same draws and results. These
 equal those of drawing and reading one trial at a time whenever the
 problem's block reading equals its single-point reading, which holds for
 every registry problem that has constraints. A custom problem whose block
@@ -65,39 +67,61 @@ class TrialStream:
     order, as the one-at-a-time loop would draw for them. ``rows`` is how
     many rows it will serve; it reads the problem, stream and budget from
     the run's ``evaluator``. Each row gets ``min(MAX_RESAMPLES, fes_max - used)``
-    trials, and each trial handed out adds one to ``evaluator.used``. The
-    first block has one trial per row, and each later one is twice the size
-    of the one before, never more than the remaining rows could use. Call
-    :meth:`close` after the last row to consume the used uniforms.
+    trials, which :meth:`resample` scans on the block and charges to
+    ``evaluator.used`` together. A block holds, for each row left, as many
+    trials as the stream has so far spent per feasible find,
+    ``ceil((trials + 1) / (found + 1))`` but at most ``MAX_RESAMPLES``, so
+    the first block has one trial per row; it is never more than the
+    remaining rows could use or the budget left. Call :meth:`close` after
+    the last row to consume the used uniforms.
     """
 
     def __init__(self, evaluator, rows: int):
         self.evaluator = evaluator
         self._rows = rows
-        self._size = max(1, rows)
+        self._trials = self._found = 0  # trials handed out, rows made feasible
         self._X = None
         self._objective = self._violation = []
         self._used = 0  # trials of the current block handed out
 
-    def trials(self):
-        """Yield (position, objective, violation) for the next row's trials."""
+    def resample(self, x, objective, violation):
+        """Apply the rule to the next row's trials: scan them in order, keep
+        the earliest of the least violating readings, better than the row's
+        own (``x``, ``objective``, ``violation``), and stop at the first
+        feasible one. Returns the best reading and the trials spent."""
         ev = self.evaluator
         self._rows -= 1
-        for left in range(min(MAX_RESAMPLES, ev.fes_max - ev.used), 0, -1):
-            if self._used == len(self._objective):
-                self._read_block(left + self._rows * MAX_RESAMPLES)
-            i = self._used
-            self._used += 1
-            ev.used += 1
-            yield self._X[i], self._objective[i], self._violation[i]
+        cap = left = min(MAX_RESAMPLES, ev.fes_max - ev.used)
+        violation = float(violation)  # floats compare faster than numpy scalars
+        while left and violation > VIOLATION_TOL:
+            if self._used == len(self._violation):
+                self._read_block(left)
+            vio = self._violation
+            start, best = self._used, -1
+            stop = min(len(vio), start + left)
+            for i in range(start, stop):
+                if vio[i] < violation:
+                    violation, best = vio[i], i
+                    if violation <= VIOLATION_TOL:
+                        stop = i + 1
+                        break
+            if best >= 0:
+                x, objective = self._X[best], self._objective[best]
+            self._used, taken = stop, stop - start
+            left -= taken
+            self._trials += taken
+            ev.used += taken
+        self._found += violation <= VIOLATION_TOL
+        return x, objective, violation, cap - left
 
-    def _read_block(self, most: int):
-        """Consume the spent block and peek the next one, of at most ``most``
-        trials (the most the remaining rows could use)."""
+    def _read_block(self, left: int):
+        """Consume the spent block and peek the next one; the current row
+        has ``left`` trials to go."""
         self.close()
         ev = self.evaluator
-        size = max(1, min(self._size, most, ev.fes_max - ev.used))
-        self._size *= 2
+        per_row = min(MAX_RESAMPLES, -(-(self._trials + 1) // (self._found + 1)))
+        size = min((self._rows + 1) * per_row, left + self._rows * MAX_RESAMPLES,
+                   ev.fes_max - ev.used)
         bounds = ev.spec.bounds
         self._X = bounds.lower + bounds.span * ev.rng.peek_uniform(
             size=(size, bounds.dimension))
@@ -120,19 +144,13 @@ def constrained_evaluate(x: np.ndarray, objective: float, violation: float,
     ``objective`` and ``violation`` are the reading of ``x`` itself, already
     taken by the caller; it counts as the first evaluation. Trials come from
     ``stream``, shared by the rows of one block reading, which also caps how
-    many of them this row may spend and charges each one to the run's
-    evaluator. The best reading so far is kept in ``x``, ``objective`` and
-    ``violation``; inside the loop it is infeasible, so a feasible trial
-    always violates less than it. The row's one :class:`HandledPoint` is
-    built from it after the loop.
+    many of them this row may spend, scans them (:meth:`TrialStream.resample`)
+    and charges them to the run's evaluator. The row's one
+    :class:`HandledPoint` is built from the best reading it returns.
     """
     spent = 1
     if violation > VIOLATION_TOL:
-        for trial, obj, vio in stream.trials():
-            spent += 1
-            if vio < violation:
-                x, objective, violation = trial, obj, vio
-                if vio <= VIOLATION_TOL:
-                    break
+        x, objective, violation, trials = stream.resample(x, objective, violation)
+        spent += trials
     return HandledPoint(np.array(x, dtype=float), float(objective),
                         float(violation), spent)

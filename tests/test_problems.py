@@ -402,30 +402,38 @@ def _never_feasible():
 
 
 def test_a_stream_charges_the_evaluator_one_evaluation_per_trial():
-    """Driven by hand, each trial a stream hands out adds one to the
-    evaluator's ``used``, and a row's cap is min(MAX_RESAMPLES, fes_max -
-    used) when the row starts, whatever the rows before it spent."""
-    ev = Evaluator(_never_feasible(), fes_max=150, rng=RngStream(5))
+    """Driven by hand, a stream adds each row's trials to the evaluator's
+    ``used``, and a row's cap is min(MAX_RESAMPLES, fes_max - used) when the
+    row starts, whatever the rows before it spent."""
+    fresh = RngStream(5).uniform(size=(120, 1))[:, 0].tolist()
+    # the k-th uniform violates by 1000 - k, so a row's best is its last
+    # trial, but the 5th is feasible and ends the first row
+    table = {u: 1000.0 - k for k, u in enumerate(fresh)}
+    table[fresh[4]] = 0.0
+    spec = ProblemSpec(
+        name="table", bounds=Bounds.cube(0.0, 1.0, 1),
+        objective=lambda X: X[:, 0], category="engineering",
+        constraints=lambda X: np.array([[table.get(x, 2000.0)] for x in X[:, 0].tolist()]),
+    )
+    ev = Evaluator(spec, fes_max=150, rng=RngStream(5))
     ev.used = 40
     stream = TrialStream(ev, rows=3)
-    positions, spent = [], []
-    for stop in (5, None, None):
-        start, cap = ev.used, min(MAX_RESAMPLES, ev.fes_max - ev.used)
-        handed = 0
-        for position, _, _ in stream.trials():
-            handed += 1
-            assert ev.used == start + handed
-            positions.append(position[0])
-            if handed == stop:
-                break
-        assert handed == (stop or cap)
-        spent.append(handed)
+    caps, spent, positions = [], [], []
+    for _ in range(3):
+        start = ev.used
+        caps.append(min(MAX_RESAMPLES, ev.fes_max - ev.used))
+        x, objective, violation, trials = stream.resample(np.array([0.5]), 0.5, 5000.0)
+        assert ev.used == start + trials
+        assert objective == x[0] and violation == table[x[0]]
+        spent.append(trials)
+        positions.append(x[0])
     stream.close()
+    assert caps == [100, 100, 5]
     assert spent == [5, 100, 5] and ev.used == ev.fes_max
-    # the trials are the stream's next 110 uniforms, and only those are consumed
-    fresh = RngStream(5)
-    assert positions == fresh.uniform(size=(110, 1))[:, 0].tolist()
-    assert ev.rng.uniform(size=3).tolist() == fresh.uniform(size=3).tolist()
+    # each row ends on the stream's 5th, 105th and 110th uniform, so the
+    # trials are the stream's next 110 uniforms, and only those are consumed
+    assert positions == [fresh[4], fresh[104], fresh[109]]
+    assert ev.rng.uniform(size=3).tolist() == fresh[110:113]
 
 
 def test_constrained_evaluate_takes_the_start_reading_as_given():

@@ -19,10 +19,14 @@ reading is checked against a re-read of the same block, which is exact.
 On rw01-rw10 every row the Evaluator returns, resampled or not, is ranked
 by ``penalized_fitness`` of the reading returned with it.
 
-Resampling reads its trials ahead in blocks; on problems whose block and
-point readings agree, the Evaluator must give what the one-draw-at-a-time
-rule in ``support.sequential_evaluate`` gives, and leave the RNG stream
-where that rule leaves it.
+Resampling reads its trials ahead in blocks and scans each row's trials on
+them; on problems whose block and point readings agree, the Evaluator must
+give what the one-draw-at-a-time rule in ``support.sequential_evaluate``
+gives, and leave the RNG stream where that rule leaves it. Besides the
+registry problems, a toy problem whose violation is a lookup table of the
+drawn uniform makes ties, the tolerance, the float above it and +inf
+common, with rows that span blocks and budgets that end part way through a
+row.
 
 Persisting a result set and loading it back gives equal records, whatever
 the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
@@ -294,6 +298,54 @@ def test_block_resampling_keeps_a_buffered_half():
     bounds = RARELY_FEASIBLE.bounds
     X = bounds.lower + bounds.span * RngStream(6).uniform(size=(6, bounds.dimension))
     _assert_block_equals_sequential(RARELY_FEASIBLE, X, 6 + 300, 5, "integers")
+
+
+# Violations of the table problem: feasible ones, the tolerance and the next
+# float above it, and +inf; a table ties wherever a value repeats.
+_TABLE_VIOLATIONS = [0.0, VIOLATION_TOL, float(np.nextafter(VIOLATION_TOL, 1.0)),
+                     0.5, 2.0, float("inf")]
+
+
+def table_problem(values):
+    """1-D toy problem on [0, 1] that violates by ``values[k]`` on the k-th
+    of ``len(values)`` equal slices: a lookup table of the drawn uniform,
+    read the same on a block and on a point."""
+    table, k = np.array(values), len(values)
+    return ProblemSpec(
+        name="table", bounds=Bounds.cube(0.0, 1.0, 1),
+        objective=lambda X: 1.0 - X[:, 0], category="test",
+        constraints=lambda X: table[np.minimum(X[:, 0] * k, k - 1).astype(np.intp), None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_TABLE_VIOLATIONS), min_size=1, max_size=60),
+       st.integers(1, 30), st.one_of(st.integers(0, 8), st.integers(9, 600)),
+       st.sampled_from(["none", "integers", "normal"]), st.integers(0, 2 ** 32 - 1))
+@example([2.0] * 59 + [VIOLATION_TOL], 20, 500, "none", 3)
+def test_resampling_equals_the_one_trial_loop_on_a_violation_table(values, n, spare,
+                                                                   prefix, seed):
+    """Positions, objectives, violations, evaluations per row, the budget
+    used and the stream's next draws all equal the one-trial-at-a-time rule,
+    on tables of ties, the tolerance and the float above it, +inf and
+    feasible values."""
+    X = RngStream(seed + 1).uniform(size=(n, 1))
+    _assert_block_equals_sequential(table_problem(values), X, n + spare, seed, prefix)
+
+
+def test_table_rows_span_blocks_and_run_out_of_budget_part_way():
+    """What the property above covers: a row whose trials span several
+    blocks, and one that the budget stops part way."""
+    spec = table_problem([2.0] * 9 + [VIOLATION_TOL])
+    X = np.array([[0.05], [0.15], [0.25], [0.35]])   # each violates by 2.0
+    handled = _assert_block_equals_sequential(spec, X, 4 + 40, 3, "none")
+    assert [(h.evaluations, h.feasible) for h in handled] == [
+        (17, True), (7, True), (13, True), (7, False)]
+    reads, read = [], spec.constraints
+    spec.constraints = lambda X: reads.append(len(X)) or read(X)
+    Evaluator(spec, fes_max=4 + 40, rng=RngStream(3)).evaluate(X)
+    # the block's own reading, then its trials: the first row's 16 run past
+    # the first block of them
+    assert len(reads) > 2 and reads[1] < 16
 
 
 # ---------------------------------------------------------- persist and load
