@@ -108,7 +108,7 @@ class ProblemSpec:
         unconstrained problem."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         f = np.fmin(self.objective(X), np.inf, dtype=float)
-        # a row-by-row formula returns an empty block without its (0, m) shape
+        # an empty block has no constraint values to read
         if self.constraints is None or X.shape[0] == 0:
             return f, np.zeros(X.shape[0])
         g = np.fmin(self.constraints(X), np.inf, dtype=float)

@@ -15,17 +15,25 @@ where the classic problem is discrete (gear train). Dimensions:
 rw01: 3, rw02: 4, rw03: 2, rw04: 4, rw05: 7, rw06: 4, rw07: 10, rw08: 5,
 rw09: 5, rw10: 5.
 
-Every problem but rw06 is a per-point formula, read row by row on Python
-floats, which give the bits numpy float64 scalars give. A row on which
-float arithmetic raises (division by zero, as rw03 does at a = 0, or
-``**`` overflow) or turns complex (a negative base under one of rw07's
-fractional powers, outside the box) is read again as numpy scalars, so it
-reads as inf or NaN exactly as a numpy row does.
+Every formula reads a block by column: ``X.T`` gives one (n,) column per
+variable. Arithmetic, ``abs``, ``sqrt`` and the ``min``/``max`` clamps run on
+numpy columns; each is correctly rounded, so it gives the bits Python floats
+give, in the same left-to-right order. Every ``**`` goes through
+:func:`_pow` and every ``math.exp``, ``asin`` and ``acos`` through
+:func:`_map`, which call the C library one element at a time, as a Python
+float does: numpy's array kernels round some of these differently (its
+``x ** 2`` is ``x * x``). So a block reads as its rows read one at a time on
+Python floats, bit for bit. Where a float ``**`` raises (overflow, zero to a
+negative power) or turns complex (a negative base under one of rw07's
+fractional powers, outside the box), the element reads as the numpy scalar
+power, inf or NaN; division by zero reads as inf or NaN; a ``sqrt``,
+``asin`` or ``acos`` out of its domain raises ValueError, as ``math`` does.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -33,45 +41,47 @@ from ..rng import Bounds
 from .core import ProblemSpec
 
 EQUALITY_EPS = 1e-4
-# Rows read on Python floats at a time: a resampling block can hold
-# thousands of rows, and their floats take far more memory than an array.
-_FLOAT_ROWS = 256
 
 
-def _rows(fn):
-    """A per-point formula applied to each row of an (n, D) block, on Python
-    floats, with one ``map``; a row on which they raise or turn complex is
-    read again as numpy scalars, which give inf or NaN there."""
-    def read_floats(X):
-        rows = X.tolist()
-        try:
-            values = list(map(fn, rows))
-        except ArithmeticError:
-            values = []
-            for i, x in enumerate(rows):
-                try:
-                    values.append(fn(x))
-                except ArithmeticError:
-                    values.append(fn(X[i]))
-        out = np.array(values)
-        if out.dtype.kind == "c":
-            out = np.array([fn(x) if np.iscomplexobj(v) else v
-                            for x, v in zip(X, values)])
-        return out
+def _pow(col, e):
+    """``col ** e`` through the C library's ``pow``, one element at a time; an
+    element on which a Python float raises or turns complex reads as the
+    numpy scalar power."""
+    e = float(e)
+    values = col.tolist()
+    try:
+        return np.fromiter(map(pow, values, repeat(e)), float, len(values))
+    except (ArithmeticError, TypeError):  # a complex power fails as TypeError
+        return np.array([_pow_one(v, e) for v in values])
 
-    def read(X):
-        if X.shape[0] <= _FLOAT_ROWS:
-            return read_floats(X)
-        return np.concatenate([read_floats(X[i:i + _FLOAT_ROWS])
-                               for i in range(0, X.shape[0], _FLOAT_ROWS)])
-    return read
+
+def _pow_one(v, e):
+    try:
+        out = v ** e
+    except ArithmeticError:
+        return np.float64(v) ** e
+    return np.float64(v) ** e if isinstance(out, complex) else out
+
+
+def _map(fn, col):
+    """``fn``, a ``math`` function, applied to each element of ``col``."""
+    return np.fromiter(map(fn, col.tolist()), float, col.shape[0])
+
+
+def _sqrt(col):
+    """``math.sqrt`` of each element: correctly rounded, so numpy's, but a
+    negative element raises ValueError as ``math.sqrt`` does."""
+    if (col < 0.0).any():
+        raise ValueError("math domain error")
+    return np.sqrt(col)
 
 
 def _spec(name, bounds_pairs, objective, constraints, known_target, note,
           known_point):
     return ProblemSpec(
-        name=name, bounds=Bounds.from_pairs(bounds_pairs),
-        objective=_rows(objective), constraints=_rows(constraints),
+        name=name, bounds=Bounds.from_pairs(bounds_pairs), objective=objective,
+        # the constraint columns as one (n, m) block
+        constraints=lambda X: np.array(constraints(X)).T,
         category="engineering", known_target=known_target, target_note=note,
         known_point=known_point,
     )
@@ -80,16 +90,18 @@ def _spec(name, bounds_pairs, objective, constraints, known_target, note,
 # rw01 -- tension/compression spring (wire d, coil D, active turns N)
 
 def make_rw01():
-    def f(x):
-        return (x[2] + 2.0) * x[1] * x[0] ** 2
+    def f(X):
+        d, dm, n = X.T
+        return (n + 2.0) * dm * _pow(d, 2)
 
-    def g(x):
-        d, dm, n = x
+    def g(X):
+        d, dm, n = X.T
+        d4, dm2 = _pow(d, 4), _pow(dm, 2)
         return [
-            1.0 - dm ** 3 * n / (71785.0 * d ** 4),
-            (4.0 * dm ** 2 - d * dm) / (12566.0 * (dm * d ** 3 - d ** 4))
-            + 1.0 / (5108.0 * d ** 2) - 1.0,
-            1.0 - 140.45 * d / (dm ** 2 * n),
+            1.0 - _pow(dm, 3) * n / (71785.0 * d4),
+            (4.0 * dm2 - d * dm) / (12566.0 * (dm * _pow(d, 3) - d4))
+            + 1.0 / (5108.0 * _pow(d, 2)) - 1.0,
+            1.0 - 140.45 * d / (dm2 * n),
             (d + dm) / 1.5 - 1.0,
         ]
 
@@ -104,16 +116,19 @@ def make_rw01():
 # rw02 -- pressure vessel (shell thickness, head thickness, radius, length)
 
 def make_rw02():
-    def f(x):
-        return (0.6224 * x[0] * x[2] * x[3] + 1.7781 * x[1] * x[2] ** 2
-                + 3.1661 * x[0] ** 2 * x[3] + 19.84 * x[0] ** 2 * x[2])
+    def f(X):
+        x0, x1, x2, x3 = X.T
+        x0_2 = _pow(x0, 2)
+        return (0.6224 * x0 * x2 * x3 + 1.7781 * x1 * _pow(x2, 2)
+                + 3.1661 * x0_2 * x3 + 19.84 * x0_2 * x2)
 
-    def g(x):
+    def g(X):
+        x0, x1, x2, x3 = X.T
         return [
-            -x[0] + 0.0193 * x[2],
-            -x[1] + 0.00954 * x[2],
-            -math.pi * x[2] ** 2 * x[3] - (4.0 / 3.0) * math.pi * x[2] ** 3 + 1296000.0,
-            x[3] - 240.0,
+            -x0 + 0.0193 * x2,
+            -x1 + 0.00954 * x2,
+            -math.pi * _pow(x2, 2) * x3 - (4.0 / 3.0) * math.pi * _pow(x2, 3) + 1296000.0,
+            x3 - 240.0,
         ]
 
     return _spec(
@@ -131,12 +146,13 @@ def make_rw02():
 def make_rw03():
     L, P, SIGMA = 100.0, 2.0, 2.0
 
-    def f(x):
-        return (2.0 * math.sqrt(2.0) * x[0] + x[1]) * L
+    def f(X):
+        a, b = X.T
+        return (2.0 * math.sqrt(2.0) * a + b) * L
 
-    def g(x):
-        a, b = x
-        den = math.sqrt(2.0) * a ** 2 + 2.0 * a * b
+    def g(X):
+        a, b = X.T
+        den = math.sqrt(2.0) * _pow(a, 2) + 2.0 * a * b
         return [
             (math.sqrt(2.0) * a + b) / den * P - SIGMA,
             b / den * P - SIGMA,
@@ -157,26 +173,28 @@ def make_rw04():
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
     TAU_MAX, SIGMA_MAX, DELTA_MAX = 13600.0, 30000.0, 0.25
 
-    def f(x):
-        return 1.10471 * x[0] ** 2 * x[1] + 0.04811 * x[2] * x[3] * (14.0 + x[1])
+    def f(X):
+        h, l, t, b = X.T
+        return 1.10471 * _pow(h, 2) * l + 0.04811 * t * b * (14.0 + l)
 
-    def g(x):
-        h, l, t, b = x
+    def g(X):
+        h, l, t, b = X.T
+        l2, ht2, t2 = _pow(l, 2), _pow((h + t) / 2.0, 2), _pow(t, 2)
         tau_p = P / (math.sqrt(2.0) * h * l)
         m = P * (L + l / 2.0)
-        r = math.sqrt(l ** 2 / 4.0 + ((h + t) / 2.0) ** 2)
-        j = 2.0 * (math.sqrt(2.0) * h * l * (l ** 2 / 12.0 + ((h + t) / 2.0) ** 2))
+        r = _sqrt(l2 / 4.0 + ht2)
+        j = 2.0 * (math.sqrt(2.0) * h * l * (l2 / 12.0 + ht2))
         tau_pp = m * r / j
-        tau = math.sqrt(tau_p ** 2 + 2.0 * tau_p * tau_pp * l / (2.0 * r) + tau_pp ** 2)
-        sigma = 6.0 * P * L / (b * t ** 2)
-        delta = 4.0 * P * L ** 3 / (E * t ** 3 * b)
-        p_c = (4.013 * E * math.sqrt(t ** 2 * b ** 6 / 36.0) / L ** 2
+        tau = _sqrt(_pow(tau_p, 2) + 2.0 * tau_p * tau_pp * l / (2.0 * r) + _pow(tau_pp, 2))
+        sigma = 6.0 * P * L / (b * t2)
+        delta = 4.0 * P * L ** 3 / (E * _pow(t, 3) * b)
+        p_c = (4.013 * E * _sqrt(t2 * _pow(b, 6) / 36.0) / L ** 2
                * (1.0 - t / (2.0 * L) * math.sqrt(E / (4.0 * G))))
         return [
             tau - TAU_MAX,
             sigma - SIGMA_MAX,
             h - b,
-            0.10471 * h ** 2 + 0.04811 * t * b * (14.0 + l) - 5.0,
+            0.10471 * _pow(h, 2) + 0.04811 * t * b * (14.0 + l) - 5.0,
             0.125 - h,
             delta - DELTA_MAX,
             P - p_c,
@@ -194,22 +212,24 @@ def make_rw04():
 # rw05 -- speed reducer (gear/shaft sizing, 7 variables)
 
 def make_rw05():
-    def f(x):
-        x1, x2, x3, x4, x5, x6, x7 = x
-        return (0.7854 * x1 * x2 ** 2 * (3.3333 * x3 ** 2 + 14.9334 * x3 - 43.0934)
-                - 1.508 * x1 * (x6 ** 2 + x7 ** 2)
-                + 7.4777 * (x6 ** 3 + x7 ** 3)
-                + 0.7854 * (x4 * x6 ** 2 + x5 * x7 ** 2))
+    def f(X):
+        x1, x2, x3, x4, x5, x6, x7 = X.T
+        x6_2, x7_2 = _pow(x6, 2), _pow(x7, 2)
+        return (0.7854 * x1 * _pow(x2, 2) * (3.3333 * _pow(x3, 2) + 14.9334 * x3 - 43.0934)
+                - 1.508 * x1 * (x6_2 + x7_2)
+                + 7.4777 * (_pow(x6, 3) + _pow(x7, 3))
+                + 0.7854 * (x4 * x6_2 + x5 * x7_2))
 
-    def g(x):
-        x1, x2, x3, x4, x5, x6, x7 = x
+    def g(X):
+        x1, x2, x3, x4, x5, x6, x7 = X.T
+        x2_2 = _pow(x2, 2)
         return [
-            27.0 / (x1 * x2 ** 2 * x3) - 1.0,
-            397.5 / (x1 * x2 ** 2 * x3 ** 2) - 1.0,
-            1.93 * x4 ** 3 / (x2 * x3 * x6 ** 4) - 1.0,
-            1.93 * x5 ** 3 / (x2 * x3 * x7 ** 4) - 1.0,
-            math.sqrt((745.0 * x4 / (x2 * x3)) ** 2 + 16.9e6) / (110.0 * x6 ** 3) - 1.0,
-            math.sqrt((745.0 * x5 / (x2 * x3)) ** 2 + 157.5e6) / (85.0 * x7 ** 3) - 1.0,
+            27.0 / (x1 * x2_2 * x3) - 1.0,
+            397.5 / (x1 * x2_2 * _pow(x3, 2)) - 1.0,
+            1.93 * _pow(x4, 3) / (x2 * x3 * _pow(x6, 4)) - 1.0,
+            1.93 * _pow(x5, 3) / (x2 * x3 * _pow(x7, 4)) - 1.0,
+            _sqrt(_pow(745.0 * x4 / (x2 * x3), 2) + 16.9e6) / (110.0 * _pow(x6, 3)) - 1.0,
+            _sqrt(_pow(745.0 * x5 / (x2 * x3), 2) + 157.5e6) / (85.0 * _pow(x7, 3)) - 1.0,
             x2 * x3 / 40.0 - 1.0,
             5.0 * x2 / x1 - 1.0,
             x1 / (12.0 * x2) - 1.0,
@@ -249,33 +269,32 @@ def make_rw06():
 def make_rw07():
     D, d, BW = 160.0, 90.0, 30.0
 
-    def _capacity(x):
-        dm, db, z, fi, fo = x[0], x[1], x[2], x[3], x[4]
+    def f(X):
+        dm, db, z, fi, fo = X.T[:5]
         gamma = db / dm
         ratio = fi * (2.0 * fo - 1.0) / (fo * (2.0 * fi - 1.0))
         fc = (37.91
-              * (1.0 + (1.04 * ((1.0 - gamma) / (1.0 + gamma)) ** 1.72
-                        * ratio ** 0.41) ** (10.0 / 3.0)) ** -0.3
-              * (gamma ** 0.3 * (1.0 - gamma) ** 1.39 / (1.0 + gamma) ** (1.0 / 3.0))
-              * (2.0 * fi / (2.0 * fi - 1.0)) ** 0.41)
-        if db <= 25.4:
-            return fc * z ** (2.0 / 3.0) * db ** 1.8
-        return 3.647 * fc * z ** (2.0 / 3.0) * db ** 1.4
+              * _pow(1.0 + _pow(1.04 * _pow((1.0 - gamma) / (1.0 + gamma), 1.72)
+                                * _pow(ratio, 0.41), 10.0 / 3.0), -0.3)
+              * (_pow(gamma, 0.3) * _pow(1.0 - gamma, 1.39) / _pow(1.0 + gamma, 1.0 / 3.0))
+              * _pow(2.0 * fi / (2.0 * fi - 1.0), 0.41))
+        # the capacity, negated; NaN compares false and takes the second
+        # branch, as ``if db <= 25.4`` does
+        z_23 = _pow(z, 2.0 / 3.0)
+        return -np.where(db <= 25.4, fc * z_23 * _pow(db, 1.8),
+                         3.647 * fc * z_23 * _pow(db, 1.4))
 
-    def f(x):
-        return -_capacity(x)
-
-    def g(x):
-        dm, db, z, fi, fo, kdmin, kdmax, eps, e, zeta = x
+    def g(X):
+        dm, db, z, fi, fo, kdmin, kdmax, eps, e, zeta = X.T
         t = D - d - 2.0 * db
         arm = (D - d) / 2.0 - 3.0 * (t / 4.0)
         leg = D / 2.0 - t / 4.0 - db
         hyp = d / 2.0 + t / 4.0
-        num = arm ** 2 + leg ** 2 - hyp ** 2
+        num = _pow(arm, 2) + _pow(leg, 2) - _pow(hyp, 2)
         den = 2.0 * arm * leg
-        phi0 = 2.0 * math.pi - 2.0 * math.acos(min(1.0, max(-1.0, num / den)))
+        phi0 = 2.0 * math.pi - 2.0 * _map(math.acos, np.fmin(1.0, np.fmax(-1.0, num / den)))
         return [
-            z - 1.0 - phi0 / (2.0 * math.asin(db / dm)),
+            z - 1.0 - phi0 / (2.0 * _map(math.asin, db / dm)),
             kdmin * (D - d) - 2.0 * db,
             2.0 * db - kdmax * (D - d),
             zeta * BW - db,
@@ -301,15 +320,15 @@ def make_rw07():
 # rw08 -- cantilever beam of five hollow square sections
 
 def make_rw08():
-    def f(x):
-        # left to right, as numpy sums five entries; the builtin sum
-        # compensates from CPython 3.12 on
-        return 0.0624 * (x[0] + x[1] + x[2] + x[3] + x[4])
+    def f(X):
+        x0, x1, x2, x3, x4 = X.T
+        return 0.0624 * (x0 + x1 + x2 + x3 + x4)
 
-    def g(x):
+    def g(X):
+        x0, x1, x2, x3, x4 = X.T
         return [
-            61.0 / x[0] ** 3 + 37.0 / x[1] ** 3 + 19.0 / x[2] ** 3
-            + 7.0 / x[3] ** 3 + 1.0 / x[4] ** 3 - 1.0,
+            61.0 / _pow(x0, 3) + 37.0 / _pow(x1, 3) + 19.0 / _pow(x2, 3)
+            + 7.0 / _pow(x3, 3) + 1.0 / _pow(x4, 3) - 1.0,
         ]
 
     return _spec(
@@ -328,14 +347,15 @@ def make_rw09():
     MU, S, MS, MF = 0.5, 1.5, 40.0, 3.0
     N_RPM, IZ, TMAX = 250.0, 55.0, 15.0
 
-    def f(x):
-        ri, ro, t, _, z = x
-        return math.pi * (ro ** 2 - ri ** 2) * t * (z + 1.0) * RHO
+    def f(X):
+        ri, ro, t, _, z = X.T
+        return math.pi * (_pow(ro, 2) - _pow(ri, 2)) * t * (z + 1.0) * RHO
 
-    def g(x):
-        ri, ro, t, fcl, z = x
-        area = math.pi * (ro ** 2 - ri ** 2)
-        ratio = (ro ** 3 - ri ** 3) / (ro ** 2 - ri ** 2)
+    def g(X):
+        ri, ro, t, fcl, z = X.T
+        ro_ri_2 = _pow(ro, 2) - _pow(ri, 2)
+        area = math.pi * ro_ri_2
+        ratio = (_pow(ro, 3) - _pow(ri, 3)) / ro_ri_2
         mh = (2.0 / 3.0) * MU * fcl * z * ratio * 1e-3   # N*m
         prz = fcl / area
         vsr = math.pi * N_RPM / 30.0 * (2.0 / 3.0) * ratio * 1e-3  # m/s
@@ -379,22 +399,25 @@ def make_rw10():
     TILT = [ni / N0 - 1.0 for ni in SPEEDS]
     SLACK = [t ** 2 for t in TILT]
 
-    def f(x):
+    def f(X):
+        x = X.T
         total = 0.0
         for di, mass in zip(x, MASS):
-            total += di ** 2 * mass
+            total += _pow(di, 2) * mass
         return RHO * x[4] * math.pi / 4.0 * total
 
-    def g(x):
+    def g(X):
+        x = X.T
         stress = S_STRESS * T_BELT * x[4]
-        lengths = [math.pi * di / 2.0 * arc + slack * di ** 2 / (4.0 * A) + 2.0 * A
+        lengths = [math.pi * di / 2.0 * arc + slack * _pow(di, 2) / (4.0 * A) + 2.0 * A
                    for di, arc, slack in zip(x, ARC, SLACK)]
         # equal belt length on every step
-        out = [abs(li - lengths[0]) - EQUALITY_EPS for li in lengths[1:]]
+        out = [np.abs(li - lengths[0]) - EQUALITY_EPS for li in lengths[1:]]
         for di, ni, tilt in zip(x, SPEEDS, TILT):
-            theta = math.pi - 2.0 * math.asin(min(1.0, max(-1.0, tilt * di / (2.0 * A))))
-            out.append(2.0 - math.exp(MU * theta))  # tension ratio >= 2
-            out.append(PMIN - stress * (1.0 - math.exp(-MU * theta))
+            theta = math.pi - 2.0 * _map(
+                math.asin, np.fmin(1.0, np.fmax(-1.0, tilt * di / (2.0 * A))))
+            out.append(2.0 - _map(math.exp, MU * theta))  # tension ratio >= 2
+            out.append(PMIN - stress * (1.0 - _map(math.exp, -MU * theta))
                        * math.pi * di * ni / 60.0)  # transmitted power floor
         return out
 

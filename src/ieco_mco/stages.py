@@ -164,14 +164,20 @@ def closest_school(X, k) -> np.ndarray:
 def _school_means(X, k, assign) -> np.ndarray:
     """Per-school mean of the students assigned to it by close().
 
-    Schools with no assigned students fall back to the population mean.
+    Schools with no assigned students fall back to the population mean. A
+    school's students are summed as one contiguous block in their order, as
+    ``mean`` sums them.
     """
-    students = X[k:]
-    means = np.tile(X.mean(axis=0), (k, 1))
-    for i in range(k):
-        mask = assign == i
-        if mask.any():
-            means[i] = students[mask].mean(axis=0)
+    counts = np.bincount(assign, minlength=k).tolist()
+    grouped = X[k:][np.argsort(assign, kind="stable")]
+    means = np.empty((k, X.shape[1]))
+    if 0 in counts:
+        means[:] = X.mean(axis=0)
+    start = 0
+    for i, count in enumerate(counts):
+        if count:
+            means[i] = grouped[start:start + count].sum(axis=0) / count
+            start += count
     return means
 
 

@@ -7,11 +7,19 @@ inside the box with many entries pinned to a box face, so faces and corners
 the interior. The hybrid desk functions f06-f08 need at least 3, 4 and 5
 coordinates, so they are drawn at D=10 only.
 
-The engineering formulas are applied row by row, so a block reading equals
-the point readings bit for bit. They are read on Python floats, and the
-reading equals the one on numpy float64 scalars bit for bit, in the box,
-on its faces and corners, and outside it, where a row on which floats
-raise or turn complex is read again as numpy scalars. The desk functions
+The engineering formulas read a block by column and compute each element
+of a column on its own, so a block reading equals the point readings bit
+for bit. The column reading equals the per-point formulas of
+``support.reference_problem`` bit for bit, or raises the same exception
+type, both when those are read on Python floats (a row on which floats
+raise or turn complex is read again as numpy scalars) and when they are
+read on numpy float64 scalars: in the box, on its faces and corners, and
+outside it. The one exception is an rw07 row with a zero ball diameter,
+outside the box, which the reference's row reading raises on and the
+columns read as inf or NaN (see ``_zero_ball``). A seeded sweep of 20,000 in-box rows plus every box corner
+checks each problem against the Python-float reading, and a pinned point
+where ``x * x`` differs from the C library's ``pow(x, 2.0)`` checks that a
+power reads ``pow``, not numpy's array square. The desk functions
 rotate the block with a BLAS matrix product, whose summation order depends
 on the number of rows; their block and point readings agree to a relative
 1e-12 (5e-14 is the worst seen on random blocks), and the Evaluator's
@@ -44,6 +52,7 @@ that never rises, and persists and loads back.
 
 import dataclasses
 import functools
+import itertools
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -64,11 +73,11 @@ from ieco_mco.problems import (
     make_problem,
     penalized_fitness,
 )
-from ieco_mco.problems import engineering
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, RngStream
 from ieco_mco.stages import _VARIANTS
-from support import results_arrays, sequential_evaluate, stable_arrays
+from support import (REFERENCE_FORMULAS, reference_problem, results_arrays,
+                     sequential_evaluate, stable_arrays)
 
 # (name, D); an engineering problem carries its own dimension and ignores D.
 ENGINEERING_CASES = [(pid, 10) for pid in ENGINEERING]
@@ -122,12 +131,8 @@ def test_block_reading_matches_point_reading(case):
 
 
 @functools.lru_cache(maxsize=None)
-def numpy_scalar_problem(pid):
-    """``pid`` built with its formulas read on numpy rows, one numpy float64
-    scalar per entry: the reading the Python-float one must equal."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engineering, "_rows", lambda fn: lambda X: list(map(fn, X)))
-        return ENGINEERING[pid]()
+def reference(pid, numpy_scalars=False):
+    return reference_problem(pid, numpy_scalars)
 
 
 # Python floats raise or turn complex where numpy scalars give inf or NaN:
@@ -142,7 +147,7 @@ _ENTRIES = {
 
 @st.composite
 def engineering_blocks(draw):
-    pid = draw(st.sampled_from(list(ENGINEERING)))
+    pid = draw(st.sampled_from(list(REFERENCE_FORMULAS)))
     spec = problem(pid, 10)
     n = draw(st.integers(1, 8))
     u = np.array(draw(st.lists(_ENTRIES[draw(st.sampled_from(list(_ENTRIES)))],
@@ -153,13 +158,30 @@ def engineering_blocks(draw):
     return pid, np.where(u == 1.0, hi, lo + (hi - lo) * u)
 
 
+def _values(spec, X):
+    """The objective and the constraint block ``spec.batch`` reads from
+    ``X``, NaN as +inf, as it reads them."""
+    with np.errstate(all="ignore"):
+        return [np.fmin(fn(X), np.inf, dtype=float)
+                for fn in (spec.objective, spec.constraints)]
+
+
 def _reading(spec, X):
-    """The bits of ``spec.batch(X)``, or the type of what it raised; a
+    """The bits of ``_values(spec, X)``, or the type of what it raised; a
     ``math`` call out of its domain raises on either reading."""
     try:
-        return tuple(_bits(a).tolist() for a in spec.batch(X))
+        return tuple(_bits(a).tolist() for a in _values(spec, X))
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
+
+
+def _zero_ball(pid, X):
+    """The rows of an rw07 block whose ball diameter is zero, outside the box.
+    There the reference divides the Python floats that ``math.acos`` and
+    ``math.asin`` return, which raises ZeroDivisionError even when the row
+    is read again as numpy scalars; by column the division reads as inf or
+    NaN, as every other division by zero does."""
+    return X[:, 1] == 0.0 if pid == "rw07" else np.zeros(X.shape[0], bool)
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,9 +190,48 @@ def _reading(spec, X):
 @example(("rw07", np.array([[125.0, 21.0, 11.0, 0.515, 0.4, 0.4, 0.6, 0.3, 0.02, 0.6],
                             [-125.0, 21.0, -11.0, 0.2, 0.515, 0.4, 0.6, 0.3, 0.02, 0.6]])))
 @example(("rw08", np.array([[1e200, 5.0, 4.0, 3.0, 2.0], [6.0, 5.0, 4.0, 3.0, 2.0]])))
-def test_float_reading_equals_numpy_scalar_reading(case):
+# rw07's cosine argument is inf - inf over -inf, NaN, which its clamps read
+# as -1.0, as Python's max(-1.0, nan) does; a ball of 25.4 takes the first
+# capacity branch
+@example(("rw07", np.array([[1e200, 1e200, 11.0, 0.515, 0.515, 0.4, 0.6, 0.3, 0.02, 0.6],
+                            [130.0, 25.4, 11.0, 0.515, 0.515, 0.4, 0.6, 0.3, 0.02, 0.6]])))
+# rw04's shear stress is the root of a sum that rounds below zero here
+@example(("rw04", np.array([[3.445453456274187, -16.799999966539218,
+                             -3.445453456274187, 1.0]])))
+def test_column_reading_equals_the_per_point_reference(case):
     pid, X = case
-    assert _reading(problem(pid, 10), X) == _reading(numpy_scalar_problem(pid), X)
+    zero = _zero_ball(pid, X)
+    if zero.any():
+        assert isinstance(_reading(problem(pid, 10), X[zero]), tuple)
+        X = X[~zero]
+    got = _reading(problem(pid, 10), X)
+    assert got == _reading(reference(pid), X)
+    assert got == _reading(reference(pid, numpy_scalars=True), X)
+
+
+@pytest.mark.parametrize("pid", list(REFERENCE_FORMULAS))
+def test_column_reading_equals_the_reference_on_a_seeded_sweep(pid):
+    spec = problem(pid, 10)
+    lo, hi = spec.bounds.lower, spec.bounds.upper
+    u = np.random.default_rng(int(pid[2:])).uniform(size=(20000, spec.dimension))
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    X = np.vstack([lo + (hi - lo) * u, corners])
+    for got, want in zip(_values(spec, X), _values(reference(pid), X)):
+        rows = np.flatnonzero((_bits(got) != _bits(want)).reshape(X.shape[0], -1).any(axis=1))
+        assert rows.size == 0, (pid, X[rows[:3]])
+
+
+# The C library's pow(D_SQUARED, 2.0) rounds away from D_SQUARED * D_SQUARED,
+# which is what numpy's array power and square give.
+D_SQUARED = 0.9824052744668997
+
+
+def test_a_power_reads_the_c_library_pow_not_the_array_square():
+    assert D_SQUARED * D_SQUARED != pow(D_SQUARED, 2.0), "the pin no longer separates them"
+    x = np.array([D_SQUARED, 0.5, 10.0])   # rw01: (n + 2) * dm * d ** 2
+    obj, _ = problem("rw01", 10).evaluate(x)
+    assert obj == reference("rw01").evaluate(x)[0] == 6.0 * pow(D_SQUARED, 2.0)
+    assert obj != 6.0 * (D_SQUARED * D_SQUARED)
 
 
 @settings(max_examples=150, deadline=None)
