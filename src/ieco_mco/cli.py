@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from pathlib import Path
@@ -324,7 +325,9 @@ _COMMANDS = {
 _CONFIG_KEYS = tuple(opt.key for opt in _COMMANDS["run"][1][1:])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     top = argparse.ArgumentParser(
         prog="mco",
         description="Population-based optimizer benchmark harness")

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import time
 import zipfile
@@ -523,18 +525,54 @@ def persist(results: ResultSet, out_dir) -> Path:
     return out
 
 
+def _read_members(zf: zipfile.ZipFile, names) -> Dict[str, np.ndarray]:
+    """The arrays of the npz archive ``zf`` named in ``names``, each a
+    read-only view of its member's bytes, read whole by one ``ZipFile.read``
+    (which checks the CRC). Raises ValueError for a member of npy version
+    other than 1.0 or 2.0, of an object dtype, of a negative dimension or
+    shorter than its header's shape."""
+    arrays = {}
+    for member in zf.namelist():
+        name = member.removesuffix(".npy")
+        if name not in names:
+            continue
+        data = zf.read(member)
+        header = io.BytesIO(data)
+        version = np.lib.format.read_magic(header)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError("array %r is npy version %d.%d; this build reads 1.0 "
+                             "and 2.0" % (name, *version))
+        shape, fortran_order, dtype = (
+            np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)(header)
+        if dtype.hasobject:
+            raise ValueError("array %r holds objects, which cannot be loaded when "
+                             "allow_pickle=False" % name)
+        if min(shape, default=0) < 0:
+            raise ValueError("array %r declares the shape %s" % (name, shape))
+        count, start = math.prod(shape), header.tell()
+        if len(data) - start < count * dtype.itemsize:
+            raise ValueError("array %r holds %d bytes; its shape %s needs %d"
+                             % (name, len(data) - start, shape, count * dtype.itemsize))
+        arrays[name] = np.frombuffer(data, dtype, count, start).reshape(
+            shape, order="F" if fortran_order else "C")
+    return arrays
+
+
 def load(out_dir) -> ResultSet:
     """Rebuild a :class:`ResultSet` persisted by :func:`persist`.
 
     Reads ``results.npz`` once; each record's position and trace are slices
-    of its arrays. A folder that cannot be opened raises the ``OSError``.
-    A folder holding files of schema 4 or older and no ``results.npz``, or
-    a file of another schema, raises :class:`SchemaMismatchError`. A
-    ``results.npz`` that is missing or not one :func:`persist` writes (not
-    an archive, ``meta`` not a JSON object, an array missing or not 1-D of
-    its dtype, lengths that do not add up (naming the first row they miss),
-    a cell listed twice, ``meta`` lists other than the rows) raises
-    :class:`BrokenResultsError` naming it.
+    of its arrays, read-only views of the file's bytes. A folder that cannot
+    be opened raises the ``OSError``. A folder holding files of schema 4 or
+    older and no ``results.npz``, or a file of another schema, raises
+    :class:`SchemaMismatchError`. A ``results.npz`` that is missing or not
+    one :func:`persist` writes (not an archive, a member of npy version
+    other than 1.0 or 2.0, of an object dtype, of a negative dimension or
+    shorter than its header's shape, ``meta`` not a JSON object, an array
+    missing or not 1-D of its dtype, lengths that do not add up (naming the
+    first row they miss), a cell listed twice, ``meta`` lists other than the
+    rows) raises :class:`BrokenResultsError` naming it.
     """
     out = Path(out_dir)
     path = out / _RESULTS_FILE
@@ -544,8 +582,7 @@ def load(out_dir) -> ResultSet:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("it holds one array, not an archive")
             with npz:
-                arrays = {name: npz[name] for name in npz.files
-                          if name == "meta" or name in _ARRAYS}
+                arrays = _read_members(npz.zip, {"meta", *_ARRAYS})
     except FileNotFoundError:
         if not out.is_dir():
             raise

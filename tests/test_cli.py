@@ -512,6 +512,18 @@ def test_stats_kruskal_wallis_reports_ranks(tmp_path, capsys):
     assert "alpha" in text
 
 
+def test_each_main_call_parses_only_its_own_argv(tmp_path, capsys):
+    """The parser is built once per process, and a flag one call gives does
+    not carry over to the next."""
+    results = str(_synthetic_results(tmp_path, tie=False))
+    assert run_cli("stats", "--results", results, "--test", "kw") == 0
+    assert "Kruskal-Wallis" in capsys.readouterr().out
+    assert run_cli("stats", "--results", results) == 0
+    text = capsys.readouterr().out
+    assert "Friedman" in text and "Kruskal-Wallis" not in text
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("shape,argv,missing", [
     ({"algorithms": ("alpha",)}, ["compare"], "2 algorithms"),
     ({"problems": ("p1",)}, ["compare"], "2 problems"),

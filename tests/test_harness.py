@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import zipfile
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -580,6 +581,30 @@ def test_persist_load_round_trip(tmp_path):
     assert back.metadata["config_hash"] == rs.metadata["config_hash"]
 
 
+@pytest.mark.parametrize("rewrite", ["savez_compressed", "fortran_order"])
+def test_a_set_numpy_load_reads_loads_equal(tmp_path, rewrite):
+    """numpy.load reads a set rewritten compressed, or with each 1-D array's
+    header declaring Fortran order, and so does load."""
+    rs = _tiny_batch()
+    out = persist(rs, tmp_path / "out")
+    if rewrite == "savez_compressed":
+        np.savez_compressed(out / "results.npz", **results_arrays(out))
+    else:
+        _rewrite_members(out, lambda fh, a: _write_npy(fh, a, fortran_order=a.ndim == 1))
+    assert load(out) == rs
+
+
+def test_loaded_arrays_are_read_only_and_persist_again(tmp_path):
+    rs = _tiny_batch()
+    out = persist(rs, tmp_path / "out")
+    rec = load(out).records["ECO", "f01-zakharov-d5", 0]
+    with pytest.raises(ValueError, match="read-only"):
+        rec.trace["best"][0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rec.best_position[0] = 0.0
+    assert load(persist(load(out), tmp_path / "again")) == rs
+
+
 def test_persist_load_round_trip_constrained(tmp_path):
     rs = run_batch(["IECO-MCO"], ["rw03"], runs=2, base_seed=3, n=6,
                    fes_max=120)
@@ -785,6 +810,27 @@ def _change(**changes):
     return corrupt
 
 
+def _write_npy(fh, array, fortran_order=False, shape=None):
+    """Write ``array`` as an npy 1.0 member whose header declares
+    ``fortran_order`` and ``shape`` (by default the array's)."""
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": np.lib.format.dtype_to_descr(array.dtype),
+        "fortran_order": fortran_order,
+        "shape": array.shape if shape is None else shape})
+    fh.write(array.tobytes(order="F" if fortran_order else "C"))
+
+
+def _rewrite_members(out, default=_write_npy, **writers):
+    """Rewrite the results file under ``out``, each array written by
+    ``writers[name](fh, array)``, else by ``default``; ``zipfile`` gives
+    each member its CRC."""
+    arrays = results_arrays(out)
+    with zipfile.ZipFile(out / "results.npz", "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(name + ".npy", "w") as fh:
+                writers.get(name, default)(fh, array)
+
+
 # Each way the results file can be broken, and what the error says about it.
 _BROKEN_TRACES = {
     "truncated": (_truncate, "is not a results file"),
@@ -820,6 +866,15 @@ _BROKEN_TRACES = {
                        "array 'run' holds 13 rows; array 'algorithm' 12"),
     "negative length": (_change(length=lambda a: a * np.r_[-1, 1, 1, 1, 1, 3, [1] * 6]),
                         "the lengths in array 'length' do not split"),
+    "npy version 3.0": (lambda out: _rewrite_members(out, run=lambda fh, a: (
+        np.lib.format.write_array(fh, a, version=(3, 0)))),
+        "is not a results file: array 'run' is npy version 3.0"),
+    "trace an entry short": (lambda out: _rewrite_members(out, trace=lambda fh, a: (
+        _write_npy(fh, a, shape=(len(a) + 1,)))),
+        "is not a results file: array 'trace' holds 1920 bytes; its shape (121,) needs 1936"),
+    "negative shape": (lambda out: _rewrite_members(out, length=lambda fh, a: (
+        _write_npy(fh, a, shape=(-1,)))),
+        "is not a results file: array 'length' declares the shape (-1,)"),
 }
 
 
