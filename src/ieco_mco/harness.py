@@ -41,6 +41,7 @@ import math
 import os
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -567,22 +568,19 @@ def load(out_dir) -> ResultSet:
     be opened raises the ``OSError``. A folder holding files of schema 4 or
     older and no ``results.npz``, or a file of another schema, raises
     :class:`SchemaMismatchError`. A ``results.npz`` that is missing or not
-    one :func:`persist` writes (not an archive, a member of npy version
-    other than 1.0 or 2.0, of an object dtype, of a negative dimension or
-    shorter than its header's shape, ``meta`` not a JSON object, an array
-    missing or not 1-D of its dtype, lengths that do not add up (naming the
-    first row they miss), a cell listed twice, ``meta`` lists other than the
-    rows) raises :class:`BrokenResultsError` naming it.
+    one :func:`persist` writes (not a zip archive, a member that does not
+    decompress, of npy version other than 1.0 or 2.0, of an object dtype, of
+    a negative dimension or shorter than its header's shape, ``meta`` not a
+    JSON object, an array missing or not 1-D of its dtype, lengths that do
+    not add up (naming the first row they miss), a cell listed twice,
+    ``meta`` lists other than the rows) raises :class:`BrokenResultsError`
+    naming it.
     """
     out = Path(out_dir)
     path = out / _RESULTS_FILE
     try:
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("it holds one array, not an archive")
-            with npz:
-                arrays = _read_members(npz.zip, {"meta", *_ARRAYS})
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+            arrays = _read_members(zf, {"meta", *_ARRAYS})
     except FileNotFoundError:
         if not out.is_dir():
             raise
@@ -592,7 +590,8 @@ def load(out_dir) -> ResultSet:
                                       "older; this build reads %d"
                                       % (out, ", ".join(old), SCHEMA_VERSION)) from None
         raise BrokenResultsError("%s is missing" % path) from None
-    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile, zlib.error,
+            NotImplementedError) as exc:
         raise BrokenResultsError("%s is not a results file: %s" % (path, exc)) from None
     text = arrays.get("meta")
     if text is None or text.ndim or text.dtype.kind != "U":

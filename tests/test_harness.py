@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import tracemalloc
 import zipfile
 from dataclasses import FrozenInstanceError, fields, replace
@@ -800,6 +801,34 @@ def _flip_a_byte(out):
     path.write_bytes(bytes(blob))
 
 
+def _deflated_trace(patch):
+    """Rewrite the results file as ``numpy.savez_compressed`` does, then
+    ``patch(blob, local, central)`` its bytes, given the offsets of the trace
+    member's local header and of its central directory entry."""
+    def corrupt(out):
+        path = out / "results.npz"
+        np.savez_compressed(path, **results_arrays(out))
+        with zipfile.ZipFile(path) as zf:
+            local = zf.getinfo("trace.npy").header_offset
+        blob = bytearray(path.read_bytes())
+        patch(blob, local, blob.rindex(b"trace.npy") - 46)
+        path.write_bytes(bytes(blob))
+    return corrupt
+
+
+def _invalid_block_type(blob, local, central):
+    """Set the BTYPE bits of the first deflate block to 11, which no block
+    type has."""
+    name_length, extra_length = struct.unpack_from("<HH", blob, local + 26)
+    blob[local + 30 + name_length + extra_length] |= 0b110
+
+
+def _method_99(blob, local, central):
+    """Name the compression method 99, which zipfile does not know."""
+    struct.pack_into("<H", blob, local + 8, 99)
+    struct.pack_into("<H", blob, central + 10, 99)
+
+
 def _change(**changes):
     """Rewrite the results file with each named array replaced by
     ``change(old array)``, or dropped where ``change`` is None."""
@@ -838,7 +867,7 @@ _BROKEN_TRACES = {
               "is not a results file"),
     "csv text": (lambda out: (out / "results.npz").write_text("algorithm,problem,run\n"),
                  "is not a results file"),
-    "one array": (_save_one_array, "not an archive"),
+    "one array": (_save_one_array, "is not a results file: File is not a zip file"),
     "flipped byte": (_flip_a_byte, "is not a results file"),
     "missing array": (_change(length=None), "array 'length' is missing"),
     "missing meta": (_change(meta=None), "array 'meta' is missing or not 0-d str"),
@@ -864,6 +893,8 @@ _BROKEN_TRACES = {
                         "the lengths in array 'position_length' do not split the 59"),
     "a run too many": (_change(run=lambda a: np.append(a, 7)),
                        "array 'run' holds 13 rows; array 'algorithm' 12"),
+    "a run too few": (_change(run=lambda a: a[:-1]),
+                      "array 'run' holds 11 rows; array 'algorithm' 12"),
     "negative length": (_change(length=lambda a: a * np.r_[-1, 1, 1, 1, 1, 3, [1] * 6]),
                         "the lengths in array 'length' do not split"),
     "npy version 3.0": (lambda out: _rewrite_members(out, run=lambda fh, a: (
@@ -875,6 +906,10 @@ _BROKEN_TRACES = {
     "negative shape": (lambda out: _rewrite_members(out, length=lambda fh, a: (
         _write_npy(fh, a, shape=(-1,)))),
         "is not a results file: array 'length' declares the shape (-1,)"),
+    "invalid deflate block": (_deflated_trace(_invalid_block_type),
+                              "is not a results file: Error -3 while decompressing"),
+    "compression method 99": (_deflated_trace(_method_99),
+                              "is not a results file: That compression method is not"),
 }
 
 
@@ -952,36 +987,27 @@ def test_results_file_with_a_wrong_header_is_a_runtime_failure(tmp_path,
     assert "failed: %s is not a results file: " % path in capsys.readouterr().err
 
 
-def test_a_cell_listed_twice_in_results_csv_is_named(tmp_path, capsys):
-    """Row 1 of the results file repeats row 0 whole, position and trace
-    included, as a repeated line of results.csv did before schema 5; run 1
-    of ECO on f01 is lost."""
+def _repeat_row_0(a):
+    """Row 1 repeats row 0 whole, position and trace included, as a repeated
+    line of results.csv did before schema 5."""
+    rows = np.r_[0, 0, 2:len(a["run"])]
+    changed = {name: a[name][rows] for name in a
+               if name not in ("meta", "best_position", "trace")}
+    for lengths, joined in (("position_length", "best_position"), ("length", "trace")):
+        starts = np.r_[0, np.cumsum(a[lengths])]
+        changed[joined] = np.concatenate([a[joined][starts[i]:starts[i + 1]]
+                                          for i in rows])
+    return {**a, **changed}
+
+
+@pytest.mark.parametrize("repeat", [
+    _repeat_row_0, lambda a: {**a, "run": np.r_[0, 0, a["run"][2:]]}],
+    ids=["whole row", "run label"])
+def test_a_cell_listed_twice_in_results_npz_is_named(tmp_path, capsys, repeat):
+    """Row 1 repeats the cell of row 0, whole or by its run label alone, so
+    run 1 of ECO on f01 is lost."""
     out = persist(_tiny_batch(), tmp_path / "out")
-
-    def repeat_row_0(a):
-        rows = np.r_[0, 0, 2:len(a["run"])]
-        changed = {name: a[name][rows] for name in a
-                   if name not in ("meta", "best_position", "trace")}
-        for lengths, joined in (("position_length", "best_position"), ("length", "trace")):
-            starts = np.r_[0, np.cumsum(a[lengths])]
-            changed[joined] = np.concatenate([a[joined][starts[i]:starts[i + 1]]
-                                              for i in rows])
-        return {**a, **changed}
-
-    rewrite_results(out, repeat_row_0)
-    expected = "%s: cell (ECO, f01-zakharov-d5, run 0) is listed twice" % (
-        out / "results.npz")
-    with pytest.raises(BrokenResultsError) as err:
-        load(out)
-    assert str(err.value) == expected
-    assert cli.main(["compare", "--results", str(out)]) == 1
-    assert capsys.readouterr().err == "failed: %s\n" % expected
-
-
-def test_a_cell_listed_twice_in_a_traces_file_is_named(tmp_path, capsys):
-    """Row 2 repeats row 1, so run 1 of ECO on f01 is lost."""
-    out = persist(_tiny_batch(), tmp_path / "out")
-    rewrite_results(out, lambda a: {**a, "run": np.r_[0, 0, a["run"][2:]]})
+    rewrite_results(out, repeat)
     expected = "%s: cell (ECO, f01-zakharov-d5, run 0) is listed twice" % (
         out / "results.npz")
     with pytest.raises(BrokenResultsError) as err:

@@ -314,6 +314,8 @@ def test_clamp_is_idempotent():
 def test_bounds_validation_and_helpers():
     with pytest.raises(ValueError):
         Bounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="equal length"):
+        Bounds(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
     b = Bounds.from_pairs([(0.0, 1.0), (-2.0, 2.0)])
     assert b.dimension == 2
     assert np.array_equal(b.span, np.array([1.0, 4.0]))

@@ -513,6 +513,11 @@ def test_school_partition_after_sort():
     assert pop.fitness[:k].max() <= pop.fitness[k:].min()
 
 
+def test_population_refuses_positions_and_fitness_of_other_lengths():
+    with pytest.raises(ValueError, match="lengths differ"):
+        Population(np.zeros((3, 2)), np.zeros(4), np.zeros(4), np.zeros(4))
+
+
 def test_school_means_fallback_to_population_mean():
     # Both students sit nearer school 0, so school 1 falls back to pop mean.
     pos = np.array([[0.0, 0.0], [100.0, 100.0], [1.0, 0.0], [0.0, 1.0]])

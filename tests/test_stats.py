@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2, friedmanchisquare, kruskal, mannwhitneyu, norm, rankdata
 
 from ieco_mco.stats import (
+    EXACT_RANKSUM_LIMIT,
     StatReport,
     _average_ranks,
     _chi2_sf,
@@ -132,6 +133,8 @@ def test_friedman_input_validation():
         friedman(np.full((3, 3, 1), np.nan))
     with pytest.raises(ValueError):
         friedman(np.ones((2, 3, 1)), algorithms=["only-one"])
+    with pytest.raises(ValueError, match="expected values shaped"):
+        friedman(np.ones(4))                # neither 2-D nor 3-D
 
 
 # ----------------------------------------------------------------- rank sum
@@ -226,6 +229,13 @@ def test_ranksum_handles_ties_in_normal_branch():
     ref = mannwhitneyu(a, b, alternative="two-sided",
                        method="asymptotic", use_continuity=True).pvalue
     assert abs(p - ref) < 1e-9
+
+
+def test_ranksum_all_ties_above_the_exact_limit_are_a_tie():
+    """Every run of two cells ending on one value, such as a discrete optimum,
+    leaves the normal branch no variance; a RuntimeWarning is an error here."""
+    assert 7 + 7 > EXACT_RANKSUM_LIMIT
+    assert wilcoxon_rank_sum([1.0] * 7, [1.0] * 7) == (1.0, "=")
 
 
 def test_ranksum_rejects_tiny_samples():
