@@ -1,11 +1,13 @@
 """Experiment harness: budgets, independent runs, batches, persistence.
 
-A run is fully determined by its :class:`RunConfig`. The evaluation budget
-is owned by an :class:`Evaluator`, which charges one evaluation per objective
-call (constraint resampling included) and never lets the total exceed
-``fes_max``. Batches derive one seed per (algorithm, problem, run) cell from
-the base seed and a stable 64-bit hash, so cells are reproducible in
-isolation and identical whether executed serially or in a process pool.
+A run is fully determined by its :class:`RunConfig`. The run itself is an
+:class:`Evaluator`: it charges one evaluation per objective call (constraint
+resampling included) and never lets the total exceed ``fes_max``, and once
+started it holds the sorted population, the elite archive, the iteration
+number and the trace, which :func:`~ieco_mco.stages.step` advances. Batches
+derive one seed per (algorithm, problem, run) cell from the base seed and a
+stable 64-bit hash, so cells are reproducible in isolation and identical
+whether executed serially or in a process pool.
 A run's trace is a :data:`TRACE_DTYPE` array of (evaluations used,
 best-so-far) points: one after the initial population and one after every
 iteration, the last at the evaluations the run used.
@@ -59,7 +61,8 @@ from .problems import (
 )
 from .problems.core import ProblemSpec
 from .rng import BudgetExhaustedError, RngStream, init_population
-from .stages import Population, algorithm_label, elite_archive, step, variant_of
+from .covariance import EliteArchive
+from .stages import ARCHIVE_ROWS_PER_DIM, algorithm_label, step, variant_of
 
 SCHEMA_VERSION = 5
 _MASK64 = (1 << 64) - 1
@@ -125,7 +128,7 @@ _CELL_FIELDS = ("algorithm", "problem", "seed")
 
 
 class Evaluator:
-    """Budget-charging objective evaluator with constraint handling.
+    """One run: its budget-charging evaluator and, once started, its state.
 
     ``evaluate(X)`` reads the whole (n, D) float block in one ``spec.batch``
     call and returns (fitness, objective, violation, positions): the ranking
@@ -147,6 +150,14 @@ class Evaluator:
     problem with constraints. A custom problem whose block reading differs
     in the last bit, such as one that rotates with a BLAS matrix product,
     can give results that depend on the block size.
+
+    :meth:`start` reads the first population; from then on the run holds it
+    sorted ascending by fitness as ``positions``, ``fitness`` (the ranking
+    value, penalized on a constrained problem), and the ``objective`` and
+    ``violation`` it was ranked from, with its ``variant`` row, its elite
+    ``archive`` (None without operators), the 1-based ``iteration`` that
+    :func:`~ieco_mco.stages.step` runs next and the :data:`TRACE_DTYPE`
+    ``trace``, whose first ``iteration`` points are filled.
     """
 
     def __init__(self, spec: ProblemSpec, fes_max: int, rng: RngStream):
@@ -174,6 +185,29 @@ class Evaluator:
                 X[i], objective[i], violation[i] = out.position, out.objective, out.violation
             stream.close()
         return penalized_fitness(objective, violation), objective, violation, X
+
+    def start(self, variant, X: np.ndarray):
+        """Read the first population ``X`` and hold it, sorted, as the run
+        of the variant table's row ``variant``. The sort gathers new arrays,
+        so the run shares none with ``X``."""
+        self.fitness, self.objective, self.violation, self.positions = self.evaluate(X)
+        self.sort()
+        self.variant = variant
+        self.archive = (None if variant[1] is None
+                        else EliteArchive(ARCHIVE_ROWS_PER_DIM * self.spec.dimension))
+        # every point after the first is an iteration's, which charges at least n
+        self.trace = np.empty(self.fes_max // X.shape[0] + 1, dtype=TRACE_DTYPE)
+        self.trace[0] = self.used, self.fitness[0]
+        self.iteration = 1
+
+    def sort(self):
+        """Order the population by fitness, ties kept in place; gathers new
+        arrays."""
+        order = np.argsort(self.fitness, kind="stable")
+        self.positions = self.positions[order]
+        self.fitness = self.fitness[order]
+        self.objective = self.objective[order]
+        self.violation = self.violation[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,38 +342,21 @@ def run_single(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     t0 = time.perf_counter()
     spec = problem if problem is not None else make_problem(cfg.problem,
                                                             cfg.dimension)
-    dim = spec.dimension
-    fes_max = cfg.resolved_fes_max(dim)
-    variant = variant_of(cfg.algorithm)
-    rng = RngStream(cfg.seed)
-    ev = Evaluator(spec, fes_max, rng)
+    run = Evaluator(spec, cfg.resolved_fes_max(spec.dimension), RngStream(cfg.seed))
+    run.start(variant_of(cfg.algorithm), init_population(cfg.n, spec.bounds, run.rng))
+    while run.used + cfg.n <= run.fes_max:
+        step(run)
 
-    X0 = init_population(cfg.n, spec.bounds, rng)
-    fit, obj, vio, X0 = ev.evaluate(X0)
-    pop = Population(X0, fit, obj, vio)
-
-    archive = elite_archive(variant, dim)
-
-    # every point after the first is an iteration's, which charges at least n
-    trace = np.empty(fes_max // cfg.n + 1, dtype=TRACE_DTYPE)
-    trace[0] = ev.used, pop.fitness[0]
-
-    iteration = 1
-    while ev.used + cfg.n <= fes_max:
-        pop = step(pop, variant, iteration, archive, ev)
-        trace[iteration] = ev.used, pop.fitness[0]
-        iteration += 1
-
-    best_violation = float(pop.violation[0])
+    best_violation = float(run.violation[0])
     return RunRecord(
-        algorithm=cfg.algorithm, problem=spec.name, dimension=dim,
+        algorithm=cfg.algorithm, problem=spec.name, dimension=spec.dimension,
         run=run_index, seed=cfg.seed,
-        best_position=pop.positions[0].copy(),
-        best_fitness=float(pop.fitness[0]),
-        best_objective=float(pop.objective[0]),
+        best_position=run.positions[0].copy(),
+        best_fitness=float(run.fitness[0]),
+        best_objective=float(run.objective[0]),
         best_violation=best_violation,
         feasible=best_violation <= VIOLATION_TOL,
-        trace=trace[:iteration], evaluations_used=ev.used,
+        trace=run.trace[:run.iteration], evaluations_used=run.used,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -529,14 +546,16 @@ def persist(results: ResultSet, out_dir) -> Path:
 def _read_members(zf: zipfile.ZipFile, names) -> Dict[str, np.ndarray]:
     """The arrays of the npz archive ``zf`` named in ``names``, each a
     read-only view of its member's bytes, read whole by one ``ZipFile.read``
-    (which checks the CRC). Raises ValueError for a member of npy version
-    other than 1.0 or 2.0, of an object dtype, of a negative dimension or
-    shorter than its header's shape."""
+    (which checks the CRC). Raises ValueError for a member that is
+    encrypted, of npy version other than 1.0 or 2.0, of an object dtype, of
+    a negative dimension or shorter than its header's shape."""
     arrays = {}
-    for member in zf.namelist():
-        name = member.removesuffix(".npy")
+    for member in zf.infolist():
+        name = member.filename.removesuffix(".npy")
         if name not in names:
             continue
+        if member.flag_bits & 0x1:
+            raise ValueError("array %r is encrypted" % name)
         data = zf.read(member)
         header = io.BytesIO(data)
         version = np.lib.format.read_magic(header)
@@ -568,19 +587,18 @@ def load(out_dir) -> ResultSet:
     be opened raises the ``OSError``. A folder holding files of schema 4 or
     older and no ``results.npz``, or a file of another schema, raises
     :class:`SchemaMismatchError`. A ``results.npz`` that is missing or not
-    one :func:`persist` writes (not a zip archive, a member that does not
-    decompress, of npy version other than 1.0 or 2.0, of an object dtype, of
-    a negative dimension or shorter than its header's shape, ``meta`` not a
-    JSON object, an array missing or not 1-D of its dtype, lengths that do
-    not add up (naming the first row they miss), a cell listed twice,
-    ``meta`` lists other than the rows) raises :class:`BrokenResultsError`
-    naming it.
+    one :func:`persist` writes (not a zip archive or one that cannot be
+    read, a member that is encrypted or does not decompress, of npy version
+    other than 1.0 or 2.0, of an object dtype, of a negative dimension or
+    shorter than its header's shape, ``meta`` not a JSON object, an array
+    missing or not 1-D of its dtype, lengths that do not add up (naming the
+    first row they miss), a cell listed twice, ``meta`` lists other than the
+    rows) raises :class:`BrokenResultsError` naming it.
     """
     out = Path(out_dir)
     path = out / _RESULTS_FILE
     try:
-        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
-            arrays = _read_members(zf, {"meta", *_ARRAYS})
+        fh = open(path, "rb")
     except FileNotFoundError:
         if not out.is_dir():
             raise
@@ -590,7 +608,14 @@ def load(out_dir) -> ResultSet:
                                       "older; this build reads %d"
                                       % (out, ", ".join(old), SCHEMA_VERSION)) from None
         raise BrokenResultsError("%s is missing" % path) from None
-    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile, zlib.error,
+    except IsADirectoryError as exc:
+        raise BrokenResultsError("%s is not a results file: %s" % (path, exc)) from None
+    # an offset read from a damaged directory can make zipfile seek before
+    # the start of the file, which raises OSError
+    try:
+        with fh, zipfile.ZipFile(fh) as zf:
+            arrays = _read_members(zf, {"meta", *_ARRAYS})
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error,
             NotImplementedError) as exc:
         raise BrokenResultsError("%s is not a results file: %s" % (path, exc)) from None
     text = arrays.get("meta")
@@ -604,8 +629,8 @@ def load(out_dir) -> ResultSet:
         raise BrokenResultsError("%s: meta is not a JSON object" % path)
     version = metadata.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise SchemaMismatchError("results were written with schema %r; this build reads %d"
-                                  % (version, SCHEMA_VERSION))
+        raise SchemaMismatchError("%s: results were written with schema %r; this build "
+                                  "reads %d" % (path, version, SCHEMA_VERSION))
     for name, dtype in _ARRAYS.items():
         a = arrays.get(name)
         if a is None:

@@ -37,7 +37,9 @@ with a model, its operator's name by stage. ECO's fractions are 0.2, 0.1,
 into those tuples. Students always use the plain rule of the stage. A
 variant with operators keeps an elite archive of 20 * D rows; until it holds
 enough entries for a usable model the school update falls back to the plain
-stage rule.
+stage rule. The sorted population, the variant row, the archive and the
+iteration number are the state of a run, which the harness's ``Evaluator``
+holds; :func:`step` advances it by one iteration.
 
 Per-iteration draw order on the one stream of the run's evaluator: the
 scalar for P, which :func:`step` draws first; the school block, agents in
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -119,33 +120,6 @@ def talent_gain(ctx: StageContext, talent_draws) -> np.ndarray:
     if abs(p) < TALENT_GAIN_P_FLOOR:
         p = math.copysign(TALENT_GAIN_P_FLOOR, p if p != 0.0 else 1.0)
     return np.where(talent_draws <= TALENT_THRESHOLD, 1.0, (math.pi / p) * ctx.progress)
-
-
-class Population:
-    """Positions with ranking fitness, kept sorted ascending by fitness.
-
-    ``fitness`` is the scalar the algorithm ranks on; for constrained
-    problems it is the penalized value, and ``objective``/``violation``
-    keep the readings it was ranked from. For unconstrained problems the
-    three arrays are fitness, fitness, all zero. Sorting gathers new arrays,
-    so a population never shares the arrays it was built from.
-    """
-
-    def __init__(self, positions, fitness, objective, violation):
-        self.positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        self.fitness = np.asarray(fitness, dtype=float)
-        if self.positions.shape[0] != self.fitness.shape[0]:
-            raise ValueError("positions and fitness lengths differ")
-        self.objective = np.asarray(objective, dtype=float)
-        self.violation = np.asarray(violation, dtype=float)
-        self.sort()
-
-    def sort(self):
-        order = np.argsort(self.fitness, kind="stable")
-        self.positions = self.positions[order]
-        self.fitness = self.fitness[order]
-        self.objective = self.objective[order]
-        self.violation = self.violation[order]
 
 
 def closest_school(X, k) -> np.ndarray:
@@ -251,39 +225,31 @@ def variant_of(name: str):
                          % (name, ", ".join(_VARIANTS))) from None
 
 
-def elite_archive(variant, dimension: int) -> Optional[cov.EliteArchive]:
-    """The elite archive a run of the variant row keeps: one of
-    ``ARCHIVE_ROWS_PER_DIM * dimension`` rows when the row has operators."""
-    return None if variant[1] is None else cov.EliteArchive(ARCHIVE_ROWS_PER_DIM * dimension)
-
-
 # -------------------------------------------------------------------- step
 
-def step(pop: Population, variant, iteration: int,
-         archive: Optional[cov.EliteArchive], evaluator) -> Population:
-    """One full iteration: draw P, propose, evaluate, select, archive.
+def step(run) -> None:
+    """One full iteration of the started ``run``, a harness ``Evaluator``, in
+    place: draw P, propose, evaluate, select, sort, archive, record the
+    trace point and count the iteration, whose number picks the stage.
 
-    ``pop`` is sorted, as a :class:`Population` keeps itself. ``variant`` is
-    a row of the variant table; the 1-based ``iteration`` picks the stage.
-    ``evaluator`` is the run's: ``evaluate(X) -> (fitness, objective,
-    violation, positions)``, the stream ``rng``, the box ``spec.bounds`` and
-    the budget, ``used`` of ``fes_max``. Its ``evaluate`` is the one budget
-    check: a block that does not fit raises there, after the P and proposal
-    draws. ``archive`` is the row's :func:`elite_archive`, None for a variant
-    that keeps none; otherwise its operator runs once the archive supports a
-    model, and the iteration's elites of finite fitness are pushed to it (a
-    non-finite one cannot rank an entry).
+    ``run.evaluate`` is the one budget check: a block that does not fit
+    raises there, after the P and proposal draws and before anything of the
+    run changes. Once the archive supports a model the variant's operator
+    runs in place of the school rule; the iteration's elites of finite
+    fitness are pushed to the archive (a non-finite one cannot rank an
+    entry).
     """
-    rng = evaluator.rng
-    i = stage_of(iteration)
-    ctx = StageContext.draw(evaluator.used, evaluator.fes_max, rng)
-    X = pop.positions
+    rng = run.rng
+    i = stage_of(run.iteration)
+    ctx = StageContext.draw(run.used, run.fes_max, rng)
+    X = run.positions
     n, d = X.shape
-    fractions, operators = variant
+    fractions, operators = run.variant
     k = school_count(fractions[i], n)
     # close() is read by the primary school rule and the primary and middle
     # student rules only; the high stage's rules take None
     assign = closest_school(X, k) if i < 2 else None
+    archive = run.archive
 
     # The rules are looked up here, by name, so that rebinding a name (as
     # perfbench's tracer does) reaches every call.
@@ -297,18 +263,19 @@ def step(pop: Population, variant, iteration: int,
     student_rule = (primary_student_update, middle_student_update,
                     high_student_update)[i]
     proposals[k:] = student_rule(X, k, assign, ctx, rng)
-    child_fit, child_obj, child_vio, child_pos = evaluator.evaluate(
-        clamp(proposals, evaluator.spec.bounds, out=proposals))
+    child_fit, child_obj, child_vio, child_pos = run.evaluate(
+        clamp(proposals, run.spec.bounds, out=proposals))
 
-    improved = child_fit < pop.fitness
-    np.copyto(pop.positions, child_pos, where=improved[:, None])
-    np.copyto(pop.fitness, child_fit, where=improved)
-    np.copyto(pop.objective, child_obj, where=improved)
-    np.copyto(pop.violation, child_vio, where=improved)
-    pop.sort()
+    improved = child_fit < run.fitness
+    np.copyto(X, child_pos, where=improved[:, None])
+    np.copyto(run.fitness, child_fit, where=improved)
+    np.copyto(run.objective, child_obj, where=improved)
+    np.copyto(run.violation, child_vio, where=improved)
+    run.sort()
 
     if archive is not None:
-        idx = cov.elite_indices(pop.fitness, pop.positions, k)
-        idx = idx[np.isfinite(pop.fitness[idx])]
-        archive.push(pop.positions[idx], pop.fitness[idx])
-    return pop
+        idx = cov.elite_indices(run.fitness, run.positions, k)
+        idx = idx[np.isfinite(run.fitness[idx])]
+        archive.push(run.positions[idx], run.fitness[idx])
+    run.trace[run.iteration] = run.used, run.fitness[0]
+    run.iteration += 1

@@ -11,11 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
 from ieco_mco.covariance import ELITE_WEIGHT
+from ieco_mco.harness import Evaluator
 from ieco_mco.rng import LEVY_BETA, Bounds, RngStream, mantegna_sigma
 from ieco_mco.problems import (ENGINEERING, MAX_RESAMPLES, VIOLATION_TOL,
                                HandledPoint, penalized_fitness)
@@ -68,23 +68,12 @@ def levy_script(values):
     return [v / sigma for v in values] + [1.0] * values.size
 
 
-class CountingEvaluator:
-    """Minimal evaluator for driving step() directly: reads ``fn`` on the box
-    ``bounds`` with no constraint handling, holds the run's stream, seeded
-    with ``seed``, and counts evaluations against the budget ``fes_max``."""
-
-    def __init__(self, fn, bounds, seed, fes_max=10 ** 6):
-        self.fn = fn
-        self.spec = SimpleNamespace(bounds=bounds)
-        self.rng = RngStream(seed)
-        self.fes_max = fes_max
-        self.used = 0
-
-    def evaluate(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.used += X.shape[0]
-        f = np.asarray(self.fn(X), dtype=float)
-        return f, f.copy(), np.zeros(X.shape[0]), X.copy()
+def counting_run(fn, bounds, seed, fes_max=10 ** 6):
+    """An unstarted run for driving step() directly: an ``Evaluator`` of the
+    unconstrained problem whose objective is ``fn`` on the box ``bounds``,
+    with its stream seeded with ``seed`` and the budget ``fes_max``."""
+    spec = ProblemSpec(name="counted", bounds=bounds, objective=fn, category="test")
+    return Evaluator(spec, fes_max, RngStream(seed))
 
 
 def sphere_spec(dim, low=-100.0, high=100.0, name="sphere-plain"):

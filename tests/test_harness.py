@@ -34,7 +34,7 @@ from ieco_mco.problems import (MAX_RESAMPLES, VIOLATION_TOL, handling, make_prob
 from ieco_mco.problems.core import ProblemSpec
 from ieco_mco.rng import Bounds, BudgetExhaustedError, RngStream
 from ieco_mco.rng import init_population
-from ieco_mco.stages import Population, elite_archive, step, variant_of
+from ieco_mco.stages import step, variant_of
 
 from support import (results_arrays, rewrite_meta, rewrite_results, sphere_spec,
                      stable_arrays)
@@ -68,16 +68,16 @@ def test_nan_objective_reads_as_inf_and_gets_replaced(vectorized):
     ev = Evaluator(spec, fes_max=10 ** 6, rng=RngStream(3))
     X = np.array([[-0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0],
                   [0.5, 0.5], [4.0, 4.0]])
-    fit, obj, feas, pos = ev.evaluate(X)
+    fit, obj, _, _ = ev.evaluate(X)
     assert fit[0] == np.inf and obj[0] == np.inf
     assert np.all(np.isfinite(fit[1:]))
     assert spec.evaluate(X[0])[0] == np.inf
-    pop = Population(pos, fit, obj, feas)
-    for it in range(1, 7):
-        pop = step(pop, variant_of("ECO"), it, None, ev)
+    ev.start(variant_of("ECO"), X)
+    for _ in range(6):
+        step(ev)
     # the agent that started in the NaN half was replaced by a finite child
-    assert np.all(np.isfinite(pop.fitness))
-    assert np.all(pop.positions[:, 0] >= 0.0)
+    assert np.all(np.isfinite(ev.fitness))
+    assert np.all(ev.positions[:, 0] >= 0.0)
 
 
 # ------------------------------------------------------ degenerate archives
@@ -103,12 +103,11 @@ def test_run_on_an_archive_of_one_repeated_row_keeps_budget_box_and_order(
 
     real_step = harness.step
 
-    def checked_step(pop, *args):
-        pop = real_step(pop, *args)
-        assert np.all((pop.positions >= spec.bounds.lower)
-                      & (pop.positions <= spec.bounds.upper))
-        assert np.all(pop.fitness[:-1] <= pop.fitness[1:])
-        return pop
+    def checked_step(run):
+        real_step(run)
+        assert np.all((run.positions >= spec.bounds.lower)
+                      & (run.positions <= spec.bounds.upper))
+        assert np.all(run.fitness[:-1] <= run.fitness[1:])
 
     monkeypatch.setattr(covariance, "estimate", estimate)
     monkeypatch.setattr(harness, "step", checked_step)
@@ -349,9 +348,9 @@ def test_run_single_records_one_trace_point_per_iteration(monkeypatch, problem):
     # rw03 resamples infeasible rows, so its iterations charge uneven counts
     used_before_step = []
 
-    def counted(pop, variant, iteration, archive, ev):
-        used_before_step.append(ev.used)
-        return step(pop, variant, iteration, archive, ev)
+    def counted(run):
+        used_before_step.append(run.used)
+        step(run)
 
     monkeypatch.setattr(harness, "step", counted)
     n = 10
@@ -370,32 +369,29 @@ def test_run_single_records_one_trace_point_per_iteration(monkeypatch, problem):
 @pytest.mark.parametrize("problem", ["f01", "rw08"])
 def test_stepping_by_hand_reproduces_run_single(problem):
     # step takes the stage, the P draw, the box and the budget from the
-    # iteration number and the evaluator, so this loop is the whole run; on
-    # rw08 resampling draws from the same stream between the P draws
+    # run, so this loop is the whole run; on rw08 resampling draws from the
+    # same stream between the P draws
     cfg = RunConfig(algorithm="IECO-MCO", problem=problem, seed=7,
                     dimension=5, n=10, fes_max=900)
     spec = harness.make_problem(problem, cfg.dimension)
-    ev = Evaluator(spec, cfg.fes_max, RngStream(cfg.seed))
-    fit, obj, vio, X = ev.evaluate(init_population(cfg.n, spec.bounds, ev.rng))
-    pop = Population(X, fit, obj, vio)
-    variant = variant_of(cfg.algorithm)
-    archive = elite_archive(variant, spec.dimension)
-    trace = [(ev.used, pop.fitness[0])]
-    iteration = 1
-    while ev.used + cfg.n <= ev.fes_max:
-        pop = step(pop, variant, iteration, archive, ev)
-        trace.append((ev.used, pop.fitness[0]))
-        iteration += 1
+    run = Evaluator(spec, cfg.fes_max, RngStream(cfg.seed))
+    run.start(variant_of(cfg.algorithm), init_population(cfg.n, spec.bounds, run.rng))
+    trace = [(run.used, run.fitness[0])]
+    while run.used + cfg.n <= run.fes_max:
+        step(run)
+        trace.append((run.used, run.fitness[0]))
     if problem == "rw08":
         assert len(set(np.diff([fes for fes, _ in trace]))) > 1
+    assert run.iteration == len(trace)
+    assert np.array_equal(run.trace[:run.iteration], np.array(trace, dtype=TRACE_DTYPE))
     rec = run_single(cfg)
     assert rec == RunRecord(
         algorithm=cfg.algorithm, problem=spec.name, dimension=spec.dimension,
-        run=0, seed=cfg.seed, best_position=pop.positions[0],
-        best_fitness=pop.fitness[0], best_objective=pop.objective[0],
-        best_violation=pop.violation[0],
-        feasible=pop.violation[0] <= VIOLATION_TOL, trace=trace,
-        evaluations_used=ev.used)
+        run=0, seed=cfg.seed, best_position=run.positions[0],
+        best_fitness=run.fitness[0], best_objective=run.objective[0],
+        best_violation=run.violation[0],
+        feasible=run.violation[0] <= VIOLATION_TOL, trace=trace,
+        evaluations_used=run.used)
 
 
 def test_run_single_improves_on_sphere():
@@ -1034,6 +1030,18 @@ def test_a_missing_results_file_is_a_broken_set(tmp_path, capsys, blocker):
         capsys.readouterr()
         assert cli.main(argv + ["--results", str(out)]) == 1
         assert capsys.readouterr().err == "failed: %s\n" % expected
+
+
+def test_a_results_file_that_cannot_be_opened_raises_the_oserror(tmp_path, monkeypatch):
+    """Only what is read from the opened file makes a set broken."""
+    out = persist(_tiny_batch(), tmp_path / "out")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(harness, "open", refuse, raising=False)
+    with pytest.raises(PermissionError):
+        load(out)
 
 
 # The arrays of the results file that hold what results.csv and traces/

@@ -41,7 +41,10 @@ the floats (infinities, -0.0, subnormals, a penalized 1e15 + violation
 best), however long the traces (up to 20,000 points), whatever seed up to
 2**64 - 1 and whatever commas, quotes and line breaks the labels hold. The
 arrays of the results file hold the records' fields, positions and traces
-bit for bit, read by ``numpy.load`` with pickles refused.
+bit for bit, read by ``numpy.load`` with pickles refused. A small set whose
+bytes are overwritten, deleted, inserted into or cut short either loads
+equal or is refused with an error naming its file, by ``load`` and by
+``mco compare``.
 
 A whole run, drawn over variant, population size, dimension, budget,
 registry problem, seed and a share of the box that reads as inf or NaN,
@@ -50,8 +53,10 @@ sorted with no order statistic of its fitness rising, records a trace
 that never rises, and persists and loads back.
 """
 
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import tempfile
 from pathlib import Path
@@ -61,9 +66,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ieco_mco import harness
-from ieco_mco.harness import (Evaluator, ResultSet, RunConfig, RunRecord, load,
-                              persist, run_single)
+from ieco_mco import cli, harness
+from ieco_mco.harness import (BrokenResultsError, Evaluator, ResultSet, RunConfig,
+                              RunRecord, SchemaMismatchError, load, persist, run_batch,
+                              run_single)
 from ieco_mco.problems import (
     DESK_SUITE,
     ENGINEERING,
@@ -491,6 +497,63 @@ def test_traces_file_arrays_hold_the_records_traces_bit_for_bit(rs):
         [np.empty(0), *(r.best_position for r in records)]).tobytes()
 
 
+@functools.lru_cache(maxsize=None)
+def _small_set():
+    """The bytes of a small persisted set and the set they load as: ECO and
+    IECO-MCO on f01 and rw03, 2 runs each, at D=5, n=6 and fes_max 120. The
+    wall times and the creation date are fixed, so the 9,078 bytes are too."""
+    rs = run_batch(["ECO", "IECO-MCO"], ["f01", "rw03"], runs=2, base_seed=0,
+                   dimension=5, n=6, fes_max=120)
+    rs = ResultSet({key: dataclasses.replace(rec, wall_time=0.0)
+                    for key, rec in rs.records.items()},
+                   {**rs.metadata, "created_at": "2026-01-01T00:00:00.000001+00:00"})
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = (persist(rs, tmp) / "results.npz").read_bytes()
+        return raw, load(tmp)
+
+
+@st.composite
+def corruptions(draw):
+    """One overwrite (1-4 bytes), deletion (1-16), insertion (1-8) or
+    truncation of the small set, as (offset, bytes cut there, bytes put in
+    their place)."""
+    raw = _small_set()[0]
+    at = draw(st.integers(0, len(raw) - 1))
+    kind = draw(st.sampled_from(("overwrite", "delete", "insert", "truncate")))
+    if kind == "overwrite":
+        payload = draw(st.binary(min_size=1, max_size=4))
+        return at, len(payload), payload
+    if kind == "delete":
+        return at, draw(st.integers(1, 16)), b""
+    if kind == "insert":
+        return at, 0, draw(st.binary(min_size=1, max_size=8))
+    return at, len(raw), b""
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruptions())
+# a damaged central directory makes zipfile seek before the start of the file
+@example((6890, 2, b""))
+# the central directory sets the encryption flag of evaluations_used.npy
+@example((8699, 4, b"\x00\x01\x00\x00"))
+def test_a_corrupted_set_loads_equal_or_is_refused_naming_its_file(corruption):
+    raw, original = _small_set()
+    at, cut, payload = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.npz"
+        path.write_bytes(raw[:at] + payload + raw[at + cut:])
+        try:
+            loaded = load(tmp)
+        except (BrokenResultsError, SchemaMismatchError) as exc:
+            assert str(path) in str(exc)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["compare", "--results", tmp])
+            assert code in (1, 2) and str(path) in err.getvalue()
+        else:
+            assert loaded == original
+
+
 # ------------------------------------------------------------------ whole runs
 
 # The hybrid desk functions split the coordinates into 3, 4 and 5 blocks.
@@ -532,14 +595,13 @@ def test_whole_run_keeps_budget_box_order_and_records(cfg, share, value):
     lower, upper = spec.bounds.lower, spec.bounds.upper
     real_step, steps = harness.step, []
 
-    def checked_step(pop, *args):
-        before = pop.fitness.copy()
-        pop = real_step(pop, *args)
-        assert np.all((pop.positions >= lower) & (pop.positions <= upper))
-        assert np.all(pop.fitness[:-1] <= pop.fitness[1:])
-        assert np.all(pop.fitness <= before)
-        steps.append(pop.fitness[0])
-        return pop
+    def checked_step(run):
+        before = run.fitness.copy()
+        real_step(run)
+        assert np.all((run.positions >= lower) & (run.positions <= upper))
+        assert np.all(run.fitness[:-1] <= run.fitness[1:])
+        assert np.all(run.fitness <= before)
+        steps.append(run.fitness[0])
 
     with mock.patch.object(harness, "step", checked_step):
         rec = run_single(cfg, spec)

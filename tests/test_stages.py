@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from support import CountingEvaluator, ScriptedRng, levy_script, sphere_spec
+from support import ScriptedRng, counting_run, levy_script, sphere_spec
 
 import ieco_mco.stages as st
 from ieco_mco.covariance import min_model_entries
@@ -21,11 +21,9 @@ from ieco_mco.stages import (
     _VARIANTS,
     ARCHIVE_ROWS_PER_DIM,
     TALENT_THRESHOLD,
-    Population,
     StageContext,
     _school_means,
     closest_school,
-    elite_archive,
     high_school_update,
     high_student_update,
     middle_school_update,
@@ -446,14 +444,14 @@ def test_step_calls_every_rule_and_operator_through_its_name(label, monkeypatch)
     bounds = Bounds.cube(-100.0, 100.0, 2)
     seen = set()
     for first in (1, 2, 3):   # each stage once with a young archive
-        ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5)
-        pop = make_pop(ev, 10)
-        archive = archive_for(label, 2)
+        run = start(counting_run(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5),
+                    label, 10, iteration=first)
         for it in range(first, first + 4):
             stage = stage_of(it)
-            modelled = archive is not None and len(archive) >= min_model_entries(2)
+            modelled = (run.archive is not None
+                        and len(run.archive) >= min_model_entries(2))
             calls.clear()
-            pop = step(pop, variant_of(label), it, archive, ev)
+            step(run)
             plain = STAGES[stage]
             school = (OPERATORS[label][stage] if modelled
                       else plain + "_school_update")
@@ -482,12 +480,11 @@ def test_step_reads_close_only_in_the_stages_whose_rules_use_it(label, monkeypat
 
             monkeypatch.setattr(st, name, spy)
     bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5)
-    pop = make_pop(ev, 10)
-    archive = archive_for(label, 2)
+    run = start(counting_run(lambda X: ((X - 7.0) ** 2).sum(axis=1), bounds, seed=5),
+                label, 10)
     for it in range(1, 10):
         closest.clear()
-        pop = step(pop, variant_of(label), it, archive, ev)
+        step(run)
         assert len(closest) == (stage_of(it) < 2), it
     # a variant with a model runs its operator in place of the school rule
     high = seen.get("high_school_update", []) + seen["high_student_update"]
@@ -505,27 +502,20 @@ def test_high_stage_rules_ignore_the_assignment(rule):
 
 
 def test_school_partition_after_sort():
-    rng = RngStream(31)
-    pos = -5.0 + 10.0 * rng.uniform(size=(20, 3))
-    fit = rng.uniform(size=20)
-    pop = Population(pos, fit, fit, np.zeros(20))
+    bounds = Bounds.cube(-5.0, 5.0, 3)
+    pos = -5.0 + 10.0 * RngStream(31).uniform(size=(20, 3))
+    run = counting_run(lambda X: (X ** 2).sum(axis=1), bounds, seed=0)
+    run.start(variant_of("ECO"), pos)
     k = school_count(0.4, 20)
-    assert pop.fitness[:k].max() <= pop.fitness[k:].min()
-
-
-def test_population_refuses_positions_and_fitness_of_other_lengths():
-    with pytest.raises(ValueError, match="lengths differ"):
-        Population(np.zeros((3, 2)), np.zeros(4), np.zeros(4), np.zeros(4))
+    assert run.fitness[:k].max() <= run.fitness[k:].min()
 
 
 def test_school_means_fallback_to_population_mean():
     # Both students sit nearer school 0, so school 1 falls back to pop mean.
     pos = np.array([[0.0, 0.0], [100.0, 100.0], [1.0, 0.0], [0.0, 1.0]])
-    fit = np.array([0.0, 1.0, 2.0, 3.0])
-    pop = Population(pos, fit, fit, np.zeros(4))
-    assign = closest_school(pop.positions, 2)
+    assign = closest_school(pos, 2)
     assert assign.tolist() == [0, 0]
-    means = _school_means(pop.positions, 2, assign)
+    means = _school_means(pos, 2, assign)
     assert np.allclose(means[0], pos[2:].mean(axis=0))
     assert np.allclose(means[1], pos.mean(axis=0))
 
@@ -545,29 +535,37 @@ def test_school_means_at_d1_are_the_mean_of_each_contiguous_column():
 
 
 def test_population_sort_is_stable_and_stats_correct():
-    pos = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    fit = np.array([3.0, 1.0, 3.0, 0.5, 1.0])
-    pop = Population(pos, fit, fit, np.zeros(5))
-    assert np.array_equal(pop.fitness, np.array([0.5, 1.0, 1.0, 3.0, 3.0]))
+    # the objective reads the fitness of each position off a table
+    table = np.array([3.0, 1.0, 3.0, 0.5, 1.0])
+    run = counting_run(lambda X: table[X[:, 0].astype(int) - 1],
+                       Bounds.cube(0.0, 10.0, 1), seed=0)
+    run.start(variant_of("ECO"), np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]))
+    assert np.array_equal(run.fitness, np.array([0.5, 1.0, 1.0, 3.0, 3.0]))
+    assert np.array_equal(run.objective, run.fitness)
+    assert np.array_equal(run.violation, np.zeros(5))
     # equal-fitness entries keep their original relative order
-    assert np.array_equal(pop.positions[:, 0], np.array([4.0, 2.0, 5.0, 1.0, 3.0]))
+    assert np.array_equal(run.positions[:, 0], np.array([4.0, 2.0, 5.0, 1.0, 3.0]))
     # step reads best, worst and mean straight off the sorted arrays
-    assert pop.fitness[0] == 0.5 and pop.positions[0, 0] == 4.0
-    assert pop.fitness[-1] == 3.0 and pop.positions[-1, 0] == 3.0
-    assert pop.positions.mean(axis=0)[0] == pytest.approx(3.0)
+    assert run.fitness[0] == 0.5 and run.positions[0, 0] == 4.0
+    assert run.fitness[-1] == 3.0 and run.positions[-1, 0] == 3.0
+    assert run.positions.mean(axis=0)[0] == pytest.approx(3.0)
 
 
 def test_population_shares_no_array_it_was_built_from():
-    rng = RngStream(37)
-    for fit in (rng.uniform(size=6), np.arange(6.0)):  # shuffled and presorted
-        pos, obj, vio = rng.uniform(size=(6, 2)), fit + 1.0, rng.uniform(size=6)
-        pop = Population(pos, fit, obj, vio)
-        kept = [a.copy() for a in (pop.positions, pop.fitness, pop.objective,
-                                   pop.violation)]
-        for given in (pos, fit, obj, vio):
+    """On a problem without constraints ``evaluate`` hands back the X it
+    read as the positions, so the run holds none of the arrays it returned
+    nor X itself."""
+    for X in (RngStream(37).uniform(size=(6, 2)),   # shuffled and presorted
+              np.linspace(0.0, 1.0, 12).reshape(6, 2)):
+        run = counting_run(lambda X: X[:, 0], Bounds.cube(0.0, 1.0, 2), seed=0)
+        returned = []
+        run.evaluate = lambda X: returned.append(Evaluator.evaluate(run, X)) or returned[-1]
+        run.start(variant_of("ECO"), X)
+        held = (run.positions, run.fitness, run.objective, run.violation)
+        kept = [a.copy() for a in held]
+        for given in (X, *returned[0]):
             given[...] = np.nan
-        for a, b in zip((pop.positions, pop.fitness, pop.objective,
-                         pop.violation), kept):
+        for a, b in zip(held, kept):
             assert np.array_equal(a, b)
 
 
@@ -579,15 +577,12 @@ def chain_population(n, bounds, x0=0.3):
     return bounds.lower + bounds.span * chain.reshape(n, bounds.dimension)
 
 
-def make_pop(evaluator, n):
-    """The evaluated chaotic population of ``n`` agents in the evaluator's box."""
-    fit, obj, feas, pos = evaluator.evaluate(chain_population(n, evaluator.spec.bounds))
-    return Population(pos, fit, obj, feas)
-
-
-def archive_for(label, dim):
-    """The archive run_single gives a variant: none for ECO."""
-    return elite_archive(variant_of(label), dim)
+def start(run, label, n, iteration=1):
+    """``run`` started as a run of the variant ``label`` from the chaotic
+    population of ``n`` agents in its box, its next step the ``iteration``th."""
+    run.start(variant_of(label), chain_population(n, run.spec.bounds))
+    run.iteration = iteration
+    return run
 
 
 def run_iterations(label, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
@@ -597,74 +592,72 @@ def run_iterations(label, iters, n=10, dim=2, seed=5, fes_max=10 ** 6,
     if transform is not None:
         base = fn
         fn = lambda X: transform(base(X))
-    ev = CountingEvaluator(fn, bounds, seed, fes_max)
-    pop = make_pop(ev, n)
-    archive = archive_for(label, dim)
+    run = start(counting_run(fn, bounds, seed, fes_max), label, n)
     snaps = []
-    for it in range(1, iters + 1):
-        pop = step(pop, variant_of(label), it, archive, ev)
-        snaps.append(pop.positions.copy())
-    return pop, ev, snaps
+    for _ in range(iters):
+        step(run)
+        snaps.append(run.positions.copy())
+    return run, snaps
 
 
 def test_step_conserves_population_size():
-    pop, ev, _ = run_iterations("ECO", 7, n=12)
-    assert pop.positions.shape[0] == 12
-    pop, ev, _ = run_iterations("IECO-MCO", 7, n=12)
-    assert pop.positions.shape[0] == 12
+    run, _ = run_iterations("ECO", 7, n=12)
+    assert run.positions.shape[0] == 12
+    run, _ = run_iterations("IECO-MCO", 7, n=12)
+    assert run.positions.shape[0] == 12
 
 
 def test_step_best_fitness_is_monotone():
     for label in ("ECO", "IECO-MCO"):
         bounds = Bounds.cube(-100.0, 100.0, 3)
-        ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=9)
-        pop = make_pop(ev, 10)
-        archive = archive_for(label, 3)
-        best = pop.fitness[0]
-        for it in range(1, 16):
-            pop = step(pop, variant_of(label), it, archive, ev)
-            assert pop.fitness[0] <= best
-            best = pop.fitness[0]
+        run = start(counting_run(lambda X: (X ** 2).sum(axis=1), bounds, seed=9),
+                    label, 10)
+        best = run.fitness[0]
+        for _ in range(15):
+            step(run)
+            assert run.fitness[0] <= best
+            best = run.fitness[0]
 
 
 def test_step_consumes_n_evaluations_per_iteration():
     # ECO, D=2, N=6: init burns 6, three iterations burn 18 -> 24 total.
     bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=3)
-    pop = make_pop(ev, 6)
-    for it in range(1, 4):
-        pop = step(pop, variant_of("ECO"), it, None, ev)
-    assert ev.used == 24
+    run = start(counting_run(lambda X: (X ** 2).sum(axis=1), bounds, seed=3), "ECO", 6)
+    for _ in range(3):
+        step(run)
+    assert run.used == 24
+    assert run.iteration == 4
 
 
 def test_step_refuses_to_start_without_budget():
     # The evaluator's ceiling check is the iteration's only budget check. It
     # raises after the P and proposal draws, before any objective is read,
-    # so the population, the archive and the count stay as they were.
+    # so the population, the archive, the iteration, the trace and the count
+    # stay as they were.
     for label in ("ECO", "IECO-MCO"):
-        ev = Evaluator(sphere_spec(2), fes_max=95, rng=RngStream(3))
-        pop = make_pop(ev, 10)
-        archive = archive_for(label, 2)
-        for it in range(1, 9):
-            pop = step(pop, variant_of(label), it, archive, ev)
-        positions, fitness = pop.positions.copy(), pop.fitness.copy()
-        rows = None if archive is None else archive.positions().copy()
+        run = start(Evaluator(sphere_spec(2), fes_max=95, rng=RngStream(3)), label, 10)
+        for _ in range(8):
+            step(run)
+        positions, fitness = run.positions.copy(), run.fitness.copy()
+        trace = run.trace.copy()
+        rows = None if run.archive is None else run.archive.positions().copy()
         with pytest.raises(BudgetExhaustedError, match=re.escape(
                 "evaluating 10 candidates would exceed the budget (90 of 95 used)")):
-            step(pop, variant_of(label), 9, archive, ev)
-        assert ev.used == 90
-        assert np.array_equal(pop.positions, positions)
-        assert np.array_equal(pop.fitness, fitness)
-        if archive is not None:
-            assert len(archive) >= min_model_entries(2)
-            assert np.array_equal(archive.positions(), rows)
+            step(run)
+        assert run.used == 90 and run.iteration == 9
+        assert np.array_equal(run.positions, positions)
+        assert np.array_equal(run.fitness, fitness)
+        assert np.array_equal(run.trace[:9], trace[:9])
+        if run.archive is not None:
+            assert len(run.archive) >= min_model_entries(2)
+            assert np.array_equal(run.archive.positions(), rows)
 
 
 def test_step_trajectory_invariant_under_monotone_rescaling():
     # Replaying the same seed on f and on 2f+7 gives identical positions.
-    _, _, snaps_f = run_iterations("ECO", 12, n=10, dim=3, seed=21)
-    _, _, snaps_g = run_iterations("ECO", 12, n=10, dim=3, seed=21,
-                                   transform=lambda v: 2.0 * v + 7.0)
+    _, snaps_f = run_iterations("ECO", 12, n=10, dim=3, seed=21)
+    _, snaps_g = run_iterations("ECO", 12, n=10, dim=3, seed=21,
+                                transform=lambda v: 2.0 * v + 7.0)
     for a, b in zip(snaps_f, snaps_g):
         assert np.array_equal(a, b)
 
@@ -680,23 +673,22 @@ def test_step_translation_equivariance_single_iteration():
         out = []
         for shift in (0.0, t):
             bounds = Bounds.cube(-100.0 + shift, 100.0 + shift, dim)
-            ev = CountingEvaluator(lambda X, s=shift: ((X - s) ** 2).sum(axis=1),
-                                   bounds, seed=41)
-            pop = step(make_pop(ev, n), variant_of("ECO"), first_stage, None, ev)
-            out.append(pop.positions)
+            run = start(counting_run(lambda X, s=shift: ((X - s) ** 2).sum(axis=1),
+                                     bounds, seed=41), "ECO", n, iteration=first_stage)
+            step(run)
+            out.append(run.positions)
         assert np.allclose(out[1] - out[0], t, atol=1e-8)
 
 
 def test_step_fills_archive_for_improved_variants():
     bounds = Bounds.cube(-100.0, 100.0, 2)
-    ev = CountingEvaluator(lambda X: (X ** 2).sum(axis=1), bounds, seed=13)
-    pop = make_pop(ev, 10)
-    archive = archive_for("IECO-MCO", 2)
+    run = start(counting_run(lambda X: (X ** 2).sum(axis=1), bounds, seed=13),
+                "IECO-MCO", 10)
     pushed = 0
     for it in range(1, 10):
-        pop = step(pop, variant_of("IECO-MCO"), it, archive, ev)
+        step(run)
         pushed += school_count(_VARIANTS["IECO-MCO"][0][stage_of(it)], 10)
-        assert len(archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
+        assert len(run.archive) == min(pushed, ARCHIVE_ROWS_PER_DIM * 2)
 
 
 def test_step_clamps_every_proposal_into_the_box():
@@ -706,12 +698,11 @@ def test_step_clamps_every_proposal_into_the_box():
     bounds = Bounds.cube(-1.0, 1.0, 2)
     for label in _VARIANTS:
         seen = []
-        ev = CountingEvaluator(lambda X: seen.append(X.copy())
-                               or ((X - 7.0) ** 2).sum(axis=1), bounds, seed=17)
-        pop = make_pop(ev, 10)
-        archive = archive_for(label, 2)
-        for it in range(1, 16):
-            pop = step(pop, variant_of(label), it, archive, ev)
+        run = start(counting_run(lambda X: seen.append(X.copy())
+                                 or ((X - 7.0) ** 2).sum(axis=1), bounds, seed=17),
+                    label, 10)
+        for _ in range(15):
+            step(run)
         proposals = np.concatenate(seen[1:])
         assert np.all((proposals >= -1.0) & (proposals <= 1.0)), label
         assert np.any(proposals == 1.0), label
