@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, precedence, reports, exports."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,66 @@ def test_stats_kruskal_wallis_reports_ranks(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Kruskal-Wallis" in text
     assert "alpha" in text
+
+
+# sha256 of the stdout of every report command on one seeded set; pooled
+# rank-sum sizes 6, 8 and 12 take the exact path, 20 and 60 the normal one
+REPORT_DIGESTS = {
+    "runs3":
+        "5c4cc09267ebc474693d2932564c4eb9ece624dbba208c9a24bfd59c7847fcf6",
+    "runs4":
+        "fe2e05d00809a7820566cafeafdb8d539a039afaa031abe8fc32733b9b1562b4",
+    "runs6":
+        "656df9cdac9ebb74e12869dc87136573a4998b6b117d967357017e4abc18df57",
+    "runs10":
+        "6529bed285775f1940e00ba56bb2138e02de57b04e81060510243b70e8db8ddc",
+    "runs30":
+        "266afae09f30881a5888aadaa49adf7a1cbacca077de68ee788456f4bde8b645",
+    "tied6":
+        "be999debc731c220d5aafed1ccaac56f5edc4ea6deed738e23ebbdae340952d0",
+    "tied10":
+        "4170f3f16fad570c640619afd1fc22a27601973075b10519fcd64c9dfc1871fd",
+}
+REPORT_COMMANDS = (("compare",), ("stats", "--test", "friedman"),
+                   ("stats", "--test", "wilcoxon"), ("stats", "--test", "kw"),
+                   ("stats", "--test", "wilcoxon", "--alpha", "0.3"))
+
+
+def _seeded_report_set(tmp_path, name):
+    """5 algorithms x 6 problems whose bests move with the algorithm; a tied
+    set draws its bests from four levels, and every set copies one cell."""
+    runs = int(name.removeprefix("runs").removeprefix("tied"))
+    gen = np.random.default_rng(runs + 100 * name.startswith("tied"))
+    algorithms = ["A%d" % j for j in range(5)]
+    problems = ["p%d" % i for i in range(6)]
+    if name.startswith("tied"):
+        bests = gen.integers(0, 4, size=(6, 5, runs)) + (np.arange(5) >= 3)[:, None]
+    else:
+        bests = gen.normal(0.4 * np.arange(5)[:, None], 1.0, size=(6, 5, runs))
+    bests = bests.astype(float) + 10.0 * np.arange(6)[:, None, None]
+    bests[0, 2] = bests[0, 1]
+    records = {(a, p, r): RunRecord(
+        algorithm=a, problem=p, dimension=2, run=r, seed=r,
+        best_position=np.zeros(2), best_fitness=float(bests[i, j, r]),
+        best_objective=float(bests[i, j, r]), best_violation=0.0, feasible=True,
+        trace=[(12, float(bests[i, j, r]))], evaluations_used=12)
+        for i, p in enumerate(problems) for j, a in enumerate(algorithms)
+        for r in range(runs)}
+    out = tmp_path / name
+    persist(ResultSet(records, {"algorithms": algorithms, "problems": problems}), out)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_text_is_pinned(tmp_path, capsys, name):
+    """Every p value, statistic, rank and verdict the reports print, through
+    both rank-sum paths, with and without ties."""
+    out = str(_seeded_report_set(tmp_path, name))
+    digest = hashlib.sha256()
+    for argv in REPORT_COMMANDS:
+        assert run_cli(*argv, "--results", out) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[name]
 
 
 def test_each_main_call_parses_only_its_own_argv(tmp_path, capsys):
