@@ -666,15 +666,12 @@ def load(out_dir) -> ResultSet:
         if listed and (not isinstance(listed, list) or sorted(listed, key=str) != named):
             raise BrokenResultsError("%s: meta lists the %s %s; the rows hold %s"
                                      % (path, what, listed, named))
-    # row i's position and trace start at entry i and end at entry i + 1
-    positions, points = ([0, *np.cumsum(arrays[lengths]).tolist()] for lengths, _ in _SPLITS)
-    records = {}
-    for i, values in enumerate(zip(*columns.values())):
-        records[keys[i]] = RunRecord(
-            **dict(zip(columns, values)),
-            best_position=arrays["best_position"][positions[i]:positions[i + 1]],
-            trace=arrays["trace"][points[i]:points[i + 1]])
-    return ResultSet(records, metadata)
+    # row i's position and trace run from entry ends[i] to entry ends[i + 1]
+    for lengths, joined in _SPLITS:
+        ends = [0, *np.cumsum(arrays[lengths]).tolist()]
+        columns[joined] = list(map(arrays[joined].__getitem__, map(slice, ends, ends[1:])))
+    records = map(RunRecord, *(columns[f.name] for f in fields(RunRecord)))
+    return ResultSet(dict(zip(keys, records)), metadata)
 
 
 def export_trace(results: ResultSet, problem: str,

@@ -5,17 +5,20 @@ The input convention throughout is a minimization matrix ``values`` of shape
 Friedman test ranks algorithms per problem on the mean over runs, the
 rank-sum test compares two run vectors on one problem, and the
 Kruskal-Wallis test compares several samples with tie-corrected pooled
-ranking. Average ranks, rank statistics and the exact rank-sum enumeration
-are computed here with numpy. The chi-square and normal tails come from
-``scipy.special``, which each tail helper imports on its first call, so
-importing this module (and the optimizer, which never calls it) loads no
-scipy.
+ranking. Every test ranks through one numpy kernel that works along the
+last axis, so any number of samples is ranked in one call: ``wtl_table``
+runs the rank-sum test of every (pair, problem) cell in one pass, and
+``wilcoxon_rank_sum`` is its one-pair case. The chi-square and normal tails
+come from ``scipy.special``, which each tail helper imports on its first
+call, so importing this module (and the optimizer, which never calls it)
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,6 +26,7 @@ import numpy as np
 
 DEFAULT_ALPHA = 0.05
 EXACT_RANKSUM_LIMIT = 12  # exact enumeration when |a| + |b| <= this
+_EXACT_BLOCK = 1 << 20  # most assignment rank sums the exact test holds at once
 
 
 @dataclass
@@ -49,18 +53,44 @@ def _as_matrix(values) -> np.ndarray:
     return m
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D sample, ties sharing their average rank.
+def _ranks_and_ties(x) -> Tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of each sample along the last axis of ``x``, ties
+    sharing their average rank, and each sample's tie term sum(t^3 - t)
+    over its tie groups of size t.
 
-    Equal to ``scipy.stats.rankdata(x)``: ranks are whole or half numbers,
-    so they are exact. -0.0 ties with 0.0 and +-inf rank as the extremes;
-    NaN has no rank and raises ValueError.
+    One stable argsort orders every sample. A tie group of the sorted
+    sample runs from a value unequal to the one before it (its start) up to
+    the next such value (its end); its members share the average
+    (start + end + 1) / 2 of the ranks start + 1 ... end, and each adds
+    t^2 - 1 to the tie term. Ranks are whole or half numbers, so they are
+    exact. NaN has no rank and raises ValueError.
     """
+    x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("cannot rank a sample that holds NaN")
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    below = np.cumsum(counts) - counts
-    return (below + (counts + 1) / 2.0)[inverse]
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    opens = np.ones(x.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=opens[..., 1:])
+    closes = np.ones(x.shape, dtype=bool)
+    closes[..., :-1] = opens[..., 1:]
+    at = np.arange(x.shape[-1])
+    start = np.maximum.accumulate(np.where(opens, at, 0), axis=-1)
+    end = np.minimum.accumulate(np.where(closes, at + 1, x.shape[-1])[..., ::-1],
+                                axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (start + end + 1) / 2.0, axis=-1)
+    size = end - start
+    return ranks, (size * size - 1).sum(axis=-1).astype(float)
+
+
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks along the last axis, ties sharing their average rank.
+
+    Equal to ``scipy.stats.rankdata(x, axis=-1)``: -0.0 ties with 0.0 and
+    +-inf rank as the extremes; NaN raises ValueError.
+    """
+    return _ranks_and_ties(x)[0]
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -69,10 +99,10 @@ def _chi2_sf(x: float, df: int) -> float:
     return float(chdtrc(df, x))
 
 
-def _norm_sf(z: float) -> float:
-    """Standard normal upper tail, bit for bit ``scipy.stats.norm.sf(z)``."""
+def _norm_sf(z) -> np.ndarray:
+    """Standard normal upper tail of each z, bit for bit ``scipy.stats.norm.sf(z)``."""
     from scipy.special import ndtr
-    return float(ndtr(-z))
+    return ndtr(-z)
 
 
 def _labels(n: int, labels: Optional[Sequence[str]]) -> List[str]:
@@ -98,7 +128,7 @@ def friedman(values, algorithms: Optional[Sequence[str]] = None) -> StatReport:
     if n < 2:
         raise ValueError("friedman needs at least 2 problems")
     summary = m.mean(axis=2)
-    ranks = np.vstack([_average_ranks(summary[i]) for i in range(n)])
+    ranks = _average_ranks(summary)
     mean_ranks = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
     p = _chi2_sf(stat, k - 1)
@@ -107,53 +137,103 @@ def friedman(values, algorithms: Optional[Sequence[str]] = None) -> StatReport:
                       ranks=dict(zip(names, mean_ranks.tolist())))
 
 
-def _ranksum_exact_p(pooled_ranks: np.ndarray, n_a: int) -> float:
-    """Two-sided exact p by full enumeration of rank assignments.
+@lru_cache(maxsize=None)
+def _assignments(total: int, n_a: int) -> np.ndarray:
+    """0/1 matrix whose rows pick each of the C(total, n_a) ways to give
+    n_a of ``total`` pooled positions to the first sample; read-only, and
+    one per exact size, of which there are a few dozen."""
+    picks = np.zeros((math.comb(total, n_a), total))
+    np.put_along_axis(picks, np.array(list(combinations(range(total), n_a))),
+                      1.0, axis=1)
+    picks.flags.writeable = False
+    return picks
+
+
+def _ranksum_exact_p(pooled_ranks: np.ndarray, n_a: int) -> np.ndarray:
+    """Two-sided exact p of each pooled sample along the last axis, whose
+    first ``n_a`` ranks are the first sample's, by full enumeration.
 
     Counts assignments whose rank-sum deviates from the mean at least as
     much as the observed one; conditional on the observed (possibly tied)
-    midranks, so ties are handled exactly.
+    midranks, so ties are handled exactly. The rank sums of every
+    assignment are the product of the ranks with the 0/1 assignment matrix,
+    exact on half-integer ranks; they are formed a block of samples at a
+    time.
     """
-    total = len(pooled_ranks)
-    w_obs = float(pooled_ranks[:n_a].sum())
+    total = pooled_ranks.shape[-1]
     mu = n_a * (total + 1) / 2.0
     # with midranks the total rank sum stays total*(total+1)/2, so mu holds
-    dev = abs(w_obs - mu)
-    hits = 0
-    count = 0
-    for idx in combinations(range(total), n_a):
-        w = float(pooled_ranks[list(idx)].sum())
-        if abs(w - mu) >= dev - 1e-12:
-            hits += 1
-        count += 1
-    return hits / count
+    dev = np.abs(pooled_ranks[..., :n_a].sum(axis=-1) - mu)
+    picks = _assignments(total, n_a)
+    rows, least = pooled_ranks.reshape(-1, total), dev.reshape(-1, 1) - 1e-12
+    hits = np.empty(len(rows), dtype=np.int64)
+    step = max(1, _EXACT_BLOCK // len(picks))
+    for at in range(0, len(rows), step):
+        w = rows[at:at + step] @ picks.T
+        w -= mu
+        hits[at:at + step] = np.count_nonzero(np.abs(w, out=w) >= least[at:at + step],
+                                              axis=1)
+    return (hits / len(picks)).reshape(dev.shape)
 
 
-def _ranksum_normal_p(pooled_ranks: np.ndarray, n_a: int) -> float:
-    """Normal approximation with tie and continuity corrections."""
-    total = len(pooled_ranks)
+def _ranksum_normal_p(pooled_ranks: np.ndarray, n_a: int,
+                      tie_term=None) -> np.ndarray:
+    """Normal approximation with tie and continuity corrections, for each
+    pooled sample along the last axis; ``tie_term`` is each sample's
+    sum(t^3 - t), found from the ranks when not given."""
+    total = pooled_ranks.shape[-1]
     n_b = total - n_a
-    w = float(pooled_ranks[:n_a].sum())
+    if tie_term is None:
+        tie_term = _ranks_and_ties(pooled_ranks)[1]
     mu = n_a * (total + 1) / 2.0
-    _, counts = np.unique(pooled_ranks, return_counts=True)
-    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
     var = (n_a * n_b / 12.0) * ((total + 1) - tie_term / (total * (total - 1)))
-    if var <= 0.0:
-        return 1.0
-    diff = w - mu
-    if diff > 0.5:
-        diff -= 0.5
-    elif diff < -0.5:
-        diff += 0.5
-    else:
-        diff = 0.0
-    z = diff / math.sqrt(var)
-    return min(1.0, 2.0 * _norm_sf(abs(z)))
+    # the continuity correction moves |w - mu| half a rank towards 0
+    diff = np.maximum(np.abs(pooled_ranks[..., :n_a].sum(axis=-1) - mu) - 0.5, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.minimum(1.0, 2.0 * _norm_sf(diff / np.sqrt(var)))
+    return np.where(var > 0.0, p, 1.0)
+
+
+def _ranksum_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-sided rank-sum p of each pair of samples ``a[..., :]`` and
+    ``b[..., :]``: exact enumeration when the pooled size is at most
+    :data:`EXACT_RANKSUM_LIMIT`, else the tie-corrected normal approximation
+    with continuity correction."""
+    n_a, n_b = a.shape[-1], b.shape[-1]
+    if n_a < 2 or n_b < 2:
+        raise ValueError("rank-sum test needs at least 2 observations per sample")
+    ranks, tie_term = _ranks_and_ties(np.concatenate([a, b], axis=-1))
+    if n_a + n_b <= EXACT_RANKSUM_LIMIT:
+        return _ranksum_exact_p(ranks, n_a)
+    return _ranksum_normal_p(ranks, n_a, tie_term)
+
+
+def _centres(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Median and mean along the last axis. An inf beside a -inf makes
+    them NaN, which :func:`_verdicts` reads as neither side, so that warns
+    of nothing."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.median(x, axis=-1), x.mean(axis=-1)
+
+
+def _side(x, y) -> np.ndarray:
+    """1 where x < y, -1 where x > y, else 0."""
+    return np.less(x, y).astype(int) - np.greater(x, y)
+
+
+def _verdicts(p, alpha: float, medians, means) -> np.ndarray:
+    """1 ("+") where the first sample of a pair is better, -1 ("-") where
+    the second is and 0 ("=") for a tie: a tie when p > alpha, else the
+    lower median wins and the lower mean breaks a tie of medians.
+    ``medians`` and ``means`` are (first, second) pairs of arrays."""
+    by_median, by_mean = _side(*medians), _side(*means)
+    return np.where(p > alpha, 0, np.where(by_median != 0, by_median, by_mean))
 
 
 def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> Tuple[float, str]:
     """Two-sided rank-sum test with a +/=/- verdict for minimization.
 
+    The one-pair case of the test :func:`wtl_table` runs on every cell.
     Exact enumeration when the pooled size is at most 12, otherwise the
     tie-corrected normal approximation with continuity correction. The
     verdict is "=" when p > alpha; otherwise "+" when sample ``a`` is better
@@ -161,27 +241,10 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> Tuple[float, str]:
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    if a.size < 2 or b.size < 2:
-        raise ValueError("rank-sum test needs at least 2 observations per sample")
-    pooled = _average_ranks(np.concatenate([a, b]))
-    if a.size + b.size <= EXACT_RANKSUM_LIMIT:
-        p = _ranksum_exact_p(pooled, a.size)
-    else:
-        p = _ranksum_normal_p(pooled, a.size)
-
-    if p > alpha:
-        return p, "="
-    med_a, med_b = float(np.median(a)), float(np.median(b))
-    if med_a < med_b:
-        return p, "+"
-    if med_a > med_b:
-        return p, "-"
-    mean_a, mean_b = float(a.mean()), float(b.mean())
-    if mean_a < mean_b:
-        return p, "+"
-    if mean_a > mean_b:
-        return p, "-"
-    return p, "="
+    p = float(_ranksum_p(a, b))
+    (median_a, mean_a), (median_b, mean_b) = _centres(a), _centres(b)
+    verdict = _verdicts(p, alpha, (median_a, median_b), (mean_a, mean_b))
+    return p, "=+-"[verdict]
 
 
 def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
@@ -199,7 +262,7 @@ def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
             raise ValueError("kruskal_wallis groups must be non-empty")
     pooled = np.concatenate(arrays)
     total = pooled.size
-    ranks = _average_ranks(pooled)
+    ranks, tie_term = _ranks_and_ties(pooled)
     mean_ranks = []
     start = 0
     raw = 0.0
@@ -210,8 +273,7 @@ def kruskal_wallis(groups: Sequence) -> Tuple[float, float, List[float]]:
         mean_ranks.append(rbar)
         raw += g.size * (rbar - (total + 1) / 2.0) ** 2
     raw *= 12.0 / (total * (total + 1))
-    _, counts = np.unique(pooled, return_counts=True)
-    tie = 1.0 - float(np.sum(counts.astype(float) ** 3 - counts)) / (total ** 3 - total)
+    tie = 1.0 - float(tie_term) / (total ** 3 - total)
     if tie == 0.0:
         return 0.0, 1.0, mean_ranks
     h = raw / tie
@@ -223,22 +285,26 @@ def wtl_table(values, algorithms: Optional[Sequence[str]] = None,
               alpha: float = DEFAULT_ALPHA) -> Dict[Tuple[str, str], Dict[str, int]]:
     """Pairwise win/tie/loss counts from per-problem rank-sum verdicts.
 
-    Each unordered pair is tested once: swapping the samples leaves p
-    unchanged and mirrors the verdict, so (j, i) holds (i, j) with its wins
-    and losses swapped.
+    Every (pair, problem) cell is tested in one pass over a (problems,
+    pairs, runs) block of each pair's first and second samples, with the
+    medians and means taken once per (problem, algorithm). Each unordered
+    pair is tested once: swapping the samples leaves p unchanged and
+    mirrors the verdict, so (j, i) holds (i, j) with its wins and losses
+    swapped.
     """
     m = _as_matrix(values)
     n, k = m.shape[0], m.shape[1]
     names = _labels(k, algorithms)
+    first, second = np.triu_indices(k, 1)
+    p = _ranksum_p(m[:, first], m[:, second])
+    medians, means = _centres(m)
+    verdicts = _verdicts(p, alpha, (medians[:, first], medians[:, second]),
+                         (means[:, first], means[:, second]))
+    wins, losses = (verdicts == 1).sum(axis=0), (verdicts == -1).sum(axis=0)
     table = {}
-    for i, j in combinations(range(k), 2):
-        counts = {"+": 0, "=": 0, "-": 0}
-        for prob in range(n):
-            _, verdict = wilcoxon_rank_sum(m[prob, i], m[prob, j], alpha)
-            counts[verdict] += 1
-        table[(names[i], names[j])] = counts
-        table[(names[j], names[i])] = {"+": counts["-"], "=": counts["="],
-                                       "-": counts["+"]}
+    for i, j, won, lost in zip(first, second, wins.tolist(), losses.tolist()):
+        table[(names[i], names[j])] = {"+": won, "=": n - won - lost, "-": lost}
+        table[(names[j], names[i])] = {"+": lost, "=": n - won - lost, "-": won}
     return table
 
 

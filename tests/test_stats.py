@@ -1,18 +1,21 @@
 """Friedman, rank-sum, Kruskal-Wallis, and win/tie/loss table tests."""
 
 import math
-from itertools import permutations
+import tracemalloc
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, friedmanchisquare, kruskal, mannwhitneyu, norm, rankdata
 
+from ieco_mco import stats
 from ieco_mco.stats import (
     EXACT_RANKSUM_LIMIT,
     StatReport,
     _average_ranks,
     _chi2_sf,
     _norm_sf,
+    _ranksum_p,
     format_friedman,
     format_wtl,
     friedman,
@@ -39,6 +42,17 @@ def test_average_ranks_equal_rankdata_on_tied_samples():
     assert _average_ranks(x).tobytes() == rankdata(x).tobytes()
 
 
+def test_batched_average_ranks_equal_rankdata_along_the_last_axis():
+    gen = np.random.default_rng(66)
+    levels = np.array([-np.inf, -2.5, -0.0, 0.0, 1.0, 3.0, np.inf])
+    for _ in range(100):
+        shape = tuple(int(v) for v in gen.integers(1, 6, size=2)) + (
+            int(gen.integers(1, 25)),)
+        x = gen.choice(levels, size=shape)
+        assert _average_ranks(x).tobytes() == rankdata(x, axis=-1).tobytes(), x
+        assert _average_ranks(x).shape == shape
+
+
 def test_average_ranks_refuse_nan():
     with pytest.raises(ValueError, match="NaN"):
         _average_ranks(np.array([1.0, np.nan, 2.0]))
@@ -53,8 +67,10 @@ def test_chi2_tail_is_scipy_chi2_sf_bit_for_bit():
 
 
 def test_normal_tail_is_scipy_norm_sf_bit_for_bit():
-    for z in np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-12, 38.5, np.inf]]):
-        assert repr(_norm_sf(z)) == repr(float(norm.sf(z))), z
+    grid = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-12, 38.5, np.inf]])
+    for z in grid:
+        assert repr(float(_norm_sf(z))) == repr(float(norm.sf(z))), z
+    assert _norm_sf(grid).tobytes() == norm.sf(grid).tobytes()
 
 
 # ----------------------------------------------------------------- friedman
@@ -238,6 +254,53 @@ def test_ranksum_all_ties_above_the_exact_limit_are_a_tie():
     assert wilcoxon_rank_sum([1.0] * 7, [1.0] * 7) == (1.0, "=")
 
 
+def reference_ranksum_p(a, b):
+    """The rank-sum p of one pair the way it was computed one pair at a
+    time: each assignment's rank sum in a loop, and the tie term from the
+    counts of equal values."""
+    pooled, n_a = rankdata(np.concatenate([a, b])), len(a)
+    total = len(pooled)
+    mu = n_a * (total + 1) / 2.0
+    w = float(pooled[:n_a].sum())
+    if total <= EXACT_RANKSUM_LIMIT:
+        sums = [float(pooled[list(idx)].sum())
+                for idx in combinations(range(total), n_a)]
+        return sum(abs(s - mu) >= abs(w - mu) - 1e-12 for s in sums) / len(sums)
+    _, counts = np.unique(pooled, return_counts=True)
+    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
+    var = (n_a * (total - n_a) / 12.0) * ((total + 1) - tie_term / (total * (total - 1)))
+    if var <= 0.0:
+        return 1.0
+    diff = w - mu
+    diff = diff - 0.5 if diff > 0.5 else diff + 0.5 if diff < -0.5 else 0.0
+    return min(1.0, 2.0 * float(norm.sf(abs(diff / math.sqrt(var)))))
+
+
+@pytest.mark.parametrize("block", [stats._EXACT_BLOCK, 1], ids=["one-block", "row-blocks"])
+def test_batched_ranksum_p_equals_each_row_alone(monkeypatch, block):
+    """Every exact size, then some normal ones, on tied and tie-free rows,
+    against the test of each row alone and the pair-at-a-time reference; a
+    block of 1 makes the exact test form one row's rank sums at a time."""
+    monkeypatch.setattr(stats, "_EXACT_BLOCK", block)
+    gen = np.random.default_rng(67)
+    sizes = [(n_a, n_b) for n_a in range(2, 11) for n_b in range(2, 13 - n_a)]
+    for n_a, n_b in sizes + [(6, 7), (7, 7), (2, 11), (10, 10), (30, 30)]:
+        a = gen.integers(0, 5, size=(3, 4, n_a)).astype(float)
+        b = gen.integers(0, 5, size=(3, 4, n_b)).astype(float)
+        a[0], b[0] = gen.normal(size=(4, n_a)), gen.normal(size=(4, n_b))
+        a[1, 0], b[1, 0] = 2.0, 2.0
+        batched = _ranksum_p(a, b)
+        assert batched.shape == (3, 4)
+        rows = [float(_ranksum_p(a[i, j], b[i, j]))
+                for i in range(3) for j in range(4)]
+        assert batched.ravel().tolist() == rows, (n_a, n_b)
+        assert rows[4] == 1.0
+        assert rows == [wilcoxon_rank_sum(a[i, j], b[i, j])[0]
+                        for i in range(3) for j in range(4)]
+        assert rows == [reference_ranksum_p(a[i, j], b[i, j])
+                        for i in range(3) for j in range(4)], (n_a, n_b)
+
+
 def test_ranksum_rejects_tiny_samples():
     with pytest.raises(ValueError):
         wilcoxon_rank_sum([1.0], [2.0, 3.0])
@@ -256,6 +319,16 @@ def test_ranksum_ranks_infinities_as_extremes():
                                    alpha=0.2)
     assert p == wilcoxon_rank_sum([0.0, 1.0, 2.0], [3.0, 4.0, 5.0])[0]
     assert verdict == "+"
+
+
+@pytest.mark.filterwarnings("error")
+def test_ranksum_verdict_on_infinities_of_both_signs_warns_nothing():
+    # -inf and inf in one sample make its mean NaN; the median decides
+    p, verdict = wilcoxon_rank_sum([-np.inf, np.inf, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                   [np.inf] * 7)
+    assert p < 0.05
+    assert verdict == "+"
+    assert wilcoxon_rank_sum([-np.inf, np.inf], [np.inf, -np.inf], alpha=0.9) == (1.0, "=")
 
 
 def test_ranksum_median_decides_direction_mean_breaks_ties():
@@ -349,7 +422,7 @@ def test_wtl_antisymmetry():
 
 def test_wtl_mirrored_pairs_equal_both_test_orders():
     gen = np.random.default_rng(64)
-    for runs in (2, 3, 5, 8):
+    for runs in (2, 3, 5, 6, 7, 8):
         m = gen.normal(size=(12, 3, runs))
         m[:, 0] -= 1.0
         m[::3, 2] = m[::3, 1]                   # exact ties
@@ -361,6 +434,21 @@ def test_wtl_mirrored_pairs_equal_both_test_orders():
                 for prob in range(12):
                     counts[wilcoxon_rank_sum(m[prob, i], m[prob, j], alpha)[1]] += 1
                 assert table[("abc"[i], "abc"[j])] == counts
+
+
+def test_wtl_exact_path_memory_stays_bounded():
+    """45 pairs x 100 problems at 6 runs: C(12, 6) = 924 assignments per
+    cell, whose rank sums are formed a block of cells at a time."""
+    m = np.random.default_rng(65).normal(size=(100, 10, 6))
+    wtl_table(m[:2, :2])
+    tracemalloc.start()
+    try:
+        table = wtl_table(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 90
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_wtl_detects_clear_dominance():
