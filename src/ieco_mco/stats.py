@@ -26,7 +26,6 @@ import numpy as np
 
 DEFAULT_ALPHA = 0.05
 EXACT_RANKSUM_LIMIT = 12  # exact enumeration when |a| + |b| <= this
-_EXACT_BLOCK = 1 << 20  # most assignment rank sums the exact test holds at once
 
 
 @dataclass
@@ -157,8 +156,7 @@ def _ranksum_exact_p(pooled_ranks: np.ndarray, n_a: int) -> np.ndarray:
     much as the observed one; conditional on the observed (possibly tied)
     midranks, so ties are handled exactly. The rank sums of every
     assignment are the product of the ranks with the 0/1 assignment matrix,
-    exact on half-integer ranks; they are formed a block of samples at a
-    time.
+    exact on half-integer ranks.
     """
     total = pooled_ranks.shape[-1]
     mu = n_a * (total + 1) / 2.0
@@ -166,25 +164,19 @@ def _ranksum_exact_p(pooled_ranks: np.ndarray, n_a: int) -> np.ndarray:
     dev = np.abs(pooled_ranks[..., :n_a].sum(axis=-1) - mu)
     picks = _assignments(total, n_a)
     rows, least = pooled_ranks.reshape(-1, total), dev.reshape(-1, 1) - 1e-12
-    hits = np.empty(len(rows), dtype=np.int64)
-    step = max(1, _EXACT_BLOCK // len(picks))
-    for at in range(0, len(rows), step):
-        w = rows[at:at + step] @ picks.T
-        w -= mu
-        hits[at:at + step] = np.count_nonzero(np.abs(w, out=w) >= least[at:at + step],
-                                              axis=1)
+    w = rows @ picks.T  # one rank sum per (sample, assignment)
+    w -= mu
+    hits = np.count_nonzero(np.abs(w, out=w) >= least, axis=1)
     return (hits / len(picks)).reshape(dev.shape)
 
 
-def _ranksum_normal_p(pooled_ranks: np.ndarray, n_a: int,
-                      tie_term=None) -> np.ndarray:
+def _ranksum_normal_p(pooled_ranks: np.ndarray, n_a: int) -> np.ndarray:
     """Normal approximation with tie and continuity corrections, for each
-    pooled sample along the last axis; ``tie_term`` is each sample's
-    sum(t^3 - t), found from the ranks when not given."""
+    pooled sample along the last axis; the tie term comes from ranking the
+    ranks, whose tie groups are the values' own."""
     total = pooled_ranks.shape[-1]
     n_b = total - n_a
-    if tie_term is None:
-        tie_term = _ranks_and_ties(pooled_ranks)[1]
+    tie_term = _ranks_and_ties(pooled_ranks)[1]
     mu = n_a * (total + 1) / 2.0
     var = (n_a * n_b / 12.0) * ((total + 1) - tie_term / (total * (total - 1)))
     # the continuity correction moves |w - mu| half a rank towards 0
@@ -202,10 +194,10 @@ def _ranksum_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_a, n_b = a.shape[-1], b.shape[-1]
     if n_a < 2 or n_b < 2:
         raise ValueError("rank-sum test needs at least 2 observations per sample")
-    ranks, tie_term = _ranks_and_ties(np.concatenate([a, b], axis=-1))
+    ranks = _average_ranks(np.concatenate([a, b], axis=-1))
     if n_a + n_b <= EXACT_RANKSUM_LIMIT:
         return _ranksum_exact_p(ranks, n_a)
-    return _ranksum_normal_p(ranks, n_a, tie_term)
+    return _ranksum_normal_p(ranks, n_a)
 
 
 def _centres(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

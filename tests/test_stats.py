@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, friedmanchisquare, kruskal, mannwhitneyu, norm, rankdata
 
-from ieco_mco import stats
 from ieco_mco.stats import (
     EXACT_RANKSUM_LIMIT,
     StatReport,
@@ -276,12 +275,9 @@ def reference_ranksum_p(a, b):
     return min(1.0, 2.0 * float(norm.sf(abs(diff / math.sqrt(var)))))
 
 
-@pytest.mark.parametrize("block", [stats._EXACT_BLOCK, 1], ids=["one-block", "row-blocks"])
-def test_batched_ranksum_p_equals_each_row_alone(monkeypatch, block):
+def test_batched_ranksum_p_equals_each_row_alone():
     """Every exact size, then some normal ones, on tied and tie-free rows,
-    against the test of each row alone and the pair-at-a-time reference; a
-    block of 1 makes the exact test form one row's rank sums at a time."""
-    monkeypatch.setattr(stats, "_EXACT_BLOCK", block)
+    against the test of each row alone and the pair-at-a-time reference."""
     gen = np.random.default_rng(67)
     sizes = [(n_a, n_b) for n_a in range(2, 11) for n_b in range(2, 13 - n_a)]
     for n_a, n_b in sizes + [(6, 7), (7, 7), (2, 11), (10, 10), (30, 30)]:
@@ -438,7 +434,8 @@ def test_wtl_mirrored_pairs_equal_both_test_orders():
 
 def test_wtl_exact_path_memory_stays_bounded():
     """45 pairs x 100 problems at 6 runs: C(12, 6) = 924 assignments per
-    cell, whose rank sums are formed a block of cells at a time."""
+    cell. The rank sums come from the 0/1 assignment matrix; a gather of
+    the ranks per assignment, (4500, 924, 6) floats, would need 200 MB."""
     m = np.random.default_rng(65).normal(size=(100, 10, 6))
     wtl_table(m[:2, :2])
     tracemalloc.start()
